@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import DEFAULT_TOL, Tolerances
 
@@ -95,10 +95,6 @@ class Isometry:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def dist(self, other: "Isometry") -> float:
-        """Max entry difference between the two projective representatives."""
-        return max(abs(p - q) for p, q in zip(self.entries(), other.entries()))
-
     def boundary_image(self, t: float) -> float:
         """Action on the ideal boundary R u {INF}."""
         if t is INF or math.isinf(t):
@@ -107,6 +103,14 @@ class Isometry:
         if den == 0.0:
             return INF
         return (self.a * t + self.b) / den
+
+
+def projective_dist(e1: Sequence[float], e2: Sequence[float]) -> float:
+    """Chebyshev distance between projective matrices, given by their entry
+    tuples (``Isometry.entries()``); sign-agnostic."""
+    d_plus = max(abs(a - b) for a, b in zip(e1, e2))
+    d_minus = max(abs(a + b) for a, b in zip(e1, e2))
+    return min(d_plus, d_minus)
 
 
 class IsometryKind(Enum):

@@ -8,7 +8,6 @@ below; the report records expected/actual/pass per check.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -228,12 +227,10 @@ class VerificationReport:
 def run_verification(case_filter: Optional[int], search: SearchConfig,
                      tol: Tolerances,
                      include_timings: bool = False) -> VerificationReport:
-    """Run the full chain for the selected cases, in parallel, fixed order."""
-    case_ids = list(trigroup.CASES) if case_filter is None else [case_filter]
-    with ThreadPoolExecutor(max_workers=len(case_ids)) as pool:
-        futures = {cid: pool.submit(run_case, cid, search, tol)
-                   for cid in case_ids}
-        case_reports = [futures[cid].result() for cid in sorted(futures)]
+    """Run the full chain for the selected cases, one after another in the
+    fixed ``trigroup.CASES`` order."""
+    case_ids = trigroup.CASES if case_filter is None else (case_filter,)
+    case_reports = [run_case(cid, search, tol) for cid in case_ids]
     global_rep = run_global_checks(search, tol)
     return VerificationReport(case_reports, global_rep, search, tol,
                               include_timings)

@@ -6,10 +6,22 @@ balls are enumerated breadth-first with projective matrix dedup; the five
 section curves are realized by explicit base geodesics whose group orbit
 tiles the plane, and fixed-point bookkeeping reduces to counting the
 isometries carrying the distinguished tile to a chosen adjacent tile.
+
+Every dedup goes through one uniform-grid index, ``_GridIndex``: word balls
+(matrix entries, ``projective_dist`` within ``eps_dedup`` = 1e-7, guard band
+to 10x), curve lifts and tile centres (1e-9), and the half-ball matching of
+``adjacency_isometries`` (every match within 1e-7).  Its cells are 1e-3
+wide, a thousand times the largest probe radius, so a lookup reads a
+neighbouring cell only on an axis where the query lies within the probe
+radius of a wall: one cell nearly always, not 3^4 (the fixed-radius grid of
+Bentley, Stanat and Williams, IPL 6(6), 1977).  Margins on the balls of
+depth <= 8: distinct elements are >= 0.40 apart and equal ones land within
+6e-14, so the 1e-7 radius and the 1e-6 guard band sit far from both.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,13 +32,15 @@ from .hyp2 import (Geodesic, GeometryError, HPoint, Isometry, IsometryClass,
                    IsometryKind, apply, apply_geodesic, axis_of,
                    axis_parameter, classify, distance, foot_on_axis,
                    geodesic_intersection, geodesic_through, crossing_angle,
-                   rotation_about, to_disc, to_klein)
+                   projective_dist, rotation_about, to_disc, to_klein)
 
 CASES = (237, 245, 246, 334, 344)
 CASE_TRIPLES = {237: (2, 3, 7), 245: (2, 4, 5), 246: (2, 4, 6),
                 334: (3, 3, 4), 344: (3, 4, 4)}
 
 ALPHABET = ("P", "p", "Q", "q", "R", "r")  # lowercase marks the inverse
+
+_CELL = 1e-3  # dedup grid cell width, far above every dedup radius
 
 
 class EnumerationError(RuntimeError):
@@ -94,93 +108,78 @@ def build_group(p: int, q: int, r: int, tol: Tolerances = DEFAULT_TOL) -> Triang
     return group
 
 
-def projective_dist(m1: Isometry, m2: Isometry) -> float:
-    """Chebyshev distance between projective matrices (sign-agnostic)."""
-    e1, e2 = m1.entries(), m2.entries()
-    d_plus = max(abs(a - b) for a, b in zip(e1, e2))
-    d_minus = max(abs(a + b) for a, b in zip(e1, e2))
-    return min(d_plus, d_minus)
+def _chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
-class _QuantIndex:
-    """Approximate-duplicate index over float vectors via quantized buckets.
+class _GridIndex:
+    """Fixed-radius near-neighbour index over float vectors on a uniform grid.
 
-    ``insert`` returns the index of an existing item within ``radius`` or
-    stores the vector and returns None.  With a guard factor, a nearest
-    neighbor in (radius, guard*radius) raises DedupAmbiguityError, signalling
-    that the dedup tolerance is too coarse for the requested depth.
+    The probe radius is ``max(radius, guard*radius)``; cells are ``_CELL``
+    wide, or ``probe * 1.000001`` if that is larger.  On each axis a lookup
+    also reads the neighbouring cell on the side whose wall lies within
+    ``probe * 1.000001`` of the query (the margin covers rounding in
+    ``x -+ probe``), so it sees every stored vector within ``probe`` in
+    Chebyshev distance.  ``dist`` is never larger than that distance;
+    matrices are keyed by their sign-normalised entries, so near-duplicates
+    agree in sign even though ``projective_dist`` ignores it.
+
+    ``insert`` returns the index of the nearest stored vector within
+    ``radius``, or stores the vector and returns None; a nearest neighbour
+    in (radius, guard*radius) raises DedupAmbiguityError.  ``add`` stores
+    without dedup and ``near`` lists every stored vector within ``probe``.
     """
 
-    _OFFSETS_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-    def __init__(self, radius: float, dim: int, guard: float = 0.0,
-                 dist=None):
+    def __init__(self, radius: float, guard: float = 0.0, dist=_chebyshev):
         self.radius = radius
         self.guard = guard
-        self.cell = max(radius * (guard if guard else 1.0), radius) * 1.000001
+        self.probe = max(radius, guard * radius)
+        self.reach = self.probe * 1.000001
+        self.cell = max(_CELL, self.reach)
+        self.dist = dist
         self.buckets: dict[tuple[int, ...], list[int]] = {}
-        self.vectors: list[tuple[float, ...]] = []
-        self.dist = dist or (lambda a, b: max(abs(x - y) for x, y in zip(a, b)))
-        if dim not in self._OFFSETS_CACHE:
-            offs = [()]
-            for _ in range(dim):
-                offs = [o + (s,) for o in offs for s in (-1, 0, 1)]
-            self._OFFSETS_CACHE[dim] = offs
-        self.offsets = self._OFFSETS_CACHE[dim]
+        self.vectors: list[Sequence[float]] = []
 
-    def _key(self, vec) -> tuple[int, ...]:
-        return tuple(int(math.floor(x / self.cell)) for x in vec)
+    def _cells(self, vec: Sequence[float]):
+        """Keys of every cell that can hold a vector within probe of vec."""
+        cell, reach = self.cell, self.reach
+        lo = [math.floor((x - reach) / cell) for x in vec]
+        hi = [math.floor((x + reach) / cell) for x in vec]
+        if lo == hi:
+            return (tuple(lo),)
+        return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
 
-    def _nearest(self, vec) -> tuple[Optional[int], float]:
-        key = self._key(vec)
-        best, best_d = None, math.inf
-        exact = self.buckets.get(key)
-        if exact:
-            for idx in exact:
+    def near(self, vec: Sequence[float]) -> list[tuple[float, int]]:
+        """(distance, index) of every stored vector within probe of vec."""
+        hits = []
+        for key in self._cells(vec):
+            for idx in self.buckets.get(key, ()):
                 d = self.dist(vec, self.vectors[idx])
-                if d < best_d:
-                    best, best_d = idx, d
-            if best_d <= self.radius:
-                return best, best_d
-        for off in self.offsets:
-            k = tuple(a + b for a, b in zip(key, off))
-            if k == key:
-                continue
-            for idx in self.buckets.get(k, ()):
-                d = self.dist(vec, self.vectors[idx])
-                if d < best_d:
-                    best, best_d = idx, d
-        return best, best_d
+                if d <= self.probe:
+                    hits.append((d, idx))
+        return hits
 
-    def insert(self, vec) -> Optional[int]:
-        best, best_d = self._nearest(vec)
-        if best is not None:
+    def add(self, vec: Sequence[float]) -> None:
+        key = tuple([math.floor(x / self.cell) for x in vec])
+        self.buckets.setdefault(key, []).append(len(self.vectors))
+        self.vectors.append(vec)
+
+    def insert(self, vec: Sequence[float]) -> Optional[int]:
+        hits = self.near(vec)
+        if hits:
+            best_d, best = min(hits)
             if best_d <= self.radius:
                 return best
-            if self.guard and best_d < self.guard * self.radius:
+            if best_d < self.guard * self.radius:
                 raise DedupAmbiguityError(
                     f"candidates at ambiguous distance {best_d:.3e} "
                     f"(dedup radius {self.radius:.1e})")
-        idx = len(self.vectors)
-        self.vectors.append(tuple(vec))
-        self.buckets.setdefault(self._key(vec), []).append(idx)
+        self.add(vec)
         return None
 
 
-def _matrix_vec(m: Isometry) -> tuple[float, float, float, float]:
-    return m.entries()
-
-
-def _matrix_index(tol: Tolerances) -> _QuantIndex:
-    def pdist(a, b):
-        d_plus = max(abs(x - y) for x, y in zip(a, b))
-        d_minus = max(abs(x + y) for x, y in zip(a, b))
-        return min(d_plus, d_minus)
-    return _QuantIndex(tol.eps_dedup, dim=4, guard=10.0, dist=pdist)
-
-
-def _point_vec(p: HPoint) -> tuple[float, float]:
-    return to_disc(p)
+def _matrix_index(tol: Tolerances) -> _GridIndex:
+    return _GridIndex(tol.eps_dedup, guard=10.0, dist=projective_dist)
 
 
 def _geodesic_vec(g: Geodesic) -> tuple[float, float, float, float]:
@@ -204,7 +203,7 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
     gens = {letter: group.generator(letter) for letter in ALPHABET}
     index = _matrix_index(tol)
     identity = GroupElement((), Isometry.identity())
-    index.insert(_matrix_vec(identity.matrix))
+    index.insert(identity.matrix.entries())
     elements = [identity]
     frontier = [identity]
     for _ in range(max_len):
@@ -212,7 +211,7 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
         for el in frontier:
             for letter in ALPHABET:
                 m = el.matrix.compose(gens[letter], tol)
-                if index.insert(_matrix_vec(m)) is None:
+                if index.insert(m.entries()) is None:
                     fresh.append(GroupElement(el.word + (letter,), m))
         elements.extend(fresh)
         frontier = fresh
@@ -251,7 +250,6 @@ def point_on_segment(a: HPoint, b: HPoint, frac: float,
 
 def _clip_to_triangle(geo: Geodesic, group: TriangleGroup) -> tuple[HPoint, HPoint]:
     """Chord of the geodesic inside the closed triangle PQR (Klein model)."""
-    import itertools
     tol = group.tol
     corners = [to_klein(group.P), to_klein(group.Q), to_klein(group.R)]
     a = hyp2.klein_boundary_point(geo.u)
@@ -347,7 +345,7 @@ def curve_lifts(case: int, depth: int,
     """Deduped group orbit of the base geodesics within the word ball."""
     group = build_group(*CASE_TRIPLES[case], tol)
     system = curve_system(case, tol)
-    index = _QuantIndex(1e-9, dim=4)
+    index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
     for el in enumerate_elements(group, depth):
         for base in system.base_geodesics:
@@ -364,11 +362,11 @@ def cell_tiling(group: TriangleGroup, system: CurveSystem,
     """Orbit of the distinguished cell center in the ball, with witnesses."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    index = _QuantIndex(1e-9, dim=2)
+    index = _GridIndex(1e-9)
     out: list[tuple[HPoint, GroupElement]] = []
     for el in enumerate_elements(group, depth):
         img = apply(el.matrix, system.cell_center)
-        if index.insert(_point_vec(img)) is None:
+        if index.insert(to_disc(img)) is None:
             out.append((img, el))
     return out
 
@@ -557,24 +555,15 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
         neighbor = canonical_neighbors(group, system, depth, count=1)[0]
     c1 = neighbor
 
-    fwd: dict[tuple[int, int], list[int]] = {}
-    quant = 1e-7
-
-    def key_of(p: HPoint) -> tuple[int, int]:
-        dx, dy = to_disc(p)
-        return (int(math.floor(dx / quant)), int(math.floor(dy / quant)))
-
-    for i, el in enumerate(ball):
-        fwd.setdefault(key_of(apply(el.matrix, c0)), []).append(i)
-
+    # Every ball element by its image of c0, without dedup: the stabilizer
+    # of c0 maps several elements to one point and each may start a match.
+    fwd = _GridIndex(1e-7)
+    for el in ball:
+        fwd.add(to_disc(apply(el.matrix, c0)))
     pairs: list[tuple[int, int]] = []
     for j, el in enumerate(ball):
-        target = apply(el.matrix.inverse(tol), c1)
-        kx, ky = key_of(target)
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                for i in fwd.get((kx + ox, ky + oy), ()):
-                    pairs.append((j, i))
+        target = to_disc(apply(el.matrix.inverse(tol), c1))
+        pairs.extend((j, i) for _, i in fwd.near(target))
 
     pairs.sort(key=lambda ji: (len(ball[ji[0]].word) + len(ball[ji[1]].word),
                                ball[ji[0]].word, ball[ji[1]].word))
@@ -584,7 +573,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
         m = ball[j].matrix.compose(ball[i].matrix, tol)
         if distance(apply(m, c0), c1) > 10.0 * tol.eps_pt:
             continue
-        if index.insert(_matrix_vec(m)) is None:
+        if index.insert(m.entries()) is None:
             found.append(GroupElement(ball[j].word + ball[i].word, m))
 
     k = system.stabilizer_order

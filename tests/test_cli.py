@@ -1,9 +1,16 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from orbiflow import cli, render, report
 from orbiflow.config import DEFAULT_SEARCH, DEFAULT_TOL
+
+GOLDEN = Path(__file__).parent / "data"
+# sha256 of `orbiflow tiling --case 344 --depth 6`, pinned like the report.
+TILING_344_D6_SHA256 = \
+    "ced877df5529448f7df4795b2fdcba7b238364656655ead234f5aad7dc174499"
 
 
 def test_verify_single_case_passes(tmp_path, capsys):
@@ -47,6 +54,21 @@ def test_report_deterministic_bytes(tmp_path):
     assert cli.main(["verify", "--case", "246", "--json", str(p1)]) == 0
     assert cli.main(["verify", "--case", "246", "--json", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_report_matches_golden_bytes(tmp_path):
+    # The default report is the behavioural contract: byte-identical to the
+    # pinned copy unless a change declares a schema change.
+    out = tmp_path / "all.json"
+    assert cli.main(["verify", "--case", "all", "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
+
+
+def test_tiling_matches_golden_sha256(tmp_path):
+    out = tmp_path / "t344.svg"
+    assert cli.main(["tiling", "--case", "344", "--depth", "6",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILING_344_D6_SHA256
 
 
 def test_tiling_svg_written(tmp_path, capsys):

@@ -1,0 +1,104 @@
+import math
+
+import pytest
+
+from orbiflow.config import DEFAULT_TOL
+from orbiflow.hyp2 import Isometry, projective_dist
+from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
+                               DedupAmbiguityError, GroupElement, _GridIndex,
+                               _matrix_index, build_group, enumerate_elements)
+
+RADIUS = DEFAULT_TOL.eps_dedup
+
+
+def _mid_cell(index):
+    """A 4-vector in the middle of a grid cell, away from every wall."""
+    return [(k + 0.5) * index.cell for k in (3, -7, 11, 0)]
+
+
+def test_planted_near_duplicate_raises():
+    index = _matrix_index(DEFAULT_TOL)
+    assert index.insert(Isometry.identity().entries()) is None
+    planted = (1.0 + 3 * RADIUS, 0.0, 0.0, 1.0)
+    with pytest.raises(DedupAmbiguityError):
+        index.insert(planted)
+
+
+def test_duplicate_and_distinct_vectors():
+    index = _matrix_index(DEFAULT_TOL)
+    base = Isometry.identity().entries()
+    assert index.insert(base) is None
+    assert index.insert((1.0, RADIUS / 2, 0.0, 1.0)) == 0
+    assert index.insert((1.0, 20 * RADIUS, 0.0, 1.0)) is None
+    assert len(index.vectors) == 2
+
+
+@pytest.mark.parametrize("side", (-1, 1))
+@pytest.mark.parametrize("axis", range(4))
+def test_neighbour_across_a_cell_wall_is_found(axis, side):
+    index = _matrix_index(DEFAULT_TOL)
+    query = _mid_cell(index)
+    stored = list(query)
+    # Put the query just inside its cell's wall on `side`, and the stored
+    # vector just across that wall, within the dedup radius.
+    k = math.floor(query[axis] / index.cell)
+    wall = (k + (side > 0)) * index.cell
+    query[axis] = wall - side * RADIUS / 4
+    stored[axis] = wall + side * RADIUS / 4
+    assert math.floor(stored[axis] / index.cell) == k + side
+    assert math.floor(query[axis] / index.cell) == k
+    assert index.insert(tuple(stored)) is None
+    assert index.insert(tuple(query)) == 0
+    # The guard band reaches across the wall too.
+    beyond = list(query)
+    beyond[axis] = wall + side * 2 * RADIUS
+    index2 = _matrix_index(DEFAULT_TOL)
+    index2.insert(tuple(beyond))
+    with pytest.raises(DedupAmbiguityError):
+        index2.insert(tuple(query))
+
+
+def test_neighbour_across_every_wall_at_a_corner():
+    index = _GridIndex(1e-9)
+    corner = [k * index.cell for k in (2, -5, 9, 1)]
+    query = tuple(c - 2e-10 for c in corner)
+    stored = tuple(c + 2e-10 for c in corner)
+    assert index.insert(stored) is None
+    assert index.insert(query) == 0
+
+
+def test_near_keeps_every_copy_and_skips_far_vectors():
+    index = _GridIndex(1e-7)
+    point = (0.25, -0.5)
+    for _ in range(3):
+        index.add(point)
+    index.add((0.25 + 3e-7, -0.5))
+    found = sorted(i for _, i in index.near((0.25 + 5e-8, -0.5)))
+    assert found == [0, 1, 2]
+
+
+def _reference_ball(group, max_len):
+    """Breadth-first word ball deduped by all-pairs projective distance."""
+    tol = group.tol
+    gens = {letter: group.generator(letter) for letter in ALPHABET}
+    elements = [GroupElement((), Isometry.identity())]
+    frontier = elements
+    for _ in range(max_len):
+        fresh = []
+        for el in frontier:
+            for letter in ALPHABET:
+                m = el.matrix.compose(gens[letter], tol)
+                entries = m.entries()
+                if all(projective_dist(entries, other.matrix.entries())
+                       > tol.eps_dedup for other in elements + fresh):
+                    fresh.append(GroupElement(el.word + (letter,), m))
+        elements = elements + fresh
+        frontier = fresh
+    return elements
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ball_matches_all_pairs_reference(case):
+    group = build_group(*CASE_TRIPLES[case])
+    expected = [el.word for el in _reference_ball(group, 4)]
+    assert [el.word for el in enumerate_elements(group, 4)] == expected
