@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import config as cfg
 from . import render, report, torusmap, trigroup
@@ -46,19 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> tuple[cfg.SearchConfig, cfg.Tolerances]:
     search = cfg.search_from_env()
     tol = cfg.tolerances_from_env()
-    if getattr(args, "depth", None) is not None:
-        if args.depth < 1:
-            raise ValueError("depth must be >= 1")
-        search = replace(search, adjacency_depth=args.depth,
-                         tiling_depth=min(args.depth, search.tiling_depth))
-    if getattr(args, "tol", None) is not None:
-        if not 0 < args.tol < 1e-2:
-            raise ValueError("tolerance must be in (0, 1e-2)")
-        tol = cfg.Tolerances(eps_det=args.tol, eps_pt=args.tol,
-                             eps_geo=args.tol, eps_sign=args.tol,
-                             eps_cls=max(args.tol, tol.eps_cls),
-                             eps_ang=max(args.tol, tol.eps_ang),
-                             eps_dedup=max(args.tol, tol.eps_dedup))
+    if args.depth is not None:
+        search = cfg.override_depth(search, args.depth)
+    if args.tol is not None:
+        tol = cfg.override_tolerance(tol, args.tol)
     return search, tol
 
 

@@ -42,11 +42,11 @@ ENV_DEPTH = "ORBIFLOW_DEPTH"
 ENV_TOL = "ORBIFLOW_TOL"
 
 
-def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return base
-    eps = float(raw)
+def override_tolerance(base: Tolerances, eps: float) -> Tolerances:
+    """`base` with every threshold set to eps; the classification, angle and
+    dedup bands never drop below their value in `base`."""
+    if not 0 < eps < 1e-2:
+        raise ValueError("tolerance must be in (0, 1e-2)")
     return Tolerances(
         eps_det=eps, eps_pt=eps, eps_geo=eps,
         eps_cls=max(eps, base.eps_cls), eps_ang=max(eps, base.eps_ang),
@@ -54,9 +54,20 @@ def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
     )
 
 
+def override_depth(base: SearchConfig, depth: int) -> SearchConfig:
+    """`base` with the adjacency depth set to `depth`, capping the tiling
+    depth at it."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return replace(base, adjacency_depth=depth,
+                   tiling_depth=min(depth, base.tiling_depth))
+
+
+def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
+    raw = os.environ.get(ENV_TOL)
+    return base if raw is None else override_tolerance(base, float(raw))
+
+
 def search_from_env(base: SearchConfig = DEFAULT_SEARCH) -> SearchConfig:
     raw = os.environ.get(ENV_DEPTH)
-    if raw is None:
-        return base
-    depth = int(raw)
-    return replace(base, adjacency_depth=depth, tiling_depth=min(depth, base.tiling_depth))
+    return base if raw is None else override_depth(base, int(raw))

@@ -115,11 +115,6 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     return A, U, V
 
 
-def invariant_factors(M) -> list[int]:
-    D, _, _ = smith_normal_form(M)
-    return [D[i][i] for i in range(min(len(D), len(D[0])))]
-
-
 def solve_mod1(M, rhs_den: int = 1) -> list[tuple[Fraction, Fraction]]:
     """All x in Q^2/Z^2 with M x = 0 mod Z^2, for 2x2 integer M, det != 0.
 

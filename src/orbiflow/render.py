@@ -6,6 +6,7 @@ iteration order.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from . import hyp2, trigroup
@@ -104,9 +105,8 @@ def tiling_svg(case: int, depth: int, tol: Tolerances = DEFAULT_TOL,
         if on_curve:
             continue
         stroke, fill = _FAMILY_STYLES[name]
-        orbit = trigroup.cell_tiling(group, trigroup.CurveSystem(
-            case, system.base_geodesics, system.base_segments, vertex,
-            system.stabilizer_order, system.fiber_fraction), depth)
+        orbit = trigroup.cell_tiling(
+            group, dataclasses.replace(system, cell_center=vertex), depth)
         for point, _ in orbit:
             dx, dy = hyp2.to_disc(point)
             if dx * dx + dy * dy > 0.55:

@@ -89,7 +89,8 @@ def _factors(group: surgery.AbelianGroup) -> list[int]:
     return list(group.invariant_factors)
 
 
-def run_case(case: int, search: SearchConfig, tol: Tolerances) -> CaseReport:
+def run_case(case: int, search: SearchConfig, tol: Tolerances,
+             trace3_unique: bool) -> CaseReport:
     exp = EXPECTED[case]
     rep = CaseReport(case)
     t0 = time.monotonic()
@@ -128,8 +129,7 @@ def run_case(case: int, search: SearchConfig, tol: Tolerances) -> CaseReport:
     # Conjugacy certification: one fixed point for a hyperbolic torus map
     # forces trace 3, and the exhaustive word search pins the class to XY.
     t0 = time.monotonic()
-    unique = torusmap.trace3_uniqueness(8)
-    certified = unique and summary.total_fixed == 1
+    certified = trace3_unique and summary.total_fixed == 1
     word = str(torusmap.xy_normal_form(torusmap.CAT)) if certified else None
     rep.check("return_map_class", "XY", word)
     rep.timings["certification"] = time.monotonic() - t0
@@ -150,10 +150,11 @@ def run_case(case: int, search: SearchConfig, tol: Tolerances) -> CaseReport:
     return rep
 
 
-def run_global_checks(search: SearchConfig, tol: Tolerances) -> CaseReport:
+def run_global_checks(search: SearchConfig, tol: Tolerances,
+                      trace3_unique: bool) -> CaseReport:
     rep = CaseReport(0)
     t0 = time.monotonic()
-    rep.check("trace3_uniqueness_len8", True, torusmap.trace3_uniqueness(8))
+    rep.check("trace3_uniqueness_len8", True, trace3_unique)
     rep.check("trace_monotone_len8", True,
               torusmap.trace_monotone_under_extension(8))
     cat = torusmap.CAT
@@ -228,9 +229,11 @@ def run_verification(case_filter: Optional[int], search: SearchConfig,
                      tol: Tolerances,
                      include_timings: bool = False) -> VerificationReport:
     """Run the full chain for the selected cases, one after another in the
-    fixed ``trigroup.CASES`` order."""
+    fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
+    (length 8) runs once and feeds every case and the global checks."""
+    unique = torusmap.trace3_uniqueness(8)
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
-    case_reports = [run_case(cid, search, tol) for cid in case_ids]
-    global_rep = run_global_checks(search, tol)
+    case_reports = [run_case(cid, search, tol, unique) for cid in case_ids]
+    global_rep = run_global_checks(search, tol, unique)
     return VerificationReport(case_reports, global_rep, search, tol,
                               include_timings)

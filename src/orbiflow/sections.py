@@ -41,14 +41,6 @@ class SectionComplex:
     case: int
     polygons: tuple[tuple[tuple[str, int], ...], ...]
     boundary: tuple[tuple[str, BoundaryLabel], ...]
-    # Fraction of the unit-tangent fiber the section occupies over its curve
-    # (1/2 for the one-sided 237 construction, 1 otherwise).
-    fiber_fraction: Fraction
-    # Coefficient of the oriented boundary on the underlying orbit.
-    oriented_boundary_coefficient: int
-
-    def boundary_label(self, edge: str) -> BoundaryLabel:
-        return dict(self.boundary)[edge]
 
 
 @dataclass(frozen=True)
@@ -84,8 +76,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     poly237 = (("bot", 1), ("x", 1), ("y", 1), ("top", 1), ("x", -1), ("y", -1))
     out[237] = SectionComplex(
         237, (poly237,),
-        (("bot", _label("h", Half, Half)), ("top", _label("h", Half, Half))),
-        Half, -1)
+        (("bot", _label("h", Half, Half)), ("top", _label("h", Half, Half))))
 
     # 245: full-fiber rectangle over the doubled edge b; four ribbon pieces
     # over the order-4 fiber, each top glued to the next piece's bottom.
@@ -93,8 +84,7 @@ def _build_sections() -> dict[int, SectionComplex]:
                ("top", 1), ("e3", -1), ("e2", -1), ("e1", -1), ("e4", -1))
     out[245] = SectionComplex(
         245, (poly245,),
-        (("bot", _label("b", 1, Half)), ("top", _label("b", 1, Half))),
-        Fraction(1), -2)
+        (("bot", _label("b", 1, Half)), ("top", _label("b", 1, Half))))
 
     # 246: full-fiber rectangle over the doubled edge c; six pieces over the
     # order-6 fiber, tops to adjacent bottoms and middles to opposite middles,
@@ -103,8 +93,7 @@ def _build_sections() -> dict[int, SectionComplex]:
                ("top", 1), ("e1", -1), ("e2", -1), ("e3", -1))
     out[246] = SectionComplex(
         246, (poly246,),
-        (("bot", _label("c", 1, 1)), ("top", _label("c", 1, 1))),
-        Fraction(1), -2)
+        (("bot", _label("c", 1, 1)), ("top", _label("c", 1, 1))))
 
     # 334: two hexagons with alternating sides cross-identified; boundary
     # edges alternate between the two polygons along a single component.
@@ -114,8 +103,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     for i, e in enumerate(("u0", "u1", "u2", "v0", "v1", "v2")):
         turn = -Half if i < 4 else Half
         labels334.append((e, BoundaryLabel("gamma8", Half, -turn, turn)))
-    out[334] = SectionComplex(334, (hex1, hex2), tuple(labels334),
-                              Fraction(1), -3)
+    out[334] = SectionComplex(334, (hex1, hex2), tuple(labels334))
 
     # 344: two octagons with alternating sides cross-identified; two boundary
     # components of four edges each.
@@ -130,8 +118,7 @@ def _build_sections() -> dict[int, SectionComplex]:
             turn = -Half if j < 3 else Half
             labels344[edge] = BoundaryLabel("gamma8", Half, -turn, turn)
     out[344] = SectionComplex(344, (oct1, oct2),
-                              tuple(sorted(labels344.items())),
-                              Fraction(1), -4)
+                              tuple(sorted(labels344.items())))
     return out
 
 

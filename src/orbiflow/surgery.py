@@ -3,11 +3,13 @@
 Two independent computations feed the main comparison:
 
 * ``surgered_h1``: homology of the filling of the suspension-flow complement
-  of a periodic orbit, from an explicit fibered presentation.  The fiber is
-  the punctured torus; monodromy images of the homology basis are computed
+  of a periodic orbit.  The complement's fibered presentation does not
+  depend on the slope, so it is built once per orbit: the fiber is the
+  punctured torus, monodromy images of the homology basis are computed
   exactly (rational arithmetic) as winding numbers against cut arcs joining
   the punctures, and the longitude is the stable-direction push-off of the
-  orbit, assembled from flow-box chains.
+  orbit, assembled from flow-box chains.  A slope b/a then contributes one
+  fill row, a*longitude + b*meridian.
 * ``seifert_h1``: abelianization of the standard presentation of the unit
   tangent bundle of a triangle orbifold with exceptional fibers
   (p,1), (q,1), (r,1).
@@ -17,6 +19,7 @@ acceptance gate for the presentation conventions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +29,8 @@ from . import intlinalg
 from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 
 Vec = tuple[Fraction, Fraction]
+# Slope-free relation rows and the longitude class of an orbit complement.
+Complement = tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]
 
 
 class DegenerateChoiceError(RuntimeError):
@@ -54,7 +59,6 @@ class SeifertData:
     base: tuple[int, int, int]
     fibers: tuple[tuple[int, int], ...]
     b0: int
-    euler_number: Fraction
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,6 @@ class AbelianGroup:
 class SurgerySpec:
     orbit: CatOrbit
     slope: SlopeCoefficient
-    matrix: TorusMatrix = CAT
 
 
 @dataclass(frozen=True)
@@ -176,10 +179,6 @@ def _torus_cross(cycle: Sequence[Vec], arc: tuple[Vec, Vec]) -> int:
                 s = (sx + vx, sy + vy)
                 total += _segment_cross_sign(p, q, r, s)
     return total
-
-
-def _frac_vec(x, y) -> Vec:
-    return (Fraction(x), Fraction(y))
 
 
 def _mat_vec(A: TorusMatrix, v: Vec) -> Vec:
@@ -310,21 +309,21 @@ def _nearest_translate(target: Vec, base: Vec) -> Vec:
     return (base[0] + vx, base[1] + vy)
 
 
-def _surgery_rows(spec: SurgerySpec, basis: PuncturedTorusBasis) -> tuple[list[list[int]], int]:
-    """Relation rows over generators (x, y, mu_0..mu_{c-1}, t)."""
-    A = spec.matrix
-    orbit_pts = [p.as_fractions() for p in spec.orbit.points]
+def _as_int_row(coeffs: Sequence[Fraction]) -> list[int]:
+    out = []
+    for f in coeffs:
+        if f.denominator != 1:
+            raise ValueError(f"non-integer relation coefficient {f}")
+        out.append(int(f))
+    return out
+
+
+def _complement_rows(orbit_pts: list[Vec],
+                     basis: PuncturedTorusBasis) -> Complement:
+    """Slope-free relation rows over generators (x, y, mu_0..mu_{c-1}, t),
+    and the class of the longitude over the same generators."""
+    A = CAT
     c = len(orbit_pts)
-    n_gen = 3 + c
-
-    def as_int_row(coeffs: Sequence[Fraction]) -> list[int]:
-        out = []
-        for f in coeffs:
-            if f.denominator != 1:
-                raise ValueError(f"non-integer relation coefficient {f}")
-            out.append(int(f))
-        return out
-
     rows: list[list[int]] = []
     rows.append([0, 0] + [1] * c + [0])  # sum of puncture loops bounds
 
@@ -332,7 +331,7 @@ def _surgery_rows(spec: SurgerySpec, basis: PuncturedTorusBasis) -> tuple[list[l
     for rep, idx in ((basis.x_rep, 0), (basis.y_rep, 1)):
         img = [_mat_vec(A, v) for v in rep]
         cls = basis.cycle_class(img)
-        row = as_int_row(cls) + [0]
+        row = _as_int_row(cls) + [0]
         row[idx] -= 1
         rows.append(row)
     # For the puncture loops the image is the loop at the image puncture.
@@ -365,30 +364,37 @@ def _surgery_rows(spec: SurgerySpec, basis: PuncturedTorusBasis) -> tuple[list[l
         poly = [Ar0, Aqi, q_next, pi_next_end, ret_end]
         cls = basis.cycle_class(poly)
         fiber_total = [a + b for a, b in zip(fiber_total, cls)]
-    a_coef, b_coef = spec.slope.a, spec.slope.b
-    fill = [a_coef * f for f in fiber_total]
-    fill[2 + 0] += b_coef  # meridian = loop around the base puncture
-    fill_row = as_int_row(fill) + [a_coef * c]
-    rows.append(fill_row)
-    return rows, n_gen
+    # The longitude runs c times along the suspension direction t.
+    return tuple(map(tuple, rows)), tuple(fiber_total) + (Fraction(c),)
 
 
-def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
-    """First homology of the b/a filling of the orbit complement."""
-    A = spec.matrix
-    pts = spec.orbit.points
+@functools.lru_cache(maxsize=64)
+def _complement(orbit: CatOrbit) -> Complement:
+    """The slope-free presentation of the orbit complement, built once per
+    orbit: relation rows and longitude class (see ``_complement_rows``)."""
+    pts = orbit.points
     for i, p in enumerate(pts):
-        if act(A, p) != pts[(i + 1) % len(pts)]:
+        if act(CAT, p) != pts[(i + 1) % len(pts)]:
             raise ValueError("orbit is not a forward cycle of the matrix")
+    orbit_pts = [p.as_fractions() for p in pts]
     last_err: Optional[Exception] = None
     for salt in range(6):
         try:
-            basis = PuncturedTorusBasis([p.as_fractions() for p in pts], salt)
-            rows, n_gen = _surgery_rows(spec, basis)
-            return AbelianGroup.from_relation_rows(rows, n_gen)
+            return _complement_rows(orbit_pts,
+                                    PuncturedTorusBasis(orbit_pts, salt))
         except DegenerateChoiceError as err:
             last_err = err
     raise RuntimeError(f"no generic parameter choice worked: {last_err}")
+
+
+def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
+    """First homology of the b/a filling of the orbit complement: the
+    complement's relations plus the fill row a*longitude + b*meridian."""
+    rows, longitude = _complement(spec.orbit)
+    fill = [spec.slope.a * f for f in longitude]
+    fill[2 + 0] += spec.slope.b  # meridian = loop around the base puncture
+    return AbelianGroup.from_relation_rows(rows + (_as_int_row(fill),),
+                                           len(longitude))
 
 
 # --- Seifert side -----------------------------------------------------------
@@ -397,8 +403,7 @@ def seifert_data(p: int, q: int, r: int, mirrored: bool = False) -> SeifertData:
     b0 = -1 if not mirrored else -2
     fibers = ((p, 1), (q, 1), (r, 1)) if not mirrored else \
         ((p, p - 1), (q, q - 1), (r, r - 1))
-    e = -(Fraction(b0) + sum(Fraction(b, a) for a, b in fibers))
-    return SeifertData((p, q, r), fibers, b0, e)
+    return SeifertData((p, q, r), fibers, b0)
 
 
 def seifert_h1(p: int, q: int, r: int, mirrored: bool = False) -> AbelianGroup:
@@ -476,22 +481,3 @@ def section_to_slope(direction: tuple[int, int]) -> SlopeCoefficient:
         raise ValueError(f"direction {direction} is not primitive")
     return SlopeCoefficient(b=b, a=a)
 
-
-@dataclass(frozen=True)
-class ExceptionalSlopeRow:
-    orbit_name: str
-    slope: str
-    identification: str
-
-
-def exceptional_slope_table() -> list[ExceptionalSlopeRow]:
-    rows = [
-        ExceptionalSlopeRow("gamma1", "0", "mapping torus (0-surgery)"),
-        ExceptionalSlopeRow("gamma1", "+-1", "unit tangent bundle of the (2,3,7) orbifold"),
-        ExceptionalSlopeRow("gamma1", "+-1/2", "unit tangent bundle of the (2,4,5) orbifold"),
-        ExceptionalSlopeRow("gamma1", "+-1/3", "unit tangent bundle of the (3,3,4) orbifold"),
-        ExceptionalSlopeRow("gamma1", "+-1/4", "graph manifold (no homology claim)"),
-        ExceptionalSlopeRow("gamma2", "+-1", "unit tangent bundle of the (2,4,6) orbifold"),
-        ExceptionalSlopeRow("gamma2", "+-1/2", "unit tangent bundle of the (3,4,4) orbifold"),
-    ]
-    return rows

@@ -151,9 +151,6 @@ class CyclicXYWord:
             out = out * (X if i % 2 == 0 else Y).power(k)
         return out
 
-    def total_exponent(self) -> int:
-        return sum(self.exponents)
-
     def __str__(self) -> str:
         parts = []
         for i, k in enumerate(self.exponents):

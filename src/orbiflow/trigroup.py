@@ -232,9 +232,6 @@ class CurveSystem:
     base_segments: tuple[tuple[HPoint, HPoint], ...]
     cell_center: HPoint
     stabilizer_order: int
-    # Fraction of the unit tangent fiber carried by the section over the
-    # curve: 1/2 when only vectors on one side are taken, 1 otherwise.
-    fiber_fraction: float
 
 
 def foot_of_perpendicular(geo: Geodesic, p: HPoint) -> HPoint:
@@ -299,13 +296,13 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
         qr = geodesic_through(Q, R, tol)
         foot = foot_of_perpendicular(qr, P)
         geo = geodesic_through(P, foot, tol)
-        return CurveSystem(case, (geo,), ((P, foot),), R, 7, 0.5)
+        return CurveSystem(case, (geo,), ((P, foot),), R, 7)
     if case == 245:
         geo = geodesic_through(P, Q, tol)
-        return CurveSystem(case, (geo,), ((P, Q),), R, 5, 1.0)
+        return CurveSystem(case, (geo,), ((P, Q),), R, 5)
     if case == 246:
         geo = geodesic_through(P, R, tol)
-        return CurveSystem(case, (geo,), ((P, R),), Q, 4, 1.0)
+        return CurveSystem(case, (geo,), ((P, R),), Q, 4)
     if case in (334, 344):
         if case == 334:
             g8 = group.gP.compose(group.gQ.inverse(tol), tol)
@@ -322,7 +319,7 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
                                 f"by {gap:.2e} in case {case}")
         second = _second_branch(group, axis, crossing_pt)
         segs = (_clip_to_triangle(axis, group), _clip_to_triangle(second, group))
-        return CurveSystem(case, (axis, second), segs, center, order, 1.0)
+        return CurveSystem(case, (axis, second), segs, center, order)
     raise ValueError(f"unknown case {case}")
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbiflow import cli, render, report
+from orbiflow import config as cfg
 from orbiflow.config import DEFAULT_SEARCH, DEFAULT_TOL
 
 GOLDEN = Path(__file__).parent / "data"
@@ -62,6 +63,44 @@ def test_report_matches_golden_bytes(tmp_path):
     out = tmp_path / "all.json"
     assert cli.main(["verify", "--case", "all", "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
+
+
+def test_env_and_flag_tolerance_agree(tmp_path, monkeypatch):
+    # ORBIFLOW_TOL and --tol go through the same override: equal
+    # tolerances, byte-identical reports.
+    parser = cli._build_parser()
+    monkeypatch.setenv(cfg.ENV_TOL, "1e-5")
+    _, env_tol = cli._resolve_config(parser.parse_args(["verify"]))
+    env_json = tmp_path / "env.json"
+    assert cli.main(["verify", "--case", "all", "--json", str(env_json)]) == 0
+    monkeypatch.delenv(cfg.ENV_TOL)
+    _, flag_tol = cli._resolve_config(
+        parser.parse_args(["verify", "--tol", "1e-5"]))
+    flag_json = tmp_path / "flag.json"
+    assert cli.main(["verify", "--case", "all", "--tol", "1e-5",
+                     "--json", str(flag_json)]) == 0
+    assert env_tol == flag_tol == cfg.override_tolerance(DEFAULT_TOL, 1e-5)
+    assert env_tol.eps_pt == 1e-5 and env_tol.eps_cls == 1e-5
+    assert env_json.read_bytes() == flag_json.read_bytes()
+
+
+def test_flag_overrides_env(monkeypatch):
+    monkeypatch.setenv(cfg.ENV_TOL, "1e-5")
+    monkeypatch.setenv(cfg.ENV_DEPTH, "10")
+    search, tol = cli._resolve_config(cli._build_parser().parse_args(
+        ["verify", "--tol", "1e-6", "--depth", "14"]))
+    assert search.adjacency_depth == 14
+    assert tol.eps_pt == 1e-6
+    assert tol.eps_cls == 1e-5  # bands never drop below the env value
+
+
+@pytest.mark.parametrize("var,value", [("ORBIFLOW_TOL", "0.5"),
+                                       ("ORBIFLOW_TOL", "0"),
+                                       ("ORBIFLOW_DEPTH", "0")])
+def test_env_override_validated_like_flag(monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    assert cli.main(["verify", "--case", "237"]) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_tiling_matches_golden_sha256(tmp_path):

@@ -1,12 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from orbiflow import intlinalg, surgery, torusmap
+from orbiflow import intlinalg, torusmap
 from orbiflow.surgery import (AbelianGroup, SlopeCoefficient, SurgerySpec,
-                              exceptional_slope_table, gamma1, gamma2,
-                              mapping_torus_h1, section_to_slope, seifert_h1,
+                              gamma1, gamma2, mapping_torus_h1, section_to_slope, seifert_h1,
                               smith_normal_form, surgered_h1,
                               verify_theorem_h1)
 from orbiflow.torusmap import CAT, IDENTITY, TorusMatrix, RationalPoint
@@ -95,6 +96,28 @@ def test_surgered_h1_order_law():
             assert grp.order() == a
 
 
+def test_slope_laws_up_to_100():
+    # +-1/a fillings: |H1| = a on gamma1 and 4a on gamma2, whatever the sign.
+    for orbit, factor in ((gamma1(), 1), (gamma2(), 4)):
+        for a in range(1, 101):
+            plus = surgered_h1(SurgerySpec(orbit, SlopeCoefficient(1, a)))
+            minus = surgered_h1(SurgerySpec(orbit, SlopeCoefficient(-1, a)))
+            assert plus.order() == factor * a, (orbit, a)
+            assert minus == plus, (orbit, a)
+
+
+def test_fillings_match_golden():
+    # Invariant factors of the +-1/a fillings on both orbits, a = 1..100.
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "surgery_sweep.json").read_text())
+    assert len(golden) == 400
+    orbits = {"gamma1": gamma1(), "gamma2": gamma2()}
+    for row in golden:
+        group = surgered_h1(SurgerySpec(orbits[row["orbit"]],
+                                        SlopeCoefficient(row["b"], row["a"])))
+        assert list(group.invariant_factors) == row["factors"], row
+
+
 def test_surgered_h1_gamma2():
     assert surgered_h1(SurgerySpec(gamma2(), SlopeCoefficient(1, 1))).order() == 4
     assert surgered_h1(SurgerySpec(gamma2(), SlopeCoefficient(1, 2))).order() == 8
@@ -142,12 +165,6 @@ def test_seifert_rejects_euclidean():
         seifert_h1(2, 3, 6)
 
 
-def test_seifert_euler_number():
-    data = surgery.seifert_data(2, 3, 7)
-    assert data.euler_number == 1 - Fraction(1, 2) - Fraction(1, 3) - Fraction(1, 7)
-    assert data.euler_number == Fraction(1, 42)
-
-
 def test_theorem_rows_all_match():
     rows = verify_theorem_h1()
     assert len(rows) == 5
@@ -177,11 +194,3 @@ def test_slope_validation():
     with pytest.raises(ValueError):
         SlopeCoefficient(2, 0)
 
-
-def test_exceptional_slope_table():
-    rows = exceptional_slope_table()
-    by_key = {(r.orbit_name, r.slope): r.identification for r in rows}
-    assert "graph manifold" in by_key[("gamma1", "+-1/4")]
-    assert "(2,3,7)" in by_key[("gamma1", "+-1")]
-    assert "(2,4,6)" in by_key[("gamma2", "+-1")]
-    assert "0-surgery" in by_key[("gamma1", "0")]
