@@ -46,7 +46,7 @@ def _resolve_config(args) -> tuple[cfg.SearchConfig, cfg.Tolerances]:
     search = cfg.search_from_env()
     tol = cfg.tolerances_from_env()
     if args.depth is not None:
-        search = cfg.override_depth(search, args.depth)
+        search = cfg.override_depth(args.depth)
     if args.tol is not None:
         tol = cfg.override_tolerance(tol, args.tol)
     return search, tol

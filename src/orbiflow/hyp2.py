@@ -45,10 +45,10 @@ class HPoint:
         return complex(self.x, self.y)
 
 
-def _normalize_entries(a: float, b: float, c: float, d: float, eps_sign: float):
-    # Projective representative: first entry exceeding eps_sign is positive.
+def _normalize_entries(a: float, b: float, c: float, d: float, eps: float):
+    # Projective representative: first entry exceeding eps is positive.
     for e in (a, b, c, d):
-        if abs(e) > eps_sign:
+        if abs(e) > eps:
             if e < 0:
                 return (-a, -b, -c, -d)
             return (a, b, c, d)
@@ -65,17 +65,6 @@ class Isometry:
     d: float
 
     @staticmethod
-    def from_entries(a: float, b: float, c: float, d: float,
-                     tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        det = a * d - b * c
-        if det <= 0:
-            raise GeometryError(f"matrix has nonpositive determinant {det}")
-        if abs(det - 1.0) > tol.eps_det:
-            s = 1.0 / math.sqrt(det)
-            a, b, c, d = a * s, b * s, c * s, d * s
-        return Isometry(*_normalize_entries(a, b, c, d, tol.eps_sign))
-
-    @staticmethod
     def identity() -> "Isometry":
         return Isometry(1.0, 0.0, 0.0, 1.0)
 
@@ -87,10 +76,10 @@ class Isometry:
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        return Isometry(*_normalize_entries(a, b, c, d, tol.eps_sign))
+        return Isometry(*_normalize_entries(a, b, c, d, tol.eps_pt))
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        return Isometry(*_normalize_entries(self.d, -self.b, -self.c, self.a, tol.eps_sign))
+        return Isometry(*_normalize_entries(self.d, -self.b, -self.c, self.a, tol.eps_pt))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -123,7 +112,6 @@ class IsometryKind(Enum):
 @dataclass(frozen=True)
 class IsometryClass:
     kind: IsometryKind
-    rotation_order: Optional[int] = None      # elliptic only, None if undetected
     translation_length: Optional[float] = None  # hyperbolic only
 
 
@@ -137,9 +125,6 @@ class Geodesic:
     def __post_init__(self):
         if self.u == self.v:
             raise GeometryError("geodesic needs distinct ideal endpoints")
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.v, self.u)
 
     def is_vertical(self) -> bool:
         return math.isinf(self.u) or math.isinf(self.v)
@@ -186,7 +171,7 @@ def angle_at(p: HPoint, q: HPoint, r: HPoint, tol: Tolerances = DEFAULT_TOL) -> 
     t2 = _tangent_toward(p, r, tol.eps_pt)
     dot = max(-1.0, min(1.0, t1[0] * t2[0] + t1[1] * t2[1]))
     ang = math.acos(dot)
-    if ang < tol.eps_ang or ang > math.pi - tol.eps_ang:
+    if ang < tol.eps_band or ang > math.pi - tol.eps_band:
         raise GeometryError("degenerate triangle: collinear vertices at angle "
                             f"{ang!r}")
     return ang
@@ -206,42 +191,31 @@ def rotation_about(p: HPoint, theta: float, tol: Tolerances = DEFAULT_TOL) -> Is
     return t.compose(rot, tol).compose(t.inverse(tol), tol)
 
 
-def is_identity(g: Isometry, tol: Tolerances = DEFAULT_TOL, slack: float = 100.0) -> bool:
-    """Projective identity test (matrix ~ +-Id)."""
-    e = slack * tol.eps_pt
+def is_identity(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Projective identity test (matrix ~ +-Id), at 100 * eps_pt."""
+    e = 100.0 * tol.eps_pt
     return (abs(abs(g.a) - 1.0) < e and abs(abs(g.d) - 1.0) < e
             and abs(g.b) < e and abs(g.c) < e and g.a * g.d > 0)
 
 
-def _rotation_order(g: Isometry, tol: Tolerances, max_order: int = 100) -> Optional[int]:
-    acc = g
-    for n in range(1, max_order + 1):
-        if is_identity(acc, tol):
-            return n
-        acc = acc.compose(g, tol)
-    return None
-
-
-def classify(g: Isometry, tol: Tolerances = DEFAULT_TOL,
-             with_order: bool = True) -> IsometryClass:
+def classify(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> IsometryClass:
     if is_identity(g, tol):
         return IsometryClass(IsometryKind.IDENTITY)
     t = abs(g.trace())
-    if t > 2.0 + tol.eps_cls:
+    if t > 2.0 + tol.eps_band:
         return IsometryClass(IsometryKind.HYPERBOLIC,
                              translation_length=2.0 * math.acosh(t / 2.0))
-    if t < 2.0 - tol.eps_cls:
-        order = _rotation_order(g, tol) if with_order else None
-        return IsometryClass(IsometryKind.ELLIPTIC, rotation_order=order)
+    if t < 2.0 - tol.eps_band:
+        return IsometryClass(IsometryKind.ELLIPTIC)
     return IsometryClass(IsometryKind.PARABOLIC)
 
 
 def axis_of(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> Geodesic:
     """Oriented axis of a hyperbolic isometry, repelling -> attracting."""
-    cls = classify(g, tol, with_order=False)
+    cls = classify(g, tol)
     if cls.kind is not IsometryKind.HYPERBOLIC:
         raise GeometryError(f"axis requested for {cls.kind.value} isometry")
-    if abs(g.c) < tol.eps_sign:
+    if abs(g.c) < tol.eps_pt:
         # Fixed points: INF and b/(d - a).
         other = g.b / (g.d - g.a)
         # At INF the derivative is (a/d) = a^2; attracting iff |a| > 1.
@@ -377,7 +351,7 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic,
     """
     a1, b1 = boundary_angle(g1.u), boundary_angle(g1.v)
     a2, b2 = boundary_angle(g2.u), boundary_angle(g2.v)
-    if same_geodesic_angles((a1, b1), (a2, b2), tol.eps_geo):
+    if same_geodesic_angles((a1, b1), (a2, b2), tol.eps_pt):
         return None
 
     def between(x, lo, hi):

@@ -58,24 +58,23 @@ def _klein_to_disc_xy(kx: float, ky: float) -> tuple[float, float]:
     return s * kx, -s * ky
 
 
-def cell_path(vertices: list[tuple[float, float]], samples: int = 12) -> str:
-    """Closed path of a Klein-polygon cell, subsampled so sides curve
+def cell_path(vertices: list[tuple[float, float]]) -> str:
+    """Closed path of a Klein-polygon cell, 12 samples a side so sides curve
     correctly in the disc model."""
     pts: list[tuple[float, float]] = []
     n = len(vertices)
     for i in range(n):
         x0, y0 = vertices[i]
         x1, y1 = vertices[(i + 1) % n]
-        for s in range(samples):
-            t = s / samples
+        for s in range(12):
+            t = s / 12
             pts.append(_klein_to_disc_xy(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
     head = f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
     body = " ".join(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
     return head + body + " Z"
 
 
-def tiling_svg(case: int, depth: int, tol: Tolerances = DEFAULT_TOL,
-               size: int = 640) -> str:
+def tiling_svg(case: int, depth: int, tol: Tolerances = DEFAULT_TOL) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
     and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
     if case not in trigroup.CASES:
@@ -90,7 +89,7 @@ def tiling_svg(case: int, depth: int, tol: Tolerances = DEFAULT_TOL,
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         'viewBox="-1.05 -1.05 2.1 2.1">')
     parts.append('<rect x="-1.05" y="-1.05" width="2.1" height="2.1" fill="white"/>')
     parts.append('<circle cx="0" cy="0" r="1" fill="none" stroke="#444444" '

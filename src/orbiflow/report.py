@@ -15,7 +15,7 @@ from typing import Any, Optional
 from . import sections, surgery, torusmap, trigroup
 from .config import SearchConfig, Tolerances
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Per-case expected values: adjacency split, section invariants, fixed-point
 # counts, slopes, and homology orders.
@@ -150,8 +150,7 @@ def run_case(case: int, search: SearchConfig, tol: Tolerances,
     return rep
 
 
-def run_global_checks(search: SearchConfig, tol: Tolerances,
-                      trace3_unique: bool) -> CaseReport:
+def run_global_checks(trace3_unique: bool) -> CaseReport:
     rep = CaseReport(0)
     t0 = time.monotonic()
     rep.check("trace3_uniqueness_len8", True, trace3_unique)
@@ -215,9 +214,8 @@ class VerificationReport:
             "pass": self.passed,
             "config": {
                 "adjacency_depth": self.search.adjacency_depth,
-                "tiling_depth": self.search.tiling_depth,
-                "eps_dedup": self.tol.eps_dedup,
-                "eps_cls": self.tol.eps_cls,
+                "eps_dedup": self.tol.eps_band,
+                "eps_cls": self.tol.eps_band,
                 "eps_pt": self.tol.eps_pt,
             },
             "cases": [c.as_dict(self.include_timings) for c in self.cases],
@@ -234,6 +232,6 @@ def run_verification(case_filter: Optional[int], search: SearchConfig,
     unique = torusmap.trace3_uniqueness(8)
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
     case_reports = [run_case(cid, search, tol, unique) for cid in case_ids]
-    global_rep = run_global_checks(search, tol, unique)
+    global_rep = run_global_checks(unique)
     return VerificationReport(case_reports, global_rep, search, tol,
                               include_timings)

@@ -55,13 +55,6 @@ class SlopeCoefficient:
 
 
 @dataclass(frozen=True)
-class SeifertData:
-    base: tuple[int, int, int]
-    fibers: tuple[tuple[int, int], ...]
-    b0: int
-
-
-@dataclass(frozen=True)
 class AbelianGroup:
     """Invariant factors d1 | d2 | ...; factors >= 2 first, 0 per free rank."""
 
@@ -399,28 +392,16 @@ def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
 
 # --- Seifert side -----------------------------------------------------------
 
-def seifert_data(p: int, q: int, r: int, mirrored: bool = False) -> SeifertData:
-    b0 = -1 if not mirrored else -2
-    fibers = ((p, 1), (q, 1), (r, 1)) if not mirrored else \
-        ((p, p - 1), (q, q - 1), (r, r - 1))
-    return SeifertData((p, q, r), fibers, b0)
-
-
-def seifert_h1(p: int, q: int, r: int, mirrored: bool = False) -> AbelianGroup:
+def seifert_h1(p: int, q: int, r: int) -> AbelianGroup:
     """Abelianized unit-tangent-bundle presentation over the (p,q,r) orbifold.
 
     Generators x1, x2, x3, h; relations alpha_i x_i + beta_i h = 0 and
     x1 + x2 + x3 - b0 h = 0, with (alpha_i, beta_i) = (p, 1), (q, 1), (r, 1)
     and b0 = -1, the convention with Euler number -(b0 + 1/p + 1/q + 1/r).
-    The mirrored flag applies the orientation-reversed convention.
     """
     if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
         raise ValueError(f"({p},{q},{r}) is not hyperbolic")
-    data = seifert_data(p, q, r, mirrored)
-    rows = [[data.fibers[0][0], 0, 0, data.fibers[0][1]],
-            [0, data.fibers[1][0], 0, data.fibers[1][1]],
-            [0, 0, data.fibers[2][0], data.fibers[2][1]],
-            [1, 1, 1, -data.b0]]
+    rows = [[p, 0, 0, 1], [0, q, 0, 1], [0, 0, r, 1], [1, 1, 1, 1]]
     return AbelianGroup.from_relation_rows(rows, 4)
 
 

@@ -169,15 +169,16 @@ def _isqrt_floor_surd(p: int, D: int, q: int) -> int:
     return -((p + s) // (-q)) - 1
 
 
-def _gauss_reduce(A: TorusMatrix, max_steps: int = 400) -> TorusMatrix:
+def _gauss_reduce(A: TorusMatrix) -> TorusMatrix:
     """Conjugate A (trace > 2) in SL(2, Z) to a nonnegative-entry matrix.
 
     Double continued-fraction steps on the attracting fixed point: each step
     conjugates by X^a Y^b (determinant 1), which walks the fixed point down
     its expansion until it is reduced, where the matrix is a positive word.
+    Gives up after 400 steps.
     """
     cur = A
-    for _ in range(max_steps):
+    for _ in range(400):
         a, b, c, d = cur.entries()
         if min(a, b, c, d) >= 0 and c + b > 0:
             return cur
@@ -248,12 +249,6 @@ def xy_normal_form(A: TorusMatrix) -> CyclicXYWord:
     if word.matrix().trace() != A.trace():
         raise RuntimeError("normal form lost the trace; reduction bug")
     return word
-
-
-def conjugate_in_sl2z(A: TorusMatrix, B: TorusMatrix) -> bool:
-    if A.trace() <= 2 or B.trace() <= 2:
-        raise OutOfFamilyError("conjugacy test limited to trace > 2")
-    return xy_normal_form(A) == xy_normal_form(B)
 
 
 def positive_words(max_total: int) -> Iterator[CyclicXYWord]:

@@ -8,7 +8,7 @@ tiles the plane, and fixed-point bookkeeping reduces to counting the
 isometries carrying the distinguished tile to a chosen adjacent tile.
 
 Every dedup goes through one uniform-grid index, ``_GridIndex``: word balls
-(matrix entries, ``projective_dist`` within ``eps_dedup`` = 1e-7, guard band
+(matrix entries, ``projective_dist`` within ``eps_band`` = 1e-7, guard band
 to 10x), curve lifts and tile centres (1e-9), and the half-ball matching of
 ``adjacency_isometries`` (every match within 1e-7).  Its cells are 1e-3
 wide, a thousand times the largest probe radius, so a lookup reads a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import hyp2
-from .config import DEFAULT_SEARCH, DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .hyp2 import (Geodesic, GeometryError, HPoint, Isometry, IsometryClass,
                    IsometryKind, apply, apply_geodesic, axis_of,
                    axis_parameter, classify, distance, foot_on_axis,
@@ -82,9 +82,6 @@ class TriangleGroup:
 class GroupElement:
     word: tuple[str, ...]
     matrix: Isometry
-
-    def __len__(self) -> int:
-        return len(self.word)
 
     def word_str(self) -> str:
         return "".join(self.word) if self.word else "1"
@@ -179,7 +176,7 @@ class _GridIndex:
 
 
 def _matrix_index(tol: Tolerances) -> _GridIndex:
-    return _GridIndex(tol.eps_dedup, guard=10.0, dist=projective_dist)
+    return _GridIndex(tol.eps_band, guard=10.0, dist=projective_dist)
 
 
 def _geodesic_vec(g: Geodesic) -> tuple[float, float, float, float]:
@@ -194,7 +191,7 @@ def _geodesic_vec(g: Geodesic) -> tuple[float, float, float, float]:
 def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement, ...]:
     """All distinct elements of word length <= max_len, shortlex order.
 
-    Dedup is by projective matrix within eps_dedup, with a guard band that
+    Dedup is by projective matrix within eps_band, with a guard band that
     raises if two candidates are suspiciously close without coinciding.
     """
     if max_len < 0:
@@ -238,11 +235,11 @@ def foot_of_perpendicular(geo: Geodesic, p: HPoint) -> HPoint:
     return foot_on_axis(geo, axis_parameter(geo, p))
 
 
-def point_on_segment(a: HPoint, b: HPoint, frac: float,
-                     tol: Tolerances = DEFAULT_TOL) -> HPoint:
+def midpoint(a: HPoint, b: HPoint, tol: Tolerances = DEFAULT_TOL) -> HPoint:
+    """Midpoint of the geodesic segment from a to b."""
     geo = geodesic_through(a, b, tol)
     ta, tb = axis_parameter(geo, a), axis_parameter(geo, b)
-    return foot_on_axis(geo, ta + frac * (tb - ta))
+    return foot_on_axis(geo, ta + 0.5 * (tb - ta))
 
 
 def _clip_to_triangle(geo: Geodesic, group: TriangleGroup) -> tuple[HPoint, HPoint]:
@@ -306,11 +303,11 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
     if case in (334, 344):
         if case == 334:
             g8 = group.gP.compose(group.gQ.inverse(tol), tol)
-            crossing_pt = point_on_segment(P, Q, 0.5, tol)
+            crossing_pt = midpoint(P, Q, tol)
             center, order = R, 4
         else:
             g8 = group.gQ.compose(group.gR.inverse(tol), tol)
-            crossing_pt = point_on_segment(Q, R, 0.5, tol)
+            crossing_pt = midpoint(Q, R, tol)
             center, order = P, 3
         axis = axis_of(g8, tol)
         gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
@@ -368,8 +365,7 @@ def cell_tiling(group: TriangleGroup, system: CurveSystem,
     return out
 
 
-def cell_polygon(center: HPoint, lifts: Sequence[Geodesic],
-                 max_chord_dist: float = 1.9):
+def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     """Convex tile around `center` cut out by the lifts, in Klein coordinates.
 
     Returns (vertices, side_sources): vertices of the clipped polygon and,
@@ -385,7 +381,7 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic],
         b = hyp2.klein_boundary_point(lift.v)
         # Quick reject: chord far from the center (both in Klein metric scale).
         mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-        if math.hypot(mx - kc[0], my - kc[1]) > max_chord_dist:
+        if math.hypot(mx - kc[0], my - kc[1]) > 1.9:
             continue
         nx, ny = b[1] - a[1], a[0] - b[0]
         c = nx * a[0] + ny * a[1]
@@ -533,8 +529,7 @@ def _axis_on_lift(axis: Geodesic, lifts: Sequence[Geodesic], eps: float) -> bool
                for lift in lifts)
 
 
-def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
-                         depth: int = DEFAULT_SEARCH.adjacency_depth,
+def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
                          neighbor: Optional[HPoint] = None) -> AdjacencyReport:
     """All group elements carrying the base tile center to the neighbor tile
     center within the word-length budget, classified.
@@ -602,16 +597,16 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
 
 
 def crossing_count(group: TriangleGroup, system: CurveSystem,
-                   g: GroupElement,
-                   depth: int = DEFAULT_SEARCH.tiling_depth) -> int:
-    """Crossing points of the axis of g with the curve-lift union, per period.
+                   g: GroupElement, depth: int) -> int:
+    """Crossing points of the axis of g with the union of the curve lifts of
+    the word ball of radius `depth`, per period.
 
     Counts distinct points (several lifts through one point count once) along
     a half-open fundamental period of the translation; lifts coinciding with
     the axis are skipped, and near-tangential meetings are rejected.
     """
     tol = group.tol
-    cls = classify(g.matrix, tol, with_order=False)
+    cls = classify(g.matrix, tol)
     if cls.kind is not IsometryKind.HYPERBOLIC:
         raise GeometryError("crossing_count needs a hyperbolic element")
     axis = axis_of(g.matrix, tol)

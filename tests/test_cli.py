@@ -21,7 +21,7 @@ def test_verify_single_case_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "VERIFICATION PASSED" in text
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["pass"] is True
     assert payload["cases"][0]["case"] == 237
 
@@ -65,6 +65,19 @@ def test_report_matches_golden_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
+@pytest.mark.parametrize("eps", ["1e-6", "1e-5", "1e-4", "1e-3"])
+def test_loose_tolerance_gives_default_verdicts(tmp_path, eps):
+    # The thresholded gaps are wide: every check, expected and actual value
+    # is the same as in the default run up to --tol 1e-3.
+    out = tmp_path / "loose.json"
+    assert cli.main(["verify", "--case", "all", "--tol", eps,
+                     "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    default = json.loads((GOLDEN / "verify_all.json").read_text())
+    assert payload["cases"] == default["cases"]
+    assert payload["global"] == default["global"]
+
+
 def test_env_and_flag_tolerance_agree(tmp_path, monkeypatch):
     # ORBIFLOW_TOL and --tol go through the same override: equal
     # tolerances, byte-identical reports.
@@ -80,7 +93,7 @@ def test_env_and_flag_tolerance_agree(tmp_path, monkeypatch):
     assert cli.main(["verify", "--case", "all", "--tol", "1e-5",
                      "--json", str(flag_json)]) == 0
     assert env_tol == flag_tol == cfg.override_tolerance(DEFAULT_TOL, 1e-5)
-    assert env_tol.eps_pt == 1e-5 and env_tol.eps_cls == 1e-5
+    assert env_tol.eps_pt == 1e-5 and env_tol.eps_band == 1e-5
     assert env_json.read_bytes() == flag_json.read_bytes()
 
 
@@ -91,7 +104,7 @@ def test_flag_overrides_env(monkeypatch):
         ["verify", "--tol", "1e-6", "--depth", "14"]))
     assert search.adjacency_depth == 14
     assert tol.eps_pt == 1e-6
-    assert tol.eps_cls == 1e-5  # bands never drop below the env value
+    assert tol.eps_band == 1e-5  # the band never drops below the env value
 
 
 @pytest.mark.parametrize("var,value", [("ORBIFLOW_TOL", "0.5"),

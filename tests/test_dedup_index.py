@@ -8,7 +8,7 @@ from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
                                DedupAmbiguityError, GroupElement, _GridIndex,
                                _matrix_index, build_group, enumerate_elements)
 
-RADIUS = DEFAULT_TOL.eps_dedup
+RADIUS = DEFAULT_TOL.eps_band
 
 
 def _mid_cell(index):
@@ -90,7 +90,7 @@ def _reference_ball(group, max_len):
                 m = el.matrix.compose(gens[letter], tol)
                 entries = m.entries()
                 if all(projective_dist(entries, other.matrix.entries())
-                       > tol.eps_dedup for other in elements + fresh):
+                       > tol.eps_band for other in elements + fresh):
                     fresh.append(GroupElement(el.word + (letter,), m))
         elements = elements + fresh
         frontier = fresh

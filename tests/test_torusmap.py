@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from orbiflow import torusmap as tm
 from orbiflow.torusmap import (CAT, IDENTITY, X, Y, CyclicXYWord,
                                OutOfFamilyError, RationalPoint, TorusMatrix,
-                               act, conjugate_in_sl2z, fixed_points, orbit_of,
+                               act, fixed_points, orbit_of,
                                periodic_point_count, positive_words,
                                trace3_uniqueness, xy_normal_form)
 
@@ -146,13 +146,13 @@ def test_xy_normal_form_rejects_low_trace():
 
 
 def test_conjugate_in_sl2z():
-    assert conjugate_in_sl2z(CAT, Y * X)
-    assert not conjugate_in_sl2z(CAT, X * X * Y)
+    assert xy_normal_form(CAT) == xy_normal_form(Y * X)
+    assert xy_normal_form(CAT) != xy_normal_form(X * X * Y)
     rng = random.Random(11)
     A = X.power(2) * Y * X * Y.power(3)
     for _ in range(25):
         P = random_conjugator(rng)
-        assert conjugate_in_sl2z(A, P * A * P.inverse())
+        assert xy_normal_form(A) == xy_normal_form(P * A * P.inverse())
 
 
 def test_conjugacy_invariance_random_words():

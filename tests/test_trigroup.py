@@ -96,7 +96,7 @@ def test_figure_eight_axis_through_midpoints():
         group = build_group(*CASE_TRIPLES[case])
         system = curve_system(case)
         a, b = group.vertex(seg[0]), group.vertex(seg[1])
-        mid = trigroup.point_on_segment(a, b, 0.5)
+        mid = trigroup.midpoint(a, b)
         for geo in system.base_geodesics:
             foot = trigroup.foot_of_perpendicular(geo, mid)
             assert distance(mid, foot) < 1e-8
@@ -213,7 +213,7 @@ def test_crossing_period_doubling(case_data):
                  if e.classification.kind is IsometryKind.HYPERBOLIC)
     g = entry.element
     g2 = GroupElement(g.word + g.word, g.matrix.compose(g.matrix))
-    assert crossing_count(group, system, g2) == 2 * entry.crossing
+    assert crossing_count(group, system, g2, depth=8) == 2 * entry.crossing
 
 
 def test_crossing_conjugacy_invariance(case_data):
@@ -225,7 +225,7 @@ def test_crossing_conjugacy_invariance(case_data):
         conj = GroupElement(
             w.word + g.word,
             w.matrix.compose(g.matrix).compose(w.matrix.inverse()))
-        assert crossing_count(group, system, conj) == entry.crossing
+        assert crossing_count(group, system, conj, depth=8) == entry.crossing
 
 
 def test_crossing_rejects_elliptic():
@@ -233,4 +233,4 @@ def test_crossing_rejects_elliptic():
     system = curve_system(237)
     el = GroupElement(("P",), group.gP)
     with pytest.raises(hyp2.GeometryError):
-        crossing_count(group, system, el)
+        crossing_count(group, system, el, depth=8)
