@@ -22,7 +22,8 @@ class Tolerances:
         vertical geodesics;
       * ``hyp2.geodesic_intersection``: equal geodesics (endpoint angles)
         and concentric circles;
-      * ``Isometry.compose``/``inverse``: the first significant entry, made
+      * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
+        ``Isometry.compose``/``inverse``: the first significant entry, made
         positive; ``axis_of``: a vertical axis (|c| below it);
       * ``hyp2.is_identity``: at 100x;
       * ``trigroup.canonical_neighbors``: the base tile itself, skipped;
@@ -30,8 +31,10 @@ class Tolerances:
     ``eps_band`` is the band around degenerate values, read by:
       * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
       * ``hyp2.angle_at``: collinear vertices, angle near 0 or pi;
-      * ``trigroup.enumerate_elements`` and ``adjacency_isometries``: the
-        matrix dedup radius, with a guard band at 10x.
+      * ``trigroup.enumerate_elements``, once per group for its largest
+        ball (smaller radii are prefixes of it), and the pair products of
+        ``adjacency_isometries``: the matrix dedup radius, with a guard band
+        at 10x.
     """
 
     eps_pt: float = 1e-9

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 from .config import DEFAULT_TOL, Tolerances
 
@@ -45,14 +46,25 @@ class HPoint:
         return complex(self.x, self.y)
 
 
-def _normalize_entries(a: float, b: float, c: float, d: float, eps: float):
+Entries = tuple[float, float, float, float]
+
+
+def _normalize_entries(a: float, b: float, c: float, d: float, eps: float) -> Entries:
     # Projective representative: first entry exceeding eps is positive.
-    for e in (a, b, c, d):
-        if abs(e) > eps:
-            if e < 0:
-                return (-a, -b, -c, -d)
-            return (a, b, c, d)
+    lead = a if abs(a) > eps else b if abs(b) > eps else c if abs(c) > eps else d
+    if lead < -eps:
+        return (-a, -b, -c, -d)
     return (a, b, c, d)
+
+
+def compose_entries(e1: Entries, e2: Entries, eps: float) -> Entries:
+    """Sign-normalized product of two matrices given by their entry tuples
+    (``Isometry.entries()``); the one product kernel, ``Isometry.compose``
+    included, so loops over many products need build no Isometry."""
+    a1, b1, c1, d1 = e1
+    a2, b2, c2, d2 = e2
+    return _normalize_entries(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                              c1 * a2 + d1 * c2, c1 * b2 + d1 * d2, eps)
 
 
 @dataclass(frozen=True)
@@ -72,16 +84,12 @@ class Isometry:
         return self.a + self.d
 
     def compose(self, other: "Isometry", tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        return Isometry(*_normalize_entries(a, b, c, d, tol.eps_pt))
+        return Isometry(*compose_entries(self.entries(), other.entries(), tol.eps_pt))
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        return Isometry(*_normalize_entries(self.d, -self.b, -self.c, self.a, tol.eps_pt))
+        return Isometry(*inverse_entries(self.entries(), tol.eps_pt))
 
-    def entries(self):
+    def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
     def boundary_image(self, t: float) -> float:
@@ -94,11 +102,19 @@ class Isometry:
         return (self.a * t + self.b) / den
 
 
-def projective_dist(e1: Sequence[float], e2: Sequence[float]) -> float:
+def inverse_entries(e: Entries, eps: float) -> Entries:
+    """Sign-normalized inverse of a matrix given by its entry tuple."""
+    a, b, c, d = e
+    return _normalize_entries(d, -b, -c, a, eps)
+
+
+def projective_dist(e1: Entries, e2: Entries) -> float:
     """Chebyshev distance between projective matrices, given by their entry
     tuples (``Isometry.entries()``); sign-agnostic."""
-    d_plus = max(abs(a - b) for a, b in zip(e1, e2))
-    d_minus = max(abs(a + b) for a, b in zip(e1, e2))
+    a1, b1, c1, d1 = e1
+    a2, b2, c2, d2 = e2
+    d_plus = max(abs(a1 - a2), abs(b1 - b2), abs(c1 - c2), abs(d1 - d2))
+    d_minus = max(abs(a1 + a2), abs(b1 + b2), abs(c1 + c2), abs(d1 + d2))
     return min(d_plus, d_minus)
 
 
@@ -129,10 +145,21 @@ class Geodesic:
     def is_vertical(self) -> bool:
         return math.isinf(self.u) or math.isinf(self.v)
 
+    @cached_property
+    def angles(self) -> tuple[float, float]:
+        """``geodesic_angles`` of this geodesic, computed on first use and
+        kept on the instance."""
+        return geodesic_angles(self)
+
+
+def mobius(e: Entries, z: complex) -> complex:
+    """Image of z under the matrix with entry tuple e; the kernel of apply."""
+    a, b, c, d = e
+    return (a * z + b) / (c * z + d)
+
 
 def apply(g: Isometry, p: HPoint) -> HPoint:
-    z = p.as_complex()
-    w = (g.a * z + g.b) / (g.c * z + g.d)
+    w = mobius(g.entries(), p.as_complex())
     return HPoint(w.real, w.imag)
 
 
@@ -271,18 +298,28 @@ def triangle_from_angles(p: int, q: int, r: int,
 
 # --- Disc-model coordinates (used for dedup keys, cells, and rendering) ---
 
+def cayley(z: complex) -> complex:
+    """Cayley map z -> (z - i)/(z + i) of the closed half-plane onto the
+    closed disc."""
+    return (z - 1j) / (z + 1j)
+
+
 def to_disc(p: HPoint) -> tuple[float, float]:
-    """Cayley map z -> (z - i)/(z + i) onto the Poincare disc."""
-    z = p.as_complex()
-    w = (z - 1j) / (z + 1j)
+    """Poincare-disc coordinates of p (``cayley``)."""
+    w = cayley(p.as_complex())
     return (w.real, w.imag)
+
+
+def boundary_point(t: float) -> complex:
+    """Disc boundary point of the ideal point t (INF maps to 1)."""
+    if math.isinf(t):
+        return complex(1.0, 0.0)
+    return cayley(complex(t, 0.0))
 
 
 def boundary_angle(t: float) -> float:
     """Disc boundary angle of the ideal point t (INF maps to angle 0)."""
-    if math.isinf(t):
-        return 0.0
-    w = (complex(t, 0.0) - 1j) / (complex(t, 0.0) + 1j)
+    w = boundary_point(t)
     return math.atan2(w.imag, w.real) % (2.0 * math.pi)
 
 
@@ -342,6 +379,16 @@ def geodesic_angles(g: Geodesic) -> tuple[float, float]:
     return (boundary_angle(g.u), boundary_angle(g.v))
 
 
+def angles_interleave(pair1: tuple[float, float],
+                      pair2: tuple[float, float]) -> bool:
+    """Whether exactly one endpoint of pair2 lies on the counterclockwise
+    boundary arc from pair1[0] to pair1[1]: the test for crossing."""
+    a1, b1 = pair1
+    a2, b2 = pair2
+    arc = (b1 - a1) % (2.0 * math.pi)
+    return ((a2 - a1) % (2.0 * math.pi) < arc) != ((b2 - a1) % (2.0 * math.pi) < arc)
+
+
 def geodesic_intersection(g1: Geodesic, g2: Geodesic,
                           tol: Tolerances = DEFAULT_TOL) -> Optional[HPoint]:
     """Transverse intersection point of two geodesics, or None if disjoint.
@@ -349,15 +396,9 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic,
     Decided by endpoint interleaving on the boundary circle; the point itself
     is computed from the half-plane circle equations.
     """
-    a1, b1 = boundary_angle(g1.u), boundary_angle(g1.v)
-    a2, b2 = boundary_angle(g2.u), boundary_angle(g2.v)
-    if same_geodesic_angles((a1, b1), (a2, b2), tol.eps_pt):
+    if same_geodesic_angles(g1.angles, g2.angles, tol.eps_pt):
         return None
-
-    def between(x, lo, hi):
-        return (x - lo) % (2.0 * math.pi) < (hi - lo) % (2.0 * math.pi)
-
-    if between(a2, a1, b1) == between(b2, a1, b1):
+    if not angles_interleave(g1.angles, g2.angles):
         return None
 
     def circle_data(g: Geodesic):

@@ -10,7 +10,7 @@ import dataclasses
 import math
 
 from . import hyp2, trigroup
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .hyp2 import Geodesic, HPoint, IsometryKind
 
 _FAMILY_STYLES = {
@@ -74,18 +74,22 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
     return head + body + " Z"
 
 
-def tiling_svg(case: int, depth: int, tol: Tolerances = DEFAULT_TOL) -> str:
+def tiling_svg(case: int, depth: int) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
-    and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
+    and neighbor tiles highlighted, and the hyperbolic adjacency axes, at the
+    default tolerances."""
     if case not in trigroup.CASES:
         raise ValueError(f"unknown case {case}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    tol = DEFAULT_TOL
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
     system = trigroup.curve_system(case, tol)
-    lifts = trigroup.curve_lifts(case, depth, tol)
+    # The adjacency search asks for the largest ball and lift set, so the
+    # drawing's own are prefixes of them.
     adjacency = trigroup.adjacency_isometries(group, system,
                                               depth=max(2 * depth, 8))
+    lifts = trigroup.curve_lifts(case, depth, tol)
 
     parts: list[str] = []
     parts.append(

@@ -184,13 +184,15 @@ def run_global_checks(trace3_unique: bool) -> CaseReport:
 
 
 def _brute_force_fix_count(A: torusmap.TorusMatrix, n: int) -> int:
+    # Every fixed point of A^n lies on the (1/det)-grid; the grid point
+    # (ix, iy)/det is fixed iff A^n (ix, iy) = (ix, iy) mod det.
     P = A.power(n)
     det = abs((P.a - 1) * (P.d - 1) - P.b * P.c)
     count = 0
     for ix in range(det):
         for iy in range(det):
-            x, y = Fraction(ix, det), Fraction(iy, det)
-            if ((P.a * x + P.b * y) % 1, (P.c * x + P.d * y) % 1) == (x, y):
+            if ((P.a * ix + P.b * iy) % det == ix
+                    and (P.c * ix + P.d * iy) % det == iy):
                 count += 1
     return count
 

@@ -17,9 +17,27 @@ radius of a wall: one cell nearly always, not 3^4 (the fixed-radius grid of
 Bentley, Stanat and Williams, IPL 6(6), 1977).  Margins on the balls of
 depth <= 8: distinct elements are >= 0.40 apart and equal ones land within
 6e-14, so the 1e-7 radius and the 1e-6 guard band sit far from both.
+
+Each piece of work is done once per run.  A group's word ball is enumerated
+once, at the largest radius asked of it so far; the ball is built
+breadth-first in a fixed order, so every smaller radius is a prefix of it
+and is served as a slice (``enumerate_elements``).  The curve lifts of a
+case are built in ball order from that ball, and the lifts of a smaller
+ball are a prefix of them too (``curve_lifts``);
+``adjacency_isometries`` asks for its largest lift set, and with it its
+largest ball, before the neighbour search asks for smaller ones.  Only the
+results are kept: the dedup index and the frontier are dropped when an
+enumeration ends.  Each lift keeps its boundary angles (``Geodesic.angles``),
+computed on first use, which the neighbour search, the axis-on-lift test
+and the crossing count read; a lift whose endpoints do not interleave with
+the other geodesic's is skipped before ``geodesic_intersection``.  The
+per-element loops (ball products, half-ball images, pair products) run on
+entry tuples with ``hyp2``'s kernels and build an ``Isometry`` only for a
+new element.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -28,11 +46,13 @@ from typing import Optional, Sequence
 
 from . import hyp2
 from .config import DEFAULT_TOL, Tolerances
-from .hyp2 import (Geodesic, GeometryError, HPoint, Isometry, IsometryClass,
-                   IsometryKind, apply, apply_geodesic, axis_of,
-                   axis_parameter, classify, distance, foot_on_axis,
+from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
+                   IsometryClass, IsometryKind, angles_interleave, apply,
+                   apply_geodesic, axis_of, axis_parameter, boundary_point,
+                   cayley, classify, compose_entries, distance, foot_on_axis,
                    geodesic_intersection, geodesic_through, crossing_angle,
-                   projective_dist, rotation_about, to_disc, to_klein)
+                   inverse_entries, mobius, projective_dist, rotation_about,
+                   same_geodesic_angles, to_disc, to_klein)
 
 CASES = (237, 245, 246, 334, 344)
 CASE_TRIPLES = {237: (2, 3, 7), 245: (2, 4, 5), 246: (2, 4, 6),
@@ -115,9 +135,9 @@ class _GridIndex:
     The probe radius is ``max(radius, guard*radius)``; cells are ``_CELL``
     wide, or ``probe * 1.000001`` if that is larger.  On each axis a lookup
     also reads the neighbouring cell on the side whose wall lies within
-    ``probe * 1.000001`` of the query (the margin covers rounding in
-    ``x -+ probe``), so it sees every stored vector within ``probe`` in
-    Chebyshev distance.  ``dist`` is never larger than that distance;
+    ``probe * 1.000001`` of the query (the margin covers rounding in the
+    offset from the wall), so it sees every stored vector within ``probe``
+    in Chebyshev distance.  ``dist`` is never larger than that distance;
     matrices are keyed by their sign-normalised entries, so near-duplicates
     agree in sign even though ``projective_dist`` ignores it.
 
@@ -131,38 +151,60 @@ class _GridIndex:
         self.radius = radius
         self.guard = guard
         self.probe = max(radius, guard * radius)
-        self.reach = self.probe * 1.000001
-        self.cell = max(_CELL, self.reach)
+        reach = self.probe * 1.000001
+        self.cell = max(_CELL, reach)
+        self.wall = reach / self.cell  # reach, in cell widths
         self.dist = dist
         self.buckets: dict[tuple[int, ...], list[int]] = {}
         self.vectors: list[Sequence[float]] = []
 
-    def _cells(self, vec: Sequence[float]):
-        """Keys of every cell that can hold a vector within probe of vec."""
-        cell, reach = self.cell, self.reach
-        lo = [math.floor((x - reach) / cell) for x in vec]
-        hi = [math.floor((x + reach) / cell) for x in vec]
-        if lo == hi:
-            return (tuple(lo),)
-        return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+    def _locate(self, vec: Sequence[float]):
+        """(key of the cell of vec, keys of every cell that can hold a vector
+        within probe of vec).  One floor per axis: x/cell - floor(x/cell) is
+        the offset from the lower wall in cell widths, and only an axis
+        whose offset lies within reach of a wall adds the cell across it."""
+        cell, wall, far, floor = self.cell, self.wall, 1.0 - self.wall, math.floor
+        key = []
+        near_wall = False
+        for x in vec:
+            q = x / cell
+            k = floor(q)
+            key.append(k)
+            if not wall <= q - k <= far:
+                near_wall = True
+        own = tuple(key)
+        if not near_wall:
+            return own, (own,)
+        spans = []
+        for x, k in zip(vec, key):
+            f = x / cell - k
+            spans.append(range(k - (f < wall), k + 1 + (f > far)))
+        return own, itertools.product(*spans)
 
-    def near(self, vec: Sequence[float]) -> list[tuple[float, int]]:
-        """(distance, index) of every stored vector within probe of vec."""
+    def _hits(self, vec: Sequence[float], cells) -> list[tuple[float, int]]:
         hits = []
-        for key in self._cells(vec):
-            for idx in self.buckets.get(key, ()):
-                d = self.dist(vec, self.vectors[idx])
-                if d <= self.probe:
+        buckets, vectors, dist, probe = self.buckets, self.vectors, self.dist, self.probe
+        for key in cells:
+            for idx in buckets.get(key, ()):
+                d = dist(vec, vectors[idx])
+                if d <= probe:
                     hits.append((d, idx))
         return hits
 
-    def add(self, vec: Sequence[float]) -> None:
-        key = tuple([math.floor(x / self.cell) for x in vec])
+    def _store(self, key: tuple[int, ...], vec: Sequence[float]) -> None:
         self.buckets.setdefault(key, []).append(len(self.vectors))
         self.vectors.append(vec)
 
+    def near(self, vec: Sequence[float]) -> list[tuple[float, int]]:
+        """(distance, index) of every stored vector within probe of vec."""
+        return self._hits(vec, self._locate(vec)[1])
+
+    def add(self, vec: Sequence[float]) -> None:
+        self._store(self._locate(vec)[0], vec)
+
     def insert(self, vec: Sequence[float]) -> Optional[int]:
-        hits = self.near(vec)
+        key, cells = self._locate(vec)
+        hits = self._hits(vec, cells)
         if hits:
             best_d, best = min(hits)
             if best_d <= self.radius:
@@ -171,7 +213,7 @@ class _GridIndex:
                 raise DedupAmbiguityError(
                     f"candidates at ambiguous distance {best_d:.3e} "
                     f"(dedup radius {self.radius:.1e})")
-        self.add(vec)
+        self._store(key, vec)
         return None
 
 
@@ -179,12 +221,24 @@ def _matrix_index(tol: Tolerances) -> _GridIndex:
     return _GridIndex(tol.eps_band, guard=10.0, dist=projective_dist)
 
 
-def _geodesic_vec(g: Geodesic) -> tuple[float, float, float, float]:
-    # Unordered ideal pair embedded via symmetric functions of e^{i angle}.
-    a, b = hyp2.geodesic_angles(g)
-    s = complex(math.cos(a) + math.cos(b), math.sin(a) + math.sin(b))
-    pr = complex(math.cos(a + b), math.sin(a + b))
+def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
+    # Unordered ideal pair embedded via the symmetric functions of its two
+    # disc boundary points (t - i)/(t + i).
+    wu, wv = boundary_point(u), boundary_point(v)
+    s, pr = wu + wv, wu * wv
     return (s.real, s.imag, pr.real, pr.imag)
+
+
+def _word_length(el: GroupElement) -> int:
+    return len(el.word)
+
+
+# The largest ball radius enumerated so far for each group; and for each
+# (case, tol), the largest lift depth built so far with, for the ball of
+# every radius up to it, how many lifts its first n elements give (n ->
+# count).  A smaller request is a prefix of that one computation.
+_BALL_RADIUS: dict[TriangleGroup, int] = {}
+_LIFT_PREFIX: dict[tuple[int, Tolerances], tuple[int, dict[int, int]]] = {}
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,12 +247,20 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
 
     Dedup is by projective matrix within eps_band, with a guard band that
     raises if two candidates are suspiciously close without coinciding.
+    The search is breadth-first in a fixed order, so the ball of a smaller
+    radius is a prefix of a larger one: once a ball of the group is
+    enumerated, a smaller radius is served as a slice of it (after
+    cache_clear, of the larger ball enumerated afresh).
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    tol = group.tol
-    gens = {letter: group.generator(letter) for letter in ALPHABET}
-    index = _matrix_index(tol)
+    largest = _BALL_RADIUS.get(group, -1)
+    if largest > max_len:
+        ball = enumerate_elements(group, largest)
+        return ball[:bisect.bisect_right(ball, max_len, key=_word_length)]
+    eps = group.tol.eps_pt
+    gens = [(letter, group.generator(letter).entries()) for letter in ALPHABET]
+    index = _matrix_index(group.tol)
     identity = GroupElement((), Isometry.identity())
     index.insert(identity.matrix.entries())
     elements = [identity]
@@ -206,14 +268,16 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
     for _ in range(max_len):
         fresh: list[GroupElement] = []
         for el in frontier:
-            for letter in ALPHABET:
-                m = el.matrix.compose(gens[letter], tol)
-                if index.insert(m.entries()) is None:
-                    fresh.append(GroupElement(el.word + (letter,), m))
+            entries, word = el.matrix.entries(), el.word
+            for letter, gen in gens:
+                m = compose_entries(entries, gen, eps)
+                if index.insert(m) is None:
+                    fresh.append(GroupElement(word + (letter,), Isometry(*m)))
         elements.extend(fresh)
         frontier = fresh
         if not fresh:
             break
+    _BALL_RADIUS[group] = max_len
     return tuple(elements)
 
 
@@ -325,8 +389,7 @@ def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic
     tol = group.tol
     for el in enumerate_elements(group, 4):
         img = apply_geodesic(el.matrix, axis)
-        if hyp2.same_geodesic_angles(hyp2.geodesic_angles(img),
-                                     hyp2.geodesic_angles(axis), 1e-9):
+        if same_geodesic_angles(img.angles, axis.angles, 1e-9):
             continue
         if distance(pt, foot_of_perpendicular(img, pt)) < 1e-9:
             return img
@@ -336,16 +399,28 @@ def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic
 @functools.lru_cache(maxsize=32)
 def curve_lifts(case: int, depth: int,
                 tol: Tolerances = DEFAULT_TOL) -> tuple[Geodesic, ...]:
-    """Deduped group orbit of the base geodesics within the word ball."""
+    """Deduped group orbit of the base geodesics within the word ball, in
+    ball order, so the lifts of a smaller ball are a prefix; like the ball,
+    a smaller depth is served as a slice of the largest lift set."""
     group = build_group(*CASE_TRIPLES[case], tol)
+    ball = enumerate_elements(group, depth)
+    largest, prefix = _LIFT_PREFIX.get((case, tol), (-1, {}))
+    if largest > depth:
+        return curve_lifts(case, largest, tol)[:prefix[len(ball)]]
     system = curve_system(case, tol)
     index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
-    for el in enumerate_elements(group, depth):
+    counts: dict[int, int] = {}
+    for n, el in enumerate(ball):
+        if n == 0 or len(el.word) > len(ball[n - 1].word):
+            counts[n] = len(lifts)
+        m = el.matrix
         for base in system.base_geodesics:
-            img = apply_geodesic(el.matrix, base)
-            if index.insert(_geodesic_vec(img)) is None:
-                lifts.append(img)
+            u, v = m.boundary_image(base.u), m.boundary_image(base.v)
+            if index.insert(_geodesic_vec(u, v)) is None:
+                lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
+    counts[len(ball)] = len(lifts)
+    _LIFT_PREFIX[(case, tol)] = (depth, counts)
     return tuple(lifts)
 
 
@@ -472,7 +547,10 @@ def _segment_crossing_clusters(seg_from: HPoint, seg_to: HPoint,
     t1 = axis_parameter(geo, seg_to)
     lo, hi = min(t0, t1), max(t0, t1)
     params: list[float] = []
+    pair = geo.angles
     for lift in lifts:
+        if not angles_interleave(lift.angles, pair):
+            continue
         z = geodesic_intersection(lift, geo, tol)
         if z is None:
             continue
@@ -524,9 +602,18 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
 
 
 def _axis_on_lift(axis: Geodesic, lifts: Sequence[Geodesic], eps: float) -> bool:
-    pair = hyp2.geodesic_angles(axis)
-    return any(hyp2.same_geodesic_angles(pair, hyp2.geodesic_angles(lift), eps)
-               for lift in lifts)
+    pair = axis.angles
+    return any(same_geodesic_angles(pair, lift.angles, eps) for lift in lifts)
+
+
+def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
+    """``to_disc(apply(g, p))`` for g given by its entries, p by p.as_complex(),
+    with the same arithmetic and the same check that the image is a point."""
+    w = mobius(e, z)
+    if not w.imag > 0:
+        raise GeometryError(f"point ({w.real}, {w.imag}) not in upper half-plane")
+    d = cayley(w)
+    return (d.real, d.imag)
 
 
 def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
@@ -540,7 +627,11 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     full coset of the base-center stabilizer.
     """
     tol = group.tol
+    eps = tol.eps_pt
     half = (depth + 1) // 2
+    # The largest ball and lift set of the run first: the smaller ones that
+    # canonical_neighbors and cell_tiling ask for are prefixes of them.
+    lifts = curve_lifts(system.case, max(half, 6), tol)
     ball = enumerate_elements(group, half)
     c0 = system.cell_center
     if neighbor is None:
@@ -549,12 +640,14 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
 
     # Every ball element by its image of c0, without dedup: the stabilizer
     # of c0 maps several elements to one point and each may start a match.
+    mats = [el.matrix.entries() for el in ball]
+    z0, z1 = c0.as_complex(), c1.as_complex()
     fwd = _GridIndex(1e-7)
-    for el in ball:
-        fwd.add(to_disc(apply(el.matrix, c0)))
+    for e in mats:
+        fwd.add(_disc_image(e, z0))
     pairs: list[tuple[int, int]] = []
-    for j, el in enumerate(ball):
-        target = to_disc(apply(el.matrix.inverse(tol), c1))
+    for j, e in enumerate(mats):
+        target = _disc_image(inverse_entries(e, eps), z1)
         pairs.extend((j, i) for _, i in fwd.near(target))
 
     pairs.sort(key=lambda ji: (len(ball[ji[0]].word) + len(ball[ji[1]].word),
@@ -562,11 +655,12 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     found: list[GroupElement] = []
     index = _matrix_index(tol)
     for j, i in pairs:
-        m = ball[j].matrix.compose(ball[i].matrix, tol)
-        if distance(apply(m, c0), c1) > 10.0 * tol.eps_pt:
+        m = compose_entries(mats[j], mats[i], eps)
+        w = mobius(m, z0)
+        if distance(HPoint(w.real, w.imag), c1) > 10.0 * eps:
             continue
-        if index.insert(m.entries()) is None:
-            found.append(GroupElement(ball[j].word + ball[i].word, m))
+        if index.insert(m) is None:
+            found.append(GroupElement(ball[j].word + ball[i].word, Isometry(*m)))
 
     k = system.stabilizer_order
     if len(found) != k:
@@ -574,7 +668,6 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
             f"case {system.case}: expected a coset of {k} adjacency elements, "
             f"found {len(found)} at depth {depth}")
 
-    lifts = curve_lifts(system.case, max(half, 6), tol)
     entries = []
     counts = {IsometryKind.ELLIPTIC: 0, IsometryKind.HYPERBOLIC: 0,
               IsometryKind.PARABOLIC: 0}
@@ -611,10 +704,12 @@ def crossing_count(group: TriangleGroup, system: CurveSystem,
         raise GeometryError("crossing_count needs a hyperbolic element")
     axis = axis_of(g.matrix, tol)
     period = cls.translation_length
-    axis_pair = hyp2.geodesic_angles(axis)
+    axis_pair = axis.angles
     reduced: list[float] = []
     for lift in curve_lifts(system.case, depth, tol):
-        if hyp2.same_geodesic_angles(axis_pair, hyp2.geodesic_angles(lift), 1e-7):
+        pair = lift.angles
+        if (not angles_interleave(pair, axis_pair)
+                or same_geodesic_angles(axis_pair, pair, 1e-7)):
             continue
         z = geodesic_intersection(lift, axis, tol)
         if z is None:

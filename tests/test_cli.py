@@ -65,6 +65,15 @@ def test_report_matches_golden_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify_all.json").read_bytes()
 
 
+def test_deep_report_matches_golden_bytes(tmp_path):
+    # The depth-16 run has the largest word balls and lift sets, and the
+    # most smaller balls and lift sets served as their prefixes.
+    out = tmp_path / "deep.json"
+    assert cli.main(["verify", "--case", "344", "--depth", "16",
+                     "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_344_d16.json").read_bytes()
+
+
 @pytest.mark.parametrize("eps", ["1e-6", "1e-5", "1e-4", "1e-3"])
 def test_loose_tolerance_gives_default_verdicts(tmp_path, eps):
     # The thresholded gaps are wide: every check, expected and actual value

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiflow import hyp2
@@ -162,10 +162,39 @@ def test_action_preserves_halfplane(g, p):
 
 @given(isometries, isometries, points)
 @settings(max_examples=150, deadline=None)
+@example(g=iso_from_params([(0.0, 0.25, -1.0), (2.0, 0.25, 2.0)]),
+         h=iso_from_params([(0.0, 0.25, 2.0), (2.0, 0.201171875, 2.0),
+                            (-2.0, 1.0, 3.0)]),
+         p=HPoint(0.0, 0.0546875))
 def test_action_is_homomorphism(g, h, p):
     lhs = apply(g.compose(h), p)
     rhs = apply(g, apply(h, p))
-    assert distance(lhs, rhs) < 1e-7
+    # Near the boundary one float step in x is a hyperbolic distance of
+    # ulp(x)/y: the pinned example lands at y = 8.8e-10, where the two sides,
+    # 2 ulps apart in x, are 1.26e-7 apart.  Allow a few such steps.
+    spacing = math.ulp(max(abs(lhs.x), abs(rhs.x))) / min(lhs.y, rhs.y)
+    assert distance(lhs, rhs) < 1e-7 + 4.0 * spacing
+
+
+def _reference_compose(g, h, eps):
+    # The matrix product written out, with the sign rule of the module
+    # docstring: the first entry above eps in absolute value is positive.
+    e = (g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+         g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+    lead = next((x for x in e if abs(x) > eps), 0.0)
+    return tuple(-x for x in e) if lead < 0 else e
+
+
+@given(isometries, isometries)
+@settings(max_examples=150, deadline=None)
+def test_compose_kernel_matches_compose_bitwise(g, h):
+    eps = hyp2.DEFAULT_TOL.eps_pt
+    kernel = hyp2.compose_entries(g.entries(), h.entries(), eps)
+    expect = _reference_compose(g, h, eps)
+    assert [x.hex() for x in kernel] == [x.hex() for x in expect]
+    assert [x.hex() for x in g.compose(h).entries()] == [x.hex() for x in expect]
+    inv = hyp2.inverse_entries(g.entries(), eps)
+    assert [x.hex() for x in inv] == [x.hex() for x in g.inverse().entries()]
 
 
 @given(isometries, points, points)

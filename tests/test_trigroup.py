@@ -91,6 +91,64 @@ def test_enumeration_deterministic():
     assert words1 == words2
 
 
+@pytest.fixture
+def cold(monkeypatch):
+    """Start with no ball or lift set built, as a fresh process does."""
+    def reset():
+        enumerate_elements.cache_clear()
+        curve_lifts.cache_clear()
+        monkeypatch.setattr(trigroup, "_BALL_RADIUS", {})
+        monkeypatch.setattr(trigroup, "_LIFT_PREFIX", {})
+    reset()
+    yield reset
+    enumerate_elements.cache_clear()
+    curve_lifts.cache_clear()
+
+
+def _ball_bits(ball):
+    return [(el.word, tuple(x.hex() for x in el.matrix.entries())) for el in ball]
+
+
+def _lift_bits(lifts):
+    return [(g.u.hex(), g.v.hex()) for g in lifts]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_balls_agree_in_any_call_order(case, cold):
+    # The radius-8 ball first (every smaller radius is then a slice of it)
+    # against each radius enumerated afresh in increasing order.
+    group = build_group(*CASE_TRIPLES[case])
+    first = {8: _ball_bits(enumerate_elements(group, 8))}
+    first.update({r: _ball_bits(enumerate_elements(group, r)) for r in range(8)})
+    cold()
+    for r in range(9):
+        assert _ball_bits(enumerate_elements(group, r)) == first[r]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lifts_agree_in_any_call_order(case, cold):
+    first = {8: _lift_bits(curve_lifts(case, 8))}
+    first.update({d: _lift_bits(curve_lifts(case, d)) for d in range(8)})
+    cold()
+    for d in range(9):
+        assert _lift_bits(curve_lifts(case, d)) == first[d]
+    # A fresh lift set of a smaller depth after cache_clear alone is the
+    # prefix of the larger one as well.
+    curve_lifts.cache_clear()
+    assert _lift_bits(curve_lifts(case, 5)) == first[5]
+
+
+def test_stored_lift_angles_match(case_data):
+    # The neighbour search reads the angles of every depth-6 lift; the values
+    # it stored with each lift equal those of a freshly built geodesic.
+    case, group, system, _ = case_data
+    adjacency_isometries(group, system, depth=12)
+    for lift in curve_lifts(case, 6, group.tol):
+        stored = vars(lift)["angles"]
+        fresh = hyp2.geodesic_angles(hyp2.Geodesic(lift.u, lift.v))
+        assert [a.hex() for a in stored] == [a.hex() for a in fresh]
+
+
 def test_figure_eight_axis_through_midpoints():
     for case, seg in ((334, ("P", "Q")), (344, ("Q", "R"))):
         group = build_group(*CASE_TRIPLES[case])
