@@ -1,19 +1,4 @@
 """Certified combinatorics of genus-1 surface sections over hyperbolic
 triangle orbifolds, and the matching Dehn-surgery homology checks."""
 
-from .config import SearchConfig, Tolerances
-from .hyp2 import Geodesic, HPoint, Isometry, IsometryClass, IsometryKind
-from .sections import SectionComplex, section
-from .surgery import AbelianGroup, SlopeCoefficient, SurgerySpec
-from .torusmap import CAT, CyclicXYWord, RationalPoint, TorusMatrix
-from .trigroup import CurveSystem, TriangleGroup, build_group, curve_system
-
-__all__ = [
-    "AbelianGroup", "CAT", "CurveSystem", "CyclicXYWord", "Geodesic",
-    "HPoint", "Isometry", "IsometryClass", "IsometryKind", "RationalPoint",
-    "SearchConfig", "SectionComplex", "SlopeCoefficient", "SurgerySpec",
-    "Tolerances", "TorusMatrix", "TriangleGroup", "build_group",
-    "curve_system", "section",
-]
-
 __version__ = "0.1.0"

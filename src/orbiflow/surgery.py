@@ -6,10 +6,10 @@ Two independent computations feed the main comparison:
   of a periodic orbit.  The complement's fibered presentation does not
   depend on the slope, so it is built once per orbit: the fiber is the
   punctured torus, monodromy images of the homology basis are computed
-  exactly (rational arithmetic) as winding numbers against cut arcs joining
-  the punctures, and the longitude is the stable-direction push-off of the
-  orbit, assembled from flow-box chains.  A slope b/a then contributes one
-  fill row, a*longitude + b*meridian.
+  exactly, on integers over a common denominator, as winding numbers
+  against cut arcs joining the punctures, and the longitude is the
+  stable-direction push-off of the orbit, assembled from flow-box chains.
+  A slope b/a then contributes one fill row, a*longitude + b*meridian.
 * ``seifert_h1``: abelianization of the standard presentation of the unit
   tangent bundle of a triangle orbifold with exceptional fibers
   (p,1), (q,1), (r,1).
@@ -29,6 +29,7 @@ from . import intlinalg
 from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 
 Vec = tuple[Fraction, Fraction]
+IVec = tuple[int, int]  # a Vec scaled by a common denominator
 # Slope-free relation rows and the longitude class of an orbit complement.
 Complement = tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]
 
@@ -116,12 +117,17 @@ def mapping_torus_h1(A: TorusMatrix) -> AbelianGroup:
 
 
 # --- Exact winding machinery on the punctured torus -------------------------
+#
+# The crossing tests run on integers: `_torus_cross` scales its cycle and arc
+# by the common denominator L of their coordinates.  Scaling by L > 0 keeps
+# every orientation sign and every coordinate order, so each crossing and
+# each DegenerateChoiceError is the one the rational points give.
 
-def _orient(a: Vec, b: Vec, c: Vec) -> Fraction:
+def _orient(a: IVec, b: IVec, c: IVec) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segment_cross_sign(p: Vec, q: Vec, r: Vec, s: Vec) -> int:
+def _segment_cross_sign(p: IVec, q: IVec, r: IVec, s: IVec) -> int:
     """+-1 for a proper crossing of segment pq over the oriented arc rs
     (+1 when pq crosses from the right of rs to its left), 0 if disjoint.
     Touching or collinear configurations raise."""
@@ -155,21 +161,23 @@ def _segment_cross_sign(p: Vec, q: Vec, r: Vec, s: Vec) -> int:
 
 def _torus_cross(cycle: Sequence[Vec], arc: tuple[Vec, Vec]) -> int:
     """Signed crossings of a closed polyline (mod Z^2) with all integer
-    translates of the arc."""
-    (rx, ry), (sx, sy) = arc
+    translates of the arc, counted on integers over a common denominator."""
+    L = math.lcm(*(f.denominator for v in (*cycle, *arc) for f in v))
+    pts = [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+           for x, y in (*cycle, *arc)]
+    (rx, ry), (sx, sy) = pts[-2:]
     total = 0
-    for i in range(len(cycle) - 1):
-        p, q = cycle[i], cycle[i + 1]
+    for p, q in zip(pts, pts[1:len(cycle)]):
         if p == q:
             continue
-        x_lo = min(p[0], q[0]) - max(rx, sx)
-        x_hi = max(p[0], q[0]) - min(rx, sx)
-        y_lo = min(p[1], q[1]) - max(ry, sy)
-        y_hi = max(p[1], q[1]) - min(ry, sy)
-        for vx in range(math.floor(x_lo), math.floor(x_hi) + 2):
-            for vy in range(math.floor(y_lo), math.floor(y_hi) + 2):
-                r = (rx + vx, ry + vy)
-                s = (sx + vx, sy + vy)
+        x_lo = (min(p[0], q[0]) - max(rx, sx)) // L
+        x_hi = (max(p[0], q[0]) - min(rx, sx)) // L
+        y_lo = (min(p[1], q[1]) - max(ry, sy)) // L
+        y_hi = (max(p[1], q[1]) - min(ry, sy)) // L
+        for vx in range(x_lo, x_hi + 2):
+            for vy in range(y_lo, y_hi + 2):
+                r = (rx + vx * L, ry + vy * L)
+                s = (sx + vx * L, sy + vy * L)
                 total += _segment_cross_sign(p, q, r, s)
     return total
 

@@ -234,11 +234,12 @@ def _word_length(el: GroupElement) -> int:
 
 
 # The largest ball radius enumerated so far for each group; and for each
-# (case, tol), the largest lift depth built so far with, for the ball of
-# every radius up to it, how many lifts its first n elements give (n ->
-# count).  A smaller request is a prefix of that one computation.
+# (case, tol), the largest lift depth built so far, its lifts, and for the
+# ball of every radius up to it, how many lifts its first n elements give
+# (n -> count).  A smaller request is a prefix of that one computation.
 _BALL_RADIUS: dict[TriangleGroup, int] = {}
-_LIFT_PREFIX: dict[tuple[int, Tolerances], tuple[int, dict[int, int]]] = {}
+_LIFT_PREFIX: dict[tuple[int, Tolerances],
+                   tuple[int, tuple[Geodesic, ...], dict[int, int]]] = {}
 
 
 @functools.lru_cache(maxsize=64)
@@ -401,12 +402,13 @@ def curve_lifts(case: int, depth: int,
                 tol: Tolerances = DEFAULT_TOL) -> tuple[Geodesic, ...]:
     """Deduped group orbit of the base geodesics within the word ball, in
     ball order, so the lifts of a smaller ball are a prefix; like the ball,
-    a smaller depth is served as a slice of the largest lift set."""
+    a smaller depth is served as a slice of the largest lift set, kept
+    outside the cache so that no spelling of the call rebuilds it."""
     group = build_group(*CASE_TRIPLES[case], tol)
     ball = enumerate_elements(group, depth)
-    largest, prefix = _LIFT_PREFIX.get((case, tol), (-1, {}))
-    if largest > depth:
-        return curve_lifts(case, largest, tol)[:prefix[len(ball)]]
+    largest, built, prefix = _LIFT_PREFIX.get((case, tol), (-1, (), {}))
+    if largest >= depth:
+        return built[:prefix[len(ball)]]
     system = curve_system(case, tol)
     index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
@@ -420,8 +422,9 @@ def curve_lifts(case: int, depth: int,
             if index.insert(_geodesic_vec(u, v)) is None:
                 lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
     counts[len(ball)] = len(lifts)
-    _LIFT_PREFIX[(case, tol)] = (depth, counts)
-    return tuple(lifts)
+    built = tuple(lifts)
+    _LIFT_PREFIX[(case, tol)] = (depth, built, counts)
+    return built
 
 
 # --- Tiling cells ---------------------------------------------------------
@@ -622,9 +625,11 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     center within the word-length budget, classified.
 
     The search is complete for words up to `depth` letters: it matches
-    half-ball translates of the two centers, so any g = u * v with
-    |u|, |v| <= ceil(depth/2) is found, and the result is checked to be a
-    full coset of the base-center stabilizer.
+    half-ball translates of the two centers.  Any g with |g| <= 2*half,
+    half = ceil(depth/2), is u * v with u = 1, v = g, or with u the first
+    half letters of a shortest word for g, so |u| = half and |v| <= half;
+    only those u are tried.  The result is checked to be a full coset of
+    the base-center stabilizer.
     """
     tol = group.tol
     eps = tol.eps_pt
@@ -646,8 +651,9 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     for e in mats:
         fwd.add(_disc_image(e, z0))
     pairs: list[tuple[int, int]] = []
-    for j, e in enumerate(mats):
-        target = _disc_image(inverse_entries(e, eps), z1)
+    sphere = bisect.bisect_left(ball, half, key=_word_length)
+    for j in {0, *range(sphere, len(ball))}:
+        target = _disc_image(inverse_entries(mats[j], eps), z1)
         pairs.extend((j, i) for _, i in fwd.near(target))
 
     pairs.sort(key=lambda ji: (len(ball[ji[0]].word) + len(ball[ji[1]].word),

@@ -1,11 +1,16 @@
 import json
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbiflow import intlinalg, torusmap
+from orbiflow import intlinalg, surgery, torusmap
 from orbiflow.surgery import (AbelianGroup, SlopeCoefficient, SurgerySpec,
                               gamma1, gamma2, mapping_torus_h1, section_to_slope, seifert_h1,
                               smith_normal_form, surgered_h1,
@@ -199,3 +204,141 @@ def test_slope_validation():
     with pytest.raises(ValueError):
         SlopeCoefficient(2, 0)
 
+
+# --- Integer winding against a rational reference ---------------------------
+#
+# The reference runs the same crossing tests on the Fractions themselves.
+
+def _ref_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _ref_cross_sign(p, q, r, s):
+    d1, d2 = _ref_orient(r, s, p), _ref_orient(r, s, q)
+    d3, d4 = _ref_orient(p, q, r), _ref_orient(p, q, s)
+    if (d1 < 0 < d2 or d2 < 0 < d1) and (d3 < 0 < d4 or d4 < 0 < d3):
+        return 1 if d1 < 0 else -1
+    if d1 == 0 and d2 == 0:
+        lo1, hi1 = sorted((p, q))
+        lo2, hi2 = sorted((r, s))
+        if max(lo1, lo2) <= min(hi1, hi2):
+            raise surgery.DegenerateChoiceError("collinear overlap")
+        return 0
+
+    def on(d, x, a, b):
+        return (d == 0 and min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
+
+    if on(d1, p, r, s) or on(d2, q, r, s):
+        raise surgery.DegenerateChoiceError("segment endpoint on arc")
+    if on(d3, r, p, q) or on(d4, s, p, q):
+        raise surgery.DegenerateChoiceError("arc endpoint on segment")
+    return 0
+
+
+def _ref_torus_cross(cycle, arc):
+    (rx, ry), (sx, sy) = arc
+    total = 0
+    for p, q in zip(cycle, cycle[1:]):
+        if p == q:
+            continue
+        xs = range(math.floor(min(p[0], q[0]) - max(rx, sx)),
+                   math.floor(max(p[0], q[0]) - min(rx, sx)) + 2)
+        ys = range(math.floor(min(p[1], q[1]) - max(ry, sy)),
+                   math.floor(max(p[1], q[1]) - min(ry, sy)) + 2)
+        for vx in xs:
+            for vy in ys:
+                total += _ref_cross_sign(p, q, (rx + vx, ry + vy),
+                                         (sx + vx, sy + vy))
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except surgery.DegenerateChoiceError as err:
+        return str(err)
+
+
+def _fractions(lo, hi, den):
+    # Fractions in [lo, hi] with denominators up to den.
+    return st.builds(lambda d, n: lo + Fraction(n % ((hi - lo) * d + 1), d),
+                     st.integers(1, den), st.integers(0, (hi - lo) * den))
+
+
+points = st.tuples(_fractions(-3, 3, 12), _fractions(-3, 3, 12))
+unit = _fractions(-1, 2, 6)
+
+
+def _along(a, b, t):
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+# A random segment and arc, or one of the planted degeneracies: an arc on the
+# segment's line (overlapping or not), or an endpoint of either on the other.
+configurations = st.one_of(
+    st.tuples(points, points, points, points),
+    st.builds(lambda p, q, t, u: (p, q, _along(p, q, t), _along(p, q, u)),
+              points, points, unit, unit),
+    st.builds(lambda r, s, p, t: (p, _along(r, s, t), r, s),
+              points, points, points, unit),
+    st.builds(lambda p, q, s, t: (p, q, _along(p, q, t), s),
+              points, points, points, unit),
+)
+
+
+def _scaled(*pts):
+    L = math.lcm(*(f.denominator for v in pts for f in v))
+    return [(int(x * L), int(y * L)) for x, y in pts]
+
+
+@given(configurations)
+@settings(max_examples=300, deadline=None)
+def test_integer_cross_sign_matches_rational(config):
+    assert (_outcome(surgery._segment_cross_sign, *_scaled(*config))
+            == _outcome(_ref_cross_sign, *config))
+
+
+near_points = st.tuples(_fractions(0, 1, 12), _fractions(0, 1, 12))
+
+
+@given(near_points, st.lists(near_points, min_size=1, max_size=4),
+       st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+       near_points, near_points, unit, unit)
+@settings(max_examples=150, deadline=None)
+def test_integer_torus_cross_matches_rational(start, path, shift, r, s, t, u):
+    # A closed polyline mod Z^2 (it ends at an integer translate of its
+    # start) against a random arc, an arc from one of its vertices, an arc
+    # along the line of its first segment, and an arc from a point on it.
+    cycle = [start] + path + [(start[0] + shift[0], start[1] + shift[1])]
+    a, b = cycle[0], cycle[1]
+    for arc in ((r, s), (b, s), (_along(a, b, t), _along(a, b, u)),
+                (_along(a, b, t), s)):
+        assert (_outcome(surgery._torus_cross, cycle, arc)
+                == _outcome(_ref_torus_cross, cycle, arc))
+
+
+def test_complements_unchanged():
+    # The slope-free rows and longitude classes, as the crossing tests on
+    # Fractions give them.
+    F = Fraction
+    assert surgery._complement(gamma1()) == (
+        ((0, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)),
+        (F(0), F(0), F(0), F(1)))
+    assert surgery._complement(gamma2()) == (
+        ((0, 0, 1, 1, 0), (1, 1, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, -1, 1, 0),
+         (0, 0, 1, -1, 0)),
+        (F(2), F(1), F(0), F(0), F(2)))
+
+
+def test_import_surgery_loads_only_the_surgery_layer():
+    # The surgery layer needs neither the hyperbolic geometry nor the
+    # section combinatorics; a fresh interpreter importing it must not load them.
+    src = str(Path(surgery.__file__).resolve().parents[1])
+    code = ("import sys, orbiflow.surgery; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbiflow'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": src}).stdout.split()
+    assert "orbiflow.surgery" in out
+    for heavy in ("orbiflow.trigroup", "orbiflow.hyp2", "orbiflow.sections"):
+        assert heavy not in out

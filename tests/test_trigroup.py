@@ -3,6 +3,7 @@ import math
 import pytest
 
 from orbiflow import hyp2, trigroup
+from orbiflow.config import DEFAULT_TOL
 from orbiflow.hyp2 import IsometryKind, apply, distance, projective_dist
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, EnumerationError,
                                GroupElement, adjacency_isometries, build_group,
@@ -136,6 +137,66 @@ def test_lifts_agree_in_any_call_order(case, cold):
     # prefix of the larger one as well.
     curve_lifts.cache_clear()
     assert _lift_bits(curve_lifts(case, 5)) == first[5]
+
+
+@pytest.mark.parametrize("spelled", [(), (DEFAULT_TOL,)])
+def test_smaller_lift_depth_is_a_slice(spelled, cold, monkeypatch):
+    # After the largest lift set is built, any smaller or equal depth, with
+    # tol given or left out, is a slice of it: no second build.
+    builds = []
+    real = trigroup.curve_system
+    monkeypatch.setattr(trigroup, "curve_system",
+                        lambda *args: builds.append(args) or real(*args))
+    largest = curve_lifts(344, 8, *spelled)
+    assert len(builds) == 1
+    other = () if spelled else (DEFAULT_TOL,)
+    for depth in (6, 8, 5):
+        for args in (spelled, other):
+            lifts = curve_lifts(344, depth, *args)
+            assert lifts == largest[:len(lifts)]
+    assert len(lifts) < len(largest)
+    assert len(builds) == 1
+
+
+def _all_pairs_words(group, system, depth, neighbor):
+    """The adjacency elements of the half-ball matching over every pair
+    (u, v), in shortlex pair order: the reference for the sphere search."""
+    eps = group.tol.eps_pt
+    ball = enumerate_elements(group, (depth + 1) // 2)
+    c0, c1 = system.cell_center, neighbor
+    sources = [hyp2.to_disc(apply(el.matrix, c0)) for el in ball]
+    pairs = []
+    for u in ball:
+        t = hyp2.to_disc(apply(u.matrix.inverse(), c1))
+        pairs += [(u, v) for v, w in zip(ball, sources)
+                  if max(abs(t[0] - w[0]), abs(t[1] - w[1])) <= 1e-7]
+    pairs.sort(key=lambda uv: (len(uv[0].word) + len(uv[1].word),
+                               uv[0].word, uv[1].word))
+    found = []
+    for u, v in pairs:
+        m = u.matrix.compose(v.matrix)
+        if (distance(apply(m, c0), c1) <= 10 * eps and
+                all(projective_dist(m.entries(), f.entries()) > 1e-7
+                    for _, f in found)):
+            found.append((u.word + v.word, m))
+    return found
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_sphere_search_matches_all_pairs(case):
+    # Trying only u = 1 and the sphere |u| = half finds the words the
+    # all-pairs matching finds, in the same order; an element longer than
+    # half may come from another factorization of its word, so its matrix
+    # agrees to rounding.
+    group = build_group(*CASE_TRIPLES[case])
+    system = curve_system(case)
+    for depth in range(5, 11):
+        report = adjacency_isometries(group, system, depth)
+        reference = _all_pairs_words(group, system, depth, report.neighbor_center)
+        assert [e.element.word for e in report.entries] == \
+            [w for w, _ in reference]
+        for e, (_, m) in zip(report.entries, reference):
+            assert projective_dist(e.element.matrix.entries(), m.entries()) < 1e-12
 
 
 def test_stored_lift_angles_match(case_data):
