@@ -2,6 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error.
 Config precedence: flags > ORBIFLOW_* environment variables > defaults.
+
+Each subcommand imports the layers it runs when it runs: ``verify`` the
+report stack (``report``, ``sections``, ``surgery``, ``torusmap``,
+``intlinalg``), ``tiling`` only ``render`` on top of ``trigroup``, and
+``catmap`` only ``torusmap`` and ``intlinalg``.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import json
 import sys
 
 from . import config as cfg
-from . import render, report, torusmap, trigroup
+from . import trigroup
 from .trigroup import EnumerationError
 
 
@@ -65,7 +70,7 @@ def _parse_case(raw: str) -> int | None:
     return case
 
 
-def _print_text_report(rep: report.VerificationReport) -> None:
+def _print_text_report(rep) -> None:
     for case_rep in rep.cases:
         print(f"case {case_rep.case}:")
         for chk in case_rep.checks:
@@ -89,6 +94,7 @@ def cmd_verify(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    from . import report
     try:
         rep = report.run_verification(case, search, tol,
                                       include_timings=args.timings)
@@ -118,6 +124,7 @@ def cmd_tiling(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    from . import render
     try:
         svg = render.tiling_svg(case, args.depth)
     except (EnumerationError, ValueError) as err:
@@ -139,12 +146,12 @@ def cmd_catmap(args) -> int:
         print("error: period must be between 1 and 12 (exact-arithmetic guard)",
               file=sys.stderr)
         return 2
+    from . import intlinalg, torusmap
     cat = torusmap.CAT
     count = torusmap.periodic_point_count(cat, n)
     print(f"points of period dividing {n}: {count} = |det(A^{n} - I)|")
     power = cat.power(n)
     M = [[power.a - 1, power.b], [power.c, power.d - 1]]
-    from . import intlinalg
     seen: set[torusmap.RationalPoint] = set()
     orbits = []
     for x, y in intlinalg.solve_mod1(M):

@@ -151,6 +151,13 @@ class Geodesic:
         kept on the instance."""
         return geodesic_angles(self)
 
+    @cached_property
+    def klein_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Klein-model endpoints (cos, sin) of ``angles``: the chord that is
+        this geodesic in the Klein disc, computed on first use and kept."""
+        a, b = self.angles
+        return ((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b)))
+
 
 def mobius(e: Entries, z: complex) -> complex:
     """Image of z under the matrix with entry tuple e; the kernel of apply."""
@@ -327,11 +334,6 @@ def to_klein(p: HPoint) -> tuple[float, float]:
     wx, wy = to_disc(p)
     s = 2.0 / (1.0 + wx * wx + wy * wy)
     return (s * wx, s * wy)
-
-
-def klein_boundary_point(t: float) -> tuple[float, float]:
-    a = boundary_angle(t)
-    return (math.cos(a), math.sin(a))
 
 
 def klein_to_hpoint(kx: float, ky: float) -> HPoint:

@@ -36,8 +36,7 @@ def _boundary_xy(angle: float) -> tuple[float, float]:
 
 def geodesic_path(geo: Geodesic) -> str:
     """SVG path of the disc-model arc of a complete geodesic."""
-    a = hyp2.boundary_angle(geo.u)
-    b = hyp2.boundary_angle(geo.v)
+    a, b = geo.angles
     ux, uy = _boundary_xy(a)
     vx, vy = _boundary_xy(b)
     dot = ux * vx + uy * vy

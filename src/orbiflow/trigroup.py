@@ -30,10 +30,15 @@ results are kept: the dedup index and the frontier are dropped when an
 enumeration ends.  Each lift keeps its boundary angles (``Geodesic.angles``),
 computed on first use, which the neighbour search, the axis-on-lift test
 and the crossing count read; a lift whose endpoints do not interleave with
-the other geodesic's is skipped before ``geodesic_intersection``.  The
-per-element loops (ball products, half-ball images, pair products) run on
-entry tuples with ``hyp2``'s kernels and build an ``Isometry`` only for a
-new element.
+the other geodesic's is skipped before ``geodesic_intersection``.  It keeps
+its Klein chord too (``Geodesic.klein_ends``), the cosines and sines of
+those angles, which every tile of a drawing clips against
+(``cell_polygon``); a chord that leaves the tile whole clips nothing.  The
+per-element loops (ball products, half-ball images, pair products, tile
+orbits) run on entry tuples with ``hyp2``'s kernels and build an
+``Isometry`` or ``HPoint`` only for a new element.  The figure-eight's
+second branch is searched one radius at a time, so no ball larger than
+the one holding it is built for it.
 """
 from __future__ import annotations
 
@@ -41,6 +46,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -126,7 +132,7 @@ def build_group(p: int, q: int, r: int, tol: Tolerances = DEFAULT_TOL) -> Triang
 
 
 def _chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 class _GridIndex:
@@ -311,8 +317,7 @@ def _clip_to_triangle(geo: Geodesic, group: TriangleGroup) -> tuple[HPoint, HPoi
     """Chord of the geodesic inside the closed triangle PQR (Klein model)."""
     tol = group.tol
     corners = [to_klein(group.P), to_klein(group.Q), to_klein(group.R)]
-    a = hyp2.klein_boundary_point(geo.u)
-    b = hyp2.klein_boundary_point(geo.v)
+    a, b = geo.klein_ends
     dx, dy = b[0] - a[0], b[1] - a[1]
 
     def side(pt):
@@ -386,14 +391,19 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
 
 
 def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic:
-    """Second lift of the figure-eight curve through its crossing point."""
-    tol = group.tol
-    for el in enumerate_elements(group, 4):
-        img = apply_geodesic(el.matrix, axis)
-        if same_geodesic_angles(img.angles, axis.angles, 1e-9):
-            continue
-        if distance(pt, foot_of_perpendicular(img, pt)) < 1e-9:
-            return img
+    """Second lift of the figure-eight curve through its crossing point: the
+    first in ball order within word length 4, searched one radius at a time
+    so that no ball larger than the one holding it is enumerated."""
+    seen = 0
+    for radius in range(1, 5):
+        ball = enumerate_elements(group, radius)
+        for el in ball[seen:]:
+            img = apply_geodesic(el.matrix, axis)
+            if same_geodesic_angles(img.angles, axis.angles, 1e-9):
+                continue
+            if distance(pt, foot_of_perpendicular(img, pt)) < 1e-9:
+                return img
+        seen = len(ball)
     raise EnumerationError("no second branch found through the crossing point")
 
 
@@ -435,11 +445,12 @@ def cell_tiling(group: TriangleGroup, system: CurveSystem,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     index = _GridIndex(1e-9)
+    center = system.cell_center
+    z = center.as_complex()
     out: list[tuple[HPoint, GroupElement]] = []
     for el in enumerate_elements(group, depth):
-        img = apply(el.matrix, system.cell_center)
-        if index.insert(to_disc(img)) is None:
-            out.append((img, el))
+        if index.insert(_disc_image(el.matrix.entries(), z)) is None:
+            out.append((apply(el.matrix, center), el))
     return out
 
 
@@ -455,8 +466,7 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
     for idx, lift in enumerate(lifts):
-        a = hyp2.klein_boundary_point(lift.u)
-        b = hyp2.klein_boundary_point(lift.v)
+        a, b = lift.klein_ends
         # Quick reject: chord far from the center (both in Klein metric scale).
         mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
         if math.hypot(mx - kc[0], my - kc[1]) > 1.9:
@@ -468,32 +478,26 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
             raise GeometryError("cell center lies on a wall")
         if sign < 0:
             nx, ny, c = -nx, -ny, -c
+        fs = [nx * x + ny * y - c for x, y in verts]
+        if min(fs) >= 0:
+            continue  # the wall clips nothing
         new_v: list[tuple[float, float]] = []
         new_l: list[Optional[int]] = []
         n = len(verts)
-        changed = False
         for i in range(n):
-            cur, nxt = verts[i], verts[(i + 1) % n]
-            lab = labels[i]
-            f_cur = nx * cur[0] + ny * cur[1] - c
-            f_nxt = nx * nxt[0] + ny * nxt[1] - c
+            j = (i + 1) % n
+            cur, nxt, f_cur, f_nxt = verts[i], verts[j], fs[i], fs[j]
             if f_cur >= 0:
                 new_v.append(cur)
-                new_l.append(lab)
+                new_l.append(labels[i])
             if (f_cur >= 0) != (f_nxt >= 0):
                 t = f_cur / (f_cur - f_nxt)
-                x = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-                if f_cur >= 0:
-                    new_v.append(x)
-                    new_l.append(idx)   # leaving: the clip wall starts here
-                else:
-                    new_v.append(x)
-                    new_l.append(lab)   # entering: original side continues
-                changed = True
-            if f_cur < 0:
-                changed = True
-        if changed:
-            verts, labels = new_v, new_l
+                new_v.append((cur[0] + t * (nxt[0] - cur[0]),
+                              cur[1] + t * (nxt[1] - cur[1])))
+                # Leaving, the clip wall starts here; entering, the
+                # original side continues.
+                new_l.append(idx if f_cur >= 0 else labels[i])
+        verts, labels = new_v, new_l
         if not verts:
             raise GeometryError("cell clipped to nothing")
     # Drop degenerate slivers.

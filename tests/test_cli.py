@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,14 @@ GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case 344 --depth 6`, pinned like the report.
 TILING_344_D6_SHA256 = \
     "ced877df5529448f7df4795b2fdcba7b238364656655ead234f5aad7dc174499"
+# sha256 of `orbiflow tiling --case C --depth 5`, per case.
+TILING_D5_SHA256 = {
+    237: "f908b88d927c3edf473a6977982b66dc487ea3f789452d24bb662ae5eab6e9a2",
+    245: "b7e7ff4da6e3cc7c068ef7c6c48630ac3e5d9f70f8e7f1ab45ea4be25369be4f",
+    246: "67cba5afe2fdd3489ac7bd9d6084ad9c3c76f83d93475826746fef7d270e121f",
+    334: "b856b82084064ec95615ab162a07e4efd39eec6ee88175484d0cabaa5ada802a",
+    344: "367ced3b1c8db40d8a2c14678415f58a452b5bc907b211341167948946a2a14a",
+}
 
 
 def test_verify_single_case_passes(tmp_path, capsys):
@@ -130,6 +140,45 @@ def test_tiling_matches_golden_sha256(tmp_path):
     assert cli.main(["tiling", "--case", "344", "--depth", "6",
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TILING_344_D6_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(TILING_D5_SHA256))
+def test_tiling_depth5_matches_golden_sha256(tmp_path, case):
+    out = tmp_path / f"t{case}.svg"
+    assert cli.main(["tiling", "--case", str(case), "--depth", "5",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILING_D5_SHA256[case]
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """orbiflow modules loaded after running `code` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code += ("; print(' '.join(sorted(m for m in sys.modules "
+             "if m.startswith('orbiflow'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": src}).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_import_cli_loads_no_subcommand_layer():
+    loaded = _fresh_modules("import sys, orbiflow.cli")
+    assert "orbiflow.cli" in loaded
+    for name in ("report", "sections", "surgery", "torusmap", "intlinalg"):
+        assert f"orbiflow.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv,layer", [
+    (["tiling", "--case", "344", "--depth", "4", "--out", "{tmp}/t.svg"],
+     "render"),
+    (["catmap", "--period", "2"], "torusmap"),
+])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, layer):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    loaded = _fresh_modules(
+        f"import sys; from orbiflow import cli; assert cli.main({argv!r}) == 0")
+    assert f"orbiflow.{layer}" in loaded
+    for name in ("report", "sections", "surgery"):
+        assert f"orbiflow.{name}" not in loaded
 
 
 def test_tiling_svg_written(tmp_path, capsys):
