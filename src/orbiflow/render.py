@@ -84,8 +84,8 @@ def tiling_svg(case: int, depth: int) -> str:
     tol = DEFAULT_TOL
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
     system = trigroup.curve_system(case, tol)
-    # The adjacency search asks for the largest ball and lift set, so the
-    # drawing's own are prefixes of them.
+    # The adjacency search asks for the largest ball, so the drawing's own
+    # is a slice of it; the drawing's lift set is the only one a run builds.
     adjacency = trigroup.adjacency_isometries(group, system,
                                               depth=max(2 * depth, 8))
     lifts = trigroup.curve_lifts(case, depth, tol)

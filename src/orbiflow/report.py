@@ -230,10 +230,14 @@ def run_verification(case_filter: Optional[int], search: SearchConfig,
                      include_timings: bool = False) -> VerificationReport:
     """Run the full chain for the selected cases, one after another in the
     fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
-    (length 8) runs once and feeds every case and the global checks."""
+    (length 8) runs once, timed as the global ``trace3``, and feeds every
+    case and the global checks."""
+    t0 = time.monotonic()
     unique = torusmap.trace3_uniqueness(8)
+    trace3_s = time.monotonic() - t0
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
     case_reports = [run_case(cid, search, tol, unique) for cid in case_ids]
     global_rep = run_global_checks(unique)
+    global_rep.timings["trace3"] = trace3_s
     return VerificationReport(case_reports, global_rep, search, tol,
                               include_timings)

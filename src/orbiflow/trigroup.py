@@ -21,24 +21,19 @@ depth <= 8: distinct elements are >= 0.40 apart and equal ones land within
 Each piece of work is done once per run.  A group's word ball is enumerated
 once, at the largest radius asked of it so far; the ball is built
 breadth-first in a fixed order, so every smaller radius is a prefix of it
-and is served as a slice (``enumerate_elements``).  The curve lifts of a
-case are built in ball order from that ball, and the lifts of a smaller
-ball are a prefix of them too (``curve_lifts``);
-``adjacency_isometries`` asks for its largest lift set, and with it its
-largest ball, before the neighbour search asks for smaller ones.  Only the
-results are kept: the dedup index and the frontier are dropped when an
-enumeration ends.  Each lift keeps its boundary angles (``Geodesic.angles``),
-computed on first use, which the neighbour search, the axis-on-lift test
-and the crossing count read; a lift whose endpoints do not interleave with
-the other geodesic's is skipped before ``geodesic_intersection``.  It keeps
-its Klein chord too (``Geodesic.klein_ends``), the cosines and sines of
-those angles, which every tile of a drawing clips against
-(``cell_polygon``); a chord that leaves the tile whole clips nothing.  The
-per-element loops (ball products, half-ball images, pair products, tile
-orbits) run on entry tuples with ``hyp2``'s kernels and build an
+and is served as a slice (``enumerate_elements``).  Each neighbour
+candidate, and each hyperbolic axis over one period, is tested against the
+lifts of the tiles in a tube about its own path (``lifts_along``); only a
+drawing builds the lifts of a ball (``curve_lifts``).  A lift keeps its
+boundary angles and Klein chord (``Geodesic.angles``, ``.klein_ends``),
+computed on first use: a path test skips a lift whose endpoints do not
+interleave with the path's before ``geodesic_intersection``, and a drawing
+clips every tile against the chords (``cell_polygon``).  The per-element
+loops (ball products, half-ball images, pair products, tile orbits, tube
+tiles) run on entry tuples with ``hyp2``'s kernels and build an
 ``Isometry`` or ``HPoint`` only for a new element.  The figure-eight's
-second branch is searched one radius at a time, so no ball larger than
-the one holding it is built for it.
+second branch is searched one radius at a time, so no ball larger than the
+one holding it is built for it.
 """
 from __future__ import annotations
 
@@ -48,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import hyp2
 from .config import DEFAULT_TOL, Tolerances
@@ -239,13 +234,8 @@ def _word_length(el: GroupElement) -> int:
     return len(el.word)
 
 
-# The largest ball radius enumerated so far for each group; and for each
-# (case, tol), the largest lift depth built so far, its lifts, and for the
-# ball of every radius up to it, how many lifts its first n elements give
-# (n -> count).  A smaller request is a prefix of that one computation.
+# The largest ball radius enumerated so far for each group.
 _BALL_RADIUS: dict[TriangleGroup, int] = {}
-_LIFT_PREFIX: dict[tuple[int, Tolerances],
-                   tuple[int, tuple[Geodesic, ...], dict[int, int]]] = {}
 
 
 @functools.lru_cache(maxsize=64)
@@ -359,26 +349,27 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
     """
     group = build_group(*CASE_TRIPLES[case], tol)
     P, Q, R = group.P, group.Q, group.R
+    # The distinguished tile's stabilizer: its centre vertex's rotations.
     if case == 237:
         qr = geodesic_through(Q, R, tol)
         foot = foot_of_perpendicular(qr, P)
         geo = geodesic_through(P, foot, tol)
-        return CurveSystem(case, (geo,), ((P, foot),), R, 7)
+        return CurveSystem(case, (geo,), ((P, foot),), R, group.r)
     if case == 245:
         geo = geodesic_through(P, Q, tol)
-        return CurveSystem(case, (geo,), ((P, Q),), R, 5)
+        return CurveSystem(case, (geo,), ((P, Q),), R, group.r)
     if case == 246:
         geo = geodesic_through(P, R, tol)
-        return CurveSystem(case, (geo,), ((P, R),), Q, 4)
+        return CurveSystem(case, (geo,), ((P, R),), Q, group.q)
     if case in (334, 344):
         if case == 334:
             g8 = group.gP.compose(group.gQ.inverse(tol), tol)
             crossing_pt = midpoint(P, Q, tol)
-            center, order = R, 4
+            center, order = R, group.r
         else:
             g8 = group.gQ.compose(group.gR.inverse(tol), tol)
             crossing_pt = midpoint(Q, R, tol)
-            center, order = P, 3
+            center, order = P, group.p
         axis = axis_of(g8, tol)
         gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
         if gap > 1e-6:
@@ -407,34 +398,98 @@ def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic
     raise EnumerationError("no second branch found through the crossing point")
 
 
-@functools.lru_cache(maxsize=32)
-def curve_lifts(case: int, depth: int,
-                tol: Tolerances = DEFAULT_TOL) -> tuple[Geodesic, ...]:
-    """Deduped group orbit of the base geodesics within the word ball, in
-    ball order, so the lifts of a smaller ball are a prefix; like the ball,
-    a smaller depth is served as a slice of the largest lift set, kept
-    outside the cache so that no spelling of the call rebuilds it."""
-    group = build_group(*CASE_TRIPLES[case], tol)
-    ball = enumerate_elements(group, depth)
-    largest, built, prefix = _LIFT_PREFIX.get((case, tol), (-1, (), {}))
-    if largest >= depth:
-        return built[:prefix[len(ball)]]
-    system = curve_system(case, tol)
+def _orbit_lifts(mats: Iterable[Isometry],
+                 bases: Sequence[Geodesic]) -> tuple[Geodesic, ...]:
+    """The images m·b of the base geodesics, in order, deduped at 1e-9."""
     index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
-    counts: dict[int, int] = {}
-    for n, el in enumerate(ball):
-        if n == 0 or len(el.word) > len(ball[n - 1].word):
-            counts[n] = len(lifts)
-        m = el.matrix
-        for base in system.base_geodesics:
+    for m in mats:
+        for base in bases:
             u, v = m.boundary_image(base.u), m.boundary_image(base.v)
             if index.insert(_geodesic_vec(u, v)) is None:
                 lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
-    counts[len(ball)] = len(lifts)
-    built = tuple(lifts)
-    _LIFT_PREFIX[(case, tol)] = (depth, built, counts)
-    return built
+    return tuple(lifts)
+
+
+@functools.lru_cache(maxsize=32)
+def curve_lifts(case: int, depth: int,
+                tol: Tolerances = DEFAULT_TOL) -> tuple[Geodesic, ...]:
+    """The deduped orbit of the base geodesics in the word ball, in order."""
+    group = build_group(*CASE_TRIPLES[case], tol)
+    return _orbit_lifts((el.matrix for el in enumerate_elements(group, depth)),
+                        curve_system(case, tol).base_geodesics)
+
+
+@functools.lru_cache(maxsize=16)
+def _tube(group: TriangleGroup, system: CurveSystem) -> tuple[complex, float]:
+    """The tile point o, the Klein centroid of the base triangle T (no
+    rotation fixes it), and the radius rho = max(r_T, max_b rho_b) of the
+    tubes of ``lifts_along``.  Each point of a tile g·T lies within r_T,
+    o's largest distance to a vertex of T, of g·o.  Each base geodesic b is
+    the axis of an element h translating by l_b (the first within word
+    length 4), so a lift g·b meeting the path at z is (g·h^n)·b with
+    (g·h^n)^-1·z within l_b/2 of the foot of o on b: g·h^n·o lies within
+    rho_b = acosh(cosh d(o, b) * cosh(l_b/2)) of z.  The tiles and the black
+    triangles between them are the chambers of T's reflection group, so
+    folding across their walls shows that the tile point nearest to a point
+    of a tile is its own, and to a point of a black triangle that of a tile
+    beside it; two such tiles share a vertex and are one generator apart.
+    So the nearest tile points along the segment from g·h^n·o to z (within
+    rho_b of z), then the tiles met along the path back to the cell centre
+    (within r_T of it), join g·h^n to the identity in generator steps.
+    """
+    tol, corners = group.tol, (group.P, group.Q, group.R)
+    ks = [to_klein(v) for v in corners]
+    o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
+    reach = 0.0
+    for geo in system.base_geodesics:
+        for el in enumerate_elements(group, 4):
+            cls = classify(el.matrix, tol)
+            if cls.kind is IsometryKind.HYPERBOLIC and same_geodesic_angles(
+                    axis_of(el.matrix, tol).angles, geo.angles, 1e-7):
+                break
+        else:
+            raise EnumerationError(f"case {system.case}: no axis on a base geodesic")
+        height = distance(o, foot_of_perpendicular(geo, o))
+        reach = max(reach, math.acosh(math.cosh(height)
+                                      * math.cosh(cls.translation_length / 2.0)))
+    return o.as_complex(), max(reach, max(distance(o, v) for v in corners))
+
+
+def lifts_along(group: TriangleGroup, system: CurveSystem,
+                path: Sequence[HPoint]) -> tuple[Geodesic, ...]:
+    """Every curve lift meeting the polyline `path` from the cell centre, and a
+    few near it: the deduped g·b over the bases b and the g found breadth-first
+    from the identity whose tile point, framed with a segment of length L up
+    from i, is a w with |Re w| <= sinh(rho) Im w, log|w| in [-rho, L + rho]."""
+    tol = group.tol
+    o, rho = _tube(group, system)
+    spread, low = math.sinh(rho), math.exp(-2.0 * rho)
+    frames = []  # per segment a-b: the isometry taking a to i, b up from i
+    for a, b in zip(path, path[1:]):
+        r = math.sqrt(a.y)
+        shift = Isometry(1.0 / r, -a.x / r, 0.0, r)
+        w = cayley(mobius(shift.entries(), b.as_complex()))
+        turn = rotation_about(HPoint(0.0, 1.0), -math.atan2(w.imag, w.real), tol)
+        frames.append((turn.compose(shift, tol).entries(),
+                       math.exp(2.0 * (distance(a, b) + rho))))
+    # The tile point of g·s is g(s·o): a tile is composed once it is kept.
+    steps = [(gen, mobius(gen, o))
+             for gen in (group.generator(letter).entries() for letter in ALPHABET)]
+    tiles = [Isometry.identity().entries()]
+    index = _GridIndex(1e-9)
+    index.insert(_disc_image(tiles[0], o))
+    for entries in tiles:  # a queue: the loop reaches the tiles it appends
+        for gen, step in steps:
+            z = mobius(entries, step)
+            for frame, high in frames:
+                w = mobius(frame, z)
+                if (abs(w.real) <= spread * w.imag
+                        and low <= w.real * w.real + w.imag * w.imag <= high):
+                    if index.insert(_disc_image(entries, step)) is None:
+                        tiles.append(compose_entries(entries, gen, tol.eps_pt))
+                    break
+    return _orbit_lifts((Isometry(*e) for e in tiles), system.base_geodesics)
 
 
 # --- Tiling cells ---------------------------------------------------------
@@ -467,10 +522,6 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     labels: list[Optional[int]] = [None, None, None, None]
     for idx, lift in enumerate(lifts):
         a, b = lift.klein_ends
-        # Quick reject: chord far from the center (both in Klein metric scale).
-        mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-        if math.hypot(mx - kc[0], my - kc[1]) > 1.9:
-            continue
         nx, ny = b[1] - a[1], a[0] - b[0]
         c = nx * a[0] + ny * a[1]
         sign = nx * kc[0] + ny * kc[1] - c
@@ -564,14 +615,16 @@ def _segment_crossing_clusters(seg_from: HPoint, seg_to: HPoint,
         t = axis_parameter(geo, z)
         if lo + 1e-9 < t < hi - 1e-9:
             params.append(t)
-    params.sort()
-    clusters = 0
-    last = None
-    for t in params:
-        if last is None or t - last > 1e-5:
-            clusters += 1
-        last = t
-    return clusters
+    return _clusters(params)
+
+
+def _clusters(ts: list[float], period: float = math.inf) -> int:
+    """Runs of the sorted ts split at gaps over 1e-5, the period's wrap too."""
+    ts = sorted(ts)
+    runs = len(ts) and 1 + sum(b - a > 1e-5 for a, b in zip(ts, ts[1:]))
+    if runs > 1 and ts[0] + period - ts[-1] <= 1e-5:
+        runs -= 1
+    return runs
 
 
 def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
@@ -585,7 +638,6 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     coordinates.
     """
     tol = group.tol
-    lifts = curve_lifts(system.case, min(depth, 6), tol)
     c0 = system.cell_center
     pts = cell_tiling(group, system, min(depth, 5))
     ranked = []
@@ -598,7 +650,8 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     ranked.sort(key=lambda it: it[:3])
     chosen: list[HPoint] = []
     for _, _, _, p in ranked:
-        if _segment_crossing_clusters(c0, p, lifts, tol) == 1:
+        if _segment_crossing_clusters(c0, p, lifts_along(group, system, (c0, p)),
+                                      tol) == 1:
             chosen.append(p)
             if len(chosen) >= count:
                 break
@@ -606,11 +659,6 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
         raise EnumerationError(f"no adjacent tile found within depth {depth} "
                                f"for case {system.case}")
     return chosen
-
-
-def _axis_on_lift(axis: Geodesic, lifts: Sequence[Geodesic], eps: float) -> bool:
-    pair = axis.angles
-    return any(same_geodesic_angles(pair, lift.angles, eps) for lift in lifts)
 
 
 def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
@@ -638,9 +686,8 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     tol = group.tol
     eps = tol.eps_pt
     half = (depth + 1) // 2
-    # The largest ball and lift set of the run first: the smaller ones that
-    # canonical_neighbors and cell_tiling ask for are prefixes of them.
-    lifts = curve_lifts(system.case, max(half, 6), tol)
+    # The largest ball of the run first (from depth 9 up): the smaller ones
+    # that cell_tiling and the tube radius ask for are prefixes of it.
     ball = enumerate_elements(group, half)
     c0 = system.cell_center
     if neighbor is None:
@@ -686,12 +733,9 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
         if cls.kind is IsometryKind.IDENTITY:
             raise EnumerationError("identity cannot move a tile")
         counts[cls.kind] += 1
-        on_curve = None
-        crossings = None
+        on_curve = crossings = None
         if cls.kind is IsometryKind.HYPERBOLIC:
-            axis = axis_of(el.matrix, tol)
-            on_curve = _axis_on_lift(axis, lifts, 1e-7)
-            crossings = crossing_count(group, system, el, depth=max(half, 6))
+            on_curve, crossings = _axis_meetings(group, system, el.matrix)
         entries.append(AdjacencyEntry(el, cls, on_curve, crossings))
     return AdjacencyReport(system.case, c0, c1, tuple(entries),
                            counts[IsometryKind.ELLIPTIC],
@@ -700,26 +744,29 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
 
 
 def crossing_count(group: TriangleGroup, system: CurveSystem,
-                   g: GroupElement, depth: int) -> int:
-    """Crossing points of the axis of g with the union of the curve lifts of
-    the word ball of radius `depth`, per period.
+                   g: GroupElement) -> int:
+    """Crossing points per period of the axis of g with the curve lifts."""
+    return _axis_meetings(group, system, g.matrix)[1]
 
-    Counts distinct points (several lifts through one point count once) along
-    a half-open fundamental period of the translation; lifts coinciding with
-    the axis are skipped, and near-tangential meetings are rejected.
-    """
+
+def _axis_meetings(group: TriangleGroup, system: CurveSystem,
+                   m: Isometry) -> tuple[bool, int]:
+    """Whether the axis of m is a curve lift, and its distinct crossings with
+    the others per half-open period, near-tangential ones rejected: from the
+    lifts along the path from the cell centre to its foot x0, then to m·x0."""
     tol = group.tol
-    cls = classify(g.matrix, tol)
-    if cls.kind is not IsometryKind.HYPERBOLIC:
-        raise GeometryError("crossing_count needs a hyperbolic element")
-    axis = axis_of(g.matrix, tol)
-    period = cls.translation_length
+    axis = axis_of(m, tol)  # a GeometryError unless m is hyperbolic
+    period = classify(m, tol).translation_length
+    x0 = foot_of_perpendicular(axis, system.cell_center)
     axis_pair = axis.angles
+    on_lift = False
     reduced: list[float] = []
-    for lift in curve_lifts(system.case, depth, tol):
+    for lift in lifts_along(group, system, (system.cell_center, x0, apply(m, x0))):
         pair = lift.angles
-        if (not angles_interleave(pair, axis_pair)
-                or same_geodesic_angles(axis_pair, pair, 1e-7)):
+        if same_geodesic_angles(axis_pair, pair, 1e-7):
+            on_lift = True
+            continue
+        if not angles_interleave(pair, axis_pair):
             continue
         z = geodesic_intersection(lift, axis, tol)
         if z is None:
@@ -729,15 +776,6 @@ def crossing_count(group: TriangleGroup, system: CurveSystem,
             raise TangencyError(f"axis meets a curve lift at angle {ang:.2e}")
         reduced.append(axis_parameter(axis, z) % period)
     if not reduced:
-        raise EnumerationError("no curve crossings found; depth too small?")
-    reduced.sort()
-    clusters = []
-    for t in reduced:
-        if not clusters or t - clusters[-1][-1] > 1e-5:
-            clusters.append([t])
-        else:
-            clusters[-1].append(t)
-    # Wrap-around: first and last cluster may be one crossing split mod period.
-    if len(clusters) > 1 and (clusters[0][0] + period - clusters[-1][-1]) <= 1e-5:
-        clusters[0].extend(clusters.pop())
-    return len(clusters)
+        raise EnumerationError("no curve crossings found along one period "
+                               "of the axis")
+    return on_lift, _clusters(reduced, period)

@@ -267,3 +267,13 @@ def test_run_verification_report_shape():
     assert set(d) == {"schema_version", "pass", "config", "cases", "global"}
     assert all({"check_id", "expected", "actual", "pass"} == set(c)
                for c in d["cases"][0]["checks"])
+
+
+def test_timings_account_for_trace3():
+    # The one trace-3 word search is timed under the global checks, and only
+    # a report asked for with timings carries any.
+    rep = report.run_verification(237, DEFAULT_SEARCH, DEFAULT_TOL,
+                                  include_timings=True)
+    assert "trace3" in rep.as_dict()["global"]["timings_s"]
+    rep.include_timings = False
+    assert "timings_s" not in rep.as_dict()["global"]

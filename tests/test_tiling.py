@@ -152,7 +152,6 @@ def ball_log(monkeypatch):
     curve_system.cache_clear()
     curve_lifts.cache_clear()
     monkeypatch.setattr(trigroup, "_BALL_RADIUS", _RadiusLog(log))
-    monkeypatch.setattr(trigroup, "_LIFT_PREFIX", {})
     yield log
     enumerate_elements.cache_clear()
     curve_system.cache_clear()
@@ -169,6 +168,18 @@ def test_run_enumerates_radius_one_and_largest_ball_only(argv, largest,
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
     assert ball_log == [((3, 4, 4), 1), ((3, 4, 4), largest)]
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["verify", "--case", "344", "--depth", "16"], 0),
+    (["tiling", "--case", "344", "--depth", "6"], 1),
+])
+def test_run_builds_word_ball_lift_set_only_to_draw(argv, builds, ball_log,
+                                                    tmp_path):
+    out = ["--json", str(tmp_path / "r.json")] if argv[0] == "verify" \
+        else ["--out", str(tmp_path / "t.svg")]
+    assert cli.main(argv + out) == 0
+    assert curve_lifts.cache_info().misses == builds
 
 
 def _first_branch_in_ball(group, axis, pt):

@@ -3,13 +3,12 @@ import math
 import pytest
 
 from orbiflow import hyp2, trigroup
-from orbiflow.config import DEFAULT_TOL
 from orbiflow.hyp2 import IsometryKind, apply, distance, projective_dist
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, EnumerationError,
                                GroupElement, adjacency_isometries, build_group,
                                canonical_neighbors, cell_tiling,
                                cell_wall_count, crossing_count, curve_lifts,
-                               curve_system, enumerate_elements)
+                               curve_system, enumerate_elements, lifts_along)
 
 ADJACENCY_EXPECTED = {
     237: (7, 5, 2), 245: (5, 3, 2), 246: (4, 3, 1),
@@ -99,7 +98,6 @@ def cold(monkeypatch):
         enumerate_elements.cache_clear()
         curve_lifts.cache_clear()
         monkeypatch.setattr(trigroup, "_BALL_RADIUS", {})
-        monkeypatch.setattr(trigroup, "_LIFT_PREFIX", {})
     reset()
     yield reset
     enumerate_elements.cache_clear()
@@ -137,25 +135,6 @@ def test_lifts_agree_in_any_call_order(case, cold):
     # prefix of the larger one as well.
     curve_lifts.cache_clear()
     assert _lift_bits(curve_lifts(case, 5)) == first[5]
-
-
-@pytest.mark.parametrize("spelled", [(), (DEFAULT_TOL,)])
-def test_smaller_lift_depth_is_a_slice(spelled, cold, monkeypatch):
-    # After the largest lift set is built, any smaller or equal depth, with
-    # tol given or left out, is a slice of it: no second build.
-    builds = []
-    real = trigroup.curve_system
-    monkeypatch.setattr(trigroup, "curve_system",
-                        lambda *args: builds.append(args) or real(*args))
-    largest = curve_lifts(344, 8, *spelled)
-    assert len(builds) == 1
-    other = () if spelled else (DEFAULT_TOL,)
-    for depth in (6, 8, 5):
-        for args in (spelled, other):
-            lifts = curve_lifts(344, depth, *args)
-            assert lifts == largest[:len(lifts)]
-    assert len(lifts) < len(largest)
-    assert len(builds) == 1
 
 
 def _all_pairs_words(group, system, depth, neighbor):
@@ -200,11 +179,14 @@ def test_sphere_search_matches_all_pairs(case):
 
 
 def test_stored_lift_angles_match(case_data):
-    # The neighbour search reads the angles of every depth-6 lift; the values
-    # it stored with each lift equal those of a freshly built geodesic.
-    case, group, system, _ = case_data
-    adjacency_isometries(group, system, depth=12)
-    for lift in curve_lifts(case, 6, group.tol):
+    # The neighbour search reads the angles of every lift along the neighbour
+    # segment; the values it stored with each lift equal those of a freshly
+    # built geodesic.
+    case, group, system, report = case_data
+    c0, c1 = system.cell_center, report.neighbor_center
+    lifts = lifts_along(group, system, (c0, c1))
+    assert trigroup._segment_crossing_clusters(c0, c1, lifts, group.tol) == 1
+    for lift in lifts:
         stored = vars(lift)["angles"]
         fresh = hyp2.geodesic_angles(hyp2.Geodesic(lift.u, lift.v))
         assert [a.hex() for a in stored] == [a.hex() for a in fresh]
@@ -332,7 +314,7 @@ def test_crossing_period_doubling(case_data):
                  if e.classification.kind is IsometryKind.HYPERBOLIC)
     g = entry.element
     g2 = GroupElement(g.word + g.word, g.matrix.compose(g.matrix))
-    assert crossing_count(group, system, g2, depth=8) == 2 * entry.crossing
+    assert crossing_count(group, system, g2) == 2 * entry.crossing
 
 
 def test_crossing_conjugacy_invariance(case_data):
@@ -344,7 +326,7 @@ def test_crossing_conjugacy_invariance(case_data):
         conj = GroupElement(
             w.word + g.word,
             w.matrix.compose(g.matrix).compose(w.matrix.inverse()))
-        assert crossing_count(group, system, conj, depth=8) == entry.crossing
+        assert crossing_count(group, system, conj) == entry.crossing
 
 
 def test_crossing_rejects_elliptic():
@@ -352,4 +334,142 @@ def test_crossing_rejects_elliptic():
     system = curve_system(237)
     el = GroupElement(("P",), group.gP)
     with pytest.raises(hyp2.GeometryError):
-        crossing_count(group, system, el, depth=8)
+        crossing_count(group, system, el)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stabilizer_order_is_the_centre_cone_order(case):
+    group = build_group(*CASE_TRIPLES[case])
+    system = curve_system(case)
+    name = next(n for n in "PQR" if group.vertex(n) == system.cell_center)
+    assert system.stabilizer_order == CASE_TRIPLES[case]["PQR".index(name)]
+
+
+def _tube_paths(group, system, report):
+    """The paths the adjacency stage searches tubes along: the neighbour
+    segment, and one period of each hyperbolic axis and of its conjugates
+    by short words."""
+    c0 = system.cell_center
+    paths = [(c0, report.neighbor_center)]
+    for entry in report.entries:
+        if entry.classification.kind is not IsometryKind.HYPERBOLIC:
+            continue
+        g = entry.element.matrix
+        for w in (hyp2.Isometry.identity(),
+                  *(el.matrix for el in enumerate_elements(group, 2)[1:5])):
+            m = w.compose(g).compose(w.inverse())
+            x0 = trigroup.foot_of_perpendicular(hyp2.axis_of(m), c0)
+            paths.append((c0, x0, apply(m, x0)))
+    return paths
+
+
+def _meeting(lifts, path):
+    """The lifts that meet the closed polyline, as dedup vectors."""
+    out = []
+    for lift in lifts:
+        for a, b in zip(path, path[1:]):
+            if distance(a, b) < 1e-9:
+                continue
+            seg = hyp2.geodesic_through(a, b)
+            if hyp2.same_geodesic_angles(lift.angles, seg.angles, 1e-7):
+                break
+            z = hyp2.geodesic_intersection(lift, seg)
+            if z is None:
+                continue
+            t = hyp2.axis_parameter(seg, z)
+            if (hyp2.axis_parameter(seg, a) - 1e-9 <= t
+                    <= hyp2.axis_parameter(seg, b) + 1e-9):
+                break
+        else:
+            continue
+        out.append(trigroup._geodesic_vec(lift.u, lift.v))
+    return out
+
+
+def _holds(lifts, wanted):
+    """Whether every vector of `wanted` has one within 1e-9 in `lifts`."""
+    return all(any(max(abs(x - y) for x, y in zip(a, b)) <= 1e-9 for b in lifts)
+               for a in wanted)
+
+
+def _same_lifts(first, second):
+    return len(first) == len(second) and _holds(second, first)
+
+
+def _tube_meetings(group, system, report):
+    return [_meeting(lifts_along(group, system, path), path)
+            for path in _tube_paths(group, system, report)]
+
+
+def test_tube_lifts_meeting_a_path_match_the_word_ball(case_data):
+    # Along the neighbour segment and one period of each hyperbolic axis and
+    # of its conjugates, the tube finds exactly the lifts of the radius-8
+    # ball that meet the path, and at least one.
+    case, group, system, report = case_data
+    ball_lifts = curve_lifts(case, 8)
+    paths = _tube_paths(group, system, report)
+    assert len(paths) == 1 + 5 * report.hyperbolic
+    for path, found in zip(paths, _tube_meetings(group, system, report)):
+        assert found
+        assert _same_lifts(found, _meeting(ball_lifts, path))
+
+
+def _distance_to_path(q, path):
+    best = math.inf
+    for a, b in zip(path, path[1:]):
+        best = min(best, distance(q, a), distance(q, b))
+        if distance(a, b) < 1e-9:
+            continue
+        seg = hyp2.geodesic_through(a, b)
+        t = hyp2.axis_parameter(seg, q)
+        if hyp2.axis_parameter(seg, a) <= t <= hyp2.axis_parameter(seg, b):
+            best = min(best, distance(q, hyp2.foot_on_axis(seg, t)))
+    return best
+
+
+def test_tube_holds_every_tile_within_its_radius(case_data):
+    # Every element of the radius-6 ball whose tile point lies within rho of
+    # a path (distances to the segments taken directly) gives its lifts to
+    # the tube, so the breadth-first search reaches the whole tube.
+    _, group, system, report = case_data
+    oz, rho = trigroup._tube(group, system)
+    o = hyp2.HPoint(oz.real, oz.imag)
+    ball = enumerate_elements(group, 6)
+    for path in _tube_paths(group, system, report):
+        near = [el.matrix for el in ball
+                if _distance_to_path(apply(el.matrix, o), path) < rho]
+        found = [trigroup._geodesic_vec(g.u, g.v)
+                 for g in lifts_along(group, system, path)]
+        expected = [trigroup._geodesic_vec(g.u, g.v)
+                    for g in trigroup._orbit_lifts(near, system.base_geodesics)]
+        assert near and _holds(found, expected)
+
+
+def _scale_tube_radius(monkeypatch, factor):
+    real = trigroup._tube
+    monkeypatch.setattr(trigroup, "_tube",
+                        lambda g, s: (real(g, s)[0], factor * real(g, s)[1]))
+
+
+def test_doubled_tube_radius_finds_no_more_lifts(case_data, monkeypatch):
+    _, group, system, report = case_data
+    expected = _tube_meetings(group, system, report)
+    _scale_tube_radius(monkeypatch, 2.0)
+    doubled = _tube_meetings(group, system, report)
+    assert all(_same_lifts(a, b) for a, b in zip(expected, doubled))
+
+
+def test_quarter_tube_radius_misses_lifts(monkeypatch):
+    # The derived radius is not slack everywhere: at a quarter of it some
+    # path of some case loses a lift that meets it.
+    setups = []
+    for case in CASES:
+        group = build_group(*CASE_TRIPLES[case])
+        system = curve_system(case)
+        report = adjacency_isometries(group, system, depth=12)
+        setups.append((group, system, report,
+                       _tube_meetings(group, system, report)))
+    _scale_tube_radius(monkeypatch, 0.25)
+    assert any(not _same_lifts(a, b)
+               for group, system, report, expected in setups
+               for a, b in zip(expected, _tube_meetings(group, system, report)))
