@@ -1,7 +1,8 @@
 """Command-line front end: verify, tiling, catmap.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error.
-Config precedence: flags > ORBIFLOW_* environment variables > defaults.
+The flags are the only configuration: ``verify --depth`` and ``--tol`` override
+the defaults in ``config``, and nothing is read from the environment.
 
 Each subcommand imports the layers it runs when it runs: ``verify`` the
 report stack (``report``, ``sections``, ``surgery``, ``torusmap``,
@@ -31,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one of 237, 245, 246, 334, 344, or 'all'")
     v.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the machine-readable report to PATH")
-    v.add_argument("--depth", type=int, help="adjacency word-length budget")
+    v.add_argument("--depth", type=int, default=cfg.DEFAULT_DEPTH,
+                   help="adjacency word-length budget")
     v.add_argument("--tol", type=float, help="override geometric tolerances")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the JSON report "
@@ -47,14 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> tuple[cfg.SearchConfig, cfg.Tolerances]:
-    search = cfg.search_from_env()
-    tol = cfg.tolerances_from_env()
-    if args.depth is not None:
-        search = cfg.override_depth(args.depth)
-    if args.tol is not None:
-        tol = cfg.override_tolerance(tol, args.tol)
-    return search, tol
+def _resolve_config(args) -> tuple[int, cfg.Tolerances]:
+    if args.depth < 1:
+        raise ValueError("depth must be >= 1")
+    tol = cfg.DEFAULT_TOL if args.tol is None else cfg.override_tolerance(args.tol)
+    return args.depth, tol
 
 
 def _parse_case(raw: str) -> int | None:
@@ -90,13 +89,13 @@ def _print_text_report(rep) -> None:
 def cmd_verify(args) -> int:
     try:
         case = _parse_case(args.case)
-        search, tol = _resolve_config(args)
+        depth, tol = _resolve_config(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     from . import report
     try:
-        rep = report.run_verification(case, search, tol,
+        rep = report.run_verification(case, depth, tol,
                                       include_timings=args.timings)
     except EnumerationError as err:
         print(f"error: enumeration (trigroup): {err}", file=sys.stderr)

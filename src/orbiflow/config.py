@@ -1,10 +1,6 @@
-"""Tolerances and search depth, overridable via environment or CLI flags.
-
-Precedence: explicit arguments > ORBIFLOW_* environment variables > defaults.
-"""
+"""Tolerances and search depth: the defaults, and the `--tol` override."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -18,8 +14,8 @@ class Tolerances:
     (>1e-3 in every case handled here).
 
     ``eps_pt`` is the coincidence scale, read by:
-      * ``hyp2.geodesic_through`` and ``angle_at``: coincident points and
-        vertical geodesics;
+      * ``hyp2.geodesic_through``: coincident points and vertical
+        geodesics;
       * ``hyp2.geodesic_intersection``: equal geodesics (endpoint angles)
         and concentric circles;
       * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
@@ -30,7 +26,6 @@ class Tolerances:
         ``adjacency_isometries``: a tile image on its target, at 10x.
     ``eps_band`` is the band around degenerate values, read by:
       * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
-      * ``hyp2.angle_at``: collinear vertices, angle near 0 or pi;
       * ``trigroup.enumerate_elements``, once per group for its largest
         ball (smaller radii are prefixes of it), and the pair products of
         ``adjacency_isometries``: the matrix dedup radius, with a guard band
@@ -41,40 +36,13 @@ class Tolerances:
     eps_band: float = 1e-7
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Word-ball depth for group enumeration."""
-
-    adjacency_depth: int = 12  # total word length budget for adjacency search
-
-
 DEFAULT_TOL = Tolerances()
-DEFAULT_SEARCH = SearchConfig()
-
-ENV_DEPTH = "ORBIFLOW_DEPTH"
-ENV_TOL = "ORBIFLOW_TOL"
+DEFAULT_DEPTH = 12  # total word length budget for the adjacency search
 
 
-def override_tolerance(base: Tolerances, eps: float) -> Tolerances:
-    """`base` with the coincidence scale set to eps; the band never drops
-    below its value in `base`."""
+def override_tolerance(eps: float) -> Tolerances:
+    """The default tolerances with the coincidence scale set to eps; the band
+    never drops below its default."""
     if not 0 < eps < 1e-2:
         raise ValueError("tolerance must be in (0, 1e-2)")
-    return Tolerances(eps_pt=eps, eps_band=max(eps, base.eps_band))
-
-
-def override_depth(depth: int) -> SearchConfig:
-    """The search with its adjacency depth set to `depth`."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return SearchConfig(adjacency_depth=depth)
-
-
-def tolerances_from_env() -> Tolerances:
-    raw = os.environ.get(ENV_TOL)
-    return DEFAULT_TOL if raw is None else override_tolerance(DEFAULT_TOL, float(raw))
-
-
-def search_from_env() -> SearchConfig:
-    raw = os.environ.get(ENV_DEPTH)
-    return DEFAULT_SEARCH if raw is None else override_depth(int(raw))
+    return Tolerances(eps_pt=eps, eps_band=max(eps, DEFAULT_TOL.eps_band))

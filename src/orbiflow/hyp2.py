@@ -180,37 +180,6 @@ def distance(p: HPoint, q: HPoint) -> float:
     return math.acosh(max(arg, 1.0))
 
 
-def _tangent_toward(p: HPoint, q: HPoint, eps: float):
-    """Unit Euclidean direction at p of the geodesic ray from p to q."""
-    if abs(q.x - p.x) <= eps * (1.0 + abs(p.x) + abs(q.x)):
-        return (0.0, 1.0) if q.y > p.y else (0.0, -1.0)
-    # Half-circle with real center c; tangent is the radius rotated by 90 deg.
-    c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
-    rx, ry = p.x - c, p.y
-    tx, ty = -ry, rx
-    if tx * (q.x - p.x) < 0:
-        tx, ty = -tx, -ty
-    n = math.hypot(tx, ty)
-    return (tx / n, ty / n)
-
-
-def angle_at(p: HPoint, q: HPoint, r: HPoint, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Interior angle at p of the triangle pqr, in (0, pi).
-
-    The model is conformal, so the hyperbolic angle equals the Euclidean angle
-    between initial tangent directions.  Collinear configurations (angle ~0 or
-    ~pi) are rejected as degenerate.
-    """
-    t1 = _tangent_toward(p, q, tol.eps_pt)
-    t2 = _tangent_toward(p, r, tol.eps_pt)
-    dot = max(-1.0, min(1.0, t1[0] * t2[0] + t1[1] * t2[1]))
-    ang = math.acos(dot)
-    if ang < tol.eps_band or ang > math.pi - tol.eps_band:
-        raise GeometryError("degenerate triangle: collinear vertices at angle "
-                            f"{ang!r}")
-    return ang
-
-
 def _transport_from_i(p: HPoint) -> Isometry:
     # Maps i to p: [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]].
     s = math.sqrt(p.y)

@@ -8,34 +8,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B) -> list[list[int]]:
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def int_det(M) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(M)
-    A = [[int(x) for x in row] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
-
-
 def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (D, U, V) with U*M*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
     A = [[int(x) for x in row] for row in M]
@@ -115,7 +87,7 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     return A, U, V
 
 
-def solve_mod1(M, rhs_den: int = 1) -> list[tuple[Fraction, Fraction]]:
+def solve_mod1(M) -> list[tuple[Fraction, Fraction]]:
     """All x in Q^2/Z^2 with M x = 0 mod Z^2, for 2x2 integer M, det != 0.
 
     Via U M V = D: with y = V^-1 x, the condition is D y in Z^2, so

@@ -6,7 +6,6 @@ iteration order.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import hyp2, trigroup
@@ -107,8 +106,7 @@ def tiling_svg(case: int, depth: int) -> str:
         if on_curve:
             continue
         stroke, fill = _FAMILY_STYLES[name]
-        orbit = trigroup.cell_tiling(
-            group, dataclasses.replace(system, cell_center=vertex), depth)
+        orbit = trigroup.cell_tiling(group, vertex, depth)
         for point, _ in orbit:
             dx, dy = hyp2.to_disc(point)
             if dx * dx + dy * dy > 0.55:

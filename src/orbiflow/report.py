@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import sections, surgery, torusmap, trigroup
-from .config import SearchConfig, Tolerances
+from .config import Tolerances
 
 SCHEMA_VERSION = 2
 
@@ -89,15 +89,14 @@ def _factors(group: surgery.AbelianGroup) -> list[int]:
     return list(group.invariant_factors)
 
 
-def run_case(case: int, search: SearchConfig, tol: Tolerances,
+def run_case(case: int, depth: int, tol: Tolerances,
              trace3_unique: bool) -> CaseReport:
     exp = EXPECTED[case]
     rep = CaseReport(case)
     t0 = time.monotonic()
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
     system = trigroup.curve_system(case, tol)
-    adjacency = trigroup.adjacency_isometries(group, system,
-                                              depth=search.adjacency_depth)
+    adjacency = trigroup.adjacency_isometries(group, system, depth=depth)
     rep.timings["adjacency"] = time.monotonic() - t0
     rep.check("adjacency_total", exp["adjacency"][0], adjacency.total)
     rep.check("adjacency_elliptic", exp["adjacency"][1], adjacency.elliptic)
@@ -201,7 +200,7 @@ def _brute_force_fix_count(A: torusmap.TorusMatrix, n: int) -> int:
 class VerificationReport:
     cases: list[CaseReport]
     global_checks: CaseReport
-    search: SearchConfig
+    depth: int
     tol: Tolerances
     include_timings: bool = False
 
@@ -215,7 +214,7 @@ class VerificationReport:
             "schema_version": SCHEMA_VERSION,
             "pass": self.passed,
             "config": {
-                "adjacency_depth": self.search.adjacency_depth,
+                "adjacency_depth": self.depth,
                 "eps_dedup": self.tol.eps_band,
                 "eps_cls": self.tol.eps_band,
                 "eps_pt": self.tol.eps_pt,
@@ -225,8 +224,7 @@ class VerificationReport:
         }
 
 
-def run_verification(case_filter: Optional[int], search: SearchConfig,
-                     tol: Tolerances,
+def run_verification(case_filter: Optional[int], depth: int, tol: Tolerances,
                      include_timings: bool = False) -> VerificationReport:
     """Run the full chain for the selected cases, one after another in the
     fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
@@ -236,8 +234,8 @@ def run_verification(case_filter: Optional[int], search: SearchConfig,
     unique = torusmap.trace3_uniqueness(8)
     trace3_s = time.monotonic() - t0
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
-    case_reports = [run_case(cid, search, tol, unique) for cid in case_ids]
+    case_reports = [run_case(cid, depth, tol, unique) for cid in case_ids]
     global_rep = run_global_checks(unique)
     global_rep.timings["trace3"] = trace3_s
-    return VerificationReport(case_reports, global_rep, search, tol,
+    return VerificationReport(case_reports, global_rep, depth, tol,
                               include_timings)

@@ -50,7 +50,6 @@ class BoundaryComponent:
     a: int                      # longitudinal winding (meridian intersections)
     b: int                      # meridional winding (stable-trace intersections)
     primitive: tuple[int, int]  # (a, b) divided by gcd
-    multiplicity: int
     turning: Fraction
 
 
@@ -233,7 +232,7 @@ def boundary_components(S: SectionComplex) -> list[BoundaryComponent]:
         from math import gcd
         m = gcd(abs(a), b) or 1
         comps.append(BoundaryComponent(orbit, tuple(cyc), a, b,
-                                       (a // m, b // m), m, turning))
+                                       (a // m, b // m), turning))
     comps.sort(key=lambda c: c.edges)
     return comps
 

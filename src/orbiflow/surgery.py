@@ -79,41 +79,11 @@ class AbelianGroup:
             out *= d
         return out
 
-    def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "0"
-        parts = ["Z" if d == 0 else f"Z/{d}" for d in self.invariant_factors]
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class SurgerySpec:
     orbit: CatOrbit
     slope: SlopeCoefficient
-
-
-@dataclass(frozen=True)
-class SNFCertificate:
-    factors: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-    diagonal: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(M: Sequence[Sequence[int]]) -> SNFCertificate:
-    """Invariant factors with the unimodular transformation certificate."""
-    D, U, V = intlinalg.smith_normal_form([list(r) for r in M])
-    factors = tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
-    return SNFCertificate(factors,
-                          tuple(tuple(r) for r in U),
-                          tuple(tuple(r) for r in V),
-                          tuple(tuple(r) for r in D))
-
-
-def mapping_torus_h1(A: TorusMatrix) -> AbelianGroup:
-    """Z (suspension class) plus the cokernel of A - I on the fiber torus."""
-    rows = [[A.a - 1, A.b, 0], [A.c, A.d - 1, 0]]
-    return AbelianGroup.from_relation_rows(rows, 3)
 
 
 # --- Exact winding machinery on the punctured torus -------------------------

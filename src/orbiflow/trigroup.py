@@ -104,9 +104,6 @@ class GroupElement:
     word: tuple[str, ...]
     matrix: Isometry
 
-    def word_str(self) -> str:
-        return "".join(self.word) if self.word else "1"
-
 
 def build_group(p: int, q: int, r: int, tol: Tolerances = DEFAULT_TOL) -> TriangleGroup:
     """Rotation triangle group on the canonical triangle, relations checked."""
@@ -494,13 +491,12 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
 
 # --- Tiling cells ---------------------------------------------------------
 
-def cell_tiling(group: TriangleGroup, system: CurveSystem,
+def cell_tiling(group: TriangleGroup, center: HPoint,
                 depth: int) -> list[tuple[HPoint, GroupElement]]:
-    """Orbit of the distinguished cell center in the ball, with witnesses."""
+    """Orbit of the cell center `center` in the ball, with witnesses."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     index = _GridIndex(1e-9)
-    center = system.cell_center
     z = center.as_complex()
     out: list[tuple[HPoint, GroupElement]] = []
     for el in enumerate_elements(group, depth):
@@ -560,15 +556,6 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
             cleaned_v.append(verts[i])
             cleaned_l.append(labels[i])
     return cleaned_v, cleaned_l
-
-
-def cell_wall_count(center: HPoint, lifts: Sequence[Geodesic]) -> int:
-    """Number of distinct walls bounding the tile around `center`."""
-    _, labels = cell_polygon(center, lifts)
-    if any(lab is None for lab in labels):
-        raise EnumerationError("tile not closed by the available lifts; "
-                               "increase the enumeration depth")
-    return len(set(labels))
 
 
 # --- Adjacency ------------------------------------------------------------
@@ -639,7 +626,7 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     """
     tol = group.tol
     c0 = system.cell_center
-    pts = cell_tiling(group, system, min(depth, 5))
+    pts = cell_tiling(group, c0, min(depth, 5))
     ranked = []
     for p, _ in pts:
         d = distance(p, c0)
@@ -741,12 +728,6 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
                            counts[IsometryKind.ELLIPTIC],
                            counts[IsometryKind.HYPERBOLIC],
                            counts[IsometryKind.PARABOLIC])
-
-
-def crossing_count(group: TriangleGroup, system: CurveSystem,
-                   g: GroupElement) -> int:
-    """Crossing points per period of the axis of g with the curve lifts."""
-    return _axis_meetings(group, system, g.matrix)[1]
 
 
 def _axis_meetings(group: TriangleGroup, system: CurveSystem,

@@ -8,7 +8,7 @@ import pytest
 
 from orbiflow import cli, render, report
 from orbiflow import config as cfg
-from orbiflow.config import DEFAULT_SEARCH, DEFAULT_TOL
+from orbiflow.config import DEFAULT_DEPTH, DEFAULT_TOL
 
 GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case 344 --depth 6`, pinned like the report.
@@ -97,41 +97,21 @@ def test_loose_tolerance_gives_default_verdicts(tmp_path, eps):
     assert payload["global"] == default["global"]
 
 
-def test_env_and_flag_tolerance_agree(tmp_path, monkeypatch):
-    # ORBIFLOW_TOL and --tol go through the same override: equal
-    # tolerances, byte-identical reports.
-    parser = cli._build_parser()
-    monkeypatch.setenv(cfg.ENV_TOL, "1e-5")
-    _, env_tol = cli._resolve_config(parser.parse_args(["verify"]))
-    env_json = tmp_path / "env.json"
-    assert cli.main(["verify", "--case", "all", "--json", str(env_json)]) == 0
-    monkeypatch.delenv(cfg.ENV_TOL)
-    _, flag_tol = cli._resolve_config(
-        parser.parse_args(["verify", "--tol", "1e-5"]))
-    flag_json = tmp_path / "flag.json"
-    assert cli.main(["verify", "--case", "all", "--tol", "1e-5",
-                     "--json", str(flag_json)]) == 0
-    assert env_tol == flag_tol == cfg.override_tolerance(DEFAULT_TOL, 1e-5)
-    assert env_tol.eps_pt == 1e-5 and env_tol.eps_band == 1e-5
-    assert env_json.read_bytes() == flag_json.read_bytes()
+def test_flags_set_depth_and_tolerance():
+    def resolve(*flags):
+        return cli._resolve_config(cli._build_parser().parse_args(
+            ["verify", *flags]))
+    assert resolve() == (DEFAULT_DEPTH, DEFAULT_TOL)
+    assert resolve("--depth", "14", "--tol", "1e-6") == \
+        (14, cfg.Tolerances(1e-6, 1e-6))
+    # The band never drops below its default.
+    assert resolve("--tol", "1e-9") == (DEFAULT_DEPTH, DEFAULT_TOL)
 
 
-def test_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv(cfg.ENV_TOL, "1e-5")
-    monkeypatch.setenv(cfg.ENV_DEPTH, "10")
-    search, tol = cli._resolve_config(cli._build_parser().parse_args(
-        ["verify", "--tol", "1e-6", "--depth", "14"]))
-    assert search.adjacency_depth == 14
-    assert tol.eps_pt == 1e-6
-    assert tol.eps_band == 1e-5  # the band never drops below the env value
-
-
-@pytest.mark.parametrize("var,value", [("ORBIFLOW_TOL", "0.5"),
-                                       ("ORBIFLOW_TOL", "0"),
-                                       ("ORBIFLOW_DEPTH", "0")])
-def test_env_override_validated_like_flag(monkeypatch, capsys, var, value):
-    monkeypatch.setenv(var, value)
-    assert cli.main(["verify", "--case", "237"]) == 2
+@pytest.mark.parametrize("flag,value", [("--tol", "0.5"), ("--tol", "0"),
+                                        ("--depth", "0")])
+def test_flag_validated(capsys, flag, value):
+    assert cli.main(["verify", "--case", "237", flag, value]) == 2
     assert "must be" in capsys.readouterr().err
 
 
@@ -262,7 +242,7 @@ def test_geodesic_path_formats():
 
 
 def test_run_verification_report_shape():
-    rep = report.run_verification(237, DEFAULT_SEARCH, DEFAULT_TOL)
+    rep = report.run_verification(237, DEFAULT_DEPTH, DEFAULT_TOL)
     d = rep.as_dict()
     assert set(d) == {"schema_version", "pass", "config", "cases", "global"}
     assert all({"check_id", "expected", "actual", "pass"} == set(c)
@@ -272,7 +252,7 @@ def test_run_verification_report_shape():
 def test_timings_account_for_trace3():
     # The one trace-3 word search is timed under the global checks, and only
     # a report asked for with timings carries any.
-    rep = report.run_verification(237, DEFAULT_SEARCH, DEFAULT_TOL,
+    rep = report.run_verification(237, DEFAULT_DEPTH, DEFAULT_TOL,
                                   include_timings=True)
     assert "trace3" in rep.as_dict()["global"]["timings_s"]
     rep.include_timings = False

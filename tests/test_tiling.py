@@ -1,6 +1,5 @@
 """The tiling path against plain references: Klein chords, tile orbits,
 cell clipping, and the balls a run enumerates."""
-import dataclasses
 import math
 from typing import Optional
 
@@ -118,7 +117,6 @@ def test_cell_tiling_matches_apply_reference(case):
     # Orbit of each cone point in the radius-5 ball: same points bit for
     # bit, same witnesses, in the same order, as apply and to_disc give.
     group = build_group(*CASE_TRIPLES[case])
-    system = curve_system(case)
     for name in ("P", "Q", "R"):
         center = group.vertex(name)
         index = trigroup._GridIndex(1e-9)
@@ -127,7 +125,7 @@ def test_cell_tiling_matches_apply_reference(case):
             img = apply(el.matrix, center)
             if index.insert(to_disc(img)) is None:
                 expected.append((img, el))
-        got = cell_tiling(group, dataclasses.replace(system, cell_center=center), 5)
+        got = cell_tiling(group, center, 5)
         assert [(_bits((p.x, p.y)), el) for p, el in got] == \
             [(_bits((p.x, p.y)), el) for p, el in expected]
 

@@ -5,10 +5,10 @@ import pytest
 from orbiflow import hyp2, trigroup
 from orbiflow.hyp2 import IsometryKind, apply, distance, projective_dist
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, EnumerationError,
-                               GroupElement, adjacency_isometries, build_group,
-                               canonical_neighbors, cell_tiling,
-                               cell_wall_count, crossing_count, curve_lifts,
-                               curve_system, enumerate_elements, lifts_along)
+                               adjacency_isometries, build_group,
+                               canonical_neighbors, cell_polygon, cell_tiling,
+                               curve_lifts, curve_system, enumerate_elements,
+                               lifts_along)
 
 ADJACENCY_EXPECTED = {
     237: (7, 5, 2), 245: (5, 3, 2), 246: (4, 3, 1),
@@ -70,7 +70,7 @@ def test_ball_one_dedups_involution():
     ball = enumerate_elements(g, 1)
     # gP equals its inverse projectively, so the ball has 1 + 5 elements.
     assert len(ball) == 6
-    words = [el.word_str() for el in ball]
+    words = ["".join(el.word) or "1" for el in ball]
     assert words[0] == "1" and "P" in words and "p" not in words
 
 
@@ -224,26 +224,33 @@ def test_base_segments_inside_triangle(case_data):
         assert inside(seg[0]) and inside(seg[1])
 
 
+def wall_count(center, lifts):
+    """Distinct walls of the tile around `center`, which the lifts close."""
+    _, labels = cell_polygon(center, lifts)
+    assert None not in labels
+    return len(set(labels))
+
+
 def test_cell_walls(case_data):
     case, group, system, _ = case_data
     lifts = curve_lifts(case, 6)
-    assert cell_wall_count(system.cell_center, lifts) == WALLS_EXPECTED[case]
+    assert wall_count(system.cell_center, lifts) == WALLS_EXPECTED[case]
 
 
 def test_other_cell_families():
     lifts = curve_lifts(334, 6)
     g = build_group(3, 3, 4)
-    assert cell_wall_count(g.P, lifts) == 3
-    assert cell_wall_count(g.Q, lifts) == 3
+    assert wall_count(g.P, lifts) == 3
+    assert wall_count(g.Q, lifts) == 3
     lifts = curve_lifts(344, 6)
     g = build_group(3, 4, 4)
-    assert cell_wall_count(g.Q, lifts) == 4
-    assert cell_wall_count(g.R, lifts) == 4
+    assert wall_count(g.Q, lifts) == 4
+    assert wall_count(g.R, lifts) == 4
 
 
 def test_tiling_contains_base_once(case_data):
     case, group, system, _ = case_data
-    tiles = cell_tiling(group, system, 4)
+    tiles = cell_tiling(group, system.cell_center, 4)
     hits = [el for pt, el in tiles if distance(pt, system.cell_center) < 1e-9]
     assert len(hits) == 1
     assert hits[0].word == ()
@@ -256,7 +263,7 @@ def test_tiling_centers_have_full_stabilizer(case_data):
     case, group, system, _ = case_data
     ball = enumerate_elements(group, 8)
     k = system.stabilizer_order
-    for pt, _ in cell_tiling(group, system, 2)[:6]:
+    for pt, _ in cell_tiling(group, system.cell_center, 2)[:6]:
         fixing = sum(1 for el in ball
                      if distance(apply(el.matrix, pt), pt) < 1e-8)
         assert fixing == k
@@ -301,6 +308,11 @@ def test_adjacency_small_depth_fails():
 CROSSING_EXPECTED = {246: 1, 344: 1, 334: 2, 237: 2, 245: 1}
 
 
+def crossings(group, system, m):
+    """Crossings per period of the axis of m with the curve lifts."""
+    return trigroup._axis_meetings(group, system, m)[1]
+
+
 def test_crossing_counts(case_data):
     case, group, system, report = case_data
     for entry in report.entries:
@@ -312,29 +324,25 @@ def test_crossing_period_doubling(case_data):
     case, group, system, report = case_data
     entry = next(e for e in report.entries
                  if e.classification.kind is IsometryKind.HYPERBOLIC)
-    g = entry.element
-    g2 = GroupElement(g.word + g.word, g.matrix.compose(g.matrix))
-    assert crossing_count(group, system, g2) == 2 * entry.crossing
+    g = entry.element.matrix
+    assert crossings(group, system, g.compose(g)) == 2 * entry.crossing
 
 
 def test_crossing_conjugacy_invariance(case_data):
     case, group, system, report = case_data
     entry = next(e for e in report.entries
                  if e.classification.kind is IsometryKind.HYPERBOLIC)
-    g = entry.element
+    g = entry.element.matrix
     for w in enumerate_elements(group, 2)[1:5]:
-        conj = GroupElement(
-            w.word + g.word,
-            w.matrix.compose(g.matrix).compose(w.matrix.inverse()))
-        assert crossing_count(group, system, conj) == entry.crossing
+        conj = w.matrix.compose(g).compose(w.matrix.inverse())
+        assert crossings(group, system, conj) == entry.crossing
 
 
 def test_crossing_rejects_elliptic():
     group = build_group(2, 3, 7)
     system = curve_system(237)
-    el = GroupElement(("P",), group.gP)
     with pytest.raises(hyp2.GeometryError):
-        crossing_count(group, system, el)
+        crossings(group, system, group.gP)
 
 
 @pytest.mark.parametrize("case", CASES)
