@@ -1,6 +1,7 @@
 """Command-line front end: verify, tiling, catmap.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
+or a typed numerics failure (enumeration, tangency, geometry).
 The flags are the only configuration: ``verify --depth`` and ``--tol`` override
 the defaults in ``config``, and nothing is read from the environment.
 
@@ -17,7 +18,8 @@ import sys
 
 from . import config as cfg
 from . import trigroup
-from .trigroup import EnumerationError
+from .hyp2 import GeometryError
+from .trigroup import EnumerationError, TangencyError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +102,10 @@ def cmd_verify(args) -> int:
     except EnumerationError as err:
         print(f"error: enumeration (trigroup): {err}", file=sys.stderr)
         return 2
+    except (TangencyError, GeometryError) as err:
+        kind = "tangency" if isinstance(err, TangencyError) else "geometry"
+        print(f"error: {kind} (trigroup): {err}", file=sys.stderr)
+        return 2
     _print_text_report(rep)
     if args.json_path:
         payload = json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -128,6 +134,9 @@ def cmd_tiling(args) -> int:
         svg = render.tiling_svg(case, args.depth)
     except (EnumerationError, ValueError) as err:
         print(f"error: rendering: {err}", file=sys.stderr)
+        return 2
+    except TangencyError as err:
+        print(f"error: tangency (trigroup): {err}", file=sys.stderr)
         return 2
     try:
         with open(args.out, "w") as fh:

@@ -120,7 +120,7 @@ def run_case(case: int, depth: int, tol: Tolerances,
               int(turning) if applicable else None)
     rep.check("blow_down_genus", exp["genus"], sections.blow_down_genus(S))
     rep.check("separatrix_counts", exp["separatrices"], sections.separatrix_count(S))
-    summary = sections.first_return_summary(case, adjacency)
+    summary = sections.first_return_summary(adjacency)
     rep.check("interior_fixed_points", exp["interior_fixed"], summary.interior_fixed)
     rep.check("total_fixed_points", exp["total_fixed"], summary.total_fixed)
     rep.timings["sections"] = time.monotonic() - t0

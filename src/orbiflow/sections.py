@@ -30,7 +30,6 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryLabel:
-    orbit: str
     longitudinal: Fraction
     meridional: Fraction
     turning: Fraction  # meridional turn at the desingularization point, or 0
@@ -45,26 +44,22 @@ class SectionComplex:
 
 @dataclass(frozen=True)
 class BoundaryComponent:
-    orbit: str
     edges: tuple[str, ...]
     a: int                      # longitudinal winding (meridian intersections)
     b: int                      # meridional winding (stable-trace intersections)
     primitive: tuple[int, int]  # (a, b) divided by gcd
-    turning: Fraction
 
 
 @dataclass(frozen=True)
 class FirstReturnSummary:
     case: int
-    boundary_orbit_count: int   # components lying on the single boundary orbit
-    boundary_is_fixed: bool     # True iff that count is 1
     interior_fixed: int
     total_fixed: int
 
 
-def _label(orbit: str, longitudinal, meridional, turning=0) -> BoundaryLabel:
-    return BoundaryLabel(orbit, Fraction(longitudinal), Fraction(meridional),
-                         Fraction(turning))
+def _label(longitudinal, meridional) -> BoundaryLabel:
+    return BoundaryLabel(Fraction(longitudinal), Fraction(meridional),
+                         Fraction(0))
 
 
 def _build_sections() -> dict[int, SectionComplex]:
@@ -75,7 +70,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     poly237 = (("bot", 1), ("x", 1), ("y", 1), ("top", 1), ("x", -1), ("y", -1))
     out[237] = SectionComplex(
         237, (poly237,),
-        (("bot", _label("h", Half, Half)), ("top", _label("h", Half, Half))))
+        (("bot", _label(Half, Half)), ("top", _label(Half, Half))))
 
     # 245: full-fiber rectangle over the doubled edge b; four ribbon pieces
     # over the order-4 fiber, each top glued to the next piece's bottom.
@@ -83,7 +78,7 @@ def _build_sections() -> dict[int, SectionComplex]:
                ("top", 1), ("e3", -1), ("e2", -1), ("e1", -1), ("e4", -1))
     out[245] = SectionComplex(
         245, (poly245,),
-        (("bot", _label("b", 1, Half)), ("top", _label("b", 1, Half))))
+        (("bot", _label(1, Half)), ("top", _label(1, Half))))
 
     # 246: full-fiber rectangle over the doubled edge c; six pieces over the
     # order-6 fiber, tops to adjacent bottoms and middles to opposite middles,
@@ -92,7 +87,7 @@ def _build_sections() -> dict[int, SectionComplex]:
                ("top", 1), ("e1", -1), ("e2", -1), ("e3", -1))
     out[246] = SectionComplex(
         246, (poly246,),
-        (("bot", _label("c", 1, 1)), ("top", _label("c", 1, 1))))
+        (("bot", _label(1, 1)), ("top", _label(1, 1))))
 
     # 334: two hexagons with alternating sides cross-identified; boundary
     # edges alternate between the two polygons along a single component.
@@ -101,7 +96,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     labels334 = []
     for i, e in enumerate(("u0", "u1", "u2", "v0", "v1", "v2")):
         turn = -Half if i < 4 else Half
-        labels334.append((e, BoundaryLabel("gamma8", Half, -turn, turn)))
+        labels334.append((e, BoundaryLabel(Half, -turn, turn)))
     out[334] = SectionComplex(334, (hex1, hex2), tuple(labels334))
 
     # 344: two octagons with alternating sides cross-identified; two boundary
@@ -115,7 +110,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     for comp in comps:
         for j, edge in enumerate(comp):
             turn = -Half if j < 3 else Half
-            labels344[edge] = BoundaryLabel("gamma8", Half, -turn, turn)
+            labels344[edge] = BoundaryLabel(Half, -turn, turn)
     out[344] = SectionComplex(344, (oct1, oct2),
                               tuple(sorted(labels344.items())))
     return out
@@ -220,10 +215,8 @@ def boundary_components(S: SectionComplex) -> list[BoundaryComponent]:
     labels = dict(S.boundary)
     comps = []
     for cyc in _boundary_edge_cycles(S.polygons):
-        orbit = labels[cyc[0]].orbit
         a = sum(labels[e].longitudinal for e in cyc)
         b = sum(labels[e].meridional for e in cyc)
-        turning = sum((labels[e].turning for e in cyc), Fraction(0))
         if a.denominator != 1 or b.denominator != 1:
             raise ComplexError(f"non-integer boundary direction ({a}, {b})")
         a, b = int(a), int(b)
@@ -231,8 +224,7 @@ def boundary_components(S: SectionComplex) -> list[BoundaryComponent]:
             raise ComplexError(f"boundary direction has b = {b} <= 0")
         from math import gcd
         m = gcd(abs(a), b) or 1
-        comps.append(BoundaryComponent(orbit, tuple(cyc), a, b,
-                                       (a // m, b // m), turning))
+        comps.append(BoundaryComponent(tuple(cyc), a, b, (a // m, b // m)))
     comps.sort(key=lambda c: c.edges)
     return comps
 
@@ -264,7 +256,7 @@ def separatrix_count(S: SectionComplex) -> list[int]:
     return [2 * c.b for c in boundary_components(S)]
 
 
-def first_return_summary(case: int, adjacency: AdjacencyReport) -> FirstReturnSummary:
+def first_return_summary(adjacency: AdjacencyReport) -> FirstReturnSummary:
     """Fixed-point count of the blown-down first-return map.
 
     Interior fixed points are the hyperbolic tile-adjacency isometries whose
@@ -272,12 +264,9 @@ def first_return_summary(case: int, adjacency: AdjacencyReport) -> FirstReturnSu
     the curve lifts exactly once per period; the boundary orbit contributes a
     fixed point exactly when it carries a single boundary component.
     """
-    if adjacency.case != case:
-        raise ValueError(f"adjacency report is for case {adjacency.case}")
     if adjacency.parabolic:
         raise ComplexError("parabolic adjacency element in a cocompact group")
-    S = section(case)
-    c = len(boundary_components(S))
+    c = len(boundary_components(section(adjacency.case)))
     interior = 0
     for entry in adjacency.entries:
         if entry.classification.kind is IsometryKind.HYPERBOLIC:
@@ -285,9 +274,8 @@ def first_return_summary(case: int, adjacency: AdjacencyReport) -> FirstReturnSu
                 raise ComplexError("hyperbolic entry missing axis data")
             if not entry.on_boundary_curve and entry.crossing == 1:
                 interior += 1
-    boundary_fixed = (c == 1)
-    total = interior + (1 if boundary_fixed else 0)
-    return FirstReturnSummary(case, c, boundary_fixed, interior, total)
+    return FirstReturnSummary(adjacency.case, interior,
+                              interior + (1 if c == 1 else 0))
 
 
 _SECTIONS = _build_sections()

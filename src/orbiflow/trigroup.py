@@ -26,8 +26,10 @@ candidate, and each hyperbolic axis over one period, is tested against the
 lifts of the tiles in a tube about its own path (``lifts_along``); only a
 drawing builds the lifts of a ball (``curve_lifts``).  A lift keeps its
 boundary angles and Klein chord (``Geodesic.angles``, ``.klein_ends``),
-computed on first use: a path test skips a lift whose endpoints do not
-interleave with the path's before ``geodesic_intersection``, and a drawing
+computed on first use.  Both path tests, the neighbour segment and the axis
+period, meet the lifts through one primitive, ``_meetings``: it skips a lift
+whose endpoints do not interleave with the path geodesic's before
+``geodesic_intersection``, and rejects a near-tangential crossing.  A drawing
 clips every tile against the chords (``cell_polygon``).  The per-element
 loops (ball products, half-ball images, pair products, tile orbits, tube
 tiles) run on entry tuples with ``hyp2``'s kernels and build an
@@ -284,7 +286,6 @@ class CurveSystem:
 
     case: int
     base_geodesics: tuple[Geodesic, ...]
-    base_segments: tuple[tuple[HPoint, HPoint], ...]
     cell_center: HPoint
     stabilizer_order: int
 
@@ -298,38 +299,6 @@ def midpoint(a: HPoint, b: HPoint, tol: Tolerances = DEFAULT_TOL) -> HPoint:
     geo = geodesic_through(a, b, tol)
     ta, tb = axis_parameter(geo, a), axis_parameter(geo, b)
     return foot_on_axis(geo, ta + 0.5 * (tb - ta))
-
-
-def _clip_to_triangle(geo: Geodesic, group: TriangleGroup) -> tuple[HPoint, HPoint]:
-    """Chord of the geodesic inside the closed triangle PQR (Klein model)."""
-    tol = group.tol
-    corners = [to_klein(group.P), to_klein(group.Q), to_klein(group.R)]
-    a, b = geo.klein_ends
-    dx, dy = b[0] - a[0], b[1] - a[1]
-
-    def side(pt):
-        return dx * (pt[1] - a[1]) - dy * (pt[0] - a[0])
-
-    ts = []
-    for i, j in itertools.combinations(range(3), 2):
-        p1, p2 = corners[i], corners[j]
-        s1, s2 = side(p1), side(p2)
-        if (s1 > 0) == (s2 > 0):
-            continue
-        u = s1 / (s1 - s2)
-        x = (p1[0] + u * (p2[0] - p1[0]), p1[1] + u * (p2[1] - p1[1]))
-        t = ((x[0] - a[0]) * dx + (x[1] - a[1]) * dy)
-        ts.append((t, x))
-    # Interior points of the triangle on the line (vertices count too).
-    for c in corners:
-        if abs(side(c)) < 1e-12:
-            t = ((c[0] - a[0]) * dx + (c[1] - a[1]) * dy)
-            ts.append((t, c))
-    if len(ts) < 2:
-        raise GeometryError("geodesic does not cross the base triangle")
-    ts.sort(key=lambda it: it[0])
-    lo, hi = ts[0][1], ts[-1][1]
-    return (hyp2.klein_to_hpoint(*lo), hyp2.klein_to_hpoint(*hi))
 
 
 @functools.lru_cache(maxsize=16)
@@ -351,13 +320,11 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
         qr = geodesic_through(Q, R, tol)
         foot = foot_of_perpendicular(qr, P)
         geo = geodesic_through(P, foot, tol)
-        return CurveSystem(case, (geo,), ((P, foot),), R, group.r)
+        return CurveSystem(case, (geo,), R, group.r)
     if case == 245:
-        geo = geodesic_through(P, Q, tol)
-        return CurveSystem(case, (geo,), ((P, Q),), R, group.r)
+        return CurveSystem(case, (geodesic_through(P, Q, tol),), R, group.r)
     if case == 246:
-        geo = geodesic_through(P, R, tol)
-        return CurveSystem(case, (geo,), ((P, R),), Q, group.q)
+        return CurveSystem(case, (geodesic_through(P, R, tol),), Q, group.q)
     if case in (334, 344):
         if case == 334:
             g8 = group.gP.compose(group.gQ.inverse(tol), tol)
@@ -373,8 +340,7 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
             raise GeometryError(f"figure-eight axis misses its crossing point "
                                 f"by {gap:.2e} in case {case}")
         second = _second_branch(group, axis, crossing_pt)
-        segs = (_clip_to_triangle(axis, group), _clip_to_triangle(second, group))
-        return CurveSystem(case, (axis, second), segs, center, order)
+        return CurveSystem(case, (axis, second), center, order)
     raise ValueError(f"unknown case {case}")
 
 
@@ -583,26 +549,28 @@ class AdjacencyReport:
         return len(self.entries)
 
 
-def _segment_crossing_clusters(seg_from: HPoint, seg_to: HPoint,
-                               lifts: Sequence[Geodesic],
-                               tol: Tolerances) -> int:
-    """Distinct points where the open segment crosses the lift union."""
-    geo = geodesic_through(seg_from, seg_to, tol)
-    t0 = axis_parameter(geo, seg_from)
-    t1 = axis_parameter(geo, seg_to)
-    lo, hi = min(t0, t1), max(t0, t1)
-    params: list[float] = []
+def _meetings(geo: Geodesic, lifts: Iterable[Geodesic],
+              tol: Tolerances) -> tuple[bool, list[float]]:
+    """Whether geo is one of the lifts (within 1e-7), and the axis parameter
+    on geo of each point where another lift crosses it; a crossing at an
+    angle below 1e-6 raises TangencyError."""
     pair = geo.angles
+    on_lift = False
+    params: list[float] = []
     for lift in lifts:
+        if same_geodesic_angles(pair, lift.angles, 1e-7):
+            on_lift = True
+            continue
         if not angles_interleave(lift.angles, pair):
             continue
         z = geodesic_intersection(lift, geo, tol)
         if z is None:
             continue
-        t = axis_parameter(geo, z)
-        if lo + 1e-9 < t < hi - 1e-9:
-            params.append(t)
-    return _clusters(params)
+        ang = crossing_angle(lift, geo, z)
+        if ang < 1e-6:
+            raise TangencyError(f"a curve lift meets the path at angle {ang:.2e}")
+        params.append(axis_parameter(geo, z))
+    return on_lift, params
 
 
 def _clusters(ts: list[float], period: float = math.inf) -> int:
@@ -637,8 +605,11 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     ranked.sort(key=lambda it: it[:3])
     chosen: list[HPoint] = []
     for _, _, _, p in ranked:
-        if _segment_crossing_clusters(c0, p, lifts_along(group, system, (c0, p)),
-                                      tol) == 1:
+        # The segment meets the lifts at the crossings strictly inside it.
+        geo = geodesic_through(c0, p, tol)
+        lo, hi = sorted((axis_parameter(geo, c0), axis_parameter(geo, p)))
+        ts = _meetings(geo, lifts_along(group, system, (c0, p)), tol)[1]
+        if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1:
             chosen.append(p)
             if len(chosen) >= count:
                 break
@@ -739,24 +710,9 @@ def _axis_meetings(group: TriangleGroup, system: CurveSystem,
     axis = axis_of(m, tol)  # a GeometryError unless m is hyperbolic
     period = classify(m, tol).translation_length
     x0 = foot_of_perpendicular(axis, system.cell_center)
-    axis_pair = axis.angles
-    on_lift = False
-    reduced: list[float] = []
-    for lift in lifts_along(group, system, (system.cell_center, x0, apply(m, x0))):
-        pair = lift.angles
-        if same_geodesic_angles(axis_pair, pair, 1e-7):
-            on_lift = True
-            continue
-        if not angles_interleave(pair, axis_pair):
-            continue
-        z = geodesic_intersection(lift, axis, tol)
-        if z is None:
-            continue
-        ang = crossing_angle(lift, axis, z)
-        if ang < 1e-6:
-            raise TangencyError(f"axis meets a curve lift at angle {ang:.2e}")
-        reduced.append(axis_parameter(axis, z) % period)
-    if not reduced:
+    path = (system.cell_center, x0, apply(m, x0))
+    on_lift, ts = _meetings(axis, lifts_along(group, system, path), tol)
+    if not ts:
         raise EnumerationError("no curve crossings found along one period "
                                "of the axis")
-    return on_lift, _clusters(reduced, period)
+    return on_lift, _clusters([t % period for t in ts], period)

@@ -116,13 +116,14 @@ def test_criterion_5_fixed_point_certification(adjacency_reports):
     totals = {}
     splits_ok = True
     for c in CASES:
-        s = sections.first_return_summary(c, reports[c])
+        s = sections.first_return_summary(reports[c])
         totals[c] = s.total_fixed
+        boundary_fixed = s.total_fixed - s.interior_fixed == 1
+        n_boundary = len(sections.boundary_components(sections.section(c)))
         if c in (237, 245, 334):
-            splits_ok &= s.boundary_is_fixed and s.interior_fixed == 0
+            splits_ok &= boundary_fixed and s.interior_fixed == 0
         else:
-            splits_ok &= (not s.boundary_is_fixed
-                          and s.boundary_orbit_count == 2
+            splits_ok &= (not boundary_fixed and n_boundary == 2
                           and s.interior_fixed == 1)
     t0 = time.monotonic()
     unique = torusmap.trace3_uniqueness(8)

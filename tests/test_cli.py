@@ -257,3 +257,34 @@ def test_timings_account_for_trace3():
     assert "trace3" in rep.as_dict()["global"]["timings_s"]
     rep.include_timings = False
     assert "timings_s" not in rep.as_dict()["global"]
+
+
+# Typed numerics failures, planted in a fresh interpreter before `cli.main`.
+NUMERICS_FAULTS = {
+    "tangency": ("trigroup.crossing_angle = lambda *args: 1e-9", "1.00e-09"),
+    "geometry": ("def fail(*args):\n"
+                 "    raise hyp2.GeometryError('planted curve failure')\n"
+                 "trigroup.curve_system = fail", "planted curve failure"),
+}
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("tangency", ["verify", "--case", "237"]),
+    ("tangency", ["tiling", "--case", "237", "--depth", "3",
+                  "--out", "{tmp}/t.svg"]),
+    ("geometry", ["verify", "--case", "237"]),
+])
+def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
+    # Exit 1 means a verification check failed; a numerics failure is exit 2
+    # with one line naming its kind and message, and no traceback.
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    patch, message = NUMERICS_FAULTS[kind]
+    code = (f"import sys\nfrom orbiflow import cli, hyp2, trigroup\n{patch}\n"
+            f"sys.exit(cli.main({argv!r}))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, env={"PYTHONPATH": src})
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert line.startswith(f"error: {kind}") and message in line

@@ -86,9 +86,9 @@ def test_unknown_case_rejected():
 
 def test_disc_has_chi_one():
     disc = SectionComplex(0, ((("a", 1), ("b", 1), ("c", 1)),),
-                          (("a", BoundaryLabel("o", Fraction(1), Fraction(1), Fraction(0))),
-                           ("b", BoundaryLabel("o", Fraction(0), Fraction(0), Fraction(0))),
-                           ("c", BoundaryLabel("o", Fraction(0), Fraction(0), Fraction(0)))))
+                          (("a", BoundaryLabel(Fraction(1), Fraction(1), Fraction(0))),
+                           ("b", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0))),
+                           ("c", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0)))))
     assert euler_characteristic(disc) == 1
     assert len(boundary_components(disc)) == 1
 
@@ -104,8 +104,7 @@ def test_square_torus_genus_one():
 def test_separatrix_formula_on_custom_direction():
     # A single-boundary complex with direction (1, 3) must report 6.
     S = SectionComplex(0, ((("bd", 1), ("x", 1), ("x", -1)),),
-                       (("bd", BoundaryLabel("o", Fraction(1), Fraction(3),
-                                             Fraction(0))),))
+                       (("bd", BoundaryLabel(Fraction(1), Fraction(3), Fraction(0))),))
     assert separatrix_count(S) == [6]
 
 
@@ -118,8 +117,7 @@ def test_nonorientable_gluing_rejected():
 
 def test_nonpositive_b_rejected():
     S = SectionComplex(0, ((("bd", 1), ("x", 1), ("x", -1)),),
-                       (("bd", BoundaryLabel("o", Fraction(1), Fraction(-1),
-                                             Fraction(0))),))
+                       (("bd", BoundaryLabel(Fraction(1), Fraction(-1), Fraction(0))),))
     with pytest.raises(ComplexError):
         boundary_components(S)
 
@@ -137,17 +135,13 @@ FIXED_EXPECTED = {237: (1, True, 0), 245: (1, True, 0), 246: (2, False, 1),
 
 
 def test_first_return_summary(adjacency_for):
+    # The boundary orbit adds a fixed point exactly when it carries a single
+    # boundary component.
     case, report = adjacency_for
-    summary = first_return_summary(case, report)
+    summary = first_return_summary(report)
     c, boundary_fixed, interior = FIXED_EXPECTED[case]
-    assert summary.boundary_orbit_count == c
-    assert summary.boundary_is_fixed is boundary_fixed
+    assert summary.case == case
+    assert len(boundary_components(section(case))) == c
     assert summary.interior_fixed == interior
+    assert summary.total_fixed - summary.interior_fixed == int(boundary_fixed)
     assert summary.total_fixed == 1
-
-
-def test_first_return_summary_case_mismatch(adjacency_for):
-    case, report = adjacency_for
-    other = 237 if case != 237 else 245
-    with pytest.raises(ValueError):
-        first_return_summary(other, report)

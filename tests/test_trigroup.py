@@ -185,7 +185,11 @@ def test_stored_lift_angles_match(case_data):
     case, group, system, report = case_data
     c0, c1 = system.cell_center, report.neighbor_center
     lifts = lifts_along(group, system, (c0, c1))
-    assert trigroup._segment_crossing_clusters(c0, c1, lifts, group.tol) == 1
+    geo = hyp2.geodesic_through(c0, c1)
+    lo, hi = sorted((hyp2.axis_parameter(geo, c0), hyp2.axis_parameter(geo, c1)))
+    on_lift, ts = trigroup._meetings(geo, lifts, group.tol)
+    assert not on_lift
+    assert trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1
     for lift in lifts:
         stored = vars(lift)["angles"]
         fresh = hyp2.geodesic_angles(hyp2.Geodesic(lift.u, lift.v))
@@ -203,25 +207,68 @@ def test_figure_eight_axis_through_midpoints():
             assert distance(mid, foot) < 1e-8
 
 
+def _chord_meets_triangle(geo, corners):
+    """Whether the Klein chord of geo meets the closed triangle with the given
+    Klein corners: the corners are not all strictly on one side of its line
+    (the chord is the line's whole part inside the disc)."""
+    a, b = geo.klein_ends
+    sides = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+             for c in corners]
+    return min(sides) <= 1e-12 and max(sides) >= -1e-12
+
+
 def test_base_segments_inside_triangle(case_data):
+    # Each base geodesic has a segment inside the closed base triangle PQR,
+    # so its orbit lifts the curve drawn there; a lift far from the
+    # triangle has none.
     case, group, system, _ = case_data
-    corners = [hyp2.to_klein(group.P), hyp2.to_klein(group.Q),
-               hyp2.to_klein(group.R)]
+    corners = [hyp2.to_klein(v) for v in (group.P, group.Q, group.R)]
+    for geo in system.base_geodesics:
+        assert _chord_meets_triangle(geo, corners)
+    far = max(curve_lifts(case, 4),
+              key=lambda g: distance(system.cell_center,
+                                     trigroup.foot_of_perpendicular(
+                                         g, system.cell_center)))
+    assert not _chord_meets_triangle(far, corners)
 
-    def inside(pt, slack=1e-7):
-        k = hyp2.to_klein(pt)
-        for i in range(3):
-            a, b = corners[i], corners[(i + 1) % 3]
-            c = corners[(i + 2) % 3]
-            nx, ny = b[1] - a[1], a[0] - b[0]
-            side_c = nx * (c[0] - a[0]) + ny * (c[1] - a[1])
-            side_k = nx * (k[0] - a[0]) + ny * (k[1] - a[1])
-            if side_c * side_k < -slack:
-                return False
-        return True
 
-    for seg in system.base_segments:
-        assert inside(seg[0]) and inside(seg[1])
+def _ideal_point(theta):
+    """The ideal point of the upper half-plane at disc boundary angle theta."""
+    return -math.cos(theta / 2) / math.sin(theta / 2)
+
+
+def _plant_near_tangent(monkeypatch):
+    """Make every tube also hold a lift crossing the geodesic through the
+    last two points of its path at an angle below 1e-6: its ends are those
+    of that geodesic turned by 1e-5 and 1e-9 radians on the boundary."""
+    real = trigroup.lifts_along
+
+    def planted(group, system, path):
+        geo = hyp2.geodesic_through(path[-2], path[-1])
+        a, b = geo.angles
+        lift = hyp2.Geodesic(_ideal_point(a + 1e-5), _ideal_point(b + 1e-9))
+        z = hyp2.geodesic_intersection(lift, geo)
+        assert not hyp2.same_geodesic_angles(lift.angles, geo.angles, 1e-7)
+        assert z is not None and 0 < hyp2.crossing_angle(lift, geo, z) < 1e-6
+        return real(group, system, path) + (lift,)
+
+    monkeypatch.setattr(trigroup, "lifts_along", planted)
+
+
+def test_neighbour_test_rejects_a_near_tangent_lift(case_data, monkeypatch):
+    _, group, system, _ = case_data
+    _plant_near_tangent(monkeypatch)
+    with pytest.raises(trigroup.TangencyError):
+        canonical_neighbors(group, system, 12, count=1)
+
+
+def test_axis_test_rejects_a_near_tangent_lift(case_data, monkeypatch):
+    _, group, system, report = case_data
+    entry = next(e for e in report.entries
+                 if e.classification.kind is IsometryKind.HYPERBOLIC)
+    _plant_near_tangent(monkeypatch)
+    with pytest.raises(trigroup.TangencyError):
+        trigroup._axis_meetings(group, system, entry.element.matrix)
 
 
 def wall_count(center, lifts):
