@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the machine-readable report to PATH")
     v.add_argument("--depth", type=int, default=cfg.DEFAULT_DEPTH,
-                   help="adjacency word-length budget")
+                   help="bounds the neighbour-tile search ball, of radius "
+                        "min(DEPTH, 5)")
     v.add_argument("--tol", type=float, help="override geometric tolerances")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the JSON report "

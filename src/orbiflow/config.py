@@ -23,11 +23,12 @@ class Tolerances:
         positive; ``axis_of``: a vertical axis (|c| below it);
       * ``hyp2.is_identity``: at 100x;
       * ``trigroup.canonical_neighbors``: the base tile itself, skipped;
-        ``adjacency_isometries``: a tile image on its target, at 10x.
+        ``adjacency_isometries``: a coset element off the neighbour centre,
+        at 10x.
     ``eps_band`` is the band around degenerate values, read by:
       * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
       * ``trigroup.enumerate_elements``, once per group for its largest
-        ball (smaller radii are prefixes of it), and the pair products of
+        ball (smaller radii are prefixes of it), and the repeat check of
         ``adjacency_isometries``: the matrix dedup radius, with a guard band
         at 10x.
     """
@@ -37,7 +38,7 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-DEFAULT_DEPTH = 12  # total word length budget for the adjacency search
+DEFAULT_DEPTH = 12
 
 
 def override_tolerance(eps: float) -> Tolerances:

@@ -83,11 +83,11 @@ def tiling_svg(case: int, depth: int) -> str:
     tol = DEFAULT_TOL
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
     system = trigroup.curve_system(case, tol)
-    # The adjacency search asks for the largest ball, so the drawing's own
-    # is a slice of it; the drawing's lift set is the only one a run builds.
-    adjacency = trigroup.adjacency_isometries(group, system,
-                                              depth=max(2 * depth, 8))
+    # The drawing's ball first: the neighbour search's, of radius
+    # min(depth, 5), is a slice of it.  Its lift set is the only one a run
+    # builds.
     lifts = trigroup.curve_lifts(case, depth, tol)
+    adjacency = trigroup.adjacency_isometries(group, system, depth)
 
     parts: list[str] = []
     parts.append(

@@ -52,7 +52,6 @@ class BoundaryComponent:
 
 @dataclass(frozen=True)
 class FirstReturnSummary:
-    case: int
     interior_fixed: int
     total_fixed: int
 
@@ -274,8 +273,7 @@ def first_return_summary(adjacency: AdjacencyReport) -> FirstReturnSummary:
                 raise ComplexError("hyperbolic entry missing axis data")
             if not entry.on_boundary_curve and entry.crossing == 1:
                 interior += 1
-    return FirstReturnSummary(adjacency.case, interior,
-                              interior + (1 if c == 1 else 0))
+    return FirstReturnSummary(interior, interior + (1 if c == 1 else 0))
 
 
 _SECTIONS = _build_sections()

@@ -5,18 +5,19 @@ The groups are generated by counterclockwise rotations by 2*pi/p, 2*pi/q,
 balls are enumerated breadth-first with projective matrix dedup; the five
 section curves are realized by explicit base geodesics whose group orbit
 tiles the plane, and fixed-point bookkeeping reduces to counting the
-isometries carrying the distinguished tile to a chosen adjacent tile.
+isometries carrying the distinguished tile to a chosen adjacent tile: the
+coset of a witness by the rotations about the tile's centre vertex.
 
 Every dedup goes through one uniform-grid index, ``_GridIndex``: word balls
-(matrix entries, ``projective_dist`` within ``eps_band`` = 1e-7, guard band
-to 10x), curve lifts and tile centres (1e-9), and the half-ball matching of
-``adjacency_isometries`` (every match within 1e-7).  Its cells are 1e-3
-wide, a thousand times the largest probe radius, so a lookup reads a
-neighbouring cell only on an axis where the query lies within the probe
-radius of a wall: one cell nearly always, not 3^4 (the fixed-radius grid of
-Bentley, Stanat and Williams, IPL 6(6), 1977).  Margins on the balls of
-depth <= 8: distinct elements are >= 0.40 apart and equal ones land within
-6e-14, so the 1e-7 radius and the 1e-6 guard band sit far from both.
+and adjacency cosets (matrix entries, ``projective_dist`` within
+``eps_band`` = 1e-7, guard band to 10x), curve lifts and tile centres
+(1e-9).  Its cells are 1e-3 wide, a thousand times the largest probe
+radius, so a lookup reads a neighbouring cell only on an axis where the
+query lies within the probe radius of a wall: one cell nearly always, not
+3^4 (the fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6),
+1977).  Margins on the balls of depth <= 8: distinct elements are >= 0.40
+apart and equal ones land within 6e-14, so the 1e-7 radius and the 1e-6
+guard band sit far from both.
 
 Each piece of work is done once per run.  A group's word ball is enumerated
 once, at the largest radius asked of it so far; the ball is built
@@ -31,11 +32,10 @@ period, meet the lifts through one primitive, ``_meetings``: it skips a lift
 whose endpoints do not interleave with the path geodesic's before
 ``geodesic_intersection``, and rejects a near-tangential crossing.  A drawing
 clips every tile against the chords (``cell_polygon``).  The per-element
-loops (ball products, half-ball images, pair products, tile orbits, tube
-tiles) run on entry tuples with ``hyp2``'s kernels and build an
-``Isometry`` or ``HPoint`` only for a new element.  The figure-eight's
-second branch is searched one radius at a time, so no ball larger than the
-one holding it is built for it.
+loops (ball products, tile orbits, tube tiles) run on entry tuples with
+``hyp2``'s kernels and build an ``Isometry`` or ``HPoint`` only for a new
+element.  The figure-eight's second branch is searched one radius at a
+time, so no ball larger than the one holding it is built for it.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    apply_geodesic, axis_of, axis_parameter, boundary_point,
                    cayley, classify, compose_entries, distance, foot_on_axis,
                    geodesic_intersection, geodesic_through, crossing_angle,
-                   inverse_entries, mobius, projective_dist, rotation_about,
+                   mobius, projective_dist, rotation_about,
                    same_geodesic_angles, to_disc, to_klein)
 
 CASES = (237, 245, 246, 334, 344)
@@ -67,7 +67,7 @@ _CELL = 1e-3  # dedup grid cell width, far above every dedup radius
 
 
 class EnumerationError(RuntimeError):
-    """Search-budget or tolerance failures during enumeration."""
+    """A group element that a search does not find or a check rejects."""
 
 
 class DedupAmbiguityError(EnumerationError):
@@ -143,15 +143,13 @@ class _GridIndex:
 
     ``insert`` returns the index of the nearest stored vector within
     ``radius``, or stores the vector and returns None; a nearest neighbour
-    in (radius, guard*radius) raises DedupAmbiguityError.  ``add`` stores
-    without dedup and ``near`` lists every stored vector within ``probe``.
+    in (radius, guard*radius) raises DedupAmbiguityError.
     """
 
     def __init__(self, radius: float, guard: float = 0.0, dist=_chebyshev):
         self.radius = radius
         self.guard = guard
-        self.probe = max(radius, guard * radius)
-        reach = self.probe * 1.000001
+        reach = max(radius, guard * radius) * 1.000001  # the probe, and margin
         self.cell = max(_CELL, reach)
         self.wall = reach / self.cell  # reach, in cell widths
         self.dist = dist
@@ -181,39 +179,22 @@ class _GridIndex:
             spans.append(range(k - (f < wall), k + 1 + (f > far)))
         return own, itertools.product(*spans)
 
-    def _hits(self, vec: Sequence[float], cells) -> list[tuple[float, int]]:
-        hits = []
-        buckets, vectors, dist, probe = self.buckets, self.vectors, self.dist, self.probe
-        for key in cells:
-            for idx in buckets.get(key, ()):
-                d = dist(vec, vectors[idx])
-                if d <= probe:
-                    hits.append((d, idx))
-        return hits
-
-    def _store(self, key: tuple[int, ...], vec: Sequence[float]) -> None:
-        self.buckets.setdefault(key, []).append(len(self.vectors))
-        self.vectors.append(vec)
-
-    def near(self, vec: Sequence[float]) -> list[tuple[float, int]]:
-        """(distance, index) of every stored vector within probe of vec."""
-        return self._hits(vec, self._locate(vec)[1])
-
-    def add(self, vec: Sequence[float]) -> None:
-        self._store(self._locate(vec)[0], vec)
-
     def insert(self, vec: Sequence[float]) -> Optional[int]:
         key, cells = self._locate(vec)
-        hits = self._hits(vec, cells)
-        if hits:
-            best_d, best = min(hits)
+        buckets, vectors, dist = self.buckets, self.vectors, self.dist
+        nearest = min(((dist(vec, vectors[idx]), idx)
+                       for cell in cells for idx in buckets.get(cell, ())),
+                      default=None)
+        if nearest is not None:
+            best_d, best = nearest
             if best_d <= self.radius:
                 return best
             if best_d < self.guard * self.radius:
                 raise DedupAmbiguityError(
                     f"candidates at ambiguous distance {best_d:.3e} "
                     f"(dedup radius {self.radius:.1e})")
-        self._store(key, vec)
+        buckets.setdefault(key, []).append(len(vectors))
+        vectors.append(vec)
         return None
 
 
@@ -282,10 +263,13 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
 @dataclass(frozen=True)
 class CurveSystem:
     """Base data of one section curve: defining geodesics inside the triangle
-    whose group orbit is the full lift set, plus the distinguished tile."""
+    whose group orbit is the full lift set, plus the distinguished tile.  Its
+    centre is the cone vertex named `center_vertex`, whose generator rotation
+    generates the tile's stabilizer, of order `stabilizer_order`."""
 
     case: int
     base_geodesics: tuple[Geodesic, ...]
+    center_vertex: str
     cell_center: HPoint
     stabilizer_order: int
 
@@ -315,33 +299,30 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
     """
     group = build_group(*CASE_TRIPLES[case], tol)
     P, Q, R = group.P, group.Q, group.R
-    # The distinguished tile's stabilizer: its centre vertex's rotations.
     if case == 237:
         qr = geodesic_through(Q, R, tol)
-        foot = foot_of_perpendicular(qr, P)
-        geo = geodesic_through(P, foot, tol)
-        return CurveSystem(case, (geo,), R, group.r)
-    if case == 245:
-        return CurveSystem(case, (geodesic_through(P, Q, tol),), R, group.r)
-    if case == 246:
-        return CurveSystem(case, (geodesic_through(P, R, tol),), Q, group.q)
-    if case in (334, 344):
+        bases, center = (geodesic_through(P, foot_of_perpendicular(qr, P), tol),), "R"
+    elif case == 245:
+        bases, center = (geodesic_through(P, Q, tol),), "R"
+    elif case == 246:
+        bases, center = (geodesic_through(P, R, tol),), "Q"
+    elif case in (334, 344):
         if case == 334:
             g8 = group.gP.compose(group.gQ.inverse(tol), tol)
-            crossing_pt = midpoint(P, Q, tol)
-            center, order = R, group.r
+            crossing_pt, center = midpoint(P, Q, tol), "R"
         else:
             g8 = group.gQ.compose(group.gR.inverse(tol), tol)
-            crossing_pt = midpoint(Q, R, tol)
-            center, order = P, group.p
+            crossing_pt, center = midpoint(Q, R, tol), "P"
         axis = axis_of(g8, tol)
         gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
         if gap > 1e-6:
             raise GeometryError(f"figure-eight axis misses its crossing point "
                                 f"by {gap:.2e} in case {case}")
-        second = _second_branch(group, axis, crossing_pt)
-        return CurveSystem(case, (axis, second), center, order)
-    raise ValueError(f"unknown case {case}")
+        bases = (axis, _second_branch(group, axis, crossing_pt))
+    else:
+        raise ValueError(f"unknown case {case}")
+    order = (group.p, group.q, group.r)["PQR".index(center)]
+    return CurveSystem(case, bases, center, group.vertex(center), order)
 
 
 def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic:
@@ -582,9 +563,11 @@ def _clusters(ts: list[float], period: float = math.inf) -> int:
     return runs
 
 
-def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
-                        depth: int, count: int = 2) -> list[HPoint]:
-    """Deterministic choices of adjacent same-type tile centers.
+def canonical_neighbors(group: TriangleGroup, system: CurveSystem, depth: int,
+                        count: int = 2) -> list[tuple[HPoint, GroupElement]]:
+    """Deterministic choices of adjacent same-type tile centers, each with
+    the element of the radius-min(depth, 5) ball that carries the base
+    center to it (the witness of ``cell_tiling``).
 
     A candidate orbit point is adjacent when the segment joining it to the
     base center meets the curve lifts in exactly one point (an edge interior
@@ -594,23 +577,22 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     """
     tol = group.tol
     c0 = system.cell_center
-    pts = cell_tiling(group, c0, min(depth, 5))
     ranked = []
-    for p, _ in pts:
+    for p, el in cell_tiling(group, c0, min(depth, 5)):
         d = distance(p, c0)
         if d < tol.eps_pt:
             continue
         dx, dy = to_disc(p)
-        ranked.append((round(d, 9), round(dx, 9), round(dy, 9), p))
-    ranked.sort(key=lambda it: it[:3])
-    chosen: list[HPoint] = []
-    for _, _, _, p in ranked:
+        ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, el))
+    ranked.sort(key=operator.itemgetter(0))
+    chosen: list[tuple[HPoint, GroupElement]] = []
+    for _, p, el in ranked:
         # The segment meets the lifts at the crossings strictly inside it.
         geo = geodesic_through(c0, p, tol)
         lo, hi = sorted((axis_parameter(geo, c0), axis_parameter(geo, p)))
         ts = _meetings(geo, lifts_along(group, system, (c0, p)), tol)[1]
         if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1:
-            chosen.append(p)
+            chosen.append((p, el))
             if len(chosen) >= count:
                 break
     if not chosen:
@@ -630,63 +612,44 @@ def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
 
 
 def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
-                         neighbor: Optional[HPoint] = None) -> AdjacencyReport:
-    """All group elements carrying the base tile center to the neighbor tile
-    center within the word-length budget, classified.
+                         neighbor: Optional[tuple[HPoint, GroupElement]] = None
+                         ) -> AdjacencyReport:
+    """All group elements carrying the base tile center c0 to the neighbor
+    tile center c1, classified; `neighbor` is c1 with a witness w, w·c0 = c1,
+    by default the first of ``canonical_neighbors`` at `depth`.
 
-    The search is complete for words up to `depth` letters: it matches
-    half-ball translates of the two centers.  Any g with |g| <= 2*half,
-    half = ceil(depth/2), is u * v with u = 1, v = g, or with u the first
-    half letters of a shortest word for g, so |u| = half and |v| <= half;
-    only those u are tried.  The result is checked to be a full coset of
-    the base-center stabilizer.
+    They are the coset w·Stab(c0).  The stabilizer of the cone point c0 is
+    the cyclic group of order k generated by the rotation rho about it
+    (Beardon, *The Geometry of Discrete Groups*, §10.6), so the elements are
+    w, w·rho^-1, ..., w·rho^-(k-1).  Each one is checked to carry c0 to c1
+    (a rho about another point misses) and to differ from the ones before
+    (a rho of order below k repeats).
     """
     tol = group.tol
     eps = tol.eps_pt
-    half = (depth + 1) // 2
-    # The largest ball of the run first (from depth 9 up): the smaller ones
-    # that cell_tiling and the tube radius ask for are prefixes of it.
-    ball = enumerate_elements(group, half)
     c0 = system.cell_center
     if neighbor is None:
         neighbor = canonical_neighbors(group, system, depth, count=1)[0]
-    c1 = neighbor
-
-    # Every ball element by its image of c0, without dedup: the stabilizer
-    # of c0 maps several elements to one point and each may start a match.
-    mats = [el.matrix.entries() for el in ball]
-    z0, z1 = c0.as_complex(), c1.as_complex()
-    fwd = _GridIndex(1e-7)
-    for e in mats:
-        fwd.add(_disc_image(e, z0))
-    pairs: list[tuple[int, int]] = []
-    sphere = bisect.bisect_left(ball, half, key=_word_length)
-    for j in {0, *range(sphere, len(ball))}:
-        target = _disc_image(inverse_entries(mats[j], eps), z1)
-        pairs.extend((j, i) for _, i in fwd.near(target))
-
-    pairs.sort(key=lambda ji: (len(ball[ji[0]].word) + len(ball[ji[1]].word),
-                               ball[ji[0]].word, ball[ji[1]].word))
-    found: list[GroupElement] = []
+    c1, witness = neighbor
+    letter = system.center_vertex.lower()
+    step = group.generator(letter).entries()
+    z0 = c0.as_complex()
     index = _matrix_index(tol)
-    for j, i in pairs:
-        m = compose_entries(mats[j], mats[i], eps)
-        w = mobius(m, z0)
-        if distance(HPoint(w.real, w.imag), c1) > 10.0 * eps:
-            continue
-        if index.insert(m) is None:
-            found.append(GroupElement(ball[j].word + ball[i].word, Isometry(*m)))
-
-    k = system.stabilizer_order
-    if len(found) != k:
-        raise EnumerationError(
-            f"case {system.case}: expected a coset of {k} adjacency elements, "
-            f"found {len(found)} at depth {depth}")
-
+    m, word = witness.matrix.entries(), witness.word
     entries = []
     counts = {IsometryKind.ELLIPTIC: 0, IsometryKind.HYPERBOLIC: 0,
               IsometryKind.PARABOLIC: 0}
-    for el in found:
+    for _ in range(system.stabilizer_order):
+        name = "".join(word) or "1"
+        w = mobius(m, z0)
+        miss = distance(HPoint(w.real, w.imag), c1)
+        if miss > 10.0 * eps:
+            raise EnumerationError(f"case {system.case}: coset element {name} "
+                                   f"misses the neighbor center by {miss:.2e}")
+        if index.insert(m) is not None:
+            raise EnumerationError(f"case {system.case}: coset element {name} "
+                                   f"repeats an earlier one")
+        el = GroupElement(word, Isometry(*m))
         cls = classify(el.matrix, tol)
         if cls.kind is IsometryKind.IDENTITY:
             raise EnumerationError("identity cannot move a tile")
@@ -695,6 +658,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
         if cls.kind is IsometryKind.HYPERBOLIC:
             on_curve, crossings = _axis_meetings(group, system, el.matrix)
         entries.append(AdjacencyEntry(el, cls, on_curve, crossings))
+        m, word = compose_entries(m, step, eps), word + (letter,)
     return AdjacencyReport(system.case, c0, c1, tuple(entries),
                            counts[IsometryKind.ELLIPTIC],
                            counts[IsometryKind.HYPERBOLIC],

@@ -45,9 +45,18 @@ def test_verify_bad_depth_exit_2(capsys):
     assert cli.main(["verify", "--case", "237", "--depth", "0"]) == 2
 
 
-def test_verify_depth_too_small_exit_2(capsys):
-    assert cli.main(["verify", "--case", "237", "--depth", "1"]) == 2
-    assert "trigroup" in capsys.readouterr().err
+def test_verify_depth_one_gives_default_checks(tmp_path):
+    # --depth bounds only the neighbour search's ball, of radius
+    # min(depth, 5).  At depth 1 it picks another neighbour for 246 and 344,
+    # and every check comes out as in the default run.
+    out = tmp_path / "d1.json"
+    assert cli.main(["verify", "--case", "all", "--depth", "1",
+                     "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    default = json.loads((GOLDEN / "verify_all.json").read_text())
+    assert payload["config"].pop("adjacency_depth") == 1
+    default["config"].pop("adjacency_depth")
+    assert payload == default
 
 
 def test_json_roundtrip(tmp_path):

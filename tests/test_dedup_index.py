@@ -67,16 +67,6 @@ def test_neighbour_across_every_wall_at_a_corner():
     assert index.insert(query) == 0
 
 
-def test_near_keeps_every_copy_and_skips_far_vectors():
-    index = _GridIndex(1e-7)
-    point = (0.25, -0.5)
-    for _ in range(3):
-        index.add(point)
-    index.add((0.25 + 3e-7, -0.5))
-    found = sorted(i for _, i in index.near((0.25 + 5e-8, -0.5)))
-    assert found == [0, 1, 2]
-
-
 def _reference_ball(group, max_len):
     """Breadth-first word ball deduped by all-pairs projective distance."""
     tol = group.tol

@@ -140,7 +140,6 @@ def test_first_return_summary(adjacency_for):
     case, report = adjacency_for
     summary = first_return_summary(report)
     c, boundary_fixed, interior = FIXED_EXPECTED[case]
-    assert summary.case == case
     assert len(boundary_components(section(case))) == c
     assert summary.interior_fixed == interior
     assert summary.total_fixed - summary.interior_fixed == int(boundary_fixed)

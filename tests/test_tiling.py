@@ -157,8 +157,9 @@ def ball_log(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,largest", [
-    (["verify", "--case", "344", "--depth", "16"], 8),
+    (["verify", "--case", "344", "--depth", "16"], 5),
     (["tiling", "--case", "344", "--depth", "6"], 6),
+    (["verify", "--case", "344", "--depth", "6"], 5),
 ])
 def test_run_enumerates_radius_one_and_largest_ball_only(argv, largest,
                                                          ball_log, tmp_path):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from orbiflow import hyp2, trigroup
+from orbiflow import cli, hyp2, trigroup
 from orbiflow.hyp2 import IsometryKind, apply, distance, projective_dist
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, EnumerationError,
                                adjacency_isometries, build_group,
@@ -139,7 +140,8 @@ def test_lifts_agree_in_any_call_order(case, cold):
 
 def _all_pairs_words(group, system, depth, neighbor):
     """The adjacency elements of the half-ball matching over every pair
-    (u, v), in shortlex pair order: the reference for the sphere search."""
+    (u, v), in shortlex pair order: a word search to check the coset
+    against."""
     eps = group.tol.eps_pt
     ball = enumerate_elements(group, (depth + 1) // 2)
     c0, c1 = system.cell_center, neighbor
@@ -161,21 +163,61 @@ def _all_pairs_words(group, system, depth, neighbor):
     return found
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_sphere_search_matches_all_pairs(case):
-    # Trying only u = 1 and the sphere |u| = half finds the words the
-    # all-pairs matching finds, in the same order; an element longer than
-    # half may come from another factorization of its word, so its matrix
-    # agrees to rounding.
-    group = build_group(*CASE_TRIPLES[case])
-    system = curve_system(case)
-    for depth in range(5, 11):
-        report = adjacency_isometries(group, system, depth)
-        reference = _all_pairs_words(group, system, depth, report.neighbor_center)
-        assert [e.element.word for e in report.entries] == \
-            [w for w, _ in reference]
-        for e, (_, m) in zip(report.entries, reference):
-            assert projective_dist(e.element.matrix.entries(), m.entries()) < 1e-12
+def test_coset_matches_all_pairs(case_data):
+    # The witness coset is the set the depth-12 word search finds, with the
+    # same elliptic/hyperbolic split and its hyperbolic elements in the same
+    # order.
+    case, group, system, report = case_data
+    reference = [m for _, m in _all_pairs_words(group, system, 12,
+                                                report.neighbor_center)]
+    assert len(reference) == report.total
+    coset = [e.element.matrix for e in report.entries]
+    for m in coset:
+        assert sum(projective_dist(m.entries(), r.entries()) < 1e-12
+                   for r in reference) == 1
+
+    def hyperbolic(mats):
+        return [m for m in mats
+                if hyp2.classify(m).kind is IsometryKind.HYPERBOLIC]
+
+    assert len(hyperbolic(reference)) == report.hyperbolic
+    assert all(projective_dist(a.entries(), b.entries()) < 1e-12
+               for a, b in zip(hyperbolic(coset), hyperbolic(reference)))
+
+
+def _planted(system, fault):
+    """The curve system with a wrong stabilizer: order k+1, or the rotation
+    about another vertex of the triangle."""
+    if fault == "order":
+        return dataclasses.replace(system,
+                                   stabilizer_order=system.stabilizer_order + 1)
+    other = next(n for n in "PQR" if n != system.center_vertex)
+    return dataclasses.replace(system, center_vertex=other)
+
+
+PLANTED_MESSAGES = {"order": "repeats an earlier one",
+                    "vertex": "misses the neighbor center"}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_MESSAGES))
+def test_planted_stabilizer_fault_raises(case_data, fault):
+    _, group, system, _ = case_data
+    with pytest.raises(EnumerationError, match=PLANTED_MESSAGES[fault]):
+        adjacency_isometries(group, _planted(system, fault), depth=12)
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_MESSAGES))
+def test_planted_stabilizer_fault_exits_2(case_data, fault, monkeypatch,
+                                          capsys):
+    case = case_data[0]
+    real = trigroup.curve_system
+    monkeypatch.setattr(trigroup, "curve_system",
+                        lambda c, tol=trigroup.DEFAULT_TOL:
+                        _planted(real(c, tol), fault))
+    assert cli.main(["verify", "--case", str(case)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: enumeration (trigroup): case {case}")
+    assert PLANTED_MESSAGES[fault] in line
 
 
 def test_stored_lift_angles_match(case_data):
@@ -337,19 +379,18 @@ def test_adjacency_coset_closure(case_data):
 
 
 def test_adjacency_neighbor_independence(case_data):
+    # The coset of the second neighbour's witness has the same split.
     case, group, system, report = case_data
     nbrs = canonical_neighbors(group, system, 12, count=2)
-    assert len(nbrs) >= 2
+    assert len(nbrs) == 2
+    (c1, w1), (c2, w2) = nbrs
+    assert c1 == report.neighbor_center
+    assert report.entries[0].element.word == w1.word != w2.word
     other = adjacency_isometries(group, system, depth=12, neighbor=nbrs[1])
+    assert other.neighbor_center == c2
+    assert other.entries[0].element.word == w2.word
     assert (other.total, other.elliptic, other.hyperbolic) == \
         (report.total, report.elliptic, report.hyperbolic)
-
-
-def test_adjacency_small_depth_fails():
-    group = build_group(2, 3, 7)
-    system = curve_system(237)
-    with pytest.raises(EnumerationError):
-        adjacency_isometries(group, system, depth=1)
 
 
 CROSSING_EXPECTED = {246: 1, 344: 1, 334: 2, 237: 2, 245: 1}
