@@ -68,10 +68,9 @@ class CaseReport:
     checks: list[CheckRecord] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def check(self, check_id: str, expected, actual, passed=None) -> bool:
-        ok = (expected == actual) if passed is None else passed
-        self.checks.append(CheckRecord(check_id, expected, actual, ok))
-        return ok
+    def check(self, check_id: str, expected, actual) -> None:
+        self.checks.append(CheckRecord(check_id, expected, actual,
+                                       expected == actual))
 
     @property
     def passed(self) -> bool:

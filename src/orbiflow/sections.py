@@ -37,7 +37,6 @@ class BoundaryLabel:
 
 @dataclass(frozen=True)
 class SectionComplex:
-    case: int
     polygons: tuple[tuple[tuple[str, int], ...], ...]
     boundary: tuple[tuple[str, BoundaryLabel], ...]
 
@@ -68,7 +67,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     # (the fiber over the order-2 point) glue to each other with a half shift.
     poly237 = (("bot", 1), ("x", 1), ("y", 1), ("top", 1), ("x", -1), ("y", -1))
     out[237] = SectionComplex(
-        237, (poly237,),
+        (poly237,),
         (("bot", _label(Half, Half)), ("top", _label(Half, Half))))
 
     # 245: full-fiber rectangle over the doubled edge b; four ribbon pieces
@@ -76,7 +75,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     poly245 = (("bot", 1), ("e1", 1), ("e2", 1), ("e3", 1), ("e4", 1),
                ("top", 1), ("e3", -1), ("e2", -1), ("e1", -1), ("e4", -1))
     out[245] = SectionComplex(
-        245, (poly245,),
+        (poly245,),
         (("bot", _label(1, Half)), ("top", _label(1, Half))))
 
     # 246: full-fiber rectangle over the doubled edge c; six pieces over the
@@ -85,7 +84,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     poly246 = (("bot", 1), ("e1", 1), ("e2", 1), ("e3", 1),
                ("top", 1), ("e1", -1), ("e2", -1), ("e3", -1))
     out[246] = SectionComplex(
-        246, (poly246,),
+        (poly246,),
         (("bot", _label(1, 1)), ("top", _label(1, 1))))
 
     # 334: two hexagons with alternating sides cross-identified; boundary
@@ -96,7 +95,7 @@ def _build_sections() -> dict[int, SectionComplex]:
     for i, e in enumerate(("u0", "u1", "u2", "v0", "v1", "v2")):
         turn = -Half if i < 4 else Half
         labels334.append((e, BoundaryLabel(Half, -turn, turn)))
-    out[334] = SectionComplex(334, (hex1, hex2), tuple(labels334))
+    out[334] = SectionComplex((hex1, hex2), tuple(labels334))
 
     # 344: two octagons with alternating sides cross-identified; two boundary
     # components of four edges each.
@@ -110,8 +109,7 @@ def _build_sections() -> dict[int, SectionComplex]:
         for j, edge in enumerate(comp):
             turn = -Half if j < 3 else Half
             labels344[edge] = BoundaryLabel(Half, -turn, turn)
-    out[344] = SectionComplex(344, (oct1, oct2),
-                              tuple(sorted(labels344.items())))
+    out[344] = SectionComplex((oct1, oct2), tuple(sorted(labels344.items())))
     return out
 
 
@@ -229,14 +227,14 @@ def boundary_components(S: SectionComplex) -> list[BoundaryComponent]:
 
 
 def meridional_turning(S: SectionComplex) -> tuple[Fraction, bool]:
-    """Total turning, plus whether turning data applies to this case.
+    """Total turning, plus whether turning data applies to this complex:
+    it does when some boundary label turns.
 
     The vertical constructions (237, 245, 246) carry no turning points and
     report (0, False).
     """
-    total = sum((lab.turning for _, lab in S.boundary), Fraction(0))
-    applicable = S.case in (334, 344)
-    return (total if applicable else Fraction(0), applicable)
+    applicable = any(lab.turning != 0 for _, lab in S.boundary)
+    return sum((lab.turning for _, lab in S.boundary), Fraction(0)), applicable
 
 
 def blow_down_genus(S: SectionComplex) -> int:

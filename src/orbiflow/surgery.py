@@ -5,11 +5,15 @@ Two independent computations feed the main comparison:
 * ``surgered_h1``: homology of the filling of the suspension-flow complement
   of a periodic orbit.  The complement's fibered presentation does not
   depend on the slope, so it is built once per orbit: the fiber is the
-  punctured torus, monodromy images of the homology basis are computed
-  exactly, on integers over a common denominator, as winding numbers
-  against cut arcs joining the punctures, and the longitude is the
-  stable-direction push-off of the orbit, assembled from flow-box chains.
-  A slope b/a then contributes one fill row, a*longitude + b*meridian.
+  punctured torus, cut by arcs that join consecutive punctures.  Monodromy
+  images of the homology basis and the longitude (the stable-direction
+  push-off of the orbit, assembled from flow-box chains) are read as
+  classes from their crossings with the arcs, counted exactly on integers
+  over a common denominator.  The puncture loops need no crossing count:
+  arc i runs from puncture i to puncture i+1, so the loop around puncture
+  j pairs +1 with arc j and -1 with arc j-1 by construction, and a class's
+  puncture coefficients are running sums of its arc crossings.  A slope
+  b/a then contributes one fill row, a*longitude + b*meridian.
 * ``seifert_h1``: abelianization of the standard presentation of the unit
   tangent bundle of a triangle orbifold with exceptional fibers
   (p,1), (q,1), (r,1).
@@ -20,6 +24,7 @@ acceptance gate for the presentation conventions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +36,7 @@ from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 Vec = tuple[Fraction, Fraction]
 IVec = tuple[int, int]  # a Vec scaled by a common denominator
 # Slope-free relation rows and the longitude class of an orbit complement.
-Complement = tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]
+Complement = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 class DegenerateChoiceError(RuntimeError):
@@ -160,96 +165,43 @@ class PuncturedTorusBasis:
     """Homology bookkeeping for the torus punctured at a rational orbit.
 
     Basis: x (horizontal loop), y (vertical loop), mu_i (small loops around
-    the punctures, with sum(mu_i) = 0).  Classes of explicit polyline cycles
-    are read off from crossings with cut arcs joining consecutive punctures.
+    the punctures, with sum(mu_i) = 0).  Cut arc i runs from puncture i to
+    puncture i+1 (for one puncture, to its translate by (1, 0)), so the loop
+    mu_j crosses arc j once from right to left and arc j-1 once from left to
+    right: the pairing of mu_j with arc i is [i = j] - [i = j-1], fixed by
+    the layout.  Only x and y are paired against the arcs by crossing count.
     """
 
     def __init__(self, punctures: Sequence[Vec], salt: int = 0):
-        self.punctures = list(punctures)
         c = len(punctures)
         offs = Fraction(2 * salt + 1, 64 + 17 * salt)
-        self.x_height = Fraction(3, 7) + offs / 3
-        self.y_offset = Fraction(2, 7) + offs / 5
-        self.x_rep = [(Fraction(0) + offs, self.x_height),
-                      (Fraction(1) + offs, self.x_height)]
-        self.y_rep = [(self.y_offset, Fraction(0) + offs),
-                      (self.y_offset, Fraction(1) + offs)]
-        self.arcs: list[tuple[Vec, Vec]] = []
-        for i in range(c):
-            a = punctures[i]
-            b = punctures[(i + 1) % c] if c > 1 else (punctures[0][0] + 1,
-                                                      punctures[0][1])
-            self.arcs.append((a, b))
-        rho = Fraction(1, 257 + salt)
-        self._loops = [self._square_loop(p, rho, salt) for p in punctures]
-        # Pairing of the basis cycles against the cut arcs.
+        x_height = Fraction(3, 7) + offs / 3
+        y_offset = Fraction(2, 7) + offs / 5
+        self.x_rep = [(offs, x_height), (1 + offs, x_height)]
+        self.y_rep = [(y_offset, offs), (y_offset, 1 + offs)]
+        self.arcs = [(p, punctures[(i + 1) % c] if c > 1 else (p[0] + 1, p[1]))
+                     for i, p in enumerate(punctures)]
         self.x_cross = [_torus_cross(self.x_rep, arc) for arc in self.arcs]
         self.y_cross = [_torus_cross(self.y_rep, arc) for arc in self.arcs]
-        self.mu_cross = [[_torus_cross(loop, arc) for arc in self.arcs]
-                         for loop in self._loops]
 
-    @staticmethod
-    def _square_loop(p: Vec, rho: Fraction, salt: int = 0) -> list[Vec]:
-        # Asymmetric quadrilateral; vertex slopes vary with the salt so no
-        # vertex direction aligns with a cut-arc direction.
-        x, y = p
-        s = 7 + salt
-        return [(x + rho, y + rho / s), (x - rho / (s + 4), y + rho),
-                (x - rho, y - rho / (s + 2)), (x + rho / (s + 6), y - rho),
-                (x + rho, y + rho / s)]
+    def cycle_class(self, cycle: Sequence[Vec]) -> list[int]:
+        """Coefficients (m, n, k_0 .. k_{c-1}) with k_{c-1} normalized to 0.
 
-    def cycle_class(self, cycle: Sequence[Vec]) -> list[Fraction]:
-        """Coefficients (m, n, k_0 .. k_{c-1}) with k_{c-1} normalized to 0."""
-        c = len(self.punctures)
+        With the x and y parts taken off, the cycle crosses arc i
+        r_i = k_i - k_{i+1} times, so each k_i is the sum of r from arc i to
+        arc c-2, and the r of a closed cycle sum to 0.
+        """
         m = cycle[-1][0] - cycle[0][0]
         n = cycle[-1][1] - cycle[0][1]
         if m.denominator != 1 or n.denominator != 1:
             raise ValueError("polyline does not close on the torus")
-        crossings = [_torus_cross(cycle, arc) for arc in self.arcs]
-        # Solve sum_j k_j mu_cross[j][i] = crossings[i] - m*x - n*y, k_{c-1}=0.
-        rhs = [Fraction(crossings[i] - m * self.x_cross[i] - n * self.y_cross[i])
-               for i in range(c)]
-        ks = self._solve_mu(rhs)
-        return [Fraction(m), Fraction(n)] + ks
-
-    def _solve_mu(self, rhs: list[Fraction]) -> list[Fraction]:
-        c = len(self.punctures)
-        if c == 1:
-            # mu_0 is trivial in homology (sum relation); coefficient free.
-            return [Fraction(0)]
-        # Unknowns k_0 .. k_{c-2}; k_{c-1} = 0.
-        rows = [[Fraction(self.mu_cross[j][i]) for j in range(c - 1)] + [rhs[i]]
-                for i in range(c)]
-        sol = _solve_rational(rows, c - 1)
-        return sol + [Fraction(0)]
-
-
-def _solve_rational(aug: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
-    """Solve a consistent overdetermined rational system by elimination."""
-    rows = [row[:] for row in aug]
-    pivots = []
-    r = 0
-    for col in range(n_unknowns):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    sol = [Fraction(0)] * n_unknowns
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][-1]
-    for row in rows[r:]:
-        if row[-1] != 0:
+        m, n = int(m), int(n)
+        r = [_torus_cross(cycle, arc) - m * xc - n * yc
+             for arc, xc, yc in zip(self.arcs, self.x_cross, self.y_cross)]
+        if sum(r) != 0:
             raise ValueError("inconsistent winding system")
-    if len(pivots) < n_unknowns:
-        raise ValueError("underdetermined winding system")
-    return sol
+        ks = list(itertools.accumulate(reversed(r[:-1]), initial=0))
+        return [m, n] + ks[::-1]
 
 
 def _stable_direction(A: TorusMatrix) -> Vec:
@@ -280,15 +232,6 @@ def _nearest_translate(target: Vec, base: Vec) -> Vec:
     return (base[0] + vx, base[1] + vy)
 
 
-def _as_int_row(coeffs: Sequence[Fraction]) -> list[int]:
-    out = []
-    for f in coeffs:
-        if f.denominator != 1:
-            raise ValueError(f"non-integer relation coefficient {f}")
-        out.append(int(f))
-    return out
-
-
 def _complement_rows(orbit_pts: list[Vec],
                      basis: PuncturedTorusBasis) -> Complement:
     """Slope-free relation rows over generators (x, y, mu_0..mu_{c-1}, t),
@@ -301,8 +244,7 @@ def _complement_rows(orbit_pts: list[Vec],
     # Monodromy relations: image minus source, for x and y.
     for rep, idx in ((basis.x_rep, 0), (basis.y_rep, 1)):
         img = [_mat_vec(A, v) for v in rep]
-        cls = basis.cycle_class(img)
-        row = _as_int_row(cls) + [0]
+        row = basis.cycle_class(img) + [0]
         row[idx] -= 1
         rows.append(row)
     # For the puncture loops the image is the loop at the image puncture.
@@ -324,7 +266,7 @@ def _complement_rows(orbit_pts: list[Vec],
     q = [(p[0] + eps * u[0], p[1] + eps * u[1]) for p in orbit_pts]
     r0 = base_r0
     Ar0 = _mat_vec(A, r0)
-    fiber_total = [Fraction(0)] * (2 + c)
+    fiber_total = [0] * (2 + c)
     for i in range(c):
         Aqi = _mat_vec(A, q[i])
         q_next = _nearest_translate(Aqi, q[(i + 1) % c])
@@ -336,7 +278,7 @@ def _complement_rows(orbit_pts: list[Vec],
         cls = basis.cycle_class(poly)
         fiber_total = [a + b for a, b in zip(fiber_total, cls)]
     # The longitude runs c times along the suspension direction t.
-    return tuple(map(tuple, rows)), tuple(fiber_total) + (Fraction(c),)
+    return tuple(map(tuple, rows)), tuple(fiber_total) + (c,)
 
 
 @functools.lru_cache(maxsize=64)
@@ -364,8 +306,7 @@ def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
     rows, longitude = _complement(spec.orbit)
     fill = [spec.slope.a * f for f in longitude]
     fill[2 + 0] += spec.slope.b  # meridian = loop around the base puncture
-    return AbelianGroup.from_relation_rows(rows + (_as_int_row(fill),),
-                                           len(longitude))
+    return AbelianGroup.from_relation_rows(rows + (fill,), len(longitude))
 
 
 # --- Seifert side -----------------------------------------------------------

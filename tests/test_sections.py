@@ -85,17 +85,17 @@ def test_unknown_case_rejected():
 
 
 def test_disc_has_chi_one():
-    disc = SectionComplex(0, ((("a", 1), ("b", 1), ("c", 1)),),
-                          (("a", BoundaryLabel(Fraction(1), Fraction(1), Fraction(0))),
-                           ("b", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0))),
-                           ("c", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0)))))
+    disc = SectionComplex(((("a", 1), ("b", 1), ("c", 1)),),
+                       (("a", BoundaryLabel(Fraction(1), Fraction(1), Fraction(0))),
+                        ("b", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0))),
+                        ("c", BoundaryLabel(Fraction(0), Fraction(0), Fraction(0)))))
     assert euler_characteristic(disc) == 1
     assert len(boundary_components(disc)) == 1
 
 
 def test_square_torus_genus_one():
-    torus = SectionComplex(0, ((("a", 1), ("b", 1), ("a", -1), ("b", -1)),),
-                           ())
+    torus = SectionComplex(((("a", 1), ("b", 1), ("a", -1), ("b", -1)),),
+                        ())
     assert euler_characteristic(torus) == 0
     assert boundary_components(torus) == []
     assert blow_down_genus(torus) == 1
@@ -103,21 +103,21 @@ def test_square_torus_genus_one():
 
 def test_separatrix_formula_on_custom_direction():
     # A single-boundary complex with direction (1, 3) must report 6.
-    S = SectionComplex(0, ((("bd", 1), ("x", 1), ("x", -1)),),
-                       (("bd", BoundaryLabel(Fraction(1), Fraction(3), Fraction(0))),))
+    S = SectionComplex(((("bd", 1), ("x", 1), ("x", -1)),),
+                    (("bd", BoundaryLabel(Fraction(1), Fraction(3), Fraction(0))),))
     assert separatrix_count(S) == [6]
 
 
 def test_nonorientable_gluing_rejected():
-    bad = SectionComplex(0, ((("a", 1), ("b", 1), ("a", 1), ("b", -1)),),
-                         ())
+    bad = SectionComplex(((("a", 1), ("b", 1), ("a", 1), ("b", -1)),),
+                      ())
     with pytest.raises(ComplexError):
         euler_characteristic(bad)
 
 
 def test_nonpositive_b_rejected():
-    S = SectionComplex(0, ((("bd", 1), ("x", 1), ("x", -1)),),
-                       (("bd", BoundaryLabel(Fraction(1), Fraction(-1), Fraction(0))),))
+    S = SectionComplex(((("bd", 1), ("x", 1), ("x", -1)),),
+                    (("bd", BoundaryLabel(Fraction(1), Fraction(-1), Fraction(0))),))
     with pytest.raises(ComplexError):
         boundary_components(S)
 

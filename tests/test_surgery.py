@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -338,6 +339,88 @@ def test_complements_unchanged():
         ((0, 0, 1, 1, 0), (1, 1, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, -1, 1, 0),
          (0, 0, 1, -1, 0)),
         (F(2), F(1), F(0), F(0), F(2)))
+
+
+# --- Orbits of period 3 and more ----------------------------------------------
+
+def _cat_orbits(max_period):
+    """Every orbit of the cat map of period at most `max_period`, each from
+    its least point (by denominator, then numerators), in that order."""
+    cat = torusmap.CAT
+    points = set()
+    for n in range(1, max_period + 1):
+        P = cat.power(n)
+        M = [[P.a - 1, P.b], [P.c, P.d - 1]]
+        points.update(RationalPoint.of(x, y) for x, y in intlinalg.solve_mod1(M))
+    seen, orbits = set(), []
+    for p in sorted(points, key=lambda p: (p.den, p.num_x, p.num_y)):
+        if p not in seen:
+            orbit = torusmap.orbit_of(cat, p)
+            seen.update(orbit.points)
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.fixture(scope="module")
+def short_orbits():
+    orbits = _cat_orbits(6)
+    # 1 + 2 + 5 + 10 + 24 + 50 orbits of periods 1 to 6.
+    assert [o.period for o in orbits].count(6) == 50 and len(orbits) == 92
+    return orbits
+
+
+def test_complements_of_short_orbits_unchanged(short_orbits):
+    # sha256 of the rows and longitudes of all 92 orbits, as ints in JSON.
+    # The pin was computed independently of the running sums: by rational
+    # elimination against the crossing counts of square puncture loops.
+    values = [surgery._complement(o) for o in short_orbits]
+    normal = [[[list(r) for r in rows], [int(v) for v in lon]]
+              for rows, lon in values]
+    digest = hashlib.sha256(json.dumps(normal).encode()).hexdigest()
+    assert digest == ("79c1985111f1bce8ac6c177881ed4e6bb772455b"
+                      "23253c4ab348ad8c33956942")
+
+
+def test_zero_filling_of_short_orbits_is_the_mapping_torus(short_orbits):
+    for orbit in short_orbits:
+        grp = surgered_h1(SurgerySpec(orbit, SlopeCoefficient(1, 0)))
+        assert grp == AbelianGroup((0,)), orbit
+
+
+def _square_loop(p, rho, s):
+    # A small quadrilateral counterclockwise about p, its vertex slopes set
+    # by s.
+    x, y = p
+    return [(x + rho, y + rho / s), (x - rho / (s + 4), y + rho),
+            (x - rho, y - rho / (s + 2)), (x + rho / (s + 6), y - rho),
+            (x + rho, y + rho / s)]
+
+
+def _loop_pairing(p, arcs, salt):
+    """Crossings with each arc of a small loop about p.  A loop with a
+    vertex on an arc is degenerate, and the next size and shape is tried."""
+    for t in range(8):
+        loop = _square_loop(p, Fraction(1, 257 + salt + t), 7 + salt + t)
+        try:
+            return [surgery._torus_cross(loop, arc) for arc in arcs]
+        except surgery.DegenerateChoiceError:
+            pass
+    raise AssertionError(f"every loop about {p} is degenerate")
+
+
+def test_puncture_loops_pair_with_the_arcs_by_layout(short_orbits):
+    # The loop about puncture j crosses arc j (leaving j) once from right to
+    # left and arc j-1 (arriving at j) once from left to right; one
+    # puncture's arc leaves and arrives at it, so its loop pairs to 0.
+    for orbit in short_orbits:
+        pts = [p.as_fractions() for p in orbit.points]
+        c = len(pts)
+        for salt in range(6):
+            arcs = surgery.PuncturedTorusBasis(pts, salt).arcs
+            for j, p in enumerate(pts):
+                want = [0 if c == 1 else (i == j) - (i == (j - 1) % c)
+                        for i in range(c)]
+                assert _loop_pairing(p, arcs, salt) == want, (orbit, salt, j)
 
 
 def test_import_surgery_loads_only_the_surgery_layer():
