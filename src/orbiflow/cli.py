@@ -1,9 +1,11 @@
 """Command-line front end: verify, tiling, catmap.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
-or a typed numerics failure (enumeration, tangency, geometry).
-The flags are the only configuration: ``verify --depth`` and ``--tol`` override
-the defaults in ``config``, and nothing is read from the environment.
+or a typed failure of the chain (enumeration, tangency, geometry, section
+complex, surgery degeneracy), printed as one ``error:`` line.
+The flags are the only configuration: ``verify --depth`` overrides the default
+in ``config``, and nothing is read from the environment.  The geometric
+thresholds are fixed constants in ``config``, not options.
 
 Each subcommand imports the layers it runs when it runs: ``verify`` the
 report stack (``report``, ``sections``, ``surgery``, ``torusmap``,
@@ -37,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--depth", type=int, default=cfg.DEFAULT_DEPTH,
                    help="bounds the neighbour-tile search ball, of radius "
                         "min(DEPTH, 5)")
-    v.add_argument("--tol", type=float, help="override geometric tolerances")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the JSON report "
                         "(omitted by default so reports are reproducible)")
@@ -50,13 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("catmap", help="periodic-orbit table of the torus map")
     c.add_argument("--period", type=int, default=2)
     return parser
-
-
-def _resolve_config(args) -> tuple[int, cfg.Tolerances]:
-    if args.depth < 1:
-        raise ValueError("depth must be >= 1")
-    tol = cfg.DEFAULT_TOL if args.tol is None else cfg.override_tolerance(args.tol)
-    return args.depth, tol
 
 
 def _parse_case(raw: str) -> int | None:
@@ -72,41 +66,54 @@ def _parse_case(raw: str) -> int | None:
     return case
 
 
-def _print_text_report(rep) -> None:
-    for case_rep in rep.cases:
-        print(f"case {case_rep.case}:")
-        for chk in case_rep.checks:
-            mark = "ok " if chk.passed else "FAIL"
-            print(f"  [{mark}] {chk.check_id}: expected {chk.expected!r}, "
-                  f"got {chk.actual!r}")
-        timing = sum(case_rep.timings.values())
-        print(f"  ({timing:.2f}s)")
-    print("global checks:")
-    for chk in rep.global_checks.checks:
+def _print_checks(checks) -> None:
+    for chk in checks:
         mark = "ok " if chk.passed else "FAIL"
         print(f"  [{mark}] {chk.check_id}: expected {chk.expected!r}, "
               f"got {chk.actual!r}")
+
+
+def _print_text_report(rep) -> None:
+    for case_rep in rep.cases:
+        print(f"case {case_rep.case}:")
+        _print_checks(case_rep.checks)
+        timing = sum(case_rep.timings.values())
+        print(f"  ({timing:.2f}s)")
+    print("global checks:")
+    _print_checks(rep.global_checks.checks)
     print("VERIFICATION " + ("PASSED" if rep.passed else "FAILED"))
+
+
+def _typed_error(kind: str, err: Exception) -> int:
+    """Print the one line of a typed failure; its exit code is 2."""
+    print(f"error: {kind}: {err}", file=sys.stderr)
+    return 2
 
 
 def cmd_verify(args) -> int:
     try:
         case = _parse_case(args.case)
-        depth, tol = _resolve_config(args)
+        if args.depth < 1:
+            raise ValueError("depth must be >= 1")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     from . import report
+    from .sections import ComplexError
+    from .surgery import DegenerateChoiceError
     try:
-        rep = report.run_verification(case, depth, tol,
+        rep = report.run_verification(case, args.depth,
                                       include_timings=args.timings)
     except EnumerationError as err:
-        print(f"error: enumeration (trigroup): {err}", file=sys.stderr)
-        return 2
-    except (TangencyError, GeometryError) as err:
-        kind = "tangency" if isinstance(err, TangencyError) else "geometry"
-        print(f"error: {kind} (trigroup): {err}", file=sys.stderr)
-        return 2
+        return _typed_error("enumeration (trigroup)", err)
+    except TangencyError as err:
+        return _typed_error("tangency (trigroup)", err)
+    except GeometryError as err:
+        return _typed_error("geometry (trigroup)", err)
+    except ComplexError as err:
+        return _typed_error("complex (sections)", err)
+    except DegenerateChoiceError as err:
+        return _typed_error("degeneracy (surgery)", err)
     _print_text_report(rep)
     if args.json_path:
         payload = json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -134,11 +141,9 @@ def cmd_tiling(args) -> int:
     try:
         svg = render.tiling_svg(case, args.depth)
     except (EnumerationError, ValueError) as err:
-        print(f"error: rendering: {err}", file=sys.stderr)
-        return 2
+        return _typed_error("rendering", err)
     except TangencyError as err:
-        print(f"error: tangency (trigroup): {err}", file=sys.stderr)
-        return 2
+        return _typed_error("tangency (trigroup)", err)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)

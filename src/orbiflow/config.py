@@ -1,49 +1,49 @@
-"""Tolerances and search depth: the defaults, and the `--tol` override."""
-from __future__ import annotations
+"""The paper's five rows, the two geometric thresholds and the search depth.
 
-from dataclasses import dataclass
+The thresholds are fixed constants, not options.  The modules that use them
+read them through this module at call time (``config.EPS_PT``), never as a
+default argument, so a test may raise them for one fresh interpreter.
 
+All verified quantities are integer counts obtained by thresholding
+well-separated reals, so the thresholds only need to sit between the
+numerical noise floor (~1e-12 at the depths used) and the true geometric
+gaps (>1e-3 in every case handled here).
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Floating-point thresholds used by the geometric modules.
+``EPS_PT`` is the coincidence scale, read by:
+  * ``hyp2.geodesic_through``: coincident points and vertical geodesics;
+  * ``hyp2.geodesic_intersection``: equal geodesics (endpoint angles) and
+    concentric circles;
+  * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
+    ``Isometry.compose``/``inverse``: the first significant entry, made
+    positive; ``axis_of``: a vertical axis (|c| below it);
+  * ``hyp2.is_identity``: at 100x;
+  * ``trigroup.canonical_neighbors``: the base tile itself, skipped;
+    ``adjacency_isometries``: a coset element off the neighbour centre, at
+    10x.
+``EPS_BAND`` is the band around degenerate values, read by:
+  * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
+  * ``trigroup.enumerate_elements``, once per group for its largest ball
+    (smaller radii are prefixes of it), and the repeat check of
+    ``adjacency_isometries``: the matrix dedup radius, with a guard band at
+    10x.
+The report's ``config`` block prints both, ``EPS_BAND`` as ``eps_dedup`` and
+``eps_cls``.
+"""
 
-    All verified quantities are integer counts obtained by thresholding
-    well-separated reals, so these only need to sit between the numerical
-    noise floor (~1e-12 at the depths used) and the true geometric gaps
-    (>1e-3 in every case handled here).
+EPS_PT = 1e-9
+EPS_BAND = 1e-7
 
-    ``eps_pt`` is the coincidence scale, read by:
-      * ``hyp2.geodesic_through``: coincident points and vertical
-        geodesics;
-      * ``hyp2.geodesic_intersection``: equal geodesics (endpoint angles)
-        and concentric circles;
-      * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
-        ``Isometry.compose``/``inverse``: the first significant entry, made
-        positive; ``axis_of``: a vertical axis (|c| below it);
-      * ``hyp2.is_identity``: at 100x;
-      * ``trigroup.canonical_neighbors``: the base tile itself, skipped;
-        ``adjacency_isometries``: a coset element off the neighbour centre,
-        at 10x.
-    ``eps_band`` is the band around degenerate values, read by:
-      * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
-      * ``trigroup.enumerate_elements``, once per group for its largest
-        ball (smaller radii are prefixes of it), and the repeat check of
-        ``adjacency_isometries``: the matrix dedup radius, with a guard band
-        at 10x.
-    """
-
-    eps_pt: float = 1e-9
-    eps_band: float = 1e-7
-
-
-DEFAULT_TOL = Tolerances()
 DEFAULT_DEPTH = 12
 
-
-def override_tolerance(eps: float) -> Tolerances:
-    """The default tolerances with the coincidence scale set to eps; the band
-    never drops below its default."""
-    if not 0 < eps < 1e-2:
-        raise ValueError("tolerance must be in (0, 1e-2)")
-    return Tolerances(eps_pt=eps, eps_band=max(eps, DEFAULT_TOL.eps_band))
+# One record per row of the paper's theorem: the case, its triangle triple
+# (p, q, r), the periodic orbit of the torus map that the section's boundary
+# runs along, and the a of the filling slope 1/a.  ``trigroup.CASES`` and
+# ``CASE_TRIPLES``, ``surgery.THEOREM_ROWS`` and the report's per-case
+# triple, orbit and slope are read from it.
+PAPER_ROWS = (
+    (237, (2, 3, 7), "gamma1", 1),
+    (245, (2, 4, 5), "gamma1", 2),
+    (246, (2, 4, 6), "gamma2", 1),
+    (334, (3, 3, 4), "gamma1", 3),
+    (344, (3, 4, 4), "gamma2", 2),
+)

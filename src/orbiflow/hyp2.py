@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .config import DEFAULT_TOL, Tolerances
+from . import config
 
 INF = math.inf
 
@@ -83,11 +83,12 @@ class Isometry:
     def trace(self) -> float:
         return self.a + self.d
 
-    def compose(self, other: "Isometry", tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        return Isometry(*compose_entries(self.entries(), other.entries(), tol.eps_pt))
+    def compose(self, other: "Isometry") -> "Isometry":
+        return Isometry(*compose_entries(self.entries(), other.entries(),
+                                         config.EPS_PT))
 
-    def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "Isometry":
-        return Isometry(*inverse_entries(self.entries(), tol.eps_pt))
+    def inverse(self) -> "Isometry":
+        return Isometry(*inverse_entries(self.entries(), config.EPS_PT))
 
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
@@ -186,39 +187,39 @@ def _transport_from_i(p: HPoint) -> Isometry:
     return Isometry(s, p.x / s, 0.0, 1.0 / s)
 
 
-def rotation_about(p: HPoint, theta: float, tol: Tolerances = DEFAULT_TOL) -> Isometry:
+def rotation_about(p: HPoint, theta: float) -> Isometry:
     """Elliptic isometry fixing p, rotating tangent vectors by theta (ccw)."""
     h = theta / 2.0
     rot = Isometry(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
     t = _transport_from_i(p)
-    return t.compose(rot, tol).compose(t.inverse(tol), tol)
+    return t.compose(rot).compose(t.inverse())
 
 
-def is_identity(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Projective identity test (matrix ~ +-Id), at 100 * eps_pt."""
-    e = 100.0 * tol.eps_pt
+def is_identity(g: Isometry) -> bool:
+    """Projective identity test (matrix ~ +-Id), at 100 * EPS_PT."""
+    e = 100.0 * config.EPS_PT
     return (abs(abs(g.a) - 1.0) < e and abs(abs(g.d) - 1.0) < e
             and abs(g.b) < e and abs(g.c) < e and g.a * g.d > 0)
 
 
-def classify(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> IsometryClass:
-    if is_identity(g, tol):
+def classify(g: Isometry) -> IsometryClass:
+    if is_identity(g):
         return IsometryClass(IsometryKind.IDENTITY)
-    t = abs(g.trace())
-    if t > 2.0 + tol.eps_band:
+    t, band = abs(g.trace()), config.EPS_BAND
+    if t > 2.0 + band:
         return IsometryClass(IsometryKind.HYPERBOLIC,
                              translation_length=2.0 * math.acosh(t / 2.0))
-    if t < 2.0 - tol.eps_band:
+    if t < 2.0 - band:
         return IsometryClass(IsometryKind.ELLIPTIC)
     return IsometryClass(IsometryKind.PARABOLIC)
 
 
-def axis_of(g: Isometry, tol: Tolerances = DEFAULT_TOL) -> Geodesic:
+def axis_of(g: Isometry) -> Geodesic:
     """Oriented axis of a hyperbolic isometry, repelling -> attracting."""
-    cls = classify(g, tol)
+    cls = classify(g)
     if cls.kind is not IsometryKind.HYPERBOLIC:
         raise GeometryError(f"axis requested for {cls.kind.value} isometry")
-    if abs(g.c) < tol.eps_pt:
+    if abs(g.c) < config.EPS_PT:
         # Fixed points: INF and b/(d - a).
         other = g.b / (g.d - g.a)
         # At INF the derivative is (a/d) = a^2; attracting iff |a| > 1.
@@ -245,16 +246,15 @@ def side_length_from_angles(alpha: float, beta: float, gamma: float) -> float:
     return math.acosh(num / den)
 
 
-def _point_at(direction_angle: float, dist: float, tol: Tolerances) -> HPoint:
+def _point_at(direction_angle: float, dist: float) -> HPoint:
     # From i, travel `dist` in the tangent direction making angle
     # `direction_angle` with +x (so +y is pi/2).
     up = HPoint(0.0, math.exp(dist))
-    rot = rotation_about(HPoint(0.0, 1.0), direction_angle - math.pi / 2.0, tol)
+    rot = rotation_about(HPoint(0.0, 1.0), direction_angle - math.pi / 2.0)
     return apply(rot, up)
 
 
-def triangle_from_angles(p: int, q: int, r: int,
-                         tol: Tolerances = DEFAULT_TOL) -> tuple[HPoint, HPoint, HPoint]:
+def triangle_from_angles(p: int, q: int, r: int) -> tuple[HPoint, HPoint, HPoint]:
     """Canonical triangle with angles pi/p, pi/q, pi/r.
 
     Pose: P = i, Q east of P along the unit half-circle, R at angle +pi/p
@@ -267,8 +267,8 @@ def triangle_from_angles(p: int, q: int, r: int,
     d_pq = side_length_from_angles(ap, aq, ar)
     d_pr = side_length_from_angles(ap, ar, aq)
     P = HPoint(0.0, 1.0)
-    Q = _point_at(0.0, d_pq, tol)
-    R = _point_at(ap, d_pr, tol)
+    Q = _point_at(0.0, d_pq)
+    R = _point_at(ap, d_pr)
     return P, Q, R
 
 
@@ -316,11 +316,12 @@ def klein_to_hpoint(kx: float, ky: float) -> HPoint:
     return HPoint(z.real, z.imag)
 
 
-def geodesic_through(p: HPoint, q: HPoint, tol: Tolerances = DEFAULT_TOL) -> Geodesic:
+def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     """Oriented geodesic through p then q."""
-    if distance(p, q) < tol.eps_pt:
+    eps = config.EPS_PT
+    if distance(p, q) < eps:
         raise GeometryError("geodesic through coincident points")
-    if abs(q.x - p.x) <= tol.eps_pt * (1.0 + abs(p.x) + abs(q.x)):
+    if abs(q.x - p.x) <= eps * (1.0 + abs(p.x) + abs(q.x)):
         return Geodesic(p.x, INF) if q.y > p.y else Geodesic(INF, p.x)
     c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
     rad = math.hypot(p.x - c, p.y)
@@ -360,14 +361,13 @@ def angles_interleave(pair1: tuple[float, float],
     return ((a2 - a1) % (2.0 * math.pi) < arc) != ((b2 - a1) % (2.0 * math.pi) < arc)
 
 
-def geodesic_intersection(g1: Geodesic, g2: Geodesic,
-                          tol: Tolerances = DEFAULT_TOL) -> Optional[HPoint]:
+def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> Optional[HPoint]:
     """Transverse intersection point of two geodesics, or None if disjoint.
 
     Decided by endpoint interleaving on the boundary circle; the point itself
     is computed from the half-plane circle equations.
     """
-    if same_geodesic_angles(g1.angles, g2.angles, tol.eps_pt):
+    if same_geodesic_angles(g1.angles, g2.angles, config.EPS_PT):
         return None
     if not angles_interleave(g1.angles, g2.angles):
         return None
@@ -391,7 +391,7 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic,
         if yy <= 0:
             return None
         return HPoint(x, math.sqrt(yy))
-    if abs(c2 - c1) < tol.eps_pt:
+    if abs(c2 - c1) < config.EPS_PT:
         return None  # concentric: tangent at infinity or disjoint
     x = (c2 * c2 - c1 * c1 + r1 * r1 - r2 * r2) / (2.0 * (c2 - c1))
     yy = r1 * r1 - (x - c1) ** 2

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 from . import hyp2, trigroup
-from .config import DEFAULT_TOL
 from .hyp2 import Geodesic, HPoint, IsometryKind
 
 _FAMILY_STYLES = {
@@ -74,19 +73,17 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
 
 def tiling_svg(case: int, depth: int) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
-    and neighbor tiles highlighted, and the hyperbolic adjacency axes, at the
-    default tolerances."""
+    and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
     if case not in trigroup.CASES:
         raise ValueError(f"unknown case {case}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tol = DEFAULT_TOL
-    group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
-    system = trigroup.curve_system(case, tol)
+    group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
+    system = trigroup.curve_system(case)
     # The drawing's ball first: the neighbour search's, of radius
     # min(depth, 5), is a slice of it.  Its lift set is the only one a run
     # builds.
-    lifts = trigroup.curve_lifts(case, depth, tol)
+    lifts = trigroup.curve_lifts(case, depth)
     adjacency = trigroup.adjacency_isometries(group, system, depth)
 
     parts: list[str] = []
@@ -136,7 +133,7 @@ def tiling_svg(case: int, depth: int) -> str:
 
     for entry in adjacency.entries:
         if entry.classification.kind is IsometryKind.HYPERBOLIC:
-            axis = hyp2.axis_of(entry.element.matrix, tol)
+            axis = hyp2.axis_of(entry.element.matrix)
             parts.append(f'<path d="{geodesic_path(axis)}" fill="none" '
                          'stroke="#e41a1c" stroke-width="0.006" '
                          'stroke-dasharray="0.02 0.012"/>')

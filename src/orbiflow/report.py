@@ -12,41 +12,37 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import sections, surgery, torusmap, trigroup
-from .config import Tolerances
+from . import config, sections, surgery, torusmap, trigroup
 
 SCHEMA_VERSION = 2
 
 # Per-case expected values: adjacency split, section invariants, fixed-point
-# counts, slopes, and homology orders.
+# counts and homology orders.  A case's triple, orbit and slope are its row
+# of ``config.PAPER_ROWS``.
+_ROWS = {case: (triple, orbit, a) for case, triple, orbit, a in config.PAPER_ROWS}
 EXPECTED = {
-    237: {"triple": (2, 3, 7), "adjacency": (7, 5, 2), "chi": -1,
-          "n_components": 1, "directions": [[1, 1]], "total_direction": [1, 1],
-          "turning": None, "genus": 1, "separatrices": [2],
-          "hyperbolic_on_boundary": 2, "interior_fixed": 0, "total_fixed": 1,
-          "orbit": "gamma1", "slope": "1/1", "h1_order": 1},
-    245: {"triple": (2, 4, 5), "adjacency": (5, 3, 2), "chi": -1,
-          "n_components": 1, "directions": [[2, 1]], "total_direction": [2, 1],
-          "turning": None, "genus": 1, "separatrices": [2],
-          "hyperbolic_on_boundary": 2, "interior_fixed": 0, "total_fixed": 1,
-          "orbit": "gamma1", "slope": "1/2", "h1_order": 2},
-    246: {"triple": (2, 4, 6), "adjacency": (4, 3, 1), "chi": -2,
-          "n_components": 2, "directions": [[1, 1], [1, 1]],
-          "total_direction": [2, 2], "turning": None, "genus": 1,
-          "separatrices": [2, 2], "hyperbolic_on_boundary": 0,
-          "interior_fixed": 1, "total_fixed": 1,
-          "orbit": "gamma2", "slope": "1/1", "h1_order": 4},
-    334: {"triple": (3, 3, 4), "adjacency": (4, 2, 2), "chi": -1,
-          "n_components": 1, "directions": [[3, 1]], "total_direction": [3, 1],
-          "turning": -1, "genus": 1, "separatrices": [2],
-          "hyperbolic_on_boundary": 2, "interior_fixed": 0, "total_fixed": 1,
-          "orbit": "gamma1", "slope": "1/3", "h1_order": 3},
-    344: {"triple": (3, 4, 4), "adjacency": (3, 2, 1), "chi": -2,
-          "n_components": 2, "directions": [[2, 1], [2, 1]],
-          "total_direction": [4, 2], "turning": -2, "genus": 1,
-          "separatrices": [2, 2], "hyperbolic_on_boundary": 0,
-          "interior_fixed": 1, "total_fixed": 1,
-          "orbit": "gamma2", "slope": "1/2", "h1_order": 8},
+    237: {"adjacency": (7, 5, 2), "chi": -1, "n_components": 1,
+          "directions": [[1, 1]], "total_direction": [1, 1], "turning": None,
+          "genus": 1, "separatrices": [2], "hyperbolic_on_boundary": 2,
+          "interior_fixed": 0, "total_fixed": 1, "h1_order": 1},
+    245: {"adjacency": (5, 3, 2), "chi": -1, "n_components": 1,
+          "directions": [[2, 1]], "total_direction": [2, 1], "turning": None,
+          "genus": 1, "separatrices": [2], "hyperbolic_on_boundary": 2,
+          "interior_fixed": 0, "total_fixed": 1, "h1_order": 2},
+    246: {"adjacency": (4, 3, 1), "chi": -2, "n_components": 2,
+          "directions": [[1, 1], [1, 1]], "total_direction": [2, 2],
+          "turning": None, "genus": 1, "separatrices": [2, 2],
+          "hyperbolic_on_boundary": 0, "interior_fixed": 1, "total_fixed": 1,
+          "h1_order": 4},
+    334: {"adjacency": (4, 2, 2), "chi": -1, "n_components": 1,
+          "directions": [[3, 1]], "total_direction": [3, 1], "turning": -1,
+          "genus": 1, "separatrices": [2], "hyperbolic_on_boundary": 2,
+          "interior_fixed": 0, "total_fixed": 1, "h1_order": 3},
+    344: {"adjacency": (3, 2, 1), "chi": -2, "n_components": 2,
+          "directions": [[2, 1], [2, 1]], "total_direction": [4, 2],
+          "turning": -2, "genus": 1, "separatrices": [2, 2],
+          "hyperbolic_on_boundary": 0, "interior_fixed": 1, "total_fixed": 1,
+          "h1_order": 8},
 }
 
 
@@ -88,13 +84,13 @@ def _factors(group: surgery.AbelianGroup) -> list[int]:
     return list(group.invariant_factors)
 
 
-def run_case(case: int, depth: int, tol: Tolerances,
-             trace3_unique: bool) -> CaseReport:
+def run_case(case: int, depth: int, trace3_unique: bool) -> CaseReport:
     exp = EXPECTED[case]
+    triple, orbit_name, a = _ROWS[case]
     rep = CaseReport(case)
     t0 = time.monotonic()
-    group = trigroup.build_group(*trigroup.CASE_TRIPLES[case], tol)
-    system = trigroup.curve_system(case, tol)
+    group = trigroup.build_group(*triple)
+    system = trigroup.curve_system(case)
     adjacency = trigroup.adjacency_isometries(group, system, depth=depth)
     rep.timings["adjacency"] = time.monotonic() - t0
     rep.check("adjacency_total", exp["adjacency"][0], adjacency.total)
@@ -134,11 +130,11 @@ def run_case(case: int, depth: int, tol: Tolerances,
 
     t0 = time.monotonic()
     slope = surgery.section_to_slope(comps[0].primitive)
-    rep.check("section_slope", exp["slope"], str(slope))
-    orbit = surgery.gamma1() if exp["orbit"] == "gamma1" else surgery.gamma2()
+    rep.check("section_slope", f"1/{a}", str(slope))
+    orbit = surgery.gamma1() if orbit_name == "gamma1" else surgery.gamma2()
     rep.check("boundary_orbit_period", len(comps), orbit.period)
     surgered = surgery.surgered_h1(surgery.SurgerySpec(orbit, slope))
-    seifert = surgery.seifert_h1(*exp["triple"])
+    seifert = surgery.seifert_h1(*triple)
     rep.check("h1_surgered_factors", _factors(seifert), _factors(surgered))
     rep.check("h1_order", exp["h1_order"], surgered.order())
     neg = surgery.surgered_h1(surgery.SurgerySpec(
@@ -200,7 +196,6 @@ class VerificationReport:
     cases: list[CaseReport]
     global_checks: CaseReport
     depth: int
-    tol: Tolerances
     include_timings: bool = False
 
     @property
@@ -214,16 +209,16 @@ class VerificationReport:
             "pass": self.passed,
             "config": {
                 "adjacency_depth": self.depth,
-                "eps_dedup": self.tol.eps_band,
-                "eps_cls": self.tol.eps_band,
-                "eps_pt": self.tol.eps_pt,
+                "eps_dedup": config.EPS_BAND,
+                "eps_cls": config.EPS_BAND,
+                "eps_pt": config.EPS_PT,
             },
             "cases": [c.as_dict(self.include_timings) for c in self.cases],
             "global": self.global_checks.as_dict(self.include_timings),
         }
 
 
-def run_verification(case_filter: Optional[int], depth: int, tol: Tolerances,
+def run_verification(case_filter: Optional[int], depth: int,
                      include_timings: bool = False) -> VerificationReport:
     """Run the full chain for the selected cases, one after another in the
     fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
@@ -233,8 +228,7 @@ def run_verification(case_filter: Optional[int], depth: int, tol: Tolerances,
     unique = torusmap.trace3_uniqueness(8)
     trace3_s = time.monotonic() - t0
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
-    case_reports = [run_case(cid, depth, tol, unique) for cid in case_ids]
+    case_reports = [run_case(cid, depth, unique) for cid in case_ids]
     global_rep = run_global_checks(unique)
     global_rep.timings["trace3"] = trace3_s
-    return VerificationReport(case_reports, global_rep, depth, tol,
-                              include_timings)
+    return VerificationReport(case_reports, global_rep, depth, include_timings)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import intlinalg
+from . import config, intlinalg
 from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 
 Vec = tuple[Fraction, Fraction]
@@ -40,7 +40,8 @@ Complement = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 class DegenerateChoiceError(RuntimeError):
-    """A generic-position parameter hit a degeneracy; retry with the next."""
+    """A generic-position parameter hit a degeneracy; retry with the next.
+    ``_complement`` raises it when every choice has hit one."""
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def _complement(orbit: CatOrbit) -> Complement:
                                     PuncturedTorusBasis(orbit_pts, salt))
         except DegenerateChoiceError as err:
             last_err = err
-    raise RuntimeError(f"no generic parameter choice worked: {last_err}")
+    raise DegenerateChoiceError(f"no generic parameter choice worked: {last_err}")
 
 
 def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
@@ -338,13 +339,11 @@ def gamma2() -> CatOrbit:
     return orbit_of(CAT, GAMMA2_BASE)
 
 
-THEOREM_ROWS = (
-    ("gamma1", SlopeCoefficient(1, 1), (2, 3, 7)),
-    ("gamma1", SlopeCoefficient(1, 2), (2, 4, 5)),
-    ("gamma1", SlopeCoefficient(1, 3), (3, 3, 4)),
-    ("gamma2", SlopeCoefficient(1, 1), (2, 4, 6)),
-    ("gamma2", SlopeCoefficient(1, 2), (3, 4, 4)),
-)
+# The rows of ``config.PAPER_ROWS`` in the paper's order: by orbit, then by
+# the a of the slope 1/a.
+THEOREM_ROWS = tuple((orbit, SlopeCoefficient(1, a), triple)
+                     for _, triple, orbit, a in sorted(
+                         config.PAPER_ROWS, key=lambda row: row[2:]))
 
 
 @dataclass(frozen=True)

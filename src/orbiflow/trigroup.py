@@ -10,7 +10,7 @@ coset of a witness by the rotations about the tile's centre vertex.
 
 Every dedup goes through one uniform-grid index, ``_GridIndex``: word balls
 and adjacency cosets (matrix entries, ``projective_dist`` within
-``eps_band`` = 1e-7, guard band to 10x), curve lifts and tile centres
+``config.EPS_BAND`` = 1e-7, guard band to 10x), curve lifts and tile centres
 (1e-9).  Its cells are 1e-3 wide, a thousand times the largest probe
 radius, so a lookup reads a neighbouring cell only on an axis where the
 query lies within the probe radius of a wall: one cell nearly always, not
@@ -47,8 +47,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import hyp2
-from .config import DEFAULT_TOL, Tolerances
+from . import config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    IsometryClass, IsometryKind, angles_interleave, apply,
                    apply_geodesic, axis_of, axis_parameter, boundary_point,
@@ -57,9 +56,8 @@ from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    mobius, projective_dist, rotation_about,
                    same_geodesic_angles, to_disc, to_klein)
 
-CASES = (237, 245, 246, 334, 344)
-CASE_TRIPLES = {237: (2, 3, 7), 245: (2, 4, 5), 246: (2, 4, 6),
-                334: (3, 3, 4), 344: (3, 4, 4)}
+CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
+CASES = tuple(CASE_TRIPLES)
 
 ALPHABET = ("P", "p", "Q", "q", "R", "r")  # lowercase marks the inverse
 
@@ -89,13 +87,12 @@ class TriangleGroup:
     gP: Isometry
     gQ: Isometry
     gR: Isometry
-    tol: Tolerances
 
     def generator(self, letter: str) -> Isometry:
         base = {"P": self.gP, "Q": self.gQ, "R": self.gR}
         if letter in base:
             return base[letter]
-        return base[letter.upper()].inverse(self.tol)
+        return base[letter.upper()].inverse()
 
     def vertex(self, name: str) -> HPoint:
         return {"P": self.P, "Q": self.Q, "R": self.R}[name]
@@ -107,20 +104,20 @@ class GroupElement:
     matrix: Isometry
 
 
-def build_group(p: int, q: int, r: int, tol: Tolerances = DEFAULT_TOL) -> TriangleGroup:
+def build_group(p: int, q: int, r: int) -> TriangleGroup:
     """Rotation triangle group on the canonical triangle, relations checked."""
-    P, Q, R = hyp2.triangle_from_angles(p, q, r, tol)
-    gP = rotation_about(P, 2.0 * math.pi / p, tol)
-    gQ = rotation_about(Q, 2.0 * math.pi / q, tol)
-    gR = rotation_about(R, 2.0 * math.pi / r, tol)
-    group = TriangleGroup(p, q, r, P, Q, R, gP, gQ, gR, tol)
+    P, Q, R = hyp2.triangle_from_angles(p, q, r)
+    gP = rotation_about(P, 2.0 * math.pi / p)
+    gQ = rotation_about(Q, 2.0 * math.pi / q)
+    gR = rotation_about(R, 2.0 * math.pi / r)
+    group = TriangleGroup(p, q, r, P, Q, R, gP, gQ, gR)
     for g, n in ((gP, p), (gQ, q), (gR, r)):
         acc = Isometry.identity()
         for _ in range(n):
-            acc = acc.compose(g, tol)
-        if not hyp2.is_identity(acc, tol):
+            acc = acc.compose(g)
+        if not hyp2.is_identity(acc):
             raise EnumerationError(f"generator order {n} violated for ({p},{q},{r})")
-    if not hyp2.is_identity(gP.compose(gQ, tol).compose(gR, tol), tol):
+    if not hyp2.is_identity(gP.compose(gQ).compose(gR)):
         raise EnumerationError(f"product relation violated for ({p},{q},{r})")
     return group
 
@@ -198,8 +195,8 @@ class _GridIndex:
         return None
 
 
-def _matrix_index(tol: Tolerances) -> _GridIndex:
-    return _GridIndex(tol.eps_band, guard=10.0, dist=projective_dist)
+def _matrix_index() -> _GridIndex:
+    return _GridIndex(config.EPS_BAND, guard=10.0, dist=projective_dist)
 
 
 def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
@@ -222,7 +219,7 @@ _BALL_RADIUS: dict[TriangleGroup, int] = {}
 def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement, ...]:
     """All distinct elements of word length <= max_len, shortlex order.
 
-    Dedup is by projective matrix within eps_band, with a guard band that
+    Dedup is by projective matrix within EPS_BAND, with a guard band that
     raises if two candidates are suspiciously close without coinciding.
     The search is breadth-first in a fixed order, so the ball of a smaller
     radius is a prefix of a larger one: once a ball of the group is
@@ -235,9 +232,9 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
     if largest > max_len:
         ball = enumerate_elements(group, largest)
         return ball[:bisect.bisect_right(ball, max_len, key=_word_length)]
-    eps = group.tol.eps_pt
+    eps = config.EPS_PT
     gens = [(letter, group.generator(letter).entries()) for letter in ALPHABET]
-    index = _matrix_index(group.tol)
+    index = _matrix_index()
     identity = GroupElement((), Isometry.identity())
     index.insert(identity.matrix.entries())
     elements = [identity]
@@ -278,15 +275,15 @@ def foot_of_perpendicular(geo: Geodesic, p: HPoint) -> HPoint:
     return foot_on_axis(geo, axis_parameter(geo, p))
 
 
-def midpoint(a: HPoint, b: HPoint, tol: Tolerances = DEFAULT_TOL) -> HPoint:
+def midpoint(a: HPoint, b: HPoint) -> HPoint:
     """Midpoint of the geodesic segment from a to b."""
-    geo = geodesic_through(a, b, tol)
+    geo = geodesic_through(a, b)
     ta, tb = axis_parameter(geo, a), axis_parameter(geo, b)
     return foot_on_axis(geo, ta + 0.5 * (tb - ta))
 
 
 @functools.lru_cache(maxsize=16)
-def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
+def curve_system(case: int) -> CurveSystem:
     """The section curve of one of the five cases, on the canonical triangle.
 
     237: full geodesic through P perpendicular to QR (the doubled altitude).
@@ -297,23 +294,23 @@ def curve_system(case: int, tol: Tolerances = DEFAULT_TOL) -> CurveSystem:
          through J from the group orbit.
     344: same with Q, R and the midpoint K of QR, axis of gQ * gR^-1.
     """
-    group = build_group(*CASE_TRIPLES[case], tol)
+    group = build_group(*CASE_TRIPLES[case])
     P, Q, R = group.P, group.Q, group.R
     if case == 237:
-        qr = geodesic_through(Q, R, tol)
-        bases, center = (geodesic_through(P, foot_of_perpendicular(qr, P), tol),), "R"
+        qr = geodesic_through(Q, R)
+        bases, center = (geodesic_through(P, foot_of_perpendicular(qr, P)),), "R"
     elif case == 245:
-        bases, center = (geodesic_through(P, Q, tol),), "R"
+        bases, center = (geodesic_through(P, Q),), "R"
     elif case == 246:
-        bases, center = (geodesic_through(P, R, tol),), "Q"
+        bases, center = (geodesic_through(P, R),), "Q"
     elif case in (334, 344):
         if case == 334:
-            g8 = group.gP.compose(group.gQ.inverse(tol), tol)
-            crossing_pt, center = midpoint(P, Q, tol), "R"
+            g8 = group.gP.compose(group.gQ.inverse())
+            crossing_pt, center = midpoint(P, Q), "R"
         else:
-            g8 = group.gQ.compose(group.gR.inverse(tol), tol)
-            crossing_pt, center = midpoint(Q, R, tol), "P"
-        axis = axis_of(g8, tol)
+            g8 = group.gQ.compose(group.gR.inverse())
+            crossing_pt, center = midpoint(Q, R), "P"
+        axis = axis_of(g8)
         gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
         if gap > 1e-6:
             raise GeometryError(f"figure-eight axis misses its crossing point "
@@ -356,12 +353,11 @@ def _orbit_lifts(mats: Iterable[Isometry],
 
 
 @functools.lru_cache(maxsize=32)
-def curve_lifts(case: int, depth: int,
-                tol: Tolerances = DEFAULT_TOL) -> tuple[Geodesic, ...]:
+def curve_lifts(case: int, depth: int) -> tuple[Geodesic, ...]:
     """The deduped orbit of the base geodesics in the word ball, in order."""
-    group = build_group(*CASE_TRIPLES[case], tol)
+    group = build_group(*CASE_TRIPLES[case])
     return _orbit_lifts((el.matrix for el in enumerate_elements(group, depth)),
-                        curve_system(case, tol).base_geodesics)
+                        curve_system(case).base_geodesics)
 
 
 @functools.lru_cache(maxsize=16)
@@ -382,15 +378,15 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> tuple[complex, float]:
     rho_b of z), then the tiles met along the path back to the cell centre
     (within r_T of it), join g·h^n to the identity in generator steps.
     """
-    tol, corners = group.tol, (group.P, group.Q, group.R)
+    corners = (group.P, group.Q, group.R)
     ks = [to_klein(v) for v in corners]
     o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
     reach = 0.0
     for geo in system.base_geodesics:
         for el in enumerate_elements(group, 4):
-            cls = classify(el.matrix, tol)
+            cls = classify(el.matrix)
             if cls.kind is IsometryKind.HYPERBOLIC and same_geodesic_angles(
-                    axis_of(el.matrix, tol).angles, geo.angles, 1e-7):
+                    axis_of(el.matrix).angles, geo.angles, 1e-7):
                 break
         else:
             raise EnumerationError(f"case {system.case}: no axis on a base geodesic")
@@ -406,7 +402,6 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
     few near it: the deduped g·b over the bases b and the g found breadth-first
     from the identity whose tile point, framed with a segment of length L up
     from i, is a w with |Re w| <= sinh(rho) Im w, log|w| in [-rho, L + rho]."""
-    tol = group.tol
     o, rho = _tube(group, system)
     spread, low = math.sinh(rho), math.exp(-2.0 * rho)
     frames = []  # per segment a-b: the isometry taking a to i, b up from i
@@ -414,8 +409,8 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
         r = math.sqrt(a.y)
         shift = Isometry(1.0 / r, -a.x / r, 0.0, r)
         w = cayley(mobius(shift.entries(), b.as_complex()))
-        turn = rotation_about(HPoint(0.0, 1.0), -math.atan2(w.imag, w.real), tol)
-        frames.append((turn.compose(shift, tol).entries(),
+        turn = rotation_about(HPoint(0.0, 1.0), -math.atan2(w.imag, w.real))
+        frames.append((turn.compose(shift).entries(),
                        math.exp(2.0 * (distance(a, b) + rho))))
     # The tile point of g·s is g(s·o): a tile is composed once it is kept.
     steps = [(gen, mobius(gen, o))
@@ -431,7 +426,7 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
                 if (abs(w.real) <= spread * w.imag
                         and low <= w.real * w.real + w.imag * w.imag <= high):
                     if index.insert(_disc_image(entries, step)) is None:
-                        tiles.append(compose_entries(entries, gen, tol.eps_pt))
+                        tiles.append(compose_entries(entries, gen, config.EPS_PT))
                     break
     return _orbit_lifts((Isometry(*e) for e in tiles), system.base_geodesics)
 
@@ -530,8 +525,7 @@ class AdjacencyReport:
         return len(self.entries)
 
 
-def _meetings(geo: Geodesic, lifts: Iterable[Geodesic],
-              tol: Tolerances) -> tuple[bool, list[float]]:
+def _meetings(geo: Geodesic, lifts: Iterable[Geodesic]) -> tuple[bool, list[float]]:
     """Whether geo is one of the lifts (within 1e-7), and the axis parameter
     on geo of each point where another lift crosses it; a crossing at an
     angle below 1e-6 raises TangencyError."""
@@ -544,7 +538,7 @@ def _meetings(geo: Geodesic, lifts: Iterable[Geodesic],
             continue
         if not angles_interleave(lift.angles, pair):
             continue
-        z = geodesic_intersection(lift, geo, tol)
+        z = geodesic_intersection(lift, geo)
         if z is None:
             continue
         ang = crossing_angle(lift, geo, z)
@@ -575,12 +569,11 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem, depth: int,
     figure-eight cases).  Candidates are ranked by distance, then by disc
     coordinates.
     """
-    tol = group.tol
     c0 = system.cell_center
     ranked = []
     for p, el in cell_tiling(group, c0, min(depth, 5)):
         d = distance(p, c0)
-        if d < tol.eps_pt:
+        if d < config.EPS_PT:
             continue
         dx, dy = to_disc(p)
         ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, el))
@@ -588,9 +581,9 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem, depth: int,
     chosen: list[tuple[HPoint, GroupElement]] = []
     for _, p, el in ranked:
         # The segment meets the lifts at the crossings strictly inside it.
-        geo = geodesic_through(c0, p, tol)
+        geo = geodesic_through(c0, p)
         lo, hi = sorted((axis_parameter(geo, c0), axis_parameter(geo, p)))
-        ts = _meetings(geo, lifts_along(group, system, (c0, p)), tol)[1]
+        ts = _meetings(geo, lifts_along(group, system, (c0, p)))[1]
         if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1:
             chosen.append((p, el))
             if len(chosen) >= count:
@@ -625,8 +618,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     (a rho about another point misses) and to differ from the ones before
     (a rho of order below k repeats).
     """
-    tol = group.tol
-    eps = tol.eps_pt
+    eps = config.EPS_PT
     c0 = system.cell_center
     if neighbor is None:
         neighbor = canonical_neighbors(group, system, depth, count=1)[0]
@@ -634,7 +626,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     letter = system.center_vertex.lower()
     step = group.generator(letter).entries()
     z0 = c0.as_complex()
-    index = _matrix_index(tol)
+    index = _matrix_index()
     m, word = witness.matrix.entries(), witness.word
     entries = []
     counts = {IsometryKind.ELLIPTIC: 0, IsometryKind.HYPERBOLIC: 0,
@@ -650,7 +642,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
             raise EnumerationError(f"case {system.case}: coset element {name} "
                                    f"repeats an earlier one")
         el = GroupElement(word, Isometry(*m))
-        cls = classify(el.matrix, tol)
+        cls = classify(el.matrix)
         if cls.kind is IsometryKind.IDENTITY:
             raise EnumerationError("identity cannot move a tile")
         counts[cls.kind] += 1
@@ -670,12 +662,11 @@ def _axis_meetings(group: TriangleGroup, system: CurveSystem,
     """Whether the axis of m is a curve lift, and its distinct crossings with
     the others per half-open period, near-tangential ones rejected: from the
     lifts along the path from the cell centre to its foot x0, then to m·x0."""
-    tol = group.tol
-    axis = axis_of(m, tol)  # a GeometryError unless m is hyperbolic
-    period = classify(m, tol).translation_length
+    axis = axis_of(m)  # a GeometryError unless m is hyperbolic
+    period = classify(m).translation_length
     x0 = foot_of_perpendicular(axis, system.cell_center)
     path = (system.cell_center, x0, apply(m, x0))
-    on_lift, ts = _meetings(axis, lifts_along(group, system, path), tol)
+    on_lift, ts = _meetings(axis, lifts_along(group, system, path))
     if not ts:
         raise EnumerationError("no curve crossings found along one period "
                                "of the axis")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from orbiflow import cli, render, report
-from orbiflow import config as cfg
-from orbiflow.config import DEFAULT_DEPTH, DEFAULT_TOL
+from orbiflow.config import DEFAULT_DEPTH
 
 GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case 344 --depth 6`, pinned like the report.
@@ -22,6 +22,17 @@ TILING_D5_SHA256 = {
     334: "b856b82084064ec95615ab162a07e4efd39eec6ee88175484d0cabaa5ada802a",
     344: "367ced3b1c8db40d8a2c14678415f58a452b5bc907b211341167948946a2a14a",
 }
+# sha256 of the `orbiflow verify --case all` text output without its per-case
+# timing lines.
+TEXT_ALL_SHA256 = \
+    "a8c56b14f2337cac1eda5006b640fc7c5524439adf67398bf76657b5d236632c"
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports the package from SRC."""
+    return subprocess.run([sys.executable, "-c", code], text=True,
+                          capture_output=True, env={"PYTHONPATH": SRC})
 
 
 def test_verify_single_case_passes(tmp_path, capsys):
@@ -95,33 +106,55 @@ def test_deep_report_matches_golden_bytes(tmp_path):
 
 @pytest.mark.parametrize("eps", ["1e-6", "1e-5", "1e-4", "1e-3"])
 def test_loose_tolerance_gives_default_verdicts(tmp_path, eps):
-    # The thresholded gaps are wide: every check, expected and actual value
-    # is the same as in the default run up to --tol 1e-3.
+    # The thresholded gaps are wide: with the coincidence scale raised to eps
+    # and the band to max(eps, 1e-7), every check, expected and actual value
+    # is the same as in the default run.  The word balls and lift sets are
+    # cached for the thresholds a process starts with, so each eps runs in a
+    # fresh interpreter.
     out = tmp_path / "loose.json"
-    assert cli.main(["verify", "--case", "all", "--tol", eps,
-                     "--json", str(out)]) == 0
+    run = _run_fresh(
+        f"import sys\nfrom orbiflow import cli, config\n"
+        f"config.EPS_PT = {eps}\nconfig.EPS_BAND = max({eps}, 1e-7)\n"
+        f"sys.exit(cli.main(['verify', '--case', 'all', '--json', "
+        f"{str(out)!r}]))")
+    assert run.returncode == 0, run.stderr
     payload = json.loads(out.read_text())
     default = json.loads((GOLDEN / "verify_all.json").read_text())
+    assert payload["config"]["eps_pt"] == float(eps)
     assert payload["cases"] == default["cases"]
     assert payload["global"] == default["global"]
 
 
-def test_flags_set_depth_and_tolerance():
-    def resolve(*flags):
-        return cli._resolve_config(cli._build_parser().parse_args(
-            ["verify", *flags]))
-    assert resolve() == (DEFAULT_DEPTH, DEFAULT_TOL)
-    assert resolve("--depth", "14", "--tol", "1e-6") == \
-        (14, cfg.Tolerances(1e-6, 1e-6))
-    # The band never drops below its default.
-    assert resolve("--tol", "1e-9") == (DEFAULT_DEPTH, DEFAULT_TOL)
+def test_flags_set_depth():
+    def depth(*flags):
+        return cli._build_parser().parse_args(["verify", *flags]).depth
+    assert depth() == DEFAULT_DEPTH
+    assert depth("--depth", "14") == 14
 
 
-@pytest.mark.parametrize("flag,value", [("--tol", "0.5"), ("--tol", "0"),
-                                        ("--depth", "0")])
+@pytest.mark.parametrize("flag,value", [("--depth", "0")])
 def test_flag_validated(capsys, flag, value):
     assert cli.main(["verify", "--case", "237", flag, value]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_tolerance_flag_is_a_usage_error(capsys):
+    # The thresholds are constants: argparse rejects --tol as it would any
+    # unknown flag.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--case", "237", "--tol", "1e-3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_text_report_matches_golden_digest(capsys):
+    # The text report prints every case's and the global checks in one
+    # format; only the per-case timing lines vary from run to run.
+    assert cli.main(["verify", "--case", "all"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+             if not re.fullmatch(r"  \(\d+\.\d\ds\)\n", line)]
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == TEXT_ALL_SHA256
 
 
 def test_tiling_matches_golden_sha256(tmp_path):
@@ -141,12 +174,11 @@ def test_tiling_depth5_matches_golden_sha256(tmp_path, case):
 
 def _fresh_modules(code: str) -> list[str]:
     """orbiflow modules loaded after running `code` in a fresh interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     code += ("; print(' '.join(sorted(m for m in sys.modules "
              "if m.startswith('orbiflow'))))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True, env={"PYTHONPATH": src}).stdout
-    return out.splitlines()[-1].split()
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1].split()
 
 
 def test_import_cli_loads_no_subcommand_layer():
@@ -251,7 +283,7 @@ def test_geodesic_path_formats():
 
 
 def test_run_verification_report_shape():
-    rep = report.run_verification(237, DEFAULT_DEPTH, DEFAULT_TOL)
+    rep = report.run_verification(237, DEFAULT_DEPTH)
     d = rep.as_dict()
     assert set(d) == {"schema_version", "pass", "config", "cases", "global"}
     assert all({"check_id", "expected", "actual", "pass"} == set(c)
@@ -261,19 +293,32 @@ def test_run_verification_report_shape():
 def test_timings_account_for_trace3():
     # The one trace-3 word search is timed under the global checks, and only
     # a report asked for with timings carries any.
-    rep = report.run_verification(237, DEFAULT_DEPTH, DEFAULT_TOL,
-                                  include_timings=True)
+    rep = report.run_verification(237, DEFAULT_DEPTH, include_timings=True)
     assert "trace3" in rep.as_dict()["global"]["timings_s"]
     rep.include_timings = False
     assert "timings_s" not in rep.as_dict()["global"]
 
 
-# Typed numerics failures, planted in a fresh interpreter before `cli.main`.
-NUMERICS_FAULTS = {
+# Typed failures of the chain, planted in a fresh interpreter before
+# `cli.main`: by the start of the error line each prints, the patch and the
+# message the line carries.
+PLANTED_FAULTS = {
     "tangency": ("trigroup.crossing_angle = lambda *args: 1e-9", "1.00e-09"),
     "geometry": ("def fail(*args):\n"
                  "    raise hyp2.GeometryError('planted curve failure')\n"
                  "trigroup.curve_system = fail", "planted curve failure"),
+    # 237's rectangle with its side x glued to itself the same way round.
+    "complex (sections)": (
+        "S = sections._SECTIONS[237]\n"
+        "poly = tuple(('x', 1) if s == ('x', -1) else s for s in S.polygons[0])\n"
+        "sections._SECTIONS[237] = dataclasses.replace(S, polygons=(poly,))",
+        "edge x glued orientation-reversingly"),
+    # Every generic parameter choice of the punctured-torus basis degenerate.
+    "degeneracy (surgery)": (
+        "def fail(*args):\n"
+        "    raise surgery.DegenerateChoiceError('planted degeneracy')\n"
+        "surgery.PuncturedTorusBasis = fail",
+        "no generic parameter choice worked: planted degeneracy"),
 }
 
 
@@ -282,17 +327,17 @@ NUMERICS_FAULTS = {
     ("tangency", ["tiling", "--case", "237", "--depth", "3",
                   "--out", "{tmp}/t.svg"]),
     ("geometry", ["verify", "--case", "237"]),
+    ("complex (sections)", ["verify", "--case", "237"]),
+    ("degeneracy (surgery)", ["verify", "--case", "237"]),
 ])
 def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
-    # Exit 1 means a verification check failed; a numerics failure is exit 2
+    # Exit 1 means a verification check failed; a typed failure is exit 2
     # with one line naming its kind and message, and no traceback.
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    patch, message = NUMERICS_FAULTS[kind]
-    code = (f"import sys\nfrom orbiflow import cli, hyp2, trigroup\n{patch}\n"
-            f"sys.exit(cli.main({argv!r}))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", code], text=True,
-                         capture_output=True, env={"PYTHONPATH": src})
+    patch, message = PLANTED_FAULTS[kind]
+    run = _run_fresh("import dataclasses, sys\n"
+                     "from orbiflow import cli, hyp2, sections, surgery, trigroup\n"
+                     f"{patch}\nsys.exit(cli.main({argv!r}))")
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     [line] = run.stderr.splitlines()

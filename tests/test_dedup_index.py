@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from orbiflow.config import DEFAULT_TOL
+from orbiflow import config
 from orbiflow.hyp2 import Isometry, projective_dist
 from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
                                DedupAmbiguityError, GroupElement, _GridIndex,
                                _matrix_index, build_group, enumerate_elements)
 
-RADIUS = DEFAULT_TOL.eps_band
+RADIUS = config.EPS_BAND
 
 
 def _mid_cell(index):
@@ -17,7 +17,7 @@ def _mid_cell(index):
 
 
 def test_planted_near_duplicate_raises():
-    index = _matrix_index(DEFAULT_TOL)
+    index = _matrix_index()
     assert index.insert(Isometry.identity().entries()) is None
     planted = (1.0 + 3 * RADIUS, 0.0, 0.0, 1.0)
     with pytest.raises(DedupAmbiguityError):
@@ -25,7 +25,7 @@ def test_planted_near_duplicate_raises():
 
 
 def test_duplicate_and_distinct_vectors():
-    index = _matrix_index(DEFAULT_TOL)
+    index = _matrix_index()
     base = Isometry.identity().entries()
     assert index.insert(base) is None
     assert index.insert((1.0, RADIUS / 2, 0.0, 1.0)) == 0
@@ -36,7 +36,7 @@ def test_duplicate_and_distinct_vectors():
 @pytest.mark.parametrize("side", (-1, 1))
 @pytest.mark.parametrize("axis", range(4))
 def test_neighbour_across_a_cell_wall_is_found(axis, side):
-    index = _matrix_index(DEFAULT_TOL)
+    index = _matrix_index()
     query = _mid_cell(index)
     stored = list(query)
     # Put the query just inside its cell's wall on `side`, and the stored
@@ -52,7 +52,7 @@ def test_neighbour_across_a_cell_wall_is_found(axis, side):
     # The guard band reaches across the wall too.
     beyond = list(query)
     beyond[axis] = wall + side * 2 * RADIUS
-    index2 = _matrix_index(DEFAULT_TOL)
+    index2 = _matrix_index()
     index2.insert(tuple(beyond))
     with pytest.raises(DedupAmbiguityError):
         index2.insert(tuple(query))
@@ -69,7 +69,6 @@ def test_neighbour_across_every_wall_at_a_corner():
 
 def _reference_ball(group, max_len):
     """Breadth-first word ball deduped by all-pairs projective distance."""
-    tol = group.tol
     gens = {letter: group.generator(letter) for letter in ALPHABET}
     elements = [GroupElement((), Isometry.identity())]
     frontier = elements
@@ -77,10 +76,10 @@ def _reference_ball(group, max_len):
         fresh = []
         for el in frontier:
             for letter in ALPHABET:
-                m = el.matrix.compose(gens[letter], tol)
+                m = el.matrix.compose(gens[letter])
                 entries = m.entries()
                 if all(projective_dist(entries, other.matrix.entries())
-                       > tol.eps_band for other in elements + fresh):
+                       > RADIUS for other in elements + fresh):
                     fresh.append(GroupElement(el.word + (letter,), m))
         elements = elements + fresh
         frontier = fresh

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiflow import hyp2
+from orbiflow import config, hyp2
 from orbiflow.hyp2 import (HPoint, Isometry, IsometryKind, apply, axis_of,
                            classify, distance, rotation_about,
                            triangle_from_angles, GeometryError)
@@ -190,7 +190,7 @@ def _reference_compose(g, h, eps):
 @given(isometries, isometries)
 @settings(max_examples=150, deadline=None)
 def test_compose_kernel_matches_compose_bitwise(g, h):
-    eps = hyp2.DEFAULT_TOL.eps_pt
+    eps = config.EPS_PT
     kernel = hyp2.compose_entries(g.entries(), h.entries(), eps)
     expect = _reference_compose(g, h, eps)
     assert [x.hex() for x in kernel] == [x.hex() for x in expect]
@@ -234,3 +234,16 @@ def test_geodesic_intersection_perpendicular():
 def test_geodesic_intersection_disjoint():
     assert hyp2.geodesic_intersection(hyp2.Geodesic(0.0, 1.0),
                                       hyp2.Geodesic(2.0, 3.0)) is None
+
+
+def test_thresholds_are_read_at_call_time(monkeypatch):
+    # The decisions read config's thresholds when they run, not a value bound
+    # at import, so raising one moves a decision at once.
+    shear = Isometry(1.0, 1e-6, 0.0, 1.0)  # parabolic, 1e-6 from the identity
+    assert classify(shear).kind is IsometryKind.PARABOLIC
+    monkeypatch.setattr(config, "EPS_PT", 1e-7)  # identity test at 1e-5
+    assert classify(shear).kind is IsometryKind.IDENTITY
+    turn = rotation_about(HPoint(0.0, 1.0), 2e-3)  # |tr| = 2 - 1e-6
+    assert classify(turn).kind is IsometryKind.ELLIPTIC
+    monkeypatch.setattr(config, "EPS_BAND", 1e-5)
+    assert classify(turn).kind is IsometryKind.PARABOLIC

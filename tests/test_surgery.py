@@ -434,3 +434,6 @@ def test_import_surgery_loads_only_the_surgery_layer():
     assert "orbiflow.surgery" in out
     for heavy in ("orbiflow.trigroup", "orbiflow.hyp2", "orbiflow.sections"):
         assert heavy not in out
+    # Its one addition is the import-free table of the paper's rows.
+    assert out == ["orbiflow", "orbiflow.config", "orbiflow.intlinalg",
+                   "orbiflow.surgery", "orbiflow.torusmap"]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from orbiflow import cli, hyp2, trigroup
+from orbiflow import cli, config, hyp2, trigroup
 from orbiflow.hyp2 import IsometryKind, apply, distance, projective_dist
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, EnumerationError,
                                adjacency_isometries, build_group,
@@ -142,7 +142,7 @@ def _all_pairs_words(group, system, depth, neighbor):
     """The adjacency elements of the half-ball matching over every pair
     (u, v), in shortlex pair order: a word search to check the coset
     against."""
-    eps = group.tol.eps_pt
+    eps = config.EPS_PT
     ball = enumerate_elements(group, (depth + 1) // 2)
     c0, c1 = system.cell_center, neighbor
     sources = [hyp2.to_disc(apply(el.matrix, c0)) for el in ball]
@@ -212,8 +212,7 @@ def test_planted_stabilizer_fault_exits_2(case_data, fault, monkeypatch,
     case = case_data[0]
     real = trigroup.curve_system
     monkeypatch.setattr(trigroup, "curve_system",
-                        lambda c, tol=trigroup.DEFAULT_TOL:
-                        _planted(real(c, tol), fault))
+                        lambda c: _planted(real(c), fault))
     assert cli.main(["verify", "--case", str(case)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: enumeration (trigroup): case {case}")
@@ -229,7 +228,7 @@ def test_stored_lift_angles_match(case_data):
     lifts = lifts_along(group, system, (c0, c1))
     geo = hyp2.geodesic_through(c0, c1)
     lo, hi = sorted((hyp2.axis_parameter(geo, c0), hyp2.axis_parameter(geo, c1)))
-    on_lift, ts = trigroup._meetings(geo, lifts, group.tol)
+    on_lift, ts = trigroup._meetings(geo, lifts)
     assert not on_lift
     assert trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1
     for lift in lifts:
