@@ -2,15 +2,18 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
-complex, surgery degeneracy), printed as one ``error:`` line.
+complex, surgery degeneracy or winding), printed as one ``error:`` line.
 The flags are the only configuration: ``verify --depth`` overrides the default
 in ``config``, and nothing is read from the environment.  The geometric
 thresholds are fixed constants in ``config``, not options.
 
-Each subcommand imports the layers it runs when it runs: ``verify`` the
-report stack (``report``, ``sections``, ``surgery``, ``torusmap``,
-``intlinalg``), ``tiling`` only ``render`` on top of ``trigroup``, and
-``catmap`` only ``torusmap`` and ``intlinalg``.
+Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
+subcommand imports the layers it runs when it runs: ``verify`` the report
+stack (``report``, ``sections``, ``surgery``, ``torusmap``, ``intlinalg``),
+``tiling`` only ``render``, and ``catmap`` only ``torusmap`` and
+``intlinalg``.  The record classes are plain ``__slots__`` classes on
+``orbiflow.Record``, built without generated code, so no path loads
+``inspect``, ``ast``, ``dis`` or ``tokenize``.
 """
 from __future__ import annotations
 
@@ -100,7 +103,7 @@ def cmd_verify(args) -> int:
         return 2
     from . import report
     from .sections import ComplexError
-    from .surgery import DegenerateChoiceError
+    from .surgery import DegenerateChoiceError, WindingError
     try:
         rep = report.run_verification(case, args.depth,
                                       include_timings=args.timings)
@@ -114,6 +117,8 @@ def cmd_verify(args) -> int:
         return _typed_error("complex (sections)", err)
     except DegenerateChoiceError as err:
         return _typed_error("degeneracy (surgery)", err)
+    except WindingError as err:
+        return _typed_error("winding (surgery)", err)
     _print_text_report(rep)
     if args.json_path:
         payload = json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"

@@ -17,12 +17,11 @@ cos(theta/2)]] with trace 2*cos(theta/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from . import config
+from . import Value, config
 
 INF = math.inf
 
@@ -31,16 +30,16 @@ class GeometryError(ValueError):
     """Raised on degenerate or out-of-domain geometric input."""
 
 
-@dataclass(frozen=True)
-class HPoint:
+class HPoint(Value):
     """Point x + iy of the upper half-plane (y > 0)."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not self.y > 0:
-            raise GeometryError(f"point ({self.x}, {self.y}) not in upper half-plane")
+    def __init__(self, x: float, y: float):
+        if not y > 0:
+            raise GeometryError(f"point ({x}, {y}) not in upper half-plane")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -67,14 +66,16 @@ def compose_entries(e1: Entries, e2: Entries, eps: float) -> Entries:
                               c1 * a2 + d1 * c2, c1 * b2 + d1 * d2, eps)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Value):
     """Sign-normalized SL(2,R) matrix [[a, b], [c, d]], ad - bc = 1."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: float, b: float, c: float, d: float):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def identity() -> "Isometry":
@@ -126,22 +127,24 @@ class IsometryKind(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class IsometryClass:
-    kind: IsometryKind
-    translation_length: Optional[float] = None  # hyperbolic only
+class IsometryClass(Value):
+    __slots__ = ("kind", "translation_length")
+
+    def __init__(self, kind: IsometryKind,
+                 translation_length: Optional[float] = None):  # hyperbolic only
+        Value.__init__(self, kind, translation_length)
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(Value):
     """Oriented complete geodesic with ideal endpoints u -> v (real or INF)."""
 
-    u: float
-    v: float
+    __slots__ = ("u", "v", "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self):
-        if self.u == self.v:
+    def __init__(self, u: float, v: float):
+        if u == v:
             raise GeometryError("geodesic needs distinct ideal endpoints")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     def is_vertical(self) -> bool:
         return math.isinf(self.u) or math.isinf(self.v)

@@ -8,11 +8,10 @@ below; the report records expected/actual/pass per check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import config, sections, surgery, torusmap, trigroup
+from . import Record, config, sections, surgery, torusmap, trigroup
 
 SCHEMA_VERSION = 2
 
@@ -46,8 +45,8 @@ EXPECTED = {
 }
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
+    __slots__ = ("check_id", "expected", "actual", "passed")
     check_id: str
     expected: Any
     actual: Any
@@ -58,11 +57,13 @@ class CheckRecord:
                 "actual": self.actual, "pass": self.passed}
 
 
-@dataclass
-class CaseReport:
-    case: int
-    checks: list[CheckRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+class CaseReport(Record):
+    __slots__ = ("case", "checks", "timings")
+
+    def __init__(self, case: int, checks: Optional[list[CheckRecord]] = None,
+                 timings: Optional[dict[str, float]] = None):
+        Record.__init__(self, case, [] if checks is None else checks,
+                        {} if timings is None else timings)
 
     def check(self, check_id: str, expected, actual) -> None:
         self.checks.append(CheckRecord(check_id, expected, actual,
@@ -191,12 +192,12 @@ def _brute_force_fix_count(A: torusmap.TorusMatrix, n: int) -> int:
     return count
 
 
-@dataclass
-class VerificationReport:
-    cases: list[CaseReport]
-    global_checks: CaseReport
-    depth: int
-    include_timings: bool = False
+class VerificationReport(Record):
+    __slots__ = ("cases", "global_checks", "depth", "include_timings")
+
+    def __init__(self, cases: list[CaseReport], global_checks: CaseReport,
+                 depth: int, include_timings: bool = False):
+        Record.__init__(self, cases, global_checks, depth, include_timings)
 
     @property
     def passed(self) -> bool:

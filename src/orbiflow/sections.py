@@ -15,9 +15,9 @@ orientations (orientable gluing), a boundary edge exactly once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Value
 from .trigroup import AdjacencyReport, CASES
 from .hyp2 import IsometryKind
 
@@ -28,29 +28,29 @@ class ComplexError(ValueError):
     """Inconsistent polygon complex."""
 
 
-@dataclass(frozen=True)
-class BoundaryLabel:
+class BoundaryLabel(Value):
+    __slots__ = ("longitudinal", "meridional", "turning")
     longitudinal: Fraction
     meridional: Fraction
     turning: Fraction  # meridional turn at the desingularization point, or 0
 
 
-@dataclass(frozen=True)
-class SectionComplex:
+class SectionComplex(Value):
+    __slots__ = ("polygons", "boundary")
     polygons: tuple[tuple[tuple[str, int], ...], ...]
     boundary: tuple[tuple[str, BoundaryLabel], ...]
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(Value):
+    __slots__ = ("edges", "a", "b", "primitive")
     edges: tuple[str, ...]
     a: int                      # longitudinal winding (meridian intersections)
     b: int                      # meridional winding (stable-trace intersections)
     primitive: tuple[int, int]  # (a, b) divided by gcd
 
 
-@dataclass(frozen=True)
-class FirstReturnSummary:
+class FirstReturnSummary(Value):
+    __slots__ = ("interior_fixed", "total_fixed")
     interior_fixed: int
     total_fixed: int
 

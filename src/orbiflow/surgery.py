@@ -26,11 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import config, intlinalg
+from . import Value, config, intlinalg
 from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 
 Vec = tuple[Fraction, Fraction]
@@ -44,27 +43,30 @@ class DegenerateChoiceError(RuntimeError):
     ``_complement`` raises it when every choice has hit one."""
 
 
-@dataclass(frozen=True)
-class SlopeCoefficient:
+class WindingError(ValueError):
+    """A cycle that does not close, or whose arc crossings do not sum to 0."""
+
+
+class SlopeCoefficient(Value):
     """Surgery coefficient b/a: the new meridian is homologous to a*l + b*m."""
 
-    b: int
-    a: int
+    __slots__ = ("b", "a")
 
-    def __post_init__(self):
-        if self.a < 0 or (self.a == 0 and abs(self.b) != 1):
+    def __init__(self, b: int, a: int):
+        if a < 0 or (a == 0 and abs(b) != 1):
             raise ValueError("denominator convention: a > 0, or a = 0 with b = +-1")
-        if math.gcd(abs(self.a), abs(self.b)) != 1:
-            raise ValueError(f"slope {self.b}/{self.a} not in lowest terms")
+        if math.gcd(abs(a), abs(b)) != 1:
+            raise ValueError(f"slope {b}/{a} not in lowest terms")
+        Value.__init__(self, b, a)
 
     def __str__(self) -> str:
         return f"{self.b}/{self.a}"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Invariant factors d1 | d2 | ...; factors >= 2 first, 0 per free rank."""
 
+    __slots__ = ("invariant_factors",)
     invariant_factors: tuple[int, ...]
 
     @staticmethod
@@ -86,8 +88,8 @@ class AbelianGroup:
         return out
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(Value):
+    __slots__ = ("orbit", "slope")
     orbit: CatOrbit
     slope: SlopeCoefficient
 
@@ -195,12 +197,12 @@ class PuncturedTorusBasis:
         m = cycle[-1][0] - cycle[0][0]
         n = cycle[-1][1] - cycle[0][1]
         if m.denominator != 1 or n.denominator != 1:
-            raise ValueError("polyline does not close on the torus")
+            raise WindingError("polyline does not close on the torus")
         m, n = int(m), int(n)
         r = [_torus_cross(cycle, arc) - m * xc - n * yc
              for arc, xc, yc in zip(self.arcs, self.x_cross, self.y_cross)]
         if sum(r) != 0:
-            raise ValueError("inconsistent winding system")
+            raise WindingError("inconsistent winding system")
         ks = list(itertools.accumulate(reversed(r[:-1]), initial=0))
         return [m, n] + ks[::-1]
 
@@ -346,8 +348,8 @@ THEOREM_ROWS = tuple((orbit, SlopeCoefficient(1, a), triple)
                          config.PAPER_ROWS, key=lambda row: row[2:]))
 
 
-@dataclass(frozen=True)
-class TheoremRowCheck:
+class TheoremRowCheck(Value):
+    __slots__ = ("orbit_name", "slope", "triple", "surgered", "seifert")
     orbit_name: str
     slope: SlopeCoefficient
     triple: tuple[int, int, int]

@@ -8,27 +8,26 @@ and the uniqueness of the trace-3 class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from . import intlinalg
+from . import Value, intlinalg
 
 
 class OutOfFamilyError(ValueError):
     """Matrix outside the classified family (trace <= 2)."""
 
 
-@dataclass(frozen=True)
-class TorusMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class TorusMatrix(Value):
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant != 1 for {self.entries()}")
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant != 1 for {(a, b, c, d)}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -65,10 +64,10 @@ IDENTITY = TorusMatrix(1, 0, 0, 1)
 CAT = TorusMatrix(2, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(Value):
     """Point of Q^2/Z^2 with a shared reduced denominator, 0 <= num < den."""
 
+    __slots__ = ("num_x", "num_y", "den")
     num_x: int
     num_y: int
     den: int
@@ -83,8 +82,8 @@ class RationalPoint:
         return (Fraction(self.num_x, self.den), Fraction(self.num_y, self.den))
 
 
-@dataclass(frozen=True)
-class CatOrbit:
+class CatOrbit(Value):
+    __slots__ = ("points",)
     points: tuple[RationalPoint, ...]
 
     @property
@@ -128,16 +127,16 @@ def periodic_point_count(A: TorusMatrix, n: int) -> int:
 
 # --- Cyclic positive words -------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclicXYWord:
+class CyclicXYWord(Value):
     """Positive word X^e1 Y^f1 ... X^ek Y^fk up to rotation by pairs."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        e = self.exponents
+    def __init__(self, exponents: tuple[int, ...]):
+        e = exponents
         if len(e) < 2 or len(e) % 2 != 0 or any(x < 1 for x in e):
             raise ValueError(f"invalid exponent sequence {e}")
+        Value.__init__(self, e)
 
     @staticmethod
     def canonical(exponents: Iterable[int]) -> "CyclicXYWord":

@@ -44,10 +44,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import config, hyp2
+from . import Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    IsometryClass, IsometryKind, angles_interleave, apply,
                    apply_geodesic, axis_of, axis_parameter, boundary_point,
@@ -76,8 +75,8 @@ class TangencyError(RuntimeError):
     """An axis met a curve lift non-transversally."""
 
 
-@dataclass(frozen=True)
-class TriangleGroup:
+class TriangleGroup(Value):
+    __slots__ = ("p", "q", "r", "P", "Q", "R", "gP", "gQ", "gR")
     p: int
     q: int
     r: int
@@ -98,10 +97,12 @@ class TriangleGroup:
         return {"P": self.P, "Q": self.Q, "R": self.R}[name]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: tuple[str, ...]
-    matrix: Isometry
+class GroupElement(Value):
+    __slots__ = ("word", "matrix")
+
+    def __init__(self, word: tuple[str, ...], matrix: Isometry):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def build_group(p: int, q: int, r: int) -> TriangleGroup:
@@ -257,13 +258,14 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
 
 # --- Section curves -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(Value):
     """Base data of one section curve: defining geodesics inside the triangle
     whose group orbit is the full lift set, plus the distinguished tile.  Its
     centre is the cone vertex named `center_vertex`, whose generator rotation
     generates the tile's stabilizer, of order `stabilizer_order`."""
 
+    __slots__ = ("case", "base_geodesics", "center_vertex", "cell_center",
+                 "stabilizer_order")
     case: int
     base_geodesics: tuple[Geodesic, ...]
     center_vertex: str
@@ -502,16 +504,17 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
 
 # --- Adjacency ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjacencyEntry:
+class AdjacencyEntry(Value):
+    __slots__ = ("element", "classification", "on_boundary_curve", "crossing")
     element: GroupElement
     classification: IsometryClass
     on_boundary_curve: Optional[bool]  # hyperbolic elements only
     crossing: Optional[int]            # hyperbolic elements only
 
 
-@dataclass(frozen=True)
-class AdjacencyReport:
+class AdjacencyReport(Value):
+    __slots__ = ("case", "base_center", "neighbor_center", "entries",
+                 "elliptic", "hyperbolic", "parabolic")
     case: int
     base_center: HPoint
     neighbor_center: HPoint

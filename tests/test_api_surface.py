@@ -2,8 +2,10 @@
 function and class of ``orbiflow``, and every public method of such a class,
 is named somewhere in the package besides its own definition.  A function
 whose only caller is a test belongs in the test.  Dunders are exempt.  Every
-dataclass field is read as an attribute in the package or in perfbench."""
+field of a record class (``orbiflow.Record``) is read as an attribute in the
+package or in perfbench."""
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -53,31 +55,78 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert not orphans, f"public names with no caller in the package: {orphans}"
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _record_fields(tree: ast.Module):
+    """(class name, field names) of each top-level class that derives from
+    ``Record`` or ``Value``: its fields are the ``__slots__`` names without a
+    leading underscore."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                 for b in node.bases}
+        if not bases & {"Record", "Value"}:
+            continue
+        for sub in node.body:
+            if (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                    and getattr(sub.targets[0], "id", None) == "__slots__"):
+                names = ast.literal_eval(sub.value)
+                yield node.name, [n for n in names if not n.startswith("_")]
+
+
+def _unread_fields(sources: dict[str, str], readers: list[str]):
+    """The record fields of `sources` (module name -> code) that no code in
+    `readers` reads as an attribute, and the classes examined."""
+    reads = set()
+    for code in readers:
+        reads.update(sub.attr for sub in ast.walk(ast.parse(code))
+                     if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.ctx, ast.Load))
+    unread, examined = [], []
+    for module, code in sources.items():
+        for name, fields in _record_fields(ast.parse(code)):
+            examined.append(name)
+            unread += [f"{module}.{name}.{f}" for f in fields if f not in reads]
+    return unread, examined
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _perfbench_sources() -> list[str]:
+    return [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+
+
+def _record_classes() -> set[str]:
+    """Names of the record classes the package defines, found at run time."""
+    for path in PACKAGE.glob("*.py"):
+        importlib.import_module(f"orbiflow.{path.stem}")
+    out, todo = set(), [orbiflow.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            out.add(sub.__name__)
+    return out
 
 
 def test_every_dataclass_field_is_read():
     # A field that no code reads as an attribute is data built for nothing.
     # perfbench counts as a reader: the surgery-sweep workload prints
-    # fields of the theorem rows.
-    paths = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    reads = set()
-    for path in paths:
-        reads.update(sub.attr for sub in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(sub, ast.Attribute)
-                     and isinstance(sub.ctx, ast.Load))
-    unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                unread += [f"{path.stem}.{node.name}.{sub.target.id}"
-                           for sub in node.body
-                           if isinstance(sub, ast.AnnAssign)
-                           and isinstance(sub.target, ast.Name)
-                           and sub.target.id not in reads]
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+    # fields of the theorem rows.  The guard must see every subclass of
+    # Record (Value and the 24 record classes at this writing), or it passes
+    # without looking.
+    sources = _package_sources()
+    unread, examined = _unread_fields(
+        sources, list(sources.values()) + _perfbench_sources())
+    assert not unread, f"record fields nothing reads: {unread}"
+    assert sorted(examined) == sorted(_record_classes())
+
+
+def test_field_guard_reports_a_planted_unread_field():
+    sources = _package_sources()
+    sources["planted"] = ("class Planted(Value):\n"
+                          "    __slots__ = ('case', 'never_read', '_cache')\n")
+    unread, examined = _unread_fields(
+        sources, list(sources.values()) + _perfbench_sources())
+    assert unread == ["planted.Planted.never_read"]
+    assert "Planted" in examined

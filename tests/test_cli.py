@@ -188,6 +188,19 @@ def test_import_cli_loads_no_subcommand_layer():
         assert f"orbiflow.{name}" not in loaded
 
 
+@pytest.mark.parametrize("imports", ["orbiflow.cli, orbiflow.report, orbiflow.render",
+                                     "orbiflow.surgery"])
+def test_entry_imports_skip_dataclasses_and_inspect(imports):
+    # The record classes are plain __slots__ classes (orbiflow.Record): no
+    # entry point loads dataclasses, nor the inspect, ast, dis and tokenize
+    # modules it pulls in, at about 30 ms of every cold run.
+    run = _run_fresh(f"import sys, {imports}\n"
+                     "print([m for m in ('dataclasses', 'inspect') "
+                     "if m in sys.modules])")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv,layer", [
     (["tiling", "--case", "344", "--depth", "4", "--out", "{tmp}/t.svg"],
      "render"),
@@ -311,7 +324,7 @@ PLANTED_FAULTS = {
     "complex (sections)": (
         "S = sections._SECTIONS[237]\n"
         "poly = tuple(('x', 1) if s == ('x', -1) else s for s in S.polygons[0])\n"
-        "sections._SECTIONS[237] = dataclasses.replace(S, polygons=(poly,))",
+        "sections._SECTIONS[237] = sections.SectionComplex((poly,), S.boundary)",
         "edge x glued orientation-reversingly"),
     # Every generic parameter choice of the punctured-torus basis degenerate.
     "degeneracy (surgery)": (
@@ -319,6 +332,12 @@ PLANTED_FAULTS = {
         "    raise surgery.DegenerateChoiceError('planted degeneracy')\n"
         "surgery.PuncturedTorusBasis = fail",
         "no generic parameter choice worked: planted degeneracy"),
+    # One crossing too many with every cut arc: the arc crossings of a closed
+    # cycle no longer sum to zero.
+    "winding (surgery)": (
+        "cross = surgery._torus_cross\n"
+        "surgery._torus_cross = lambda *args: cross(*args) + 1",
+        "inconsistent winding system"),
 }
 
 
@@ -329,13 +348,14 @@ PLANTED_FAULTS = {
     ("geometry", ["verify", "--case", "237"]),
     ("complex (sections)", ["verify", "--case", "237"]),
     ("degeneracy (surgery)", ["verify", "--case", "237"]),
+    ("winding (surgery)", ["verify", "--case", "237"]),
 ])
 def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     # Exit 1 means a verification check failed; a typed failure is exit 2
     # with one line naming its kind and message, and no traceback.
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     patch, message = PLANTED_FAULTS[kind]
-    run = _run_fresh("import dataclasses, sys\n"
+    run = _run_fresh("import sys\n"
                      "from orbiflow import cli, hyp2, sections, surgery, trigroup\n"
                      f"{patch}\nsys.exit(cli.main({argv!r}))")
     assert run.returncode == 2

@@ -423,6 +423,13 @@ def test_puncture_loops_pair_with_the_arcs_by_layout(short_orbits):
                 assert _loop_pairing(p, arcs, salt) == want, (orbit, salt, j)
 
 
+def test_open_polyline_has_no_winding_class():
+    basis = surgery.PuncturedTorusBasis([(Fraction(1, 3), Fraction(2, 3))])
+    path = [(Fraction(1, 5), Fraction(1, 7)), (Fraction(1, 2), Fraction(1, 7))]
+    with pytest.raises(surgery.WindingError, match="does not close"):
+        basis.cycle_class(path)
+
+
 def test_import_surgery_loads_only_the_surgery_layer():
     # The surgery layer needs neither the hyperbolic geometry nor the
     # section combinatorics; a fresh interpreter importing it must not load them.

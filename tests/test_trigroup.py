@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -188,11 +187,13 @@ def test_coset_matches_all_pairs(case_data):
 def _planted(system, fault):
     """The curve system with a wrong stabilizer: order k+1, or the rotation
     about another vertex of the triangle."""
+    vertex, order = system.center_vertex, system.stabilizer_order
     if fault == "order":
-        return dataclasses.replace(system,
-                                   stabilizer_order=system.stabilizer_order + 1)
-    other = next(n for n in "PQR" if n != system.center_vertex)
-    return dataclasses.replace(system, center_vertex=other)
+        order += 1
+    else:
+        vertex = next(n for n in "PQR" if n != vertex)
+    return trigroup.CurveSystem(system.case, system.base_geodesics, vertex,
+                                system.cell_center, order)
 
 
 PLANTED_MESSAGES = {"order": "repeats an earlier one",
@@ -232,7 +233,8 @@ def test_stored_lift_angles_match(case_data):
     assert not on_lift
     assert trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1
     for lift in lifts:
-        stored = vars(lift)["angles"]
+        stored = lift.angles
+        assert lift.angles is stored
         fresh = hyp2.geodesic_angles(hyp2.Geodesic(lift.u, lift.v))
         assert [a.hex() for a in stored] == [a.hex() for a in fresh]
 
