@@ -2,9 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
-complex, surgery degeneracy or winding), printed as one ``error:`` line.
-The flags are the only configuration: ``verify --depth`` overrides the default
-in ``config``, and nothing is read from the environment.  The geometric
+complex, surgery degeneracy or winding), printed as one ``error:`` line that
+names the kind and module, and for ``verify`` the case and stage.  The flags
+are the only configuration, and nothing is read from the environment:
+``verify --depth`` only sets the report's ``adjacency_depth``, and
+``tiling --depth`` is the radius of the drawn word ball.  The geometric
 thresholds are fixed constants in ``config``, not options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
@@ -40,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the machine-readable report to PATH")
     v.add_argument("--depth", type=int, default=cfg.DEFAULT_DEPTH,
-                   help="bounds the neighbour-tile search ball, of radius "
-                        "min(DEPTH, 5)")
+                   help="recorded in the report as adjacency_depth; no "
+                        "check reads it")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the JSON report "
                         "(omitted by default so reports are reproducible)")
@@ -88,8 +90,11 @@ def _print_text_report(rep) -> None:
 
 
 def _typed_error(kind: str, err: Exception) -> int:
-    """Print the one line of a typed failure; its exit code is 2."""
-    print(f"error: {kind}: {err}", file=sys.stderr)
+    """Print the one line of a typed failure, with the case and stage that
+    ``report`` marks a failure of ``verify`` with; its exit code is 2."""
+    stage = getattr(err, "stage", None)
+    where = f"{stage}: " if stage else ""
+    print(f"error: {kind}: {where}{err}", file=sys.stderr)
     return 2
 
 

@@ -1,4 +1,4 @@
-"""The paper's five rows, the two geometric thresholds and the search depth.
+"""The paper's five rows, the two geometric thresholds and the default depth.
 
 The thresholds are fixed constants, not options.  The modules that use them
 read them through this module at call time (``config.EPS_PT``), never as a
@@ -17,13 +17,13 @@ gaps (>1e-3 in every case handled here).
     ``Isometry.compose``/``inverse``: the first significant entry, made
     positive; ``axis_of``: a vertical axis (|c| below it);
   * ``hyp2.is_identity``: at 100x;
-  * ``trigroup.canonical_neighbors``: the base tile itself, skipped;
-    ``adjacency_isometries``: a coset element off the neighbour centre, at
-    10x.
+  * ``trigroup._disc_candidates``: the cell centre itself, skipped among
+    the neighbour candidates, and the generators that fix it, skipped for
+    the candidates' reach; ``adjacency_isometries``: a coset element off
+    the neighbour centre, at 10x.
 ``EPS_BAND`` is the band around degenerate values, read by:
   * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
-  * ``trigroup.enumerate_elements``, once per group for its largest ball
-    (smaller radii are prefixes of it), and the repeat check of
+  * ``trigroup.enumerate_elements`` and the repeat check of
     ``adjacency_isometries``: the matrix dedup radius, with a guard band at
     10x.
 The report's ``config`` block prints both, ``EPS_BAND`` as ``eps_dedup`` and
@@ -33,6 +33,8 @@ The report's ``config`` block prints both, ``EPS_BAND`` as ``eps_dedup`` and
 EPS_PT = 1e-9
 EPS_BAND = 1e-7
 
+# The default of ``verify --depth``, which the report records as
+# ``adjacency_depth`` and no check reads.
 DEFAULT_DEPTH = 12
 
 # One record per row of the paper's theorem: the case, its triangle triple

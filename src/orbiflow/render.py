@@ -80,11 +80,10 @@ def tiling_svg(case: int, depth: int) -> str:
         raise ValueError("depth must be >= 1")
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
-    # The drawing's ball first: the neighbour search's, of radius
-    # min(depth, 5), is a slice of it.  Its lift set is the only one a run
-    # builds.
+    # The drawing's ball first: the small balls the neighbour search reads
+    # are slices of it.  Its lift set is the only one a run builds.
     lifts = trigroup.curve_lifts(case, depth)
-    adjacency = trigroup.adjacency_isometries(group, system, depth)
+    adjacency = trigroup.adjacency_isometries(group, system)
 
     parts: list[str] = []
     parts.append(

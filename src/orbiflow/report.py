@@ -8,6 +8,7 @@ below; the report records expected/actual/pass per check.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -85,15 +86,30 @@ def _factors(group: surgery.AbelianGroup) -> list[int]:
     return list(group.invariant_factors)
 
 
-def run_case(case: int, depth: int, trace3_unique: bool) -> CaseReport:
+@contextmanager
+def _stage(rep: CaseReport, name: str):
+    """Time one stage of `rep` into its timings.  An exception raised in it
+    gets a ``stage`` attribute naming the case and the stage, "case 344,
+    adjacency" (for the global checks, "global, <stage>"), which the error
+    line of ``cli`` prints."""
+    t0 = time.monotonic()
+    try:
+        yield
+    except Exception as err:
+        if not hasattr(err, "stage"):
+            err.stage = (f"case {rep.case}" if rep.case else "global") + f", {name}"
+        raise
+    rep.timings[name] = time.monotonic() - t0
+
+
+def run_case(case: int, trace3_unique: bool) -> CaseReport:
     exp = EXPECTED[case]
     triple, orbit_name, a = _ROWS[case]
     rep = CaseReport(case)
-    t0 = time.monotonic()
-    group = trigroup.build_group(*triple)
-    system = trigroup.curve_system(case)
-    adjacency = trigroup.adjacency_isometries(group, system, depth=depth)
-    rep.timings["adjacency"] = time.monotonic() - t0
+    with _stage(rep, "adjacency"):
+        group = trigroup.build_group(*triple)
+        system = trigroup.curve_system(case)
+        adjacency = trigroup.adjacency_isometries(group, system)
     rep.check("adjacency_total", exp["adjacency"][0], adjacency.total)
     rep.check("adjacency_elliptic", exp["adjacency"][1], adjacency.elliptic)
     rep.check("adjacency_hyperbolic", exp["adjacency"][2], adjacency.hyperbolic)
@@ -101,81 +117,78 @@ def run_case(case: int, depth: int, trace3_unique: bool) -> CaseReport:
     on_bdry = sum(1 for e in adjacency.entries if e.on_boundary_curve)
     rep.check("hyperbolic_on_boundary", exp["hyperbolic_on_boundary"], on_bdry)
 
-    t0 = time.monotonic()
-    S = sections.section(case)
-    rep.check("euler_characteristic", exp["chi"], sections.euler_characteristic(S))
-    rep.check("orientable", True, sections.check_orientable(S))
-    comps = sections.boundary_components(S)
-    rep.check("boundary_component_count", exp["n_components"], len(comps))
-    dirs = sorted([list(c.primitive) for c in comps])
-    rep.check("boundary_directions", sorted(exp["directions"]), dirs)
-    total_dir = [sum(c.a for c in comps), sum(c.b for c in comps)]
-    rep.check("total_direction", exp["total_direction"], total_dir)
-    turning, applicable = sections.meridional_turning(S)
-    rep.check("meridional_turning", exp["turning"],
-              int(turning) if applicable else None)
-    rep.check("blow_down_genus", exp["genus"], sections.blow_down_genus(S))
-    rep.check("separatrix_counts", exp["separatrices"], sections.separatrix_count(S))
-    summary = sections.first_return_summary(adjacency)
-    rep.check("interior_fixed_points", exp["interior_fixed"], summary.interior_fixed)
-    rep.check("total_fixed_points", exp["total_fixed"], summary.total_fixed)
-    rep.timings["sections"] = time.monotonic() - t0
+    with _stage(rep, "sections"):
+        S = sections.section(case)
+        rep.check("euler_characteristic", exp["chi"],
+                  sections.euler_characteristic(S))
+        rep.check("orientable", True, sections.check_orientable(S))
+        comps = sections.boundary_components(S)
+        rep.check("boundary_component_count", exp["n_components"], len(comps))
+        dirs = sorted([list(c.primitive) for c in comps])
+        rep.check("boundary_directions", sorted(exp["directions"]), dirs)
+        total_dir = [sum(c.a for c in comps), sum(c.b for c in comps)]
+        rep.check("total_direction", exp["total_direction"], total_dir)
+        turning, applicable = sections.meridional_turning(S)
+        rep.check("meridional_turning", exp["turning"],
+                  int(turning) if applicable else None)
+        rep.check("blow_down_genus", exp["genus"], sections.blow_down_genus(S))
+        rep.check("separatrix_counts", exp["separatrices"],
+                  sections.separatrix_count(S))
+        summary = sections.first_return_summary(adjacency)
+        rep.check("interior_fixed_points", exp["interior_fixed"],
+                  summary.interior_fixed)
+        rep.check("total_fixed_points", exp["total_fixed"], summary.total_fixed)
 
     # Conjugacy certification: one fixed point for a hyperbolic torus map
     # forces trace 3, and the exhaustive word search pins the class to XY.
-    t0 = time.monotonic()
-    certified = trace3_unique and summary.total_fixed == 1
-    word = str(torusmap.xy_normal_form(torusmap.CAT)) if certified else None
-    rep.check("return_map_class", "XY", word)
-    rep.timings["certification"] = time.monotonic() - t0
+    with _stage(rep, "certification"):
+        certified = trace3_unique and summary.total_fixed == 1
+        word = str(torusmap.xy_normal_form(torusmap.CAT)) if certified else None
+        rep.check("return_map_class", "XY", word)
 
-    t0 = time.monotonic()
-    slope = surgery.section_to_slope(comps[0].primitive)
-    rep.check("section_slope", f"1/{a}", str(slope))
-    orbit = surgery.gamma1() if orbit_name == "gamma1" else surgery.gamma2()
-    rep.check("boundary_orbit_period", len(comps), orbit.period)
-    surgered = surgery.surgered_h1(surgery.SurgerySpec(orbit, slope))
-    seifert = surgery.seifert_h1(*triple)
-    rep.check("h1_surgered_factors", _factors(seifert), _factors(surgered))
-    rep.check("h1_order", exp["h1_order"], surgered.order())
-    neg = surgery.surgered_h1(surgery.SurgerySpec(
-        orbit, surgery.SlopeCoefficient(-slope.b, slope.a)))
-    rep.check("h1_slope_sign_symmetry", _factors(surgered), _factors(neg))
-    rep.timings["homology"] = time.monotonic() - t0
+    with _stage(rep, "homology"):
+        slope = surgery.section_to_slope(comps[0].primitive)
+        rep.check("section_slope", f"1/{a}", str(slope))
+        orbit = surgery.gamma1() if orbit_name == "gamma1" else surgery.gamma2()
+        rep.check("boundary_orbit_period", len(comps), orbit.period)
+        surgered = surgery.surgered_h1(surgery.SurgerySpec(orbit, slope))
+        seifert = surgery.seifert_h1(*triple)
+        rep.check("h1_surgered_factors", _factors(seifert), _factors(surgered))
+        rep.check("h1_order", exp["h1_order"], surgered.order())
+        neg = surgery.surgered_h1(surgery.SurgerySpec(
+            orbit, surgery.SlopeCoefficient(-slope.b, slope.a)))
+        rep.check("h1_slope_sign_symmetry", _factors(surgered), _factors(neg))
     return rep
 
 
-def run_global_checks(trace3_unique: bool) -> CaseReport:
-    rep = CaseReport(0)
-    t0 = time.monotonic()
-    rep.check("trace3_uniqueness_len8", True, trace3_unique)
-    rep.check("trace_monotone_len8", True,
-              torusmap.trace_monotone_under_extension(8))
-    cat = torusmap.CAT
-    fixed = torusmap.fixed_points(cat)
-    rep.check("cat_fixed_points", [[0, 0, 1]],
-              [[p.num_x, p.num_y, p.den] for p in fixed])
-    orb1 = torusmap.orbit_of(cat, torusmap.RationalPoint.of(Fraction(3, 5),
-                                                            Fraction(1, 5)))
-    orb2 = torusmap.orbit_of(cat, torusmap.RationalPoint.of(Fraction(1, 5),
-                                                            Fraction(2, 5)))
-    rep.check("cat_period2_orbits", [2, 2, True],
-              [orb1.period, orb2.period,
-               not set(orb1.points) & set(orb2.points)])
-    det_counts = [torusmap.periodic_point_count(cat, n) for n in range(1, 5)]
-    brute = [_brute_force_fix_count(cat, n) for n in range(1, 5)]
-    rep.check("cat_fix_counts_n1_to_4", det_counts, brute)
-    rep.timings["cat_dynamics"] = time.monotonic() - t0
+def run_global_checks(rep: CaseReport, trace3_unique: bool) -> None:
+    """The checks of no one case, added to `rep` (case 0)."""
+    with _stage(rep, "cat_dynamics"):
+        rep.check("trace3_uniqueness_len8", True, trace3_unique)
+        rep.check("trace_monotone_len8", True,
+                  torusmap.trace_monotone_under_extension(8))
+        cat = torusmap.CAT
+        fixed = torusmap.fixed_points(cat)
+        rep.check("cat_fixed_points", [[0, 0, 1]],
+                  [[p.num_x, p.num_y, p.den] for p in fixed])
+        orb1 = torusmap.orbit_of(cat, torusmap.RationalPoint.of(Fraction(3, 5),
+                                                                Fraction(1, 5)))
+        orb2 = torusmap.orbit_of(cat, torusmap.RationalPoint.of(Fraction(1, 5),
+                                                                Fraction(2, 5)))
+        rep.check("cat_period2_orbits", [2, 2, True],
+                  [orb1.period, orb2.period,
+                   not set(orb1.points) & set(orb2.points)])
+        det_counts = [torusmap.periodic_point_count(cat, n) for n in range(1, 5)]
+        brute = [_brute_force_fix_count(cat, n) for n in range(1, 5)]
+        rep.check("cat_fix_counts_n1_to_4", det_counts, brute)
 
-    t0 = time.monotonic()
-    g1 = surgery.gamma1()
-    orders = [surgery.surgered_h1(surgery.SurgerySpec(
-        g1, surgery.SlopeCoefficient(1, a))).order() for a in range(1, 11)]
-    rep.check("c1_surgery_order_law", list(range(1, 11)), orders)
-    rows = surgery.verify_theorem_h1()
-    rep.check("theorem_rows_match", [True] * 5, [r.match for r in rows])
-    rep.timings["homology_global"] = time.monotonic() - t0
-    return rep
+    with _stage(rep, "homology_global"):
+        g1 = surgery.gamma1()
+        orders = [surgery.surgered_h1(surgery.SurgerySpec(
+            g1, surgery.SlopeCoefficient(1, a))).order() for a in range(1, 11)]
+        rep.check("c1_surgery_order_law", list(range(1, 11)), orders)
+        rows = surgery.verify_theorem_h1()
+        rep.check("theorem_rows_match", [True] * 5, [r.match for r in rows])
 
 
 def _brute_force_fix_count(A: torusmap.TorusMatrix, n: int) -> int:
@@ -224,12 +237,12 @@ def run_verification(case_filter: Optional[int], depth: int,
     """Run the full chain for the selected cases, one after another in the
     fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
     (length 8) runs once, timed as the global ``trace3``, and feeds every
-    case and the global checks."""
-    t0 = time.monotonic()
-    unique = torusmap.trace3_uniqueness(8)
-    trace3_s = time.monotonic() - t0
+    case and the global checks.  `depth` is only recorded, as the report's
+    ``adjacency_depth``."""
+    global_rep = CaseReport(0)
+    with _stage(global_rep, "trace3"):
+        unique = torusmap.trace3_uniqueness(8)
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
-    case_reports = [run_case(cid, depth, unique) for cid in case_ids]
-    global_rep = run_global_checks(unique)
-    global_rep.timings["trace3"] = trace3_s
+    case_reports = [run_case(cid, unique) for cid in case_ids]
+    run_global_checks(global_rep, unique)
     return VerificationReport(case_reports, global_rep, depth, include_timings)

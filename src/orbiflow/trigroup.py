@@ -19,23 +19,27 @@ query lies within the probe radius of a wall: one cell nearly always, not
 apart and equal ones land within 6e-14, so the 1e-7 radius and the 1e-6
 guard band sit far from both.
 
-Each piece of work is done once per run.  A group's word ball is enumerated
-once, at the largest radius asked of it so far; the ball is built
-breadth-first in a fixed order, so every smaller radius is a prefix of it
-and is served as a slice (``enumerate_elements``).  Each neighbour
-candidate, and each hyperbolic axis over one period, is tested against the
-lifts of the tiles in a tube about its own path (``lifts_along``); only a
-drawing builds the lifts of a ball (``curve_lifts``).  A lift keeps its
-boundary angles and Klein chord (``Geodesic.angles``, ``.klein_ends``),
-computed on first use.  Both path tests, the neighbour segment and the axis
-period, meet the lifts through one primitive, ``_meetings``: it skips a lift
-whose endpoints do not interleave with the path geodesic's before
-``geodesic_intersection``, and rejects a near-tangential crossing.  A drawing
-clips every tile against the chords (``cell_polygon``).  The per-element
-loops (ball products, tile orbits, tube tiles) run on entry tuples with
-``hyp2``'s kernels and build an ``Isometry`` or ``HPoint`` only for a new
-element.  The figure-eight's second branch is searched one radius at a
-time, so no ball larger than the one holding it is built for it.
+Each piece of work is done once per run.  A word ball is built breadth-first
+in a fixed order, so a smaller radius is a prefix of a larger one and is
+served as a slice of a ball already built (``enumerate_elements``).  The
+neighbour candidates are the orbit points of the cell centre in a disc of
+tiles about it (``_disc_candidates``), and each search for one element (a
+neighbour's witness, a tube's axis element, the figure-eight's second
+branch) goes one radius at a time (``_first_in_ball``), so verifying the
+five cases builds no ball beyond radius 3.  One breadth-first search over
+tiles (``_tiles``) finds both that disc and the tube about a path.  Each
+neighbour candidate, and each hyperbolic axis over one period, is tested
+against the lifts of the tiles in a tube about its own path
+(``lifts_along``); only a drawing builds the lifts of a ball
+(``curve_lifts``).  A lift keeps its boundary angles and Klein chord
+(``Geodesic.angles``, ``.klein_ends``), computed on first use.  Both path
+tests, the neighbour segment and the axis period, meet the lifts through one
+primitive, ``_meetings``: it skips a lift whose endpoints do not interleave
+with the path geodesic's before ``geodesic_intersection``, and rejects a
+near-tangential crossing.  A drawing clips every tile against the chords
+(``cell_polygon``).  The per-element loops (ball products, tile orbits, tube
+tiles) run on entry tuples with ``hyp2``'s kernels and build an ``Isometry``
+or ``HPoint`` only for a new element.
 """
 from __future__ import annotations
 
@@ -256,6 +260,23 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
     return tuple(elements)
 
 
+def _first_in_ball(group: TriangleGroup, max_len: int,
+                   accept) -> Optional[GroupElement]:
+    """The first element of word length <= max_len, in ball order, that
+    `accept` takes, or None.  The ball is searched one radius at a time (the
+    slice that radius adds), so no ball larger than the one holding the
+    element is enumerated, and the element found is the one a search of the
+    whole radius-max_len ball finds first."""
+    seen = 0
+    for radius in range(1, max_len + 1):
+        ball = enumerate_elements(group, radius)
+        for el in ball[seen:]:
+            if accept(el):
+                return el
+        seen = len(ball)
+    return None
+
+
 # --- Section curves -------------------------------------------------------
 
 class CurveSystem(Value):
@@ -326,19 +347,15 @@ def curve_system(case: int) -> CurveSystem:
 
 def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic:
     """Second lift of the figure-eight curve through its crossing point: the
-    first in ball order within word length 4, searched one radius at a time
-    so that no ball larger than the one holding it is enumerated."""
-    seen = 0
-    for radius in range(1, 5):
-        ball = enumerate_elements(group, radius)
-        for el in ball[seen:]:
-            img = apply_geodesic(el.matrix, axis)
-            if same_geodesic_angles(img.angles, axis.angles, 1e-9):
-                continue
-            if distance(pt, foot_of_perpendicular(img, pt)) < 1e-9:
-                return img
-        seen = len(ball)
-    raise EnumerationError("no second branch found through the crossing point")
+    first in ball order within word length 4."""
+    def through_pt(el: GroupElement) -> bool:
+        img = apply_geodesic(el.matrix, axis)
+        return (not same_geodesic_angles(img.angles, axis.angles, 1e-9)
+                and distance(pt, foot_of_perpendicular(img, pt)) < 1e-9)
+    el = _first_in_ball(group, 4, through_pt)
+    if el is None:
+        raise EnumerationError("no second branch found through the crossing point")
+    return apply_geodesic(el.matrix, axis)
 
 
 def _orbit_lifts(mats: Iterable[Isometry],
@@ -363,11 +380,40 @@ def curve_lifts(case: int, depth: int) -> tuple[Geodesic, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _tube(group: TriangleGroup, system: CurveSystem) -> tuple[complex, float]:
+def _tile_point(group: TriangleGroup) -> tuple[HPoint, float]:
     """The tile point o, the Klein centroid of the base triangle T (no
-    rotation fixes it), and the radius rho = max(r_T, max_b rho_b) of the
-    tubes of ``lifts_along``.  Each point of a tile g·T lies within r_T,
-    o's largest distance to a vertex of T, of g·o.  Each base geodesic b is
+    rotation fixes it), and r_T, o's largest distance to a vertex of T: each
+    point of a tile g·T lies within r_T of its tile point g·o."""
+    corners = (group.P, group.Q, group.R)
+    ks = [to_klein(v) for v in corners]
+    o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
+    return o, max(distance(o, v) for v in corners)
+
+
+def _tiles(group: TriangleGroup, keep) -> list[Entries]:
+    """The entries of the tiles g·T found breadth-first from the identity,
+    one generator step g -> g·s at a time, whose tile point g·o (a complex
+    number in the half-plane) `keep` accepts; the identity is always one.
+    A tile is deduped by its tile point (1e-9) and composed once it is kept:
+    the tile point of g·s is g(s·o)."""
+    o = _tile_point(group)[0].as_complex()
+    steps = [(gen, mobius(gen, o))
+             for gen in (group.generator(letter).entries() for letter in ALPHABET)]
+    tiles = [Isometry.identity().entries()]
+    index = _GridIndex(1e-9)
+    index.insert(_disc_image(tiles[0], o))
+    for entries in tiles:  # a queue: the loop reaches the tiles it appends
+        for gen, step in steps:
+            if (keep(mobius(entries, step))
+                    and index.insert(_disc_image(entries, step)) is None):
+                tiles.append(compose_entries(entries, gen, config.EPS_PT))
+    return tiles
+
+
+@functools.lru_cache(maxsize=16)
+def _tube(group: TriangleGroup, system: CurveSystem) -> float:
+    """The radius rho = max(r_T, max_b rho_b) of the tubes of
+    ``lifts_along`` (o and r_T of ``_tile_point``).  Each base geodesic b is
     the axis of an element h translating by l_b (the first within word
     length 4), so a lift g·b meeting the path at z is (g·h^n)·b with
     (g·h^n)^-1·z within l_b/2 of the foot of o on b: g·h^n·o lies within
@@ -380,31 +426,29 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> tuple[complex, float]:
     rho_b of z), then the tiles met along the path back to the cell centre
     (within r_T of it), join g·h^n to the identity in generator steps.
     """
-    corners = (group.P, group.Q, group.R)
-    ks = [to_klein(v) for v in corners]
-    o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
+    o, r_T = _tile_point(group)
     reach = 0.0
     for geo in system.base_geodesics:
-        for el in enumerate_elements(group, 4):
-            cls = classify(el.matrix)
-            if cls.kind is IsometryKind.HYPERBOLIC and same_geodesic_angles(
-                    axis_of(el.matrix).angles, geo.angles, 1e-7):
-                break
-        else:
+        def on_geo(el: GroupElement) -> bool:
+            return (classify(el.matrix).kind is IsometryKind.HYPERBOLIC
+                    and same_geodesic_angles(axis_of(el.matrix).angles,
+                                             geo.angles, 1e-7))
+        el = _first_in_ball(group, 4, on_geo)
+        if el is None:
             raise EnumerationError(f"case {system.case}: no axis on a base geodesic")
         height = distance(o, foot_of_perpendicular(geo, o))
-        reach = max(reach, math.acosh(math.cosh(height)
-                                      * math.cosh(cls.translation_length / 2.0)))
-    return o.as_complex(), max(reach, max(distance(o, v) for v in corners))
+        reach = max(reach, math.acosh(math.cosh(height) * math.cosh(
+            classify(el.matrix).translation_length / 2.0)))
+    return max(reach, r_T)
 
 
 def lifts_along(group: TriangleGroup, system: CurveSystem,
                 path: Sequence[HPoint]) -> tuple[Geodesic, ...]:
     """Every curve lift meeting the polyline `path` from the cell centre, and a
-    few near it: the deduped g·b over the bases b and the g found breadth-first
-    from the identity whose tile point, framed with a segment of length L up
-    from i, is a w with |Re w| <= sinh(rho) Im w, log|w| in [-rho, L + rho]."""
-    o, rho = _tube(group, system)
+    few near it: the deduped g·b over the bases b and the tiles g of
+    ``_tiles`` whose tile point, framed with a segment of length L up from i,
+    is a w with |Re w| <= sinh(rho) Im w, log|w| in [-rho, L + rho]."""
+    rho = _tube(group, system)
     spread, low = math.sinh(rho), math.exp(-2.0 * rho)
     frames = []  # per segment a-b: the isometry taking a to i, b up from i
     for a, b in zip(path, path[1:]):
@@ -414,23 +458,17 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
         turn = rotation_about(HPoint(0.0, 1.0), -math.atan2(w.imag, w.real))
         frames.append((turn.compose(shift).entries(),
                        math.exp(2.0 * (distance(a, b) + rho))))
-    # The tile point of g·s is g(s·o): a tile is composed once it is kept.
-    steps = [(gen, mobius(gen, o))
-             for gen in (group.generator(letter).entries() for letter in ALPHABET)]
-    tiles = [Isometry.identity().entries()]
-    index = _GridIndex(1e-9)
-    index.insert(_disc_image(tiles[0], o))
-    for entries in tiles:  # a queue: the loop reaches the tiles it appends
-        for gen, step in steps:
-            z = mobius(entries, step)
-            for frame, high in frames:
-                w = mobius(frame, z)
-                if (abs(w.real) <= spread * w.imag
-                        and low <= w.real * w.real + w.imag * w.imag <= high):
-                    if index.insert(_disc_image(entries, step)) is None:
-                        tiles.append(compose_entries(entries, gen, config.EPS_PT))
-                    break
-    return _orbit_lifts((Isometry(*e) for e in tiles), system.base_geodesics)
+
+    def in_tube(z: complex) -> bool:
+        for frame, high in frames:
+            w = mobius(frame, z)
+            if (abs(w.real) <= spread * w.imag
+                    and low <= w.real * w.real + w.imag * w.imag <= high):
+                return True
+        return False
+
+    return _orbit_lifts((Isometry(*e) for e in _tiles(group, in_tube)),
+                        system.base_geodesics)
 
 
 # --- Tiling cells ---------------------------------------------------------
@@ -560,41 +598,89 @@ def _clusters(ts: list[float], period: float = math.inf) -> int:
     return runs
 
 
-def canonical_neighbors(group: TriangleGroup, system: CurveSystem, depth: int,
+def _disc_candidates(group: TriangleGroup, system: CurveSystem
+                     ) -> tuple[float, list[tuple[HPoint, tuple[float, float]]]]:
+    """(D, the orbit points g·c0 of the cell centre c0 with 0 < d(c0, g·c0)
+    <= D, each with its disc coordinates, ranked by distance, then by disc
+    coordinates).  D is the smallest nonzero d(c0, x·c0) over the generators
+    x, so the nearest orbit points are among them.
+
+    They come from the tiles of ``_tiles`` whose tile point lies within
+    D + r_T of c0 (o and r_T of ``_tile_point``), and every p = g·c0 within
+    D is among them.  Each tile met by the segment from c0 to p holds a point
+    of it, within D of c0, so its tile point lies within D + r_T of c0.  The
+    tiles and the black triangles between them are the chambers of T's
+    reflection group; walking the segment, the next tile met either shares
+    a vertex on the segment with the last one, and the tiles about a vertex
+    are one generator step apart in turn, or lies beside the same black
+    triangle, where two tiles share a vertex and are one step apart.  So the
+    tiles met join the identity, about c0, to a tile about p in generator
+    steps inside the disc; the tiles about p carry c0 to p, since no
+    element carries one vertex of T to another.  Both radii carry a 1e-9
+    rounding margin.
+    """
+    c0 = system.cell_center
+    z0 = c0.as_complex()
+    reach = min(d for d in (distance(apply(group.generator(letter), c0), c0)
+                            for letter in ALPHABET) if d >= config.EPS_PT)
+    # d(c0, z) <= R iff |z - c0|^2 <= 2 Im(c0) Im(z) (cosh R - 1)
+    scale = 2.0 * z0.imag * (math.cosh(reach + _tile_point(group)[1] + 1e-9) - 1.0)
+
+    def in_disc(z: complex) -> bool:
+        dz = z - z0
+        return dz.real * dz.real + dz.imag * dz.imag <= scale * z.imag
+
+    index = _GridIndex(1e-9)
+    ranked = []
+    for entries in _tiles(group, in_disc):
+        if index.insert(_disc_image(entries, z0)) is not None:
+            continue
+        w = mobius(entries, z0)
+        p = HPoint(w.real, w.imag)
+        d = distance(p, c0)
+        if config.EPS_PT <= d <= reach + 1e-9:
+            dx, dy = to_disc(p)
+            ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, (dx, dy)))
+    ranked.sort(key=operator.itemgetter(0))
+    return reach, [(p, disc) for _, p, disc in ranked]
+
+
+def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
                         count: int = 2) -> list[tuple[HPoint, GroupElement]]:
-    """Deterministic choices of adjacent same-type tile centers, each with
-    the element of the radius-min(depth, 5) ball that carries the base
-    center to it (the witness of ``cell_tiling``).
+    """The first `count` adjacent same-type tile centres among the orbit
+    points of ``_disc_candidates``, each with its witness: the first element
+    in shortlex ball order, within word length 5, that carries the base
+    centre c0 to it (the witness of ``cell_tiling``), and the centre is its
+    image of c0.  Fewer than `count` raises EnumerationError.
 
     A candidate orbit point is adjacent when the segment joining it to the
     base center meets the curve lifts in exactly one point (an edge interior
     for the vertical cases, the four-valent crossing vertex for the
-    figure-eight cases).  Candidates are ranked by distance, then by disc
-    coordinates.
+    figure-eight cases).
     """
     c0 = system.cell_center
-    ranked = []
-    for p, el in cell_tiling(group, c0, min(depth, 5)):
-        d = distance(p, c0)
-        if d < config.EPS_PT:
-            continue
-        dx, dy = to_disc(p)
-        ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, el))
-    ranked.sort(key=operator.itemgetter(0))
+    z0 = c0.as_complex()
+    reach, candidates = _disc_candidates(group, system)
     chosen: list[tuple[HPoint, GroupElement]] = []
-    for _, p, el in ranked:
+    for p, disc in candidates:
         # The segment meets the lifts at the crossings strictly inside it.
         geo = geodesic_through(c0, p)
         lo, hi = sorted((axis_parameter(geo, c0), axis_parameter(geo, p)))
         ts = _meetings(geo, lifts_along(group, system, (c0, p)))[1]
-        if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1:
-            chosen.append((p, el))
-            if len(chosen) >= count:
-                break
-    if not chosen:
-        raise EnumerationError(f"no adjacent tile found within depth {depth} "
-                               f"for case {system.case}")
-    return chosen
+        if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) != 1:
+            continue
+        witness = _first_in_ball(group, 5, lambda el: _chebyshev(
+            _disc_image(el.matrix.entries(), z0), disc) <= 1e-9)
+        if witness is None:
+            raise EnumerationError(f"case {system.case}: no element of word "
+                                   "length <= 5 carries the cell centre to "
+                                   "an adjacent one")
+        chosen.append((apply(witness.matrix, c0), witness))
+        if len(chosen) == count:
+            return chosen
+    raise EnumerationError(f"case {system.case}: {len(chosen)} of {count} "
+                           f"adjacent tiles within distance {reach:.6f} "
+                           "of the cell centre")
 
 
 def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
@@ -607,12 +693,12 @@ def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
     return (d.real, d.imag)
 
 
-def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
+def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
                          neighbor: Optional[tuple[HPoint, GroupElement]] = None
                          ) -> AdjacencyReport:
     """All group elements carrying the base tile center c0 to the neighbor
     tile center c1, classified; `neighbor` is c1 with a witness w, w·c0 = c1,
-    by default the first of ``canonical_neighbors`` at `depth`.
+    by default the first of ``canonical_neighbors``.
 
     They are the coset w·Stab(c0).  The stabilizer of the cone point c0 is
     the cyclic group of order k generated by the rotation rho about it
@@ -624,7 +710,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem, depth: int,
     eps = config.EPS_PT
     c0 = system.cell_center
     if neighbor is None:
-        neighbor = canonical_neighbors(group, system, depth, count=1)[0]
+        neighbor = canonical_neighbors(group, system, count=1)[0]
     c1, witness = neighbor
     letter = system.center_vertex.lower()
     step = group.generator(letter).entries()

@@ -43,7 +43,7 @@ def adjacency_reports():
         group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
         system = trigroup.curve_system(case)
         t0 = time.monotonic()
-        out[case] = trigroup.adjacency_isometries(group, system, depth=12)
+        out[case] = trigroup.adjacency_isometries(group, system)
         timings[case] = time.monotonic() - t0
     return out, timings
 

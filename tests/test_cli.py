@@ -57,9 +57,8 @@ def test_verify_bad_depth_exit_2(capsys):
 
 
 def test_verify_depth_one_gives_default_checks(tmp_path):
-    # --depth bounds only the neighbour search's ball, of radius
-    # min(depth, 5).  At depth 1 it picks another neighbour for 246 and 344,
-    # and every check comes out as in the default run.
+    # --depth is only recorded in the report: at depth 1 every check comes
+    # out as in the default run.
     out = tmp_path / "d1.json"
     assert cli.main(["verify", "--case", "all", "--depth", "1",
                      "--json", str(out)]) == 0
@@ -341,6 +340,13 @@ PLANTED_FAULTS = {
 }
 
 
+# The stage of ``verify --case 237`` that each planted fault stops.
+PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
+                  "complex (sections)": "sections",
+                  "degeneracy (surgery)": "homology",
+                  "winding (surgery)": "homology"}
+
+
 @pytest.mark.parametrize("kind,argv", [
     ("tangency", ["verify", "--case", "237"]),
     ("tangency", ["tiling", "--case", "237", "--depth", "3",
@@ -362,3 +368,6 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     assert "Traceback" not in run.stderr
     [line] = run.stderr.splitlines()
     assert line.startswith(f"error: {kind}") and message in line
+    if argv[0] == "verify":
+        # The line of a verify run names the case and the stage that failed.
+        assert f": case 237, {PLANTED_STAGES[kind]}: " in line

@@ -127,7 +127,7 @@ def adjacency_for(request):
     case = request.param
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
-    return case, trigroup.adjacency_isometries(group, system, depth=12)
+    return case, trigroup.adjacency_isometries(group, system)
 
 
 FIXED_EXPECTED = {237: (1, True, 0), 245: (1, True, 0), 246: (2, False, 1),

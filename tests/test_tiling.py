@@ -157,16 +157,28 @@ def ball_log(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,largest", [
-    (["verify", "--case", "344", "--depth", "16"], 5),
+    (["verify", "--case", "344", "--depth", "16"], 2),
     (["tiling", "--case", "344", "--depth", "6"], 6),
-    (["verify", "--case", "344", "--depth", "6"], 5),
+    (["verify", "--case", "344", "--depth", "6"], 2),
 ])
 def test_run_enumerates_radius_one_and_largest_ball_only(argv, largest,
                                                          ball_log, tmp_path):
+    # Radius 1 holds the second branch of the figure-eight.  A verify run
+    # then goes to radius 2, where the neighbour's witness pq lies; a drawing
+    # builds its own ball, of which every search reads a slice.
     out = ["--json", str(tmp_path / "r.json")] if argv[0] == "verify" \
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
     assert ball_log == [((3, 4, 4), 1), ((3, 4, 4), largest)]
+
+
+def test_verify_all_builds_no_ball_above_radius_three(ball_log, tmp_path):
+    # The neighbour candidates come from a disc of tiles, not from a word
+    # ball; the balls built serve only the witnesses, the tube axes and the
+    # second branches, each searched one radius at a time.
+    assert cli.main(["verify", "--case", "all",
+                     "--json", str(tmp_path / "r.json")]) == 0
+    assert ball_log and max(radius for _, radius in ball_log) <= 3
 
 
 @pytest.mark.parametrize("argv,builds", [

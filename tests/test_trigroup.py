@@ -23,7 +23,7 @@ def case_data(request):
     case = request.param
     group = build_group(*CASE_TRIPLES[case])
     system = curve_system(case)
-    report = adjacency_isometries(group, system, depth=12)
+    report = adjacency_isometries(group, system)
     return case, group, system, report
 
 
@@ -204,7 +204,7 @@ PLANTED_MESSAGES = {"order": "repeats an earlier one",
 def test_planted_stabilizer_fault_raises(case_data, fault):
     _, group, system, _ = case_data
     with pytest.raises(EnumerationError, match=PLANTED_MESSAGES[fault]):
-        adjacency_isometries(group, _planted(system, fault), depth=12)
+        adjacency_isometries(group, _planted(system, fault))
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_MESSAGES))
@@ -216,7 +216,8 @@ def test_planted_stabilizer_fault_exits_2(case_data, fault, monkeypatch,
                         lambda c: _planted(real(c), fault))
     assert cli.main(["verify", "--case", str(case)]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: enumeration (trigroup): case {case}")
+    assert line.startswith(f"error: enumeration (trigroup): case {case}, "
+                           "adjacency: ")
     assert PLANTED_MESSAGES[fault] in line
 
 
@@ -302,7 +303,7 @@ def test_neighbour_test_rejects_a_near_tangent_lift(case_data, monkeypatch):
     _, group, system, _ = case_data
     _plant_near_tangent(monkeypatch)
     with pytest.raises(trigroup.TangencyError):
-        canonical_neighbors(group, system, 12, count=1)
+        canonical_neighbors(group, system, count=1)
 
 
 def test_axis_test_rejects_a_near_tangent_lift(case_data, monkeypatch):
@@ -382,16 +383,81 @@ def test_adjacency_coset_closure(case_data):
 def test_adjacency_neighbor_independence(case_data):
     # The coset of the second neighbour's witness has the same split.
     case, group, system, report = case_data
-    nbrs = canonical_neighbors(group, system, 12, count=2)
+    nbrs = canonical_neighbors(group, system, count=2)
     assert len(nbrs) == 2
     (c1, w1), (c2, w2) = nbrs
     assert c1 == report.neighbor_center
     assert report.entries[0].element.word == w1.word != w2.word
-    other = adjacency_isometries(group, system, depth=12, neighbor=nbrs[1])
+    other = adjacency_isometries(group, system, neighbor=nbrs[1])
     assert other.neighbor_center == c2
     assert other.entries[0].element.word == w2.word
     assert (other.total, other.elliptic, other.hyperbolic) == \
         (report.total, report.elliptic, report.hyperbolic)
+
+
+def _reference_neighbors(group, system, count):
+    """The neighbour choice as it was made from a word ball: the orbit of the
+    cell centre in the radius-5 ball (``cell_tiling``), ranked by distance,
+    then disc coordinates, each with its first witness in ball order."""
+    c0 = system.cell_center
+    ranked = []
+    for p, el in cell_tiling(group, c0, 5):
+        d = distance(p, c0)
+        if d < config.EPS_PT:
+            continue
+        dx, dy = hyp2.to_disc(p)
+        ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, el))
+    ranked.sort(key=lambda item: item[0])
+    chosen = []
+    for _, p, el in ranked:
+        geo = hyp2.geodesic_through(c0, p)
+        lo, hi = sorted((hyp2.axis_parameter(geo, c0), hyp2.axis_parameter(geo, p)))
+        ts = trigroup._meetings(geo, lifts_along(group, system, (c0, p)))[1]
+        if trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1:
+            chosen.append((p, el))
+            if len(chosen) == count:
+                break
+    return chosen
+
+
+def test_neighbors_match_the_ball_reference(case_data):
+    _, group, system, _ = case_data
+    got = canonical_neighbors(group, system, count=2)
+    expected = _reference_neighbors(group, system, 2)
+    assert [(p.x.hex(), p.y.hex(), el.word) for p, el in got] == \
+        [(p.x.hex(), p.y.hex(), el.word) for p, el in expected]
+
+
+def test_disc_candidates_are_the_ball_orbit_points_within_reach(case_data):
+    # Every orbit point of the cell centre within D in the radius-8 ball is
+    # a candidate of the disc of tiles, and the disc has no other.
+    _, group, system, _ = case_data
+    c0 = system.cell_center
+    reach, candidates = trigroup._disc_candidates(group, system)
+    ball = [hyp2.to_disc(p) for p, _ in cell_tiling(group, c0, 8)
+            if config.EPS_PT <= distance(p, c0) <= reach + 1e-9]
+    disc = [dxy for _, dxy in candidates]
+    assert len(disc) == len(ball) >= 2
+
+    def matched(a, b):
+        return all(any(max(abs(x - u), abs(y - v)) < 1e-9 for u, v in b)
+                   for x, y in a)
+    assert matched(disc, ball) and matched(ball, disc)
+
+
+def test_neighbour_search_without_lifts_raises(monkeypatch, capsys):
+    # With no curve lift along any segment no candidate is adjacent: the
+    # search raises, and verify exits 2 with one error line.
+    monkeypatch.setattr(trigroup, "lifts_along", lambda *args: ())
+    group = build_group(*CASE_TRIPLES[237])
+    with pytest.raises(EnumerationError, match="case 237: 0 of 1 adjacent"):
+        canonical_neighbors(group, curve_system(237), count=1)
+    assert cli.main(["verify", "--case", "237"]) == 2
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert line.startswith("error: enumeration (trigroup): case 237, "
+                           "adjacency: case 237: 0 of 1 adjacent tiles")
+    assert "Traceback" not in out + err
 
 
 CROSSING_EXPECTED = {246: 1, 344: 1, 334: 2, 237: 2, 245: 1}
@@ -529,8 +595,7 @@ def test_tube_holds_every_tile_within_its_radius(case_data):
     # a path (distances to the segments taken directly) gives its lifts to
     # the tube, so the breadth-first search reaches the whole tube.
     _, group, system, report = case_data
-    oz, rho = trigroup._tube(group, system)
-    o = hyp2.HPoint(oz.real, oz.imag)
+    o, rho = trigroup._tile_point(group)[0], trigroup._tube(group, system)
     ball = enumerate_elements(group, 6)
     for path in _tube_paths(group, system, report):
         near = [el.matrix for el in ball
@@ -545,7 +610,7 @@ def test_tube_holds_every_tile_within_its_radius(case_data):
 def _scale_tube_radius(monkeypatch, factor):
     real = trigroup._tube
     monkeypatch.setattr(trigroup, "_tube",
-                        lambda g, s: (real(g, s)[0], factor * real(g, s)[1]))
+                        lambda g, s: factor * real(g, s))
 
 
 def test_doubled_tube_radius_finds_no_more_lifts(case_data, monkeypatch):
@@ -563,7 +628,7 @@ def test_quarter_tube_radius_misses_lifts(monkeypatch):
     for case in CASES:
         group = build_group(*CASE_TRIPLES[case])
         system = curve_system(case)
-        report = adjacency_isometries(group, system, depth=12)
+        report = adjacency_isometries(group, system)
         setups.append((group, system, report,
                        _tube_meetings(group, system, report)))
     _scale_tube_radius(monkeypatch, 0.25)
