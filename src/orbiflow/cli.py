@@ -3,7 +3,7 @@
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
 complex, surgery degeneracy or winding), printed as one ``error:`` line that
-names the kind and module, and for ``verify`` the case and stage.  The flags
+names the kind and module, the case, and for ``verify`` the stage.  The flags
 are the only configuration, and nothing is read from the environment:
 ``verify --depth`` only sets the report's ``adjacency_depth``, and
 ``tiling --depth`` is the radius of the drawn word ball.  The geometric
@@ -89,12 +89,12 @@ def _print_text_report(rep) -> None:
     print("VERIFICATION " + ("PASSED" if rep.passed else "FAILED"))
 
 
-def _typed_error(kind: str, err: Exception) -> int:
-    """Print the one line of a typed failure, with the case and stage that
-    ``report`` marks a failure of ``verify`` with; its exit code is 2."""
-    stage = getattr(err, "stage", None)
-    where = f"{stage}: " if stage else ""
-    print(f"error: {kind}: {where}{err}", file=sys.stderr)
+def _typed_error(kind: str, err: Exception, where: str | None = None) -> int:
+    """Print the one line of a typed failure; its exit code is 2.  `where`
+    names the case, which the messages of the chain do not: by default the
+    case and stage that ``report`` marks a failure of ``verify`` with."""
+    where = where or getattr(err, "stage", None)
+    print(f"error: {kind}: {where + ': ' if where else ''}{err}", file=sys.stderr)
     return 2
 
 
@@ -148,12 +148,13 @@ def cmd_tiling(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     from . import render
+    where = f"case {case}"
     try:
         svg = render.tiling_svg(case, args.depth)
     except (EnumerationError, ValueError) as err:
-        return _typed_error("rendering", err)
+        return _typed_error("rendering", err, where)
     except TangencyError as err:
-        return _typed_error("tangency (trigroup)", err)
+        return _typed_error("tangency (trigroup)", err, where)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)

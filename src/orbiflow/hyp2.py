@@ -162,6 +162,14 @@ class Geodesic(Value):
         a, b = self.angles
         return ((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b)))
 
+    @cached_property
+    def klein_line(self) -> tuple[float, float, float, float]:
+        """(nx, ny, c, |n|): the line n·k = c through ``klein_ends``, computed
+        on first use and kept."""
+        a, b = self.klein_ends
+        nx, ny = b[1] - a[1], a[0] - b[0]
+        return nx, ny, nx * a[0] + ny * a[1], math.hypot(nx, ny)
+
 
 def mobius(e: Entries, z: complex) -> complex:
     """Image of z under the matrix with entry tuple e; the kernel of apply."""

@@ -17,6 +17,8 @@ _FAMILY_STYLES = {
     "R": ("#d62728", "#fcbba1"),
 }
 
+_DRAWN = 0.55  # the cone-point tiles drawn: disc coordinates w, |w|^2 <= this
+
 
 def _fmt(x: float) -> str:
     v = f"{x:.6f}"
@@ -71,6 +73,20 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
     return head + body + " Z"
 
 
+def _on_curve(vertex: HPoint, lifts) -> bool:
+    """Whether a lift passes within 1e-7 of `vertex`.  The Klein distance to
+    a chord is at most the hyperbolic distance to its lift, so the chord
+    test (within 1e-6), made first, passes every lift the exact one accepts."""
+    kx, ky = hyp2.to_klein(vertex)
+    for lift in lifts:
+        nx, ny, c, norm = lift.klein_line
+        if (abs(nx * kx + ny * ky - c) <= 1e-6 * norm
+                and hyp2.distance(vertex, trigroup.foot_of_perpendicular(
+                    lift, vertex)) < 1e-7):
+            return True
+    return False
+
+
 def tiling_svg(case: int, depth: int) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
     and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
@@ -96,16 +112,16 @@ def tiling_svg(case: int, depth: int) -> str:
     # Tiles around every cone-point family not lying on the curve itself.
     for name in ("P", "Q", "R"):
         vertex = group.vertex(name)
-        on_curve = any(
-            hyp2.distance(vertex, trigroup.foot_of_perpendicular(lift, vertex)) < 1e-7
-            for lift in lifts)
-        if on_curve:
+        if _on_curve(vertex, lifts):
             continue
         stroke, fill = _FAMILY_STYLES[name]
-        orbit = trigroup.cell_tiling(group, vertex, depth)
+        # Only the orbit points within the drawn disc, |w|^2 <= _DRAWN: the
+        # orbit skips those beyond it (with a margin) before its dedup, and
+        # the exact test here picks out the drawn ones.
+        orbit = trigroup.cell_tiling(group, vertex, depth, _DRAWN)
         for point, _ in orbit:
             dx, dy = hyp2.to_disc(point)
-            if dx * dx + dy * dy > 0.55:
+            if dx * dx + dy * dy > _DRAWN:
                 continue
             try:
                 verts, labels = trigroup.cell_polygon(point, lifts)

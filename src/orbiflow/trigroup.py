@@ -19,24 +19,29 @@ query lies within the probe radius of a wall: one cell nearly always, not
 apart and equal ones land within 6e-14, so the 1e-7 radius and the 1e-6
 guard band sit far from both.
 
-Each piece of work is done once per run.  A word ball is built breadth-first
-in a fixed order, so a smaller radius is a prefix of a larger one and is
-served as a slice of a ball already built (``enumerate_elements``).  The
-neighbour candidates are the orbit points of the cell centre in a disc of
-tiles about it (``_disc_candidates``), and each search for one element (a
-neighbour's witness, a tube's axis element, the figure-eight's second
-branch) goes one radius at a time (``_first_in_ball``), so verifying the
-five cases builds no ball beyond radius 3.  One breadth-first search over
-tiles (``_tiles``) finds both that disc and the tube about a path.  Each
-neighbour candidate, and each hyperbolic axis over one period, is tested
-against the lifts of the tiles in a tube about its own path
-(``lifts_along``); only a drawing builds the lifts of a ball
-(``curve_lifts``).  A lift keeps its boundary angles and Klein chord
-(``Geodesic.angles``, ``.klein_ends``), computed on first use.  Both path
-tests, the neighbour segment and the axis period, meet the lifts through one
-primitive, ``_meetings``: it skips a lift whose endpoints do not interleave
-with the path geodesic's before ``geodesic_intersection``, and rejects a
-near-tangential crossing.  A drawing clips every tile against the chords
+Each piece of work is done once per run, and only where its result is used.
+A word ball is built breadth-first in a fixed order, so a smaller radius is
+a prefix of a larger one and is served as a slice of a ball already built
+(``enumerate_elements``); a word is not extended by a letter that undoes its
+last one or completes more than half a generator's order, whose product is
+already stored.  The neighbour candidates are the orbit points of the cell
+centre in a disc of tiles about it (``_disc_candidates``), and each search
+for one element (a neighbour's witness, a tube's axis element, the
+figure-eight's second branch) goes one radius at a time
+(``_first_in_ball``), so verifying the five cases builds no ball beyond
+radius 3.  One breadth-first search over tiles (``_tiles``) finds both that
+disc and the tube about a path.  Each neighbour candidate, and each
+hyperbolic axis over one period, is tested against the lifts of the tiles in
+a tube about its own path (``lifts_along``); only a drawing builds the lifts
+of a ball (``curve_lifts``).  A lift keeps its boundary angles and Klein
+chord (``Geodesic.angles``, ``.klein_ends``, ``.klein_line``), computed on
+first use.  Both path tests, the neighbour segment and the axis period, meet
+the lifts through one primitive, ``_meetings``: it skips a lift whose
+endpoints do not interleave with the path geodesic's before
+``geodesic_intersection``, and rejects a near-tangential crossing.  A
+drawing dedups only the orbit points within its disc (``cell_tiling``'s
+bound) and clips each of their tiles against the chords, skipping a chord
+farther from the tile's centre than its polygon so far reaches
 (``cell_polygon``).  The per-element loops (ball products, tile orbits, tube
 tiles) run on entry tuples with ``hyp2``'s kernels and build an ``Isometry``
 or ``HPoint`` only for a new element.
@@ -230,6 +235,12 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
     radius is a prefix of a larger one: once a ball of the group is
     enumerated, a smaller radius is served as a slice of it (after
     cache_clear, of the larger ball enumerated afresh).
+
+    A word w is not extended by a letter x whose product has a shorter word,
+    an element of the ball already stored: x the inverse of w's last letter,
+    or w ending in k copies of x with 2(k+1) > ord(x), where x^(k+1) =
+    x^-(ord(x)-k-1).  The dedup would find either product a duplicate, and
+    a duplicate returns before the guard band, so the ball is the same.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -239,6 +250,13 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
         return ball[:bisect.bisect_right(ball, max_len, key=_word_length)]
     eps = config.EPS_PT
     gens = [(letter, group.generator(letter).entries()) for letter in ALPHABET]
+    # Per last letter x: the letters to try after a word ending in a short
+    # run of x, and after one ending in a run of x of length ord(x)//2.
+    after = {}
+    for x, order in zip(ALPHABET, (group.p, group.p, group.q, group.q,
+                                   group.r, group.r)):
+        short = [(y, gen) for y, gen in gens if y != x.swapcase()]
+        after[x] = (order // 2, short, [(y, gen) for y, gen in short if y != x])
     index = _matrix_index()
     identity = GroupElement((), Isometry.identity())
     index.insert(identity.matrix.entries())
@@ -248,7 +266,11 @@ def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement
         fresh: list[GroupElement] = []
         for el in frontier:
             entries, word = el.matrix.entries(), el.word
-            for letter, gen in gens:
+            steps = gens
+            if word:
+                half, short, full = after[word[-1]]
+                steps = full if word[-half:] == word[-1:] * half else short
+            for letter, gen in steps:
                 m = compose_entries(entries, gen, eps)
                 if index.insert(m) is None:
                     fresh.append(GroupElement(word + (letter,), Isometry(*m)))
@@ -337,7 +359,7 @@ def curve_system(case: int) -> CurveSystem:
         gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
         if gap > 1e-6:
             raise GeometryError(f"figure-eight axis misses its crossing point "
-                                f"by {gap:.2e} in case {case}")
+                                f"by {gap:.2e}")
         bases = (axis, _second_branch(group, axis, crossing_pt))
     else:
         raise ValueError(f"unknown case {case}")
@@ -395,18 +417,25 @@ def _tiles(group: TriangleGroup, keep) -> list[Entries]:
     one generator step g -> g·s at a time, whose tile point g·o (a complex
     number in the half-plane) `keep` accepts; the identity is always one.
     A tile is deduped by its tile point (1e-9) and composed once it is kept:
-    the tile point of g·s is g(s·o)."""
+    the tile point of g·s is g(s·o).  The step back, by the inverse of the
+    letter that reached g, is not taken: it leads to g's parent, a tile
+    already found."""
     o = _tile_point(group)[0].as_complex()
-    steps = [(gen, mobius(gen, o))
-             for gen in (group.generator(letter).entries() for letter in ALPHABET)]
+    steps = []
+    for letter in ALPHABET:
+        gen = group.generator(letter).entries()
+        steps.append((letter, gen, mobius(gen, o)))
     tiles = [Isometry.identity().entries()]
+    backs = [None]  # per tile, the letter of the step back to its parent
     index = _GridIndex(1e-9)
     index.insert(_disc_image(tiles[0], o))
-    for entries in tiles:  # a queue: the loop reaches the tiles it appends
-        for gen, step in steps:
-            if (keep(mobius(entries, step))
+    # Queues: the loop reaches the tiles it appends.
+    for entries, back in zip(tiles, backs):
+        for letter, gen, step in steps:
+            if (letter != back and keep(mobius(entries, step))
                     and index.insert(_disc_image(entries, step)) is None):
                 tiles.append(compose_entries(entries, gen, config.EPS_PT))
+                backs.append(letter.swapcase())
     return tiles
 
 
@@ -435,7 +464,7 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> float:
                                              geo.angles, 1e-7))
         el = _first_in_ball(group, 4, on_geo)
         if el is None:
-            raise EnumerationError(f"case {system.case}: no axis on a base geodesic")
+            raise EnumerationError("no axis on a base geodesic")
         height = distance(o, foot_of_perpendicular(geo, o))
         reach = max(reach, math.acosh(math.cosh(height) * math.cosh(
             classify(el.matrix).translation_length / 2.0)))
@@ -473,16 +502,23 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
 
 # --- Tiling cells ---------------------------------------------------------
 
-def cell_tiling(group: TriangleGroup, center: HPoint,
-                depth: int) -> list[tuple[HPoint, GroupElement]]:
-    """Orbit of the cell center `center` in the ball, with witnesses."""
+def cell_tiling(group: TriangleGroup, center: HPoint, depth: int,
+                bound: float = 1.0) -> list[tuple[HPoint, GroupElement]]:
+    """Orbit of the cell center `center` in the ball, with witnesses: each
+    orbit point with its first element in ball order, deduped at 1e-9 in
+    disc coordinates w.  An element with |w|^2 > bound + 1e-6 is skipped
+    before the dedup, so with the default bound the whole orbit is kept;
+    every point with |w|^2 <= bound keeps the same first element, since
+    its duplicates lie within 1e-9 of it, inside the 1e-6 margin."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     index = _GridIndex(1e-9)
     z = center.as_complex()
+    limit = bound + 1e-6
     out: list[tuple[HPoint, GroupElement]] = []
     for el in enumerate_elements(group, depth):
-        if index.insert(_disc_image(el.matrix.entries(), z)) is None:
+        w = _disc_image(el.matrix.entries(), z)
+        if w[0] * w[0] + w[1] * w[1] <= limit and index.insert(w) is None:
             out.append((apply(el.matrix, center), el))
     return out
 
@@ -493,18 +529,26 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     Returns (vertices, side_sources): vertices of the clipped polygon and,
     per side, the index into `lifts` of the wall carrying it (None marks a
     side of the initial bounding square, which signals insufficient depth).
+
+    A wall, the line n·k = c of a chord (``Geodesic.klein_line``), lying
+    farther from the Klein centre kc than every vertex of the polygon so far,
+    |n·kc - c| > reach·|n|·(1 + 1e-9) + 1e-12 with reach the largest
+    distance from kc to a vertex, has every vertex strictly on kc's side and
+    clips nothing: it is skipped before the vertices are tested.  reach is
+    recomputed only after a wall clips.
     """
     kc = to_klein(center)
     big = 8.0
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
+    reach = max(math.hypot(x - kc[0], y - kc[1]) for x, y in verts)
     for idx, lift in enumerate(lifts):
-        a, b = lift.klein_ends
-        nx, ny = b[1] - a[1], a[0] - b[0]
-        c = nx * a[0] + ny * a[1]
+        nx, ny, c, norm = lift.klein_line
         sign = nx * kc[0] + ny * kc[1] - c
         if sign == 0.0:
             raise GeometryError("cell center lies on a wall")
+        if abs(sign) > reach * norm * (1.0 + 1e-9) + 1e-12:
+            continue  # the wall clips nothing
         if sign < 0:
             nx, ny, c = -nx, -ny, -c
         fs = [nx * x + ny * y - c for x, y in verts]
@@ -529,6 +573,7 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
         verts, labels = new_v, new_l
         if not verts:
             raise GeometryError("cell clipped to nothing")
+        reach = max(math.hypot(x - kc[0], y - kc[1]) for x, y in verts)
     # Drop degenerate slivers.
     cleaned_v, cleaned_l = [], []
     n = len(verts)
@@ -672,15 +717,13 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
         witness = _first_in_ball(group, 5, lambda el: _chebyshev(
             _disc_image(el.matrix.entries(), z0), disc) <= 1e-9)
         if witness is None:
-            raise EnumerationError(f"case {system.case}: no element of word "
-                                   "length <= 5 carries the cell centre to "
-                                   "an adjacent one")
+            raise EnumerationError("no element of word length <= 5 carries "
+                                   "the cell centre to an adjacent one")
         chosen.append((apply(witness.matrix, c0), witness))
         if len(chosen) == count:
             return chosen
-    raise EnumerationError(f"case {system.case}: {len(chosen)} of {count} "
-                           f"adjacent tiles within distance {reach:.6f} "
-                           "of the cell centre")
+    raise EnumerationError(f"{len(chosen)} of {count} adjacent tiles within "
+                           f"distance {reach:.6f} of the cell centre")
 
 
 def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
@@ -725,11 +768,11 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
         w = mobius(m, z0)
         miss = distance(HPoint(w.real, w.imag), c1)
         if miss > 10.0 * eps:
-            raise EnumerationError(f"case {system.case}: coset element {name} "
-                                   f"misses the neighbor center by {miss:.2e}")
+            raise EnumerationError(f"coset element {name} misses the "
+                                   f"neighbor center by {miss:.2e}")
         if index.insert(m) is not None:
-            raise EnumerationError(f"case {system.case}: coset element {name} "
-                                   f"repeats an earlier one")
+            raise EnumerationError(f"coset element {name} repeats an "
+                                   "earlier one")
         el = GroupElement(word, Isometry(*m))
         cls = classify(el.matrix)
         if cls.kind is IsometryKind.IDENTITY:

@@ -11,16 +11,49 @@ from orbiflow import cli, render, report
 from orbiflow.config import DEFAULT_DEPTH
 
 GOLDEN = Path(__file__).parent / "data"
-# sha256 of `orbiflow tiling --case 344 --depth 6`, pinned like the report.
-TILING_344_D6_SHA256 = \
-    "ced877df5529448f7df4795b2fdcba7b238364656655ead234f5aad7dc174499"
-# sha256 of `orbiflow tiling --case C --depth 5`, per case.
-TILING_D5_SHA256 = {
-    237: "f908b88d927c3edf473a6977982b66dc487ea3f789452d24bb662ae5eab6e9a2",
-    245: "b7e7ff4da6e3cc7c068ef7c6c48630ac3e5d9f70f8e7f1ab45ea4be25369be4f",
-    246: "67cba5afe2fdd3489ac7bd9d6084ad9c3c76f83d93475826746fef7d270e121f",
-    334: "b856b82084064ec95615ab162a07e4efd39eec6ee88175484d0cabaa5ada802a",
-    344: "367ced3b1c8db40d8a2c14678415f58a452b5bc907b211341167948946a2a14a",
+# sha256 of `orbiflow tiling --case C --depth D`, per case for D = 1..6,
+# pinned like the report.
+TILING_SHA256 = {
+    237: (
+        "2eca6b7f54d30de11ac11a19690ee328e128ac8c2e5d757a41a2019eb634e733",
+        "5ec97290804e0ead64f30b0f6be67dd69607bdaecfeb07d16242b3d9e4b8ef59",
+        "eccc2d0d24615b9f21f9c77509a173e112364be49127ddebad93c7c2dd994745",
+        "8bd07dbfc56d548a52422710791a1f8e61e5454b0a0cd1fb81c4858bc1fb5730",
+        "f908b88d927c3edf473a6977982b66dc487ea3f789452d24bb662ae5eab6e9a2",
+        "11e98c23a794d2a4e325fab5229e2c4a1850f6aef36ec715e4654af665f0ec08",
+    ),
+    245: (
+        "3eee22568d9fbd6f42a6947bab60edd159249b517276076c856f7c0f47c48d1c",
+        "3a4c61de3538a218937d6b3198738483a6f4216c1adf460f1f62237f9639174a",
+        "35e688cca95de05b790354830796c209f36436ae95f887bbfe2bb5aab38d5e4b",
+        "3b0aeecbcaca607a10fc9db7a4abe556f81d94f33f65e23abab5699e306f438d",
+        "b7e7ff4da6e3cc7c068ef7c6c48630ac3e5d9f70f8e7f1ab45ea4be25369be4f",
+        "1365a9a498d731143c1f157c2ea625bd37ae56d6571ebefe3d625581627a638e",
+    ),
+    246: (
+        "3f26b500213b31f52dcb9c7807f33b873c72d5ee8236a8eb415c5ea0ec1a7628",
+        "6e839d9a7f0bf09acf59cb9f69314c9d24b9e217a2bac511f5974ca575e9caad",
+        "4490ca7e10e9ee272576788ecf76e8c2a910f105932afdb9bff502555927aa58",
+        "017088cf4c11c0d26423f15d2d2d53519c4fa052a9180daa952e123cdb6ee091",
+        "67cba5afe2fdd3489ac7bd9d6084ad9c3c76f83d93475826746fef7d270e121f",
+        "86cce40e6cc28687d0b7eb44a67927d9d387f863df6ea3ebda783a4dce65844a",
+    ),
+    334: (
+        "99fbab6bf34abdf05b4e404e960a7c880ef77fa6e38a071e9b18c7325fb9581c",
+        "c312b7af892ff3f36dd6340d9fcd7ef2ac519fe60a6bfb60a6b2af7e64c31428",
+        "e2d013541060015f23972ff047181f4a68897c77784f8f9bb80ff2d7e16bac15",
+        "afb01c5f970f6db578a84950198561b9ee4214e6df386caf4e544eaf7d728823",
+        "b856b82084064ec95615ab162a07e4efd39eec6ee88175484d0cabaa5ada802a",
+        "a1ae25c0cdf500742df93e910aaa10c531397108e0737c66160d07a3495d69ec",
+    ),
+    344: (
+        "e64518fae4d85a33d840085bbf0e770a44190f19f690c6ed3083d79efa04ccc4",
+        "fba51260e044c4dd10414489f23ddbb9de987f737f8b312ab9f0475e950b99a0",
+        "f000fa712a9e00d89aa7f60c9d95fc3a744961d766f3c19a517a412815f0d594",
+        "0ff129f38951fedd86c98aa475b8bc43a7f4f606c55d18d8bd45839206127b4d",
+        "367ced3b1c8db40d8a2c14678415f58a452b5bc907b211341167948946a2a14a",
+        "ced877df5529448f7df4795b2fdcba7b238364656655ead234f5aad7dc174499",
+    ),
 }
 # sha256 of the `orbiflow verify --case all` text output without its per-case
 # timing lines.
@@ -156,19 +189,28 @@ def test_text_report_matches_golden_digest(capsys):
     assert digest == TEXT_ALL_SHA256
 
 
+def _tiling_sha256(tmp_path, case, depth):
+    out = tmp_path / f"t{case}_{depth}.svg"
+    assert cli.main(["tiling", "--case", str(case), "--depth", str(depth),
+                     "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_tiling_matches_golden_sha256(tmp_path):
-    out = tmp_path / "t344.svg"
-    assert cli.main(["tiling", "--case", "344", "--depth", "6",
-                     "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILING_344_D6_SHA256
+    assert _tiling_sha256(tmp_path, 344, 6) == TILING_SHA256[344][5]
 
 
-@pytest.mark.parametrize("case", sorted(TILING_D5_SHA256))
+@pytest.mark.parametrize("case", sorted(TILING_SHA256))
 def test_tiling_depth5_matches_golden_sha256(tmp_path, case):
-    out = tmp_path / f"t{case}.svg"
-    assert cli.main(["tiling", "--case", str(case), "--depth", "5",
-                     "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILING_D5_SHA256[case]
+    assert _tiling_sha256(tmp_path, case, 5) == TILING_SHA256[case][4]
+
+
+@pytest.mark.parametrize("depth", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("case", sorted(TILING_SHA256))
+def test_tiling_matches_golden_sha256_at_each_depth(tmp_path, case, depth):
+    # The drawn orbit points, the clipped cells and the on-curve test at
+    # every depth up to the largest ball a drawing is timed at.
+    assert _tiling_sha256(tmp_path, case, depth) == TILING_SHA256[case][depth - 1]
 
 
 def _fresh_modules(code: str) -> list[str]:
@@ -368,6 +410,7 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     assert "Traceback" not in run.stderr
     [line] = run.stderr.splitlines()
     assert line.startswith(f"error: {kind}") and message in line
+    # The line names the case once, and for verify the stage that failed.
+    assert line.count("case 237") == 1
     if argv[0] == "verify":
-        # The line of a verify run names the case and the stage that failed.
         assert f": case 237, {PLANTED_STAGES[kind]}: " in line

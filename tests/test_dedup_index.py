@@ -3,7 +3,7 @@ import math
 import pytest
 
 from orbiflow import config
-from orbiflow.hyp2 import Isometry, projective_dist
+from orbiflow.hyp2 import Isometry, compose_entries, projective_dist
 from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
                                DedupAmbiguityError, GroupElement, _GridIndex,
                                _matrix_index, build_group, enumerate_elements)
@@ -86,8 +86,56 @@ def _reference_ball(group, max_len):
     return elements
 
 
+def _ball_bits(ball):
+    return [(el.word, [x.hex() for x in el.matrix.entries()]) for el in ball]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_ball_matches_all_pairs_reference(case):
     group = build_group(*CASE_TRIPLES[case])
-    expected = [el.word for el in _reference_ball(group, 4)]
-    assert [el.word for el in enumerate_elements(group, 4)] == expected
+    assert _ball_bits(enumerate_elements(group, 6)) == \
+        _ball_bits(_reference_ball(group, 6))
+
+
+def _skipped(word, letter, orders):
+    """Whether the ball search leaves out word·letter: letter undoes the
+    last one, or word ends in k copies of letter with 2(k+1) > its order."""
+    if word and letter == word[-1].swapcase():
+        return True
+    k = 0
+    while k < len(word) and word[-1 - k] == letter:
+        k += 1
+    return 2 * (k + 1) > orders[letter.upper()]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_skipped_ball_product_is_a_duplicate(case):
+    # Replay the radius-6 search with every product formed: each one the
+    # search leaves out is found within the dedup radius of an element
+    # already stored, and the ball is the one the search builds.
+    group = build_group(*CASE_TRIPLES[case])
+    orders = dict(zip("PQR", (group.p, group.q, group.r)))
+    gens = {letter: group.generator(letter).entries() for letter in ALPHABET}
+    index = _matrix_index()
+    index.insert(Isometry.identity().entries())
+    stored = [GroupElement((), Isometry.identity())]
+    frontier = stored[:]
+    skipped = 0
+    for _ in range(6):
+        fresh = []
+        for el in frontier:
+            for letter in ALPHABET:
+                m = compose_entries(el.matrix.entries(), gens[letter],
+                                    config.EPS_PT)
+                found = index.insert(m)
+                if _skipped(el.word, letter, orders):
+                    skipped += 1
+                    assert found is not None
+                    assert projective_dist(
+                        m, stored[found].matrix.entries()) <= RADIUS
+                elif found is None:
+                    fresh.append(GroupElement(el.word + (letter,), Isometry(*m)))
+                    stored.append(fresh[-1])
+        frontier = fresh
+    assert skipped > 0
+    assert _ball_bits(stored) == _ball_bits(enumerate_elements(group, 6))

@@ -116,6 +116,8 @@ def test_klein_ends_match_the_boundary_points(case):
 def test_cell_tiling_matches_apply_reference(case):
     # Orbit of each cone point in the radius-5 ball: same points bit for
     # bit, same witnesses, in the same order, as apply and to_disc give.
+    # With the whole disc as bound that is the full orbit; with a drawing's
+    # bound, the points within it are the same first elements.
     group = build_group(*CASE_TRIPLES[case])
     for name in ("P", "Q", "R"):
         center = group.vertex(name)
@@ -125,9 +127,18 @@ def test_cell_tiling_matches_apply_reference(case):
             img = apply(el.matrix, center)
             if index.insert(to_disc(img)) is None:
                 expected.append((img, el))
-        got = cell_tiling(group, center, 5)
-        assert [(_bits((p.x, p.y)), el) for p, el in got] == \
-            [(_bits((p.x, p.y)), el) for p, el in expected]
+        for bound in (1.0, 0.55):
+            got = [(p, el) for p, el in cell_tiling(group, center, 5, bound)
+                   if _disc_norm(p) <= bound]
+            assert [(_bits((p.x, p.y)), el) for p, el in got] == \
+                [(_bits((p.x, p.y)), el) for p, el in expected
+                 if _disc_norm(p) <= bound]
+        assert len(got) < len(expected)
+
+
+def _disc_norm(p):
+    dx, dy = to_disc(p)
+    return dx * dx + dy * dy
 
 
 class _RadiusLog(dict):

@@ -445,19 +445,26 @@ def test_disc_candidates_are_the_ball_orbit_points_within_reach(case_data):
     assert matched(disc, ball) and matched(ball, disc)
 
 
-def test_neighbour_search_without_lifts_raises(monkeypatch, capsys):
+def test_neighbour_search_without_lifts_raises(monkeypatch, capsys,
+                                               tmp_path):
     # With no curve lift along any segment no candidate is adjacent: the
-    # search raises, and verify exits 2 with one error line.
+    # search raises, and verify and tiling exit 2 with one error line that
+    # names the case once.
     monkeypatch.setattr(trigroup, "lifts_along", lambda *args: ())
     group = build_group(*CASE_TRIPLES[237])
-    with pytest.raises(EnumerationError, match="case 237: 0 of 1 adjacent"):
+    with pytest.raises(EnumerationError, match="^0 of 1 adjacent"):
         canonical_neighbors(group, curve_system(237), count=1)
-    assert cli.main(["verify", "--case", "237"]) == 2
-    out, err = capsys.readouterr()
-    [line] = err.splitlines()
-    assert line.startswith("error: enumeration (trigroup): case 237, "
-                           "adjacency: case 237: 0 of 1 adjacent tiles")
-    assert "Traceback" not in out + err
+    for argv, start in (
+            (["verify", "--case", "237"],
+             "error: enumeration (trigroup): case 237, adjacency: "),
+            (["tiling", "--case", "237", "--out", str(tmp_path / "t.svg")],
+             "error: rendering: case 237: ")):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert line.startswith(start + "0 of 1 adjacent tiles")
+        assert line.count("case 237") == 1
+        assert "Traceback" not in out + err
 
 
 CROSSING_EXPECTED = {246: 1, 344: 1, 334: 2, 237: 2, 245: 1}
