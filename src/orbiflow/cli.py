@@ -2,12 +2,13 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
-complex, surgery degeneracy or winding), printed as one ``error:`` line that
-names the kind and module, the case, and for ``verify`` the stage.  The flags
-are the only configuration, and nothing is read from the environment:
-``verify --depth`` only sets the report's ``adjacency_depth``, and
-``tiling --depth`` is the radius of the drawn word ball.  The geometric
-thresholds are fixed constants in ``config``, not options.
+complex, torus-map family, surgery degeneracy or winding), printed as one
+``error:`` line that names the kind and module, the case, and for
+``verify`` the stage.  The flags are the only configuration, and nothing is
+read from the environment: ``verify --depth`` only sets the report's
+``adjacency_depth``, and ``tiling --depth`` is the radius of the drawn word
+ball.  The geometric thresholds are fixed constants in ``config``, not
+options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
 subcommand imports the layers it runs when it runs: ``verify`` the report
@@ -109,6 +110,7 @@ def cmd_verify(args) -> int:
     from . import report
     from .sections import ComplexError
     from .surgery import DegenerateChoiceError, WindingError
+    from .torusmap import OutOfFamilyError
     try:
         rep = report.run_verification(case, args.depth,
                                       include_timings=args.timings)
@@ -120,6 +122,8 @@ def cmd_verify(args) -> int:
         return _typed_error("geometry (trigroup)", err)
     except ComplexError as err:
         return _typed_error("complex (sections)", err)
+    except OutOfFamilyError as err:
+        return _typed_error("family (torusmap)", err)
     except DegenerateChoiceError as err:
         return _typed_error("degeneracy (surgery)", err)
     except WindingError as err:
@@ -151,6 +155,8 @@ def cmd_tiling(args) -> int:
     where = f"case {case}"
     try:
         svg = render.tiling_svg(case, args.depth)
+    except GeometryError as err:  # a ValueError, so caught first
+        return _typed_error("geometry (trigroup)", err, where)
     except (EnumerationError, ValueError) as err:
         return _typed_error("rendering", err, where)
     except TangencyError as err:

@@ -23,11 +23,11 @@ gaps (>1e-3 in every case handled here).
     the neighbour centre, at 10x.
 ``EPS_BAND`` is the band around degenerate values, read by:
   * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
-  * ``trigroup.enumerate_elements`` and the repeat check of
-    ``adjacency_isometries``: the matrix dedup radius, with a guard band at
-    10x.
-The report's ``config`` block prints both, ``EPS_BAND`` as ``eps_dedup`` and
-``eps_cls``.
+  * the repeat check of ``trigroup.adjacency_isometries``: the matrix dedup
+    radius of the coset, with a guard band at 10x.
+The word ball is not deduped by it: ``trigroup._tiles`` dedups tile points
+at a fixed 1e-9.  The report's ``config`` block prints both thresholds,
+``EPS_BAND`` under the keys ``eps_dedup`` and ``eps_cls``.
 """
 
 EPS_PT = 1e-9

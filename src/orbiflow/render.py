@@ -96,8 +96,7 @@ def tiling_svg(case: int, depth: int) -> str:
         raise ValueError("depth must be >= 1")
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
-    # The drawing's ball first: the small balls the neighbour search reads
-    # are slices of it.  Its lift set is the only one a run builds.
+    # The only lift set a run builds, from the only word ball.
     lifts = trigroup.curve_lifts(case, depth)
     adjacency = trigroup.adjacency_isometries(group, system)
 

@@ -1,59 +1,56 @@
 """Triangle rotation groups: word balls, curve-lift tilings, adjacency counts.
 
 The groups are generated by counterclockwise rotations by 2*pi/p, 2*pi/q,
-2*pi/r about the vertices of the canonical triangle (see ``hyp2``).  Word
-balls are enumerated breadth-first with projective matrix dedup; the five
-section curves are realized by explicit base geodesics whose group orbit
-tiles the plane, and fixed-point bookkeeping reduces to counting the
+2*pi/r about the vertices of the canonical triangle (see ``hyp2``).  The
+five section curves are realized by explicit base geodesics whose group
+orbit tiles the plane, and fixed-point bookkeeping reduces to counting the
 isometries carrying the distinguished tile to a chosen adjacent tile: the
 coset of a witness by the rotations about the tile's centre vertex.
 
-Every dedup goes through one uniform-grid index, ``_GridIndex``: word balls
-and adjacency cosets (matrix entries, ``projective_dist`` within
-``config.EPS_BAND`` = 1e-7, guard band to 10x), curve lifts and tile centres
-(1e-9).  Its cells are 1e-3 wide, a thousand times the largest probe
-radius, so a lookup reads a neighbouring cell only on an axis where the
-query lies within the probe radius of a wall: one cell nearly always, not
-3^4 (the fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6),
-1977).  Margins on the balls of depth <= 8: distinct elements are >= 0.40
-apart and equal ones land within 6e-14, so the 1e-7 radius and the 1e-6
-guard band sit far from both.
+One breadth-first search walks the group, ``_tiles``: from the identity, in
+shortlex order, it finds the tiles g·T of the base triangle T, deduped by
+their tile points g·o.  Every enumeration is a use of it: the word ball of
+a radius (``enumerate_elements``, which only a drawing builds), the first
+element of the radius-4 ball that a test accepts (``_first_in_ball``: a
+tube's axis element, the figure-eight's second branch), the disc of tiles
+about the cell centre whose orbit points are the neighbour candidates and
+whose tiles are their witnesses (``_disc_candidates``), and the tube of
+tiles about a path (``lifts_along``).
 
-Each piece of work is done once per run, and only where its result is used.
-A word ball is built breadth-first in a fixed order, so a smaller radius is
-a prefix of a larger one and is served as a slice of a ball already built
-(``enumerate_elements``); a word is not extended by a letter that undoes its
-last one or completes more than half a generator's order, whose product is
-already stored.  The neighbour candidates are the orbit points of the cell
-centre in a disc of tiles about it (``_disc_candidates``), and each search
-for one element (a neighbour's witness, a tube's axis element, the
-figure-eight's second branch) goes one radius at a time
-(``_first_in_ball``), so verifying the five cases builds no ball beyond
-radius 3.  One breadth-first search over tiles (``_tiles``) finds both that
-disc and the tube about a path.  Each neighbour candidate, and each
-hyperbolic axis over one period, is tested against the lifts of the tiles in
-a tube about its own path (``lifts_along``); only a drawing builds the lifts
-of a ball (``curve_lifts``).  A lift keeps its boundary angles and Klein
-chord (``Geodesic.angles``, ``.klein_ends``, ``.klein_line``), computed on
-first use.  Both path tests, the neighbour segment and the axis period, meet
-the lifts through one primitive, ``_meetings``: it skips a lift whose
-endpoints do not interleave with the path geodesic's before
-``geodesic_intersection``, and rejects a near-tangential crossing.  A
-drawing dedups only the orbit points within its disc (``cell_tiling``'s
-bound) and clips each of their tiles against the chords, skipping a chord
-farther from the tile's centre than its polygon so far reaches
-(``cell_polygon``).  The per-element loops (ball products, tile orbits, tube
-tiles) run on entry tuples with ``hyp2``'s kernels and build an ``Isometry``
-or ``HPoint`` only for a new element.
+Every dedup goes through one uniform-grid index, ``_GridIndex``: tile
+points (1e-9 in disc coordinates, guard band to 10x), orbit points and
+curve lifts (1e-9), and the adjacency coset's repeat check (matrix entries,
+``projective_dist`` within ``config.EPS_BAND`` = 1e-7, guard band to 10x).
+Its cells are 1e-3 wide, a thousand times the largest probe radius, so a
+lookup reads a neighbouring cell only on an axis where the query lies
+within the probe radius of a wall: one cell nearly always, not 3^4 (the
+fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6), 1977).
+Margins on the radius-8 balls of the five groups: distinct tile points are
+>= 2.3e-4 apart and equal ones land within 1.3e-15, so the 1e-9 radius and
+the 1e-8 guard band sit far from both.
+
+Each neighbour candidate, and each hyperbolic axis over one period, is
+tested against the lifts of the tiles in a tube about its own path
+(``lifts_along``); only a drawing builds the lifts of a ball
+(``curve_lifts``).  A lift keeps its boundary angles and Klein chord
+(``Geodesic.angles``, ``.klein_ends``, ``.klein_line``), computed on first
+use.  Both path tests, the neighbour segment and the axis period, meet the
+lifts through one primitive, ``_meetings``: it skips a lift whose endpoints
+do not interleave with the path geodesic's before ``geodesic_intersection``,
+and rejects a near-tangential crossing.  A drawing dedups only the orbit
+points within its disc (``cell_tiling``'s bound) and clips each of their
+tiles against the chords, skipping a chord farther from the tile's centre
+than its polygon so far reaches (``cell_polygon``).  The per-element loops
+(tile steps, orbit points) run on entry tuples with ``hyp2``'s kernels and
+build an ``Isometry`` or ``HPoint`` only for a new element.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
@@ -77,7 +74,8 @@ class EnumerationError(RuntimeError):
 
 
 class DedupAmbiguityError(EnumerationError):
-    """Two candidate matrices fell into the dedup guard band."""
+    """Two candidates, tile points or coset matrices, fell into a dedup
+    guard band: near each other, yet not within the dedup radius."""
 
 
 class TangencyError(RuntimeError):
@@ -217,86 +215,19 @@ def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
     return (s.real, s.imag, pr.real, pr.imag)
 
 
-def _word_length(el: GroupElement) -> int:
-    return len(el.word)
-
-
-# The largest ball radius enumerated so far for each group.
-_BALL_RADIUS: dict[TriangleGroup, int] = {}
-
-
 @functools.lru_cache(maxsize=64)
 def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement, ...]:
-    """All distinct elements of word length <= max_len, shortlex order.
-
-    Dedup is by projective matrix within EPS_BAND, with a guard band that
-    raises if two candidates are suspiciously close without coinciding.
-    The search is breadth-first in a fixed order, so the ball of a smaller
-    radius is a prefix of a larger one: once a ball of the group is
-    enumerated, a smaller radius is served as a slice of it (after
-    cache_clear, of the larger ball enumerated afresh).
-
-    A word w is not extended by a letter x whose product has a shorter word,
-    an element of the ball already stored: x the inverse of w's last letter,
-    or w ending in k copies of x with 2(k+1) > ord(x), where x^(k+1) =
-    x^-(ord(x)-k-1).  The dedup would find either product a duplicate, and
-    a duplicate returns before the guard band, so the ball is the same.
-    """
+    """All distinct elements of word length <= max_len, in shortlex order:
+    the tiles of ``_tiles`` up to that word length."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    largest = _BALL_RADIUS.get(group, -1)
-    if largest > max_len:
-        ball = enumerate_elements(group, largest)
-        return ball[:bisect.bisect_right(ball, max_len, key=_word_length)]
-    eps = config.EPS_PT
-    gens = [(letter, group.generator(letter).entries()) for letter in ALPHABET]
-    # Per last letter x: the letters to try after a word ending in a short
-    # run of x, and after one ending in a run of x of length ord(x)//2.
-    after = {}
-    for x, order in zip(ALPHABET, (group.p, group.p, group.q, group.q,
-                                   group.r, group.r)):
-        short = [(y, gen) for y, gen in gens if y != x.swapcase()]
-        after[x] = (order // 2, short, [(y, gen) for y, gen in short if y != x])
-    index = _matrix_index()
-    identity = GroupElement((), Isometry.identity())
-    index.insert(identity.matrix.entries())
-    elements = [identity]
-    frontier = [identity]
-    for _ in range(max_len):
-        fresh: list[GroupElement] = []
-        for el in frontier:
-            entries, word = el.matrix.entries(), el.word
-            steps = gens
-            if word:
-                half, short, full = after[word[-1]]
-                steps = full if word[-half:] == word[-1:] * half else short
-            for letter, gen in steps:
-                m = compose_entries(entries, gen, eps)
-                if index.insert(m) is None:
-                    fresh.append(GroupElement(word + (letter,), Isometry(*m)))
-        elements.extend(fresh)
-        frontier = fresh
-        if not fresh:
-            break
-    _BALL_RADIUS[group] = max_len
-    return tuple(elements)
+    return tuple(_tiles(group, max_len=max_len))
 
 
-def _first_in_ball(group: TriangleGroup, max_len: int,
-                   accept) -> Optional[GroupElement]:
-    """The first element of word length <= max_len, in ball order, that
-    `accept` takes, or None.  The ball is searched one radius at a time (the
-    slice that radius adds), so no ball larger than the one holding the
-    element is enumerated, and the element found is the one a search of the
-    whole radius-max_len ball finds first."""
-    seen = 0
-    for radius in range(1, max_len + 1):
-        ball = enumerate_elements(group, radius)
-        for el in ball[seen:]:
-            if accept(el):
-                return el
-        seen = len(ball)
-    return None
+def _first_in_ball(group: TriangleGroup, accept) -> Optional[GroupElement]:
+    """The first element of word length <= 4, in ball order, that `accept`
+    takes, or None.  The search is lazy: it stops at the element."""
+    return next(filter(accept, _tiles(group, max_len=4)), None)
 
 
 # --- Section curves -------------------------------------------------------
@@ -374,7 +305,7 @@ def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic
         img = apply_geodesic(el.matrix, axis)
         return (not same_geodesic_angles(img.angles, axis.angles, 1e-9)
                 and distance(pt, foot_of_perpendicular(img, pt)) < 1e-9)
-    el = _first_in_ball(group, 4, through_pt)
+    el = _first_in_ball(group, through_pt)
     if el is None:
         raise EnumerationError("no second branch found through the crossing point")
     return apply_geodesic(el.matrix, axis)
@@ -412,31 +343,44 @@ def _tile_point(group: TriangleGroup) -> tuple[HPoint, float]:
     return o, max(distance(o, v) for v in corners)
 
 
-def _tiles(group: TriangleGroup, keep) -> list[Entries]:
-    """The entries of the tiles g·T found breadth-first from the identity,
-    one generator step g -> g·s at a time, whose tile point g·o (a complex
-    number in the half-plane) `keep` accepts; the identity is always one.
-    A tile is deduped by its tile point (1e-9) and composed once it is kept:
-    the tile point of g·s is g(s·o).  The step back, by the inverse of the
-    letter that reached g, is not taken: it leads to g's parent, a tile
-    already found."""
+def _tiles(group: TriangleGroup, keep=None,
+           max_len: float = math.inf) -> Iterator[GroupElement]:
+    """The tiles g·T, as elements g with their words, breadth-first from the
+    identity in shortlex order, up to word length max_len; with `keep`, only
+    those whose tile point g·o (a complex number in the half-plane) `keep`
+    accepts, the identity always.  The search is the one enumeration of the
+    group: the word ball is its whole run to a radius.
+
+    A tile is deduped by its tile point: no rotation fixes o, so g·o
+    identifies g.  The dedup radius is 1e-9 in disc coordinates, and a
+    nearest tile point in (1e-9, 1e-8) raises DedupAmbiguityError.  On the
+    radius-8 balls of the five groups, equal tile points land within 1.3e-15
+    and distinct ones lie >= 2.3e-4 apart.  The tile point of g·s is g(s·o),
+    so g·s is composed only once it is kept, and the step back, by the
+    inverse of the last letter of g's word, is not taken: it leads to g's
+    parent, a tile already found."""
     o = _tile_point(group)[0].as_complex()
     steps = []
     for letter in ALPHABET:
         gen = group.generator(letter).entries()
         steps.append((letter, gen, mobius(gen, o)))
-    tiles = [Isometry.identity().entries()]
-    backs = [None]  # per tile, the letter of the step back to its parent
-    index = _GridIndex(1e-9)
-    index.insert(_disc_image(tiles[0], o))
-    # Queues: the loop reaches the tiles it appends.
-    for entries, back in zip(tiles, backs):
+    tiles = [GroupElement((), Isometry.identity())]
+    index = _GridIndex(1e-9, guard=10.0)
+    index.insert(_disc_image(tiles[0].matrix.entries(), o))
+    yield tiles[0]
+    # A queue: the loop reaches the tiles it appends.
+    for tile in tiles:
+        word = tile.word
+        if len(word) >= max_len:
+            return
+        entries = tile.matrix.entries()
+        back = word[-1].swapcase() if word else None
         for letter, gen, step in steps:
-            if (letter != back and keep(mobius(entries, step))
+            if (letter != back and (keep is None or keep(mobius(entries, step)))
                     and index.insert(_disc_image(entries, step)) is None):
-                tiles.append(compose_entries(entries, gen, config.EPS_PT))
-                backs.append(letter.swapcase())
-    return tiles
+                tiles.append(GroupElement(word + (letter,), Isometry(
+                    *compose_entries(entries, gen, config.EPS_PT))))
+                yield tiles[-1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -462,7 +406,7 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> float:
             return (classify(el.matrix).kind is IsometryKind.HYPERBOLIC
                     and same_geodesic_angles(axis_of(el.matrix).angles,
                                              geo.angles, 1e-7))
-        el = _first_in_ball(group, 4, on_geo)
+        el = _first_in_ball(group, on_geo)
         if el is None:
             raise EnumerationError("no axis on a base geodesic")
         height = distance(o, foot_of_perpendicular(geo, o))
@@ -496,31 +440,36 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
                 return True
         return False
 
-    return _orbit_lifts((Isometry(*e) for e in _tiles(group, in_tube)),
+    return _orbit_lifts((tile.matrix for tile in _tiles(group, in_tube)),
                         system.base_geodesics)
 
 
 # --- Tiling cells ---------------------------------------------------------
 
+def _orbit(elements: Iterable[GroupElement], center: HPoint,
+           limit: float = math.inf) -> Iterator[tuple[HPoint, GroupElement]]:
+    """The orbit points g·center of the elements, each with the first
+    element that reaches it, deduped at 1e-9 in disc coordinates w.  An
+    element with |w|^2 > limit is skipped before the dedup."""
+    index = _GridIndex(1e-9)
+    z = center.as_complex()
+    for el in elements:
+        w = _disc_image(el.matrix.entries(), z)
+        if w[0] * w[0] + w[1] * w[1] <= limit and index.insert(w) is None:
+            yield apply(el.matrix, center), el
+
+
 def cell_tiling(group: TriangleGroup, center: HPoint, depth: int,
                 bound: float = 1.0) -> list[tuple[HPoint, GroupElement]]:
     """Orbit of the cell center `center` in the ball, with witnesses: each
-    orbit point with its first element in ball order, deduped at 1e-9 in
-    disc coordinates w.  An element with |w|^2 > bound + 1e-6 is skipped
-    before the dedup, so with the default bound the whole orbit is kept;
-    every point with |w|^2 <= bound keeps the same first element, since
-    its duplicates lie within 1e-9 of it, inside the 1e-6 margin."""
+    orbit point with its first element in ball order (``_orbit``).  An
+    element with |w|^2 > bound + 1e-6 is skipped before the dedup, so with
+    the default bound the whole orbit is kept; every point with
+    |w|^2 <= bound keeps the same first element, since its duplicates lie
+    within 1e-9 of it, inside the 1e-6 margin."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    index = _GridIndex(1e-9)
-    z = center.as_complex()
-    limit = bound + 1e-6
-    out: list[tuple[HPoint, GroupElement]] = []
-    for el in enumerate_elements(group, depth):
-        w = _disc_image(el.matrix.entries(), z)
-        if w[0] * w[0] + w[1] * w[1] <= limit and index.insert(w) is None:
-            out.append((apply(el.matrix, center), el))
-    return out
+    return list(_orbit(enumerate_elements(group, depth), center, bound + 1e-6))
 
 
 def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
@@ -644,11 +593,12 @@ def _clusters(ts: list[float], period: float = math.inf) -> int:
 
 
 def _disc_candidates(group: TriangleGroup, system: CurveSystem
-                     ) -> tuple[float, list[tuple[HPoint, tuple[float, float]]]]:
-    """(D, the orbit points g·c0 of the cell centre c0 with 0 < d(c0, g·c0)
-    <= D, each with its disc coordinates, ranked by distance, then by disc
-    coordinates).  D is the smallest nonzero d(c0, x·c0) over the generators
-    x, so the nearest orbit points are among them.
+                     ) -> tuple[float, list[tuple[HPoint, GroupElement]]]:
+    """(D, the orbit points p = g·c0 of the cell centre c0 with
+    0 < d(c0, p) <= D, each with the first tile g that reaches it, ranked by
+    distance, then by disc coordinates).  D is the smallest nonzero
+    d(c0, x·c0) over the generators x, so the nearest orbit points are among
+    them.
 
     They come from the tiles of ``_tiles`` whose tile point lies within
     D + r_T of c0 (o and r_T of ``_tile_point``), and every p = g·c0 within
@@ -675,28 +625,24 @@ def _disc_candidates(group: TriangleGroup, system: CurveSystem
         dz = z - z0
         return dz.real * dz.real + dz.imag * dz.imag <= scale * z.imag
 
-    index = _GridIndex(1e-9)
     ranked = []
-    for entries in _tiles(group, in_disc):
-        if index.insert(_disc_image(entries, z0)) is not None:
-            continue
-        w = mobius(entries, z0)
-        p = HPoint(w.real, w.imag)
+    for p, tile in _orbit(_tiles(group, in_disc), c0):
         d = distance(p, c0)
         if config.EPS_PT <= d <= reach + 1e-9:
             dx, dy = to_disc(p)
-            ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, (dx, dy)))
+            ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, tile))
     ranked.sort(key=operator.itemgetter(0))
-    return reach, [(p, disc) for _, p, disc in ranked]
+    return reach, [(p, tile) for _, p, tile in ranked]
 
 
 def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
                         count: int = 2) -> list[tuple[HPoint, GroupElement]]:
     """The first `count` adjacent same-type tile centres among the orbit
-    points of ``_disc_candidates``, each with its witness: the first element
-    in shortlex ball order, within word length 5, that carries the base
-    centre c0 to it (the witness of ``cell_tiling``), and the centre is its
-    image of c0.  Fewer than `count` raises EnumerationError.
+    points of ``_disc_candidates``, each with its witness: the first tile of
+    the disc search that carries the base centre c0 to it.  Any witness
+    gives the same coset w·Stab(c0) (``adjacency_isometries``); in the five
+    cases this one is also the first in shortlex ball order, the witness
+    ``cell_tiling`` gives.  Fewer than `count` raises EnumerationError.
 
     A candidate orbit point is adjacent when the segment joining it to the
     base center meets the curve lifts in exactly one point (an edge interior
@@ -704,22 +650,16 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     figure-eight cases).
     """
     c0 = system.cell_center
-    z0 = c0.as_complex()
     reach, candidates = _disc_candidates(group, system)
     chosen: list[tuple[HPoint, GroupElement]] = []
-    for p, disc in candidates:
+    for p, witness in candidates:
         # The segment meets the lifts at the crossings strictly inside it.
         geo = geodesic_through(c0, p)
         lo, hi = sorted((axis_parameter(geo, c0), axis_parameter(geo, p)))
         ts = _meetings(geo, lifts_along(group, system, (c0, p)))[1]
         if _clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) != 1:
             continue
-        witness = _first_in_ball(group, 5, lambda el: _chebyshev(
-            _disc_image(el.matrix.entries(), z0), disc) <= 1e-9)
-        if witness is None:
-            raise EnumerationError("no element of word length <= 5 carries "
-                                   "the cell centre to an adjacent one")
-        chosen.append((apply(witness.matrix, c0), witness))
+        chosen.append((p, witness))
         if len(chosen) == count:
             return chosen
     raise EnumerationError(f"{len(chosen)} of {count} adjacent tiles within "

@@ -128,8 +128,8 @@ def test_report_matches_golden_bytes(tmp_path):
 
 
 def test_deep_report_matches_golden_bytes(tmp_path):
-    # The depth-16 run has the largest word balls and lift sets, and the
-    # most smaller balls and lift sets served as their prefixes.
+    # The deepest run the benchmark makes.  --depth is only recorded, so
+    # this report is the default one but for adjacency_depth.
     out = tmp_path / "deep.json"
     assert cli.main(["verify", "--case", "344", "--depth", "16",
                      "--json", str(out)]) == 0
@@ -373,6 +373,11 @@ PLANTED_FAULTS = {
         "    raise surgery.DegenerateChoiceError('planted degeneracy')\n"
         "surgery.PuncturedTorusBasis = fail",
         "no generic parameter choice worked: planted degeneracy"),
+    # The certification's normal form refused as out of the trace > 2 family.
+    "family (torusmap)": (
+        "def fail(*args):\n"
+        "    raise torusmap.OutOfFamilyError('planted family failure')\n"
+        "torusmap.xy_normal_form = fail", "planted family failure"),
     # One crossing too many with every cut arc: the arc crossings of a closed
     # cycle no longer sum to zero.
     "winding (surgery)": (
@@ -385,6 +390,7 @@ PLANTED_FAULTS = {
 # The stage of ``verify --case 237`` that each planted fault stops.
 PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
                   "complex (sections)": "sections",
+                  "family (torusmap)": "certification",
                   "degeneracy (surgery)": "homology",
                   "winding (surgery)": "homology"}
 
@@ -397,6 +403,9 @@ PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
     ("complex (sections)", ["verify", "--case", "237"]),
     ("degeneracy (surgery)", ["verify", "--case", "237"]),
     ("winding (surgery)", ["verify", "--case", "237"]),
+    ("geometry", ["tiling", "--case", "237", "--depth", "3",
+                  "--out", "{tmp}/t.svg"]),
+    ("family (torusmap)", ["verify", "--case", "237"]),
 ])
 def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     # Exit 1 means a verification check failed; a typed failure is exit 2
@@ -404,7 +413,8 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     patch, message = PLANTED_FAULTS[kind]
     run = _run_fresh("import sys\n"
-                     "from orbiflow import cli, hyp2, sections, surgery, trigroup\n"
+                     "from orbiflow import (cli, hyp2, sections, surgery, torusmap,\n"
+                     "                      trigroup)\n"
                      f"{patch}\nsys.exit(cli.main({argv!r}))")
     assert run.returncode == 2
     assert "Traceback" not in run.stderr

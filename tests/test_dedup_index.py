@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from orbiflow import config
+from orbiflow import config, trigroup
 from orbiflow.hyp2 import Isometry, compose_entries, projective_dist
 from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
                                DedupAmbiguityError, GroupElement, _GridIndex,
@@ -97,28 +98,18 @@ def test_ball_matches_all_pairs_reference(case):
         _ball_bits(_reference_ball(group, 6))
 
 
-def _skipped(word, letter, orders):
-    """Whether the ball search leaves out word·letter: letter undoes the
-    last one, or word ends in k copies of letter with 2(k+1) > its order."""
-    if word and letter == word[-1].swapcase():
-        return True
-    k = 0
-    while k < len(word) and word[-1 - k] == letter:
-        k += 1
-    return 2 * (k + 1) > orders[letter.upper()]
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_every_skipped_ball_product_is_a_duplicate(case):
-    # Replay the radius-6 search with every product formed: each one the
-    # search leaves out is found within the dedup radius of an element
-    # already stored, and the ball is the one the search builds.
+    # Replay the radius-6 tile search with every step taken: each step it
+    # leaves out, back by the inverse of a word's last letter, lands within
+    # the dedup radius of the tile point of the word's parent, and the ball
+    # is the one the search builds.
     group = build_group(*CASE_TRIPLES[case])
-    orders = dict(zip("PQR", (group.p, group.q, group.r)))
+    o = trigroup._tile_point(group)[0].as_complex()
     gens = {letter: group.generator(letter).entries() for letter in ALPHABET}
-    index = _matrix_index()
-    index.insert(Isometry.identity().entries())
+    index = _GridIndex(1e-9, guard=10.0)
     stored = [GroupElement((), Isometry.identity())]
+    index.insert(trigroup._disc_image(stored[0].matrix.entries(), o))
     frontier = stored[:]
     skipped = 0
     for _ in range(6):
@@ -127,15 +118,35 @@ def test_every_skipped_ball_product_is_a_duplicate(case):
             for letter in ALPHABET:
                 m = compose_entries(el.matrix.entries(), gens[letter],
                                     config.EPS_PT)
-                found = index.insert(m)
-                if _skipped(el.word, letter, orders):
+                found = index.insert(trigroup._disc_image(m, o))
+                if el.word and letter == el.word[-1].swapcase():
                     skipped += 1
                     assert found is not None
-                    assert projective_dist(
-                        m, stored[found].matrix.entries()) <= RADIUS
+                    assert stored[found].word == el.word[:-1]
                 elif found is None:
                     fresh.append(GroupElement(el.word + (letter,), Isometry(*m)))
                     stored.append(fresh[-1])
         frontier = fresh
     assert skipped > 0
     assert _ball_bits(stored) == _ball_bits(enumerate_elements(group, 6))
+
+
+def test_planted_near_duplicate_tile_point_raises(monkeypatch):
+    # Every tile point after the identity's is moved 3e-9 off, so the first
+    # product equal to the identity (PQR, at radius 3) lands between the 1e-9
+    # dedup radius and the 1e-8 guard band of the identity's tile point.
+    group = build_group(2, 3, 7)
+    real = trigroup._disc_image
+    calls = itertools.count()
+
+    def planted(e, z):
+        w = real(e, z)
+        return w if next(calls) == 0 else (w[0] + 3e-9, w[1])
+
+    enumerate_elements.cache_clear()
+    monkeypatch.setattr(trigroup, "_disc_image", planted)
+    try:
+        with pytest.raises(DedupAmbiguityError):
+            enumerate_elements(group, 3)
+    finally:
+        enumerate_elements.cache_clear()

@@ -141,55 +141,51 @@ def _disc_norm(p):
     return dx * dx + dy * dy
 
 
-class _RadiusLog(dict):
-    """The ball-radius record of trigroup, logging every enumerated ball."""
-
-    def __init__(self, log):
-        super().__init__()
-        self.log = log
-
-    def __setitem__(self, group, radius):
-        self.log.append(((group.p, group.q, group.r), radius))
-        super().__setitem__(group, radius)
-
-
 @pytest.fixture
 def ball_log(monkeypatch):
-    """Start cold, as a fresh process does, and log each ball enumerated."""
+    """Start cold, as a fresh process does, and log each word ball asked
+    for, as its group's triple and radius."""
     log: list = []
     enumerate_elements.cache_clear()
     curve_system.cache_clear()
     curve_lifts.cache_clear()
-    monkeypatch.setattr(trigroup, "_BALL_RADIUS", _RadiusLog(log))
+
+    def logged(group, max_len):
+        log.append(((group.p, group.q, group.r), max_len))
+        return enumerate_elements(group, max_len)
+
+    monkeypatch.setattr(trigroup, "enumerate_elements", logged)
     yield log
     enumerate_elements.cache_clear()
     curve_system.cache_clear()
     curve_lifts.cache_clear()
 
 
-@pytest.mark.parametrize("argv,largest", [
-    (["verify", "--case", "344", "--depth", "16"], 2),
-    (["tiling", "--case", "344", "--depth", "6"], 6),
-    (["verify", "--case", "344", "--depth", "6"], 2),
-])
-def test_run_enumerates_radius_one_and_largest_ball_only(argv, largest,
-                                                         ball_log, tmp_path):
-    # Radius 1 holds the second branch of the figure-eight.  A verify run
-    # then goes to radius 2, where the neighbour's witness pq lies; a drawing
-    # builds its own ball, of which every search reads a slice.
+@pytest.mark.parametrize("argv,balls", [
+    (["verify", "--case", "344", "--depth", "16"], set()),
+    (["tiling", "--case", "344", "--depth", "6"], {((3, 4, 4), 6)}),
+    (["verify", "--case", "344", "--depth", "6"], set()),
+], ids=["verify-344-d16", "tiling-344-d6", "verify-344-d6"])
+def test_run_builds_no_word_ball_or_only_the_drawn_one(argv, balls, ball_log,
+                                                       tmp_path):
+    # The searches of a verify run (the second branch, the tube axes, the
+    # disc of neighbour candidates and their witnesses, the tubes) walk the
+    # tiles and stop where they end; a drawing builds one word ball, of its
+    # depth, once.
     out = ["--json", str(tmp_path / "r.json")] if argv[0] == "verify" \
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
-    assert ball_log == [((3, 4, 4), 1), ((3, 4, 4), largest)]
+    assert set(ball_log) == balls
+    assert enumerate_elements.cache_info().misses == len(balls)
 
 
 def test_verify_all_builds_no_ball_above_radius_three(ball_log, tmp_path):
-    # The neighbour candidates come from a disc of tiles, not from a word
-    # ball; the balls built serve only the witnesses, the tube axes and the
-    # second branches, each searched one radius at a time.
+    # No word ball at all: every search of the five cases is a walk over
+    # tiles that stops at what it looks for.
     assert cli.main(["verify", "--case", "all",
                      "--json", str(tmp_path / "r.json")]) == 0
-    assert ball_log and max(radius for _, radius in ball_log) <= 3
+    assert ball_log == []
+    assert enumerate_elements.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("argv,builds", [
@@ -205,13 +201,14 @@ def test_run_builds_word_ball_lift_set_only_to_draw(argv, builds, ball_log,
 
 
 def _first_branch_in_ball(group, axis, pt):
-    # The second branch as the first match in the whole radius-4 ball.
+    # The second branch as the first match in the whole radius-4 ball, with
+    # the element that carries the axis to it.
     for el in enumerate_elements(group, 4):
         img = hyp2.apply_geodesic(el.matrix, axis)
         if hyp2.same_geodesic_angles(img.angles, axis.angles, 1e-9):
             continue
         if hyp2.distance(pt, trigroup.foot_of_perpendicular(img, pt)) < 1e-9:
-            return img
+            return el, img
     raise AssertionError("no second branch in the radius-4 ball")
 
 
@@ -219,10 +216,11 @@ def _first_branch_in_ball(group, axis, pt):
 def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
                                                                   ball_log):
     system = curve_system(case)
-    assert [radius for _, radius in ball_log] == [1]
+    assert ball_log == []
     group = build_group(*CASE_TRIPLES[case])
     axis, second = system.base_geodesics
     crossing = trigroup.midpoint(group.P, group.Q) if case == 334 \
         else trigroup.midpoint(group.Q, group.R)
-    expected = _first_branch_in_ball(group, axis, crossing)
+    el, expected = _first_branch_in_ball(group, axis, crossing)
+    assert len(el.word) == 1
     assert _bits((second.u, second.v)) == _bits((expected.u, expected.v))

@@ -92,12 +92,11 @@ def test_enumeration_deterministic():
 
 
 @pytest.fixture
-def cold(monkeypatch):
+def cold():
     """Start with no ball or lift set built, as a fresh process does."""
     def reset():
         enumerate_elements.cache_clear()
         curve_lifts.cache_clear()
-        monkeypatch.setattr(trigroup, "_BALL_RADIUS", {})
     reset()
     yield reset
     enumerate_elements.cache_clear()
@@ -114,14 +113,15 @@ def _lift_bits(lifts):
 
 @pytest.mark.parametrize("case", CASES)
 def test_balls_agree_in_any_call_order(case, cold):
-    # The radius-8 ball first (every smaller radius is then a slice of it)
-    # against each radius enumerated afresh in increasing order.
+    # The radius-8 ball first against each radius enumerated afresh in
+    # increasing order: every smaller ball is a prefix of a larger one.
     group = build_group(*CASE_TRIPLES[case])
     first = {8: _ball_bits(enumerate_elements(group, 8))}
     first.update({r: _ball_bits(enumerate_elements(group, r)) for r in range(8)})
     cold()
     for r in range(9):
         assert _ball_bits(enumerate_elements(group, r)) == first[r]
+        assert first[r] == first[8][:len(first[r])]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -430,14 +430,18 @@ def test_neighbors_match_the_ball_reference(case_data):
 
 def test_disc_candidates_are_the_ball_orbit_points_within_reach(case_data):
     # Every orbit point of the cell centre within D in the radius-8 ball is
-    # a candidate of the disc of tiles, and the disc has no other.
+    # a candidate of the disc of tiles, and the disc has no other.  Each
+    # candidate's tile carries the cell centre to it, bit for bit.
     _, group, system, _ = case_data
     c0 = system.cell_center
     reach, candidates = trigroup._disc_candidates(group, system)
     ball = [hyp2.to_disc(p) for p, _ in cell_tiling(group, c0, 8)
             if config.EPS_PT <= distance(p, c0) <= reach + 1e-9]
-    disc = [dxy for _, dxy in candidates]
+    disc = [hyp2.to_disc(p) for p, _ in candidates]
     assert len(disc) == len(ball) >= 2
+    for p, tile in candidates:
+        q = apply(tile.matrix, c0)
+        assert (q.x.hex(), q.y.hex()) == (p.x.hex(), p.y.hex())
 
     def matched(a, b):
         return all(any(max(abs(x - u), abs(y - v)) < 1e-9 for u, v in b)
