@@ -2,13 +2,13 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
-complex, torus-map family, surgery degeneracy or winding), printed as one
-``error:`` line that names the kind and module, the case, and for
-``verify`` the stage.  The flags are the only configuration, and nothing is
-read from the environment: ``verify --depth`` only sets the report's
-``adjacency_depth``, and ``tiling --depth`` is the radius of the drawn word
-ball.  The geometric thresholds are fixed constants in ``config``, not
-options.
+complex, torus-map family, surgery degeneracy or winding, a non-hyperbolic
+Seifert triple), printed as one ``error:`` line that names the kind and
+module, the case, and for ``verify`` the stage.  The flags are the only
+configuration, and nothing is read from the environment: ``verify --depth``
+only sets the report's ``adjacency_depth``, and ``tiling --depth`` is the
+radius of the drawn word ball.  The geometric thresholds are fixed
+constants in ``config``, not options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
 subcommand imports the layers it runs when it runs: ``verify`` the report
@@ -109,7 +109,8 @@ def cmd_verify(args) -> int:
         return 2
     from . import report
     from .sections import ComplexError
-    from .surgery import DegenerateChoiceError, WindingError
+    from .surgery import (DegenerateChoiceError, NotHyperbolicError,
+                          WindingError)
     from .torusmap import OutOfFamilyError
     try:
         rep = report.run_verification(case, args.depth,
@@ -128,6 +129,8 @@ def cmd_verify(args) -> int:
         return _typed_error("degeneracy (surgery)", err)
     except WindingError as err:
         return _typed_error("winding (surgery)", err)
+    except NotHyperbolicError as err:
+        return _typed_error("hyperbolicity (surgery)", err)
     _print_text_report(rep)
     if args.json_path:
         payload = json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -157,8 +160,10 @@ def cmd_tiling(args) -> int:
         svg = render.tiling_svg(case, args.depth)
     except GeometryError as err:  # a ValueError, so caught first
         return _typed_error("geometry (trigroup)", err, where)
-    except (EnumerationError, ValueError) as err:
+    except ValueError as err:
         return _typed_error("rendering", err, where)
+    except EnumerationError as err:
+        return _typed_error("enumeration (trigroup)", err, where)
     except TangencyError as err:
         return _typed_error("tangency (trigroup)", err, where)
     try:

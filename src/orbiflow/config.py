@@ -11,8 +11,7 @@ gaps (>1e-3 in every case handled here).
 
 ``EPS_PT`` is the coincidence scale, read by:
   * ``hyp2.geodesic_through``: coincident points and vertical geodesics;
-  * ``hyp2.geodesic_intersection``: equal geodesics (endpoint angles) and
-    concentric circles;
+  * ``hyp2.geodesic_crossing``: equal geodesics (endpoint angles);
   * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
     ``Isometry.compose``/``inverse``: the first significant entry, made
     positive; ``axis_of``: a vertical axis (|c| below it);

@@ -146,9 +146,6 @@ class Geodesic(Value):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    def is_vertical(self) -> bool:
-        return math.isinf(self.u) or math.isinf(self.v)
-
     @cached_property
     def angles(self) -> tuple[float, float]:
         """``geodesic_angles`` of this geodesic, computed on first use and
@@ -372,63 +369,29 @@ def angles_interleave(pair1: tuple[float, float],
     return ((a2 - a1) % (2.0 * math.pi) < arc) != ((b2 - a1) % (2.0 * math.pi) < arc)
 
 
-def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> Optional[HPoint]:
-    """Transverse intersection point of two geodesics, or None if disjoint.
+def geodesic_crossing(g1: Geodesic, g2: Geodesic
+                      ) -> Optional[tuple[HPoint, float]]:
+    """Transverse crossing point of two geodesics and their unoriented angle
+    in [0, pi/2], or None if they are disjoint or equal.
 
-    Decided by endpoint interleaving on the boundary circle; the point itself
-    is computed from the half-plane circle equations.
+    Decided by endpoint interleaving on the boundary circle, then computed
+    on the Klein chords n·k = c (``klein_line``): the point solves both line
+    equations, and the angle is that of the spacelike normals m = (n, c) in
+    the hyperboloid model, cos = |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)) with
+    B(m1, m2) = n1·n2 - c1·c2 (Ratcliffe, *Foundations of Hyperbolic
+    Manifolds*, ch. 3).
     """
-    if same_geodesic_angles(g1.angles, g2.angles, config.EPS_PT):
+    if (not angles_interleave(g1.angles, g2.angles)
+            or same_geodesic_angles(g1.angles, g2.angles, config.EPS_PT)):
         return None
-    if not angles_interleave(g1.angles, g2.angles):
-        return None
-
-    def circle_data(g: Geodesic):
-        if g.is_vertical():
-            x = g.u if not math.isinf(g.u) else g.v
-            return ("v", x, 0.0)
-        c = (g.u + g.v) / 2.0
-        return ("c", c, abs(g.v - g.u) / 2.0)
-
-    k1, c1, r1 = circle_data(g1)
-    k2, c2, r2 = circle_data(g2)
-    if k1 == "v" and k2 == "v":
-        return None  # parallel verticals cannot interleave anyway
-    if k1 == "v":
-        k1, c1, r1, k2, c2, r2 = k2, c2, r2, k1, c1, r1
-    if k2 == "v":
-        x = c2
-        yy = r1 * r1 - (x - c1) ** 2
-        if yy <= 0:
-            return None
-        return HPoint(x, math.sqrt(yy))
-    if abs(c2 - c1) < config.EPS_PT:
-        return None  # concentric: tangent at infinity or disjoint
-    x = (c2 * c2 - c1 * c1 + r1 * r1 - r2 * r2) / (2.0 * (c2 - c1))
-    yy = r1 * r1 - (x - c1) ** 2
-    if yy <= 0:
-        return None
-    return HPoint(x, math.sqrt(yy))
-
-
-def geodesic_direction_at(g: Geodesic, p: HPoint) -> tuple[float, float]:
-    """Unit Euclidean tangent of the oriented geodesic g at a point p on it."""
-    if g.is_vertical():
-        return (0.0, 1.0) if math.isinf(g.v) else (0.0, -1.0)
-    c = (g.u + g.v) / 2.0
-    tx, ty = -p.y, p.x - c
-    if tx * (g.v - g.u) < 0:
-        tx, ty = -tx, -ty
-    n = math.hypot(tx, ty)
-    return (tx / n, ty / n)
-
-
-def crossing_angle(g1: Geodesic, g2: Geodesic, p: HPoint) -> float:
-    """Unoriented angle in [0, pi/2] between two geodesics crossing at p."""
-    t1 = geodesic_direction_at(g1, p)
-    t2 = geodesic_direction_at(g2, p)
-    dot = abs(t1[0] * t2[0] + t1[1] * t2[1])
-    return math.acos(max(-1.0, min(1.0, dot)))
+    n1x, n1y, c1, _ = g1.klein_line
+    n2x, n2y, c2, _ = g2.klein_line
+    det = n1x * n2y - n1y * n2x
+    point = klein_to_hpoint((c1 * n2y - c2 * n1y) / det,
+                            (n1x * c2 - n2x * c1) / det)
+    cos = abs(n1x * n2x + n1y * n2y - c1 * c2) / math.sqrt(
+        (n1x * n1x + n1y * n1y - c1 * c1) * (n2x * n2x + n2y * n2y - c2 * c2))
+    return point, math.acos(min(1.0, cos))
 
 
 def axis_parameter(g: Geodesic, p: HPoint) -> float:

@@ -47,6 +47,10 @@ class WindingError(ValueError):
     """A cycle that does not close, or whose arc crossings do not sum to 0."""
 
 
+class NotHyperbolicError(ValueError):
+    """A Seifert side's orbifold triple (p, q, r) with 1/p + 1/q + 1/r >= 1."""
+
+
 class SlopeCoefficient(Value):
     """Surgery coefficient b/a: the new meridian is homologous to a*l + b*m."""
 
@@ -322,7 +326,7 @@ def seifert_h1(p: int, q: int, r: int) -> AbelianGroup:
     and b0 = -1, the convention with Euler number -(b0 + 1/p + 1/q + 1/r).
     """
     if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
-        raise ValueError(f"({p},{q},{r}) is not hyperbolic")
+        raise NotHyperbolicError(f"({p},{q},{r}) is not hyperbolic")
     rows = [[p, 0, 0, 1], [0, q, 0, 1], [0, 0, r, 1], [1, 1, 1, 1]]
     return AbelianGroup.from_relation_rows(rows, 4)
 

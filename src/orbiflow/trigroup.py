@@ -35,9 +35,9 @@ tested against the lifts of the tiles in a tube about its own path
 (``curve_lifts``).  A lift keeps its boundary angles and Klein chord
 (``Geodesic.angles``, ``.klein_ends``, ``.klein_line``), computed on first
 use.  Both path tests, the neighbour segment and the axis period, meet the
-lifts through one primitive, ``_meetings``: it skips a lift whose endpoints
-do not interleave with the path geodesic's before ``geodesic_intersection``,
-and rejects a near-tangential crossing.  A drawing dedups only the orbit
+lifts through one primitive, ``_meetings``: it takes each crossing's point
+and angle from the two Klein chords (``hyp2.geodesic_crossing``), and
+rejects a near-tangential crossing.  A drawing dedups only the orbit
 points within its disc (``cell_tiling``'s bound) and clips each of their
 tiles against the chords, skipping a chord farther from the tile's centre
 than its polygon so far reaches (``cell_polygon``).  The per-element loops
@@ -54,11 +54,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
-                   IsometryClass, IsometryKind, angles_interleave, apply,
-                   apply_geodesic, axis_of, axis_parameter, boundary_point,
-                   cayley, classify, compose_entries, distance, foot_on_axis,
-                   geodesic_intersection, geodesic_through, crossing_angle,
-                   mobius, projective_dist, rotation_about,
+                   IsometryClass, IsometryKind, apply, apply_geodesic, axis_of,
+                   axis_parameter, boundary_point, cayley, classify,
+                   compose_entries, distance, foot_on_axis, geodesic_crossing,
+                   geodesic_through, mobius, projective_dist, rotation_about,
                    same_geodesic_angles, to_disc, to_klein)
 
 CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
@@ -562,8 +561,10 @@ class AdjacencyReport(Value):
 
 def _meetings(geo: Geodesic, lifts: Iterable[Geodesic]) -> tuple[bool, list[float]]:
     """Whether geo is one of the lifts (within 1e-7), and the axis parameter
-    on geo of each point where another lift crosses it; a crossing at an
-    angle below 1e-6 raises TangencyError."""
+    on geo of each point where another lift crosses it (``geodesic_crossing``,
+    which skips a lift whose endpoints do not interleave with geo's before
+    any arithmetic); a crossing at an angle below 1e-6 raises
+    TangencyError."""
     pair = geo.angles
     on_lift = False
     params: list[float] = []
@@ -571,12 +572,10 @@ def _meetings(geo: Geodesic, lifts: Iterable[Geodesic]) -> tuple[bool, list[floa
         if same_geodesic_angles(pair, lift.angles, 1e-7):
             on_lift = True
             continue
-        if not angles_interleave(lift.angles, pair):
+        crossing = geodesic_crossing(lift, geo)
+        if crossing is None:
             continue
-        z = geodesic_intersection(lift, geo)
-        if z is None:
-            continue
-        ang = crossing_angle(lift, geo, z)
+        z, ang = crossing
         if ang < 1e-6:
             raise TangencyError(f"a curve lift meets the path at angle {ang:.2e}")
         params.append(axis_parameter(geo, z))

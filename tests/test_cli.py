@@ -357,7 +357,12 @@ def test_timings_account_for_trace3():
 # `cli.main`: by the start of the error line each prints, the patch and the
 # message the line carries.
 PLANTED_FAULTS = {
-    "tangency": ("trigroup.crossing_angle = lambda *args: 1e-9", "1.00e-09"),
+    # Every crossing the primitive finds reported at angle 1e-9.
+    "tangency": ("cross = trigroup.geodesic_crossing\n"
+                 "def planted(*args):\n"
+                 "    found = cross(*args)\n"
+                 "    return found and (found[0], 1e-9)\n"
+                 "trigroup.geodesic_crossing = planted", "1.00e-09"),
     "geometry": ("def fail(*args):\n"
                  "    raise hyp2.GeometryError('planted curve failure')\n"
                  "trigroup.curve_system = fail", "planted curve failure"),
@@ -393,6 +398,19 @@ PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
                   "family (torusmap)": "certification",
                   "degeneracy (surgery)": "homology",
                   "winding (surgery)": "homology"}
+
+
+def test_non_hyperbolic_row_exits_2_with_one_error_line():
+    # A Euclidean triple planted for 237 before import: any verify run stops
+    # in the global homology stage, where ``surgery.seifert_h1`` reads it.
+    run = _run_fresh("import sys\nfrom orbiflow import config\n"
+                     "config.PAPER_ROWS = ((237, (2, 3, 6), 'gamma1', 1),)"
+                     " + config.PAPER_ROWS[1:]\n"
+                     "from orbiflow import cli\n"
+                     "sys.exit(cli.main(['verify', '--case', '344']))")
+    assert run.returncode == 2
+    assert run.stderr == ("error: hyperbolicity (surgery): global, "
+                          "homology_global: (2,3,6) is not hyperbolic\n")
 
 
 @pytest.mark.parametrize("kind,argv", [

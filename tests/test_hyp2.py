@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiflow import config, hyp2
+from orbiflow import config, hyp2, trigroup
 from orbiflow.hyp2 import (HPoint, Isometry, IsometryKind, apply, axis_of,
                            classify, distance, rotation_about,
                            triangle_from_angles, GeometryError)
@@ -222,18 +222,72 @@ def test_parameter_roundtrip_on_geodesics():
         assert abs(hyp2.axis_parameter(geo, p) - t) < 1e-9
 
 
-def test_geodesic_intersection_perpendicular():
+def test_geodesic_crossing_perpendicular():
     g1 = hyp2.Geodesic(-1.0, 1.0)
     g2 = hyp2.Geodesic(0.0, math.inf)
-    z = hyp2.geodesic_intersection(g1, g2)
-    assert z is not None
+    crossing = hyp2.geodesic_crossing(g1, g2)
+    assert crossing is not None
+    z, angle = crossing
     assert abs(z.x) < 1e-12 and abs(z.y - 1.0) < 1e-12
-    assert abs(hyp2.crossing_angle(g1, g2, z) - math.pi / 2) < 1e-9
+    assert abs(angle - math.pi / 2) < 1e-9
 
 
-def test_geodesic_intersection_disjoint():
-    assert hyp2.geodesic_intersection(hyp2.Geodesic(0.0, 1.0),
-                                      hyp2.Geodesic(2.0, 3.0)) is None
+def test_geodesic_crossing_disjoint_or_equal():
+    g = hyp2.Geodesic(0.0, 1.0)
+    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(2.0, 3.0)) is None
+    assert hyp2.geodesic_crossing(g, g) is None
+    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(1.0, 0.0)) is None
+
+
+def _crossing_pair(ends, vertical, flips):
+    """Two geodesics on four ideal points a < b < c < d, a to c and b to d,
+    so their ends interleave; d is INF when `vertical`, and each is reversed
+    as `flips` says."""
+    a, b, c, d = sorted(ends)
+    pairs = [(a, c), (b, math.inf if vertical else d)]
+    return [hyp2.Geodesic(*(pair[::-1] if flip else pair))
+            for pair, flip in zip(pairs, flips)]
+
+
+def _on_geodesic(p, geo):
+    return distance(p, trigroup.foot_of_perpendicular(geo, p)) < 1e-9
+
+
+# Four ideal points at least 0.1 apart, and an isometry that moves i by at
+# most a few units, so that every crossing stays well inside the disc.
+crossing_ends = st.lists(st.floats(-4, 4, allow_nan=False), min_size=4,
+                         max_size=4).filter(
+    lambda xs: min(b - a for a, b in zip(sorted(xs), sorted(xs)[1:])) > 0.1)
+moves = st.builds(
+    iso_from_params,
+    st.lists(st.tuples(st.floats(-1, 1, allow_nan=False),
+                       st.floats(0.5, 2, allow_nan=False),
+                       st.floats(-math.pi, math.pi, allow_nan=False)),
+             min_size=1, max_size=2))
+
+
+@given(crossing_ends, st.booleans(), st.tuples(st.booleans(), st.booleans()),
+       moves)
+@settings(max_examples=200, deadline=None)
+def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, vertical,
+                                                         flips, g):
+    A, B = _crossing_pair(ends, vertical, flips)
+    crossing = hyp2.geodesic_crossing(A, B)
+    assert crossing is not None
+    z, angle = crossing
+    assert _on_geodesic(z, A) and _on_geodesic(z, B)
+    assert 0 < angle <= math.pi / 2
+    moved = hyp2.geodesic_crossing(hyp2.apply_geodesic(g, A),
+                                   hyp2.apply_geodesic(g, B))
+    assert moved is not None
+    assert distance(moved[0], apply(g, z)) < 1e-9
+    assert abs(moved[1] - angle) < 1e-9
+    # The perpendicular pair through i stays perpendicular, crossing at g·i.
+    z, angle = hyp2.geodesic_crossing(
+        hyp2.apply_geodesic(g, hyp2.Geodesic(-1.0, 1.0)),
+        hyp2.apply_geodesic(g, hyp2.Geodesic(0.0, math.inf)))
+    assert distance(z, apply(g, HPoint(0.0, 1.0))) < 1e-9
+    assert abs(angle - math.pi / 2) < 1e-9
 
 
 def test_thresholds_are_read_at_call_time(monkeypatch):

@@ -1,0 +1,87 @@
+"""Inventory of the small float literals of the geometric modules: every
+float in (0, 1e-3] written in ``hyp2``, ``trigroup`` and ``render``, counted
+by the top-level function, method or module-level statement that holds it.
+Each one is a threshold, margin or scale that a float decision reads, so a
+new one fails this test until it is added here on purpose.  The named
+thresholds ``config.EPS_PT`` and ``config.EPS_BAND`` are not literals and
+are not listed."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import orbiflow
+
+PACKAGE = Path(orbiflow.__file__).parent
+
+SURVIVORS = {
+    "hyp2": {
+        ("Isometry.boundary_image", 1e-300): 1,
+        ("triangle_from_angles", 1e-12): 1,
+    },
+    "trigroup": {
+        ("<module>", 1e-3): 1,  # _CELL, the dedup grid's cell width
+        ("_clusters", 1e-5): 2,
+        ("_disc_candidates", 1e-9): 2,
+        ("_meetings", 1e-7): 1,
+        ("_meetings", 1e-6): 1,
+        ("_orbit", 1e-9): 1,
+        ("_orbit_lifts", 1e-9): 1,
+        ("_second_branch", 1e-9): 2,
+        ("_tiles", 1e-9): 1,
+        ("_tube", 1e-7): 1,
+        ("canonical_neighbors", 1e-9): 2,
+        ("cell_polygon", 1e-12): 2,
+        ("cell_polygon", 1e-9): 1,
+        ("cell_tiling", 1e-6): 1,
+        ("curve_system", 1e-6): 1,
+    },
+    "render": {
+        ("_on_curve", 1e-7): 1,
+        ("_on_curve", 1e-6): 1,
+        ("geodesic_path", 1e-9): 1,
+    },
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _holders(tree: ast.Module):
+    """(name, node) of each top-level function, of each statement in a
+    top-level class (a method by "Class.method"), and of each other
+    module-level statement ("<module>")."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                name = (f"{node.name}.{sub.name}"
+                        if isinstance(sub, _FUNCTIONS) else node.name)
+                yield name, sub
+        elif isinstance(node, _FUNCTIONS):
+            yield node.name, node
+        else:
+            yield "<module>", node
+
+
+def small_floats(source: str) -> Counter:
+    """The multiset of (holder, literal) over the float literals of
+    `source` in (0, 1e-3]; a negated literal counts as its magnitude."""
+    out = Counter()
+    for name, node in _holders(ast.parse(source)):
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Constant) and type(sub.value) is float
+                    and 0.0 < sub.value <= 1e-3):
+                out[name, sub.value] += 1
+    return out
+
+
+def test_small_float_literals_are_the_listed_survivors():
+    for module, expected in SURVIVORS.items():
+        found = small_floats((PACKAGE / f"{module}.py").read_text())
+        assert found == Counter(expected), module
+
+
+def test_a_planted_threshold_fails_the_inventory():
+    source = (PACKAGE / "trigroup.py").read_text()
+    planted = source + "\n\ndef _near(a, b):\n    return abs(a - b) < 1e-8\n"
+    assert small_floats(planted) - small_floats(source) == \
+        Counter({("_near", 1e-8): 1})
+    assert small_floats(planted) != Counter(SURVIVORS["trigroup"])

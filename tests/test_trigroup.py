@@ -291,9 +291,9 @@ def _plant_near_tangent(monkeypatch):
         geo = hyp2.geodesic_through(path[-2], path[-1])
         a, b = geo.angles
         lift = hyp2.Geodesic(_ideal_point(a + 1e-5), _ideal_point(b + 1e-9))
-        z = hyp2.geodesic_intersection(lift, geo)
+        crossing = hyp2.geodesic_crossing(lift, geo)
         assert not hyp2.same_geodesic_angles(lift.angles, geo.angles, 1e-7)
-        assert z is not None and 0 < hyp2.crossing_angle(lift, geo, z) < 1e-6
+        assert crossing is not None and 0 < crossing[1] < 1e-6
         return real(group, system, path) + (lift,)
 
     monkeypatch.setattr(trigroup, "lifts_along", planted)
@@ -462,7 +462,7 @@ def test_neighbour_search_without_lifts_raises(monkeypatch, capsys,
             (["verify", "--case", "237"],
              "error: enumeration (trigroup): case 237, adjacency: "),
             (["tiling", "--case", "237", "--out", str(tmp_path / "t.svg")],
-             "error: rendering: case 237: ")):
+             "error: enumeration (trigroup): case 237: ")):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         [line] = err.splitlines()
@@ -547,10 +547,10 @@ def _meeting(lifts, path):
             seg = hyp2.geodesic_through(a, b)
             if hyp2.same_geodesic_angles(lift.angles, seg.angles, 1e-7):
                 break
-            z = hyp2.geodesic_intersection(lift, seg)
-            if z is None:
+            crossing = hyp2.geodesic_crossing(lift, seg)
+            if crossing is None:
                 continue
-            t = hyp2.axis_parameter(seg, z)
+            t = hyp2.axis_parameter(seg, crossing[0])
             if (hyp2.axis_parameter(seg, a) - 1e-9 <= t
                     <= hyp2.axis_parameter(seg, b) + 1e-9):
                 break
