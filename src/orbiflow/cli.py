@@ -2,13 +2,17 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
-complex, torus-map family, surgery degeneracy or winding, a non-hyperbolic
-Seifert triple), printed as one ``error:`` line that names the kind and
-module, the case, and for ``verify`` the stage.  The flags are the only
-configuration, and nothing is read from the environment: ``verify --depth``
-only sets the report's ``adjacency_depth``, and ``tiling --depth`` is the
-radius of the drawn word ball.  The geometric thresholds are fixed
-constants in ``config``, not options.
+complex, torus-map family or normal form, surgery degeneracy, winding or
+orbit cycle, a non-hyperbolic Seifert triple), printed as one ``error:``
+line that names the kind and module, the case, and for ``verify`` the
+stage.  The flags are the only configuration, and nothing is read from the
+environment: ``verify --depth`` only sets the report's ``adjacency_depth``,
+and ``tiling --depth`` is the word-length budget of the drawing's search
+for the tiles within its disc (``trigroup.drawing_disc``).  The drawn
+cells are certified only when the search's deepest word is shorter than
+the budget; a budget it reaches draws the cells the tiles found bound, as
+a word ball did.  The geometric thresholds are fixed constants in
+``config``, not options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
 subcommand imports the layers it runs when it runs: ``verify`` the report
@@ -51,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tiling", help="render a tiling to SVG")
     t.add_argument("--case", required=True)
-    t.add_argument("--depth", type=int, default=4)
+    t.add_argument("--depth", type=int, default=4,
+                   help="word-length budget of the search for the tiles "
+                        "within the drawn disc")
     t.add_argument("--out", required=True, metavar="PATH.svg")
 
     c = sub.add_parser("catmap", help="periodic-orbit table of the torus map")
@@ -110,8 +116,8 @@ def cmd_verify(args) -> int:
     from . import report
     from .sections import ComplexError
     from .surgery import (DegenerateChoiceError, NotHyperbolicError,
-                          WindingError)
-    from .torusmap import OutOfFamilyError
+                          OrbitCycleError, WindingError)
+    from .torusmap import NormalFormError, OutOfFamilyError
     try:
         rep = report.run_verification(case, args.depth,
                                       include_timings=args.timings)
@@ -125,10 +131,14 @@ def cmd_verify(args) -> int:
         return _typed_error("complex (sections)", err)
     except OutOfFamilyError as err:
         return _typed_error("family (torusmap)", err)
+    except NormalFormError as err:
+        return _typed_error("normal form (torusmap)", err)
     except DegenerateChoiceError as err:
         return _typed_error("degeneracy (surgery)", err)
     except WindingError as err:
         return _typed_error("winding (surgery)", err)
+    except OrbitCycleError as err:
+        return _typed_error("orbit (surgery)", err)
     except NotHyperbolicError as err:
         return _typed_error("hyperbolicity (surgery)", err)
     _print_text_report(rep)

@@ -184,9 +184,12 @@ def apply_geodesic(g: Isometry, geo: Geodesic) -> Geodesic:
 
 
 def distance(p: HPoint, q: HPoint) -> float:
-    dx, dy = p.x - q.x, p.y - q.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(max(arg, 1.0))
+    """2·asinh(|p - q| / (2·sqrt(Im p · Im q))): sinh(d/2) is that ratio
+    (cosh d = 1 + |p - q|²/(2·Im p·Im q) = 1 + 2·sinh²(d/2)).  Unlike
+    acosh(1 + ...), which reads 0 for offsets up to about 1.4e-8, it keeps
+    the relative precision of the offset."""
+    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
+                            / (2.0 * math.sqrt(p.y * q.y)))
 
 
 def _transport_from_i(p: HPoint) -> Isometry:

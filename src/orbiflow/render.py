@@ -18,6 +18,8 @@ _FAMILY_STYLES = {
 }
 
 _DRAWN = 0.55  # the cone-point tiles drawn: disc coordinates w, |w|^2 <= this
+# ... that is, within this distance of i: |w| = tanh(d/2).
+_DRAWN_RADIUS = 2.0 * math.atanh(math.sqrt(_DRAWN))
 
 
 def _fmt(x: float) -> str:
@@ -73,20 +75,6 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
     return head + body + " Z"
 
 
-def _on_curve(vertex: HPoint, lifts) -> bool:
-    """Whether a lift passes within 1e-7 of `vertex`.  The Klein distance to
-    a chord is at most the hyperbolic distance to its lift, so the chord
-    test (within 1e-6), made first, passes every lift the exact one accepts."""
-    kx, ky = hyp2.to_klein(vertex)
-    for lift in lifts:
-        nx, ny, c, norm = lift.klein_line
-        if (abs(nx * kx + ny * ky - c) <= 1e-6 * norm
-                and hyp2.distance(vertex, trigroup.foot_of_perpendicular(
-                    lift, vertex)) < 1e-7):
-            return True
-    return False
-
-
 def tiling_svg(case: int, depth: int) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
     and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
@@ -96,9 +84,25 @@ def tiling_svg(case: int, depth: int) -> str:
         raise ValueError("depth must be >= 1")
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
-    # The only lift set a run builds, from the only word ball.
-    lifts = trigroup.curve_lifts(case, depth)
+    # The only lift set a run builds: the lifts of the tiles of the word
+    # ball whose tile points lie within reach of i.  They hold every lift
+    # that meets the disc of radius far about i (``trigroup.drawing_disc``)
+    # unless the depth cuts the search, so only a search whose deepest word
+    # is shorter than the depth certifies its cells.
+    far, reach = trigroup.drawing_disc(group, system, _DRAWN_RADIUS)
+    deepest = len(trigroup.enumerate_elements(group, depth, reach)[-1].word)
+    lifts = trigroup.curve_lifts(case, depth, reach)
     adjacency = trigroup.adjacency_isometries(group, system)
+
+    def certified(verts):
+        """verts, checked to lie within far of i when the search ended
+        within the depth: then a cell drawn is the true one."""
+        if (deepest < depth and trigroup.polygon_reach(
+                trigroup.DISC_ORIGIN, verts) > far):
+            raise trigroup.EnumerationError(
+                f"a drawn cell reaches beyond distance {far:.6f} of the "
+                "disc centre")
+        return verts
 
     parts: list[str] = []
     parts.append(
@@ -111,13 +115,15 @@ def tiling_svg(case: int, depth: int) -> str:
     # Tiles around every cone-point family not lying on the curve itself.
     for name in ("P", "Q", "R"):
         vertex = group.vertex(name)
-        if _on_curve(vertex, lifts):
+        # Within far of i, so that the lifts through it are drawn.
+        certified([hyp2.to_klein(vertex)])
+        if trigroup.on_curve(vertex, lifts):
             continue
         stroke, fill = _FAMILY_STYLES[name]
         # Only the orbit points within the drawn disc, |w|^2 <= _DRAWN: the
         # orbit skips those beyond it (with a margin) before its dedup, and
         # the exact test here picks out the drawn ones.
-        orbit = trigroup.cell_tiling(group, vertex, depth, _DRAWN)
+        orbit = trigroup.cell_tiling(group, vertex, depth, _DRAWN, reach)
         for point, _ in orbit:
             dx, dy = hyp2.to_disc(point)
             if dx * dx + dy * dy > _DRAWN:
@@ -128,8 +134,8 @@ def tiling_svg(case: int, depth: int) -> str:
                 continue
             if any(lab is None for lab in labels):
                 continue
-            parts.append(f'<path d="{cell_path(verts)}" fill="{fill}" '
-                         f'fill-opacity="0.45" stroke="{stroke}" '
+            parts.append(f'<path d="{cell_path(certified(verts))}" '
+                         f'fill="{fill}" fill-opacity="0.45" stroke="{stroke}" '
                          'stroke-width="0.003"/>')
 
     # Base and neighbor tiles of the distinguished family, highlighted.
@@ -137,8 +143,8 @@ def tiling_svg(case: int, depth: int) -> str:
                          (adjacency.neighbor_center, "#fc8d62")):
         verts, labels = trigroup.cell_polygon(point, lifts)
         if not any(lab is None for lab in labels):
-            parts.append(f'<path d="{cell_path(verts)}" fill="{color}" '
-                         'fill-opacity="0.8" stroke="#555555" '
+            parts.append(f'<path d="{cell_path(certified(verts))}" '
+                         f'fill="{color}" fill-opacity="0.8" stroke="#555555" '
                          'stroke-width="0.004"/>')
 
     for lift in lifts:

@@ -47,6 +47,10 @@ class WindingError(ValueError):
     """A cycle that does not close, or whose arc crossings do not sum to 0."""
 
 
+class OrbitCycleError(ValueError):
+    """An orbit whose points the matrix does not carry each to the next."""
+
+
 class NotHyperbolicError(ValueError):
     """A Seifert side's orbifold triple (p, q, r) with 1/p + 1/q + 1/r >= 1."""
 
@@ -295,7 +299,7 @@ def _complement(orbit: CatOrbit) -> Complement:
     pts = orbit.points
     for i, p in enumerate(pts):
         if act(CAT, p) != pts[(i + 1) % len(pts)]:
-            raise ValueError("orbit is not a forward cycle of the matrix")
+            raise OrbitCycleError("orbit is not a forward cycle of the matrix")
     orbit_pts = [p.as_fractions() for p in pts]
     last_err: Optional[Exception] = None
     for salt in range(6):

@@ -18,6 +18,11 @@ class OutOfFamilyError(ValueError):
     """Matrix outside the classified family (trace <= 2)."""
 
 
+class NormalFormError(RuntimeError):
+    """A normal form whose matrix lost a conjugacy invariant of its input:
+    a reduction bug, caught by the exact self-check."""
+
+
 class TorusMatrix(Value):
     __slots__ = ("a", "b", "c", "d")
 
@@ -246,7 +251,7 @@ def xy_normal_form(A: TorusMatrix) -> CyclicXYWord:
     word = CyclicXYWord.canonical(_peel_positive(reduced))
     # Exact self-checks: the word's matrix shares the conjugacy invariants.
     if word.matrix().trace() != A.trace():
-        raise RuntimeError("normal form lost the trace; reduction bug")
+        raise NormalFormError("normal form lost the trace; reduction bug")
     return word
 
 

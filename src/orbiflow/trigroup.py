@@ -10,7 +10,8 @@ coset of a witness by the rotations about the tile's centre vertex.
 One breadth-first search walks the group, ``_tiles``: from the identity, in
 shortlex order, it finds the tiles g·T of the base triangle T, deduped by
 their tile points g·o.  Every enumeration is a use of it: the word ball of
-a radius (``enumerate_elements``, which only a drawing builds), the first
+a radius, which only a drawing builds, cut to the disc of tiles that can
+reach a drawn cell (``enumerate_elements``, ``drawing_disc``), the first
 element of the radius-4 ball that a test accepts (``_first_in_ball``: a
 tube's axis element, the figure-eight's second branch), the disc of tiles
 about the cell centre whose orbit points are the neighbour candidates and
@@ -31,16 +32,18 @@ the 1e-8 guard band sit far from both.
 
 Each neighbour candidate, and each hyperbolic axis over one period, is
 tested against the lifts of the tiles in a tube about its own path
-(``lifts_along``); only a drawing builds the lifts of a ball
-(``curve_lifts``).  A lift keeps its boundary angles and Klein chord
-(``Geodesic.angles``, ``.klein_ends``, ``.klein_line``), computed on first
-use.  Both path tests, the neighbour segment and the axis period, meet the
-lifts through one primitive, ``_meetings``: it takes each crossing's point
-and angle from the two Klein chords (``hyp2.geodesic_crossing``), and
-rejects a near-tangential crossing.  A drawing dedups only the orbit
-points within its disc (``cell_tiling``'s bound) and clips each of their
-tiles against the chords, skipping a chord farther from the tile's centre
-than its polygon so far reaches (``cell_polygon``).  The per-element loops
+(``lifts_along``); only a drawing builds the lifts of a ball, and only of
+its tiles within the drawing's disc (``curve_lifts``).  A lift keeps its
+boundary angles and Klein chord (``Geodesic.angles``, ``.klein_ends``,
+``.klein_line``), computed on first use.  Both path tests, the neighbour
+segment and the axis period, meet the lifts through one primitive,
+``_meetings``: it takes each crossing's point and angle from the two Klein
+chords (``hyp2.geodesic_crossing``), and rejects a near-tangential
+crossing.  A drawing dedups only the orbit points within its disc
+(``cell_tiling``'s bound) and clips each of their tiles against the
+chords, skipping a chord farther from the tile's centre than its polygon
+so far reaches (``cell_polygon``); a cell within the radius X of
+``drawing_disc`` is certified to be the true cell.  The per-element loops
 (tile steps, orbit points) run on entry tuples with ``hyp2``'s kernels and
 build an ``Isometry`` or ``HPoint`` only for a new element.
 """
@@ -214,13 +217,20 @@ def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
     return (s.real, s.imag, pr.real, pr.imag)
 
 
+DISC_ORIGIN = HPoint(0.0, 1.0)  # i: the vertex P of T, the drawn centre
+
+
 @functools.lru_cache(maxsize=64)
-def enumerate_elements(group: TriangleGroup, max_len: int) -> tuple[GroupElement, ...]:
+def enumerate_elements(group: TriangleGroup, max_len: int,
+                       reach: float = math.inf) -> tuple[GroupElement, ...]:
     """All distinct elements of word length <= max_len, in shortlex order:
-    the tiles of ``_tiles`` up to that word length."""
+    the tiles of ``_tiles`` up to that word length; with a finite `reach`,
+    only the tiles whose tile point lies within `reach` of i, found through
+    such tiles (``drawing_disc``)."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return tuple(_tiles(group, max_len=max_len))
+    keep = None if reach == math.inf else _in_disc(DISC_ORIGIN, reach)
+    return tuple(_tiles(group, keep, max_len))
 
 
 def _first_in_ball(group: TriangleGroup, accept) -> Optional[GroupElement]:
@@ -324,11 +334,14 @@ def _orbit_lifts(mats: Iterable[Isometry],
 
 
 @functools.lru_cache(maxsize=32)
-def curve_lifts(case: int, depth: int) -> tuple[Geodesic, ...]:
-    """The deduped orbit of the base geodesics in the word ball, in order."""
+def curve_lifts(case: int, depth: int,
+                reach: float = math.inf) -> tuple[Geodesic, ...]:
+    """The deduped orbit of the base geodesics in the word ball, cut to
+    `reach` about i (``enumerate_elements``), in order."""
     group = build_group(*CASE_TRIPLES[case])
-    return _orbit_lifts((el.matrix for el in enumerate_elements(group, depth)),
-                        curve_system(case).base_geodesics)
+    return _orbit_lifts(
+        (el.matrix for el in enumerate_elements(group, depth, reach)),
+        curve_system(case).base_geodesics)
 
 
 @functools.lru_cache(maxsize=16)
@@ -340,6 +353,18 @@ def _tile_point(group: TriangleGroup) -> tuple[HPoint, float]:
     ks = [to_klein(v) for v in corners]
     o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
     return o, max(distance(o, v) for v in corners)
+
+
+def _in_disc(center: HPoint, radius: float):
+    """The test of a point z of the half-plane (a complex number) for
+    d(center, z) <= radius: |z - c|^2 <= 2 Im(c) Im(z) (cosh radius - 1)."""
+    c = center.as_complex()
+    scale = 2.0 * c.imag * (math.cosh(radius) - 1.0)
+
+    def within(z: complex) -> bool:
+        dz = z - c
+        return dz.real * dz.real + dz.imag * dz.imag <= scale * z.imag
+    return within
 
 
 def _tiles(group: TriangleGroup, keep=None,
@@ -459,16 +484,19 @@ def _orbit(elements: Iterable[GroupElement], center: HPoint,
 
 
 def cell_tiling(group: TriangleGroup, center: HPoint, depth: int,
-                bound: float = 1.0) -> list[tuple[HPoint, GroupElement]]:
-    """Orbit of the cell center `center` in the ball, with witnesses: each
-    orbit point with its first element in ball order (``_orbit``).  An
-    element with |w|^2 > bound + 1e-6 is skipped before the dedup, so with
-    the default bound the whole orbit is kept; every point with
-    |w|^2 <= bound keeps the same first element, since its duplicates lie
-    within 1e-9 of it, inside the 1e-6 margin."""
+                bound: float = 1.0, reach: float = math.inf
+                ) -> list[tuple[HPoint, GroupElement]]:
+    """Orbit of the cell center `center` in the ball, cut to `reach` about i
+    (``enumerate_elements``), with witnesses: each orbit point with its
+    first element in ball order (``_orbit``).  An element with
+    |w|^2 > bound + 1e-6 is skipped before the dedup, so with the default
+    bound the whole orbit is kept; every point with |w|^2 <= bound keeps
+    the same first element, since its duplicates lie within 1e-9 of it,
+    inside the 1e-6 margin."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return list(_orbit(enumerate_elements(group, depth), center, bound + 1e-6))
+    return list(_orbit(enumerate_elements(group, depth, reach), center,
+                       bound + 1e-6))
 
 
 def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
@@ -531,6 +559,93 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
             cleaned_v.append(verts[i])
             cleaned_l.append(labels[i])
     return cleaned_v, cleaned_l
+
+
+def on_curve(vertex: HPoint, lifts: Iterable[Geodesic]) -> bool:
+    """Whether a lift passes within 1e-7 of `vertex`.  The Klein distance to
+    a chord is at most the hyperbolic distance to its lift, so the chord
+    test (within 1e-6), made first, passes every lift the exact one accepts."""
+    kx, ky = to_klein(vertex)
+    for lift in lifts:
+        nx, ny, c, norm = lift.klein_line
+        if (abs(nx * kx + ny * ky - c) <= 1e-6 * norm
+                and distance(vertex, foot_of_perpendicular(lift, vertex)) < 1e-7):
+            return True
+    return False
+
+
+def polygon_reach(center: HPoint, verts: Sequence[tuple[float, float]]) -> float:
+    """The largest distance from `center` to a vertex of the convex Klein
+    polygon `verts`, so that the polygon lies within it of `center`; inf if
+    a vertex is not inside the unit disc.
+
+    It certifies a cell: a polygon clipped by some of the walls contains the
+    true cell, and if it lies in a disc whose every meeting lift was
+    clipped, no wall is missing, since a wall cutting it meets that disc."""
+    far = 0.0
+    for kx, ky in verts:
+        if not kx * kx + ky * ky < 1.0:
+            return math.inf
+        far = max(far, distance(center, hyp2.klein_to_hpoint(kx, ky)))
+    return far
+
+
+def _lift_reach(group: TriangleGroup, system: CurveSystem,
+                radius: float) -> float:
+    """radius + rho (``_tube``), with a 1e-9 rounding margin: the lifts of
+    the tiles whose tile points lie within it of a vertex c of T, found
+    through such tiles, hold every lift meeting the disc of `radius` about
+    c, unless a word-length budget cuts the search.  Such a lift meets it at
+    some z as g·b with g·o within rho of z (``_tube``).  Chain: the nearest
+    tile points along the segment from g·o to z lie within rho of z
+    (``_tube``); the tiles met by the segment from z to c have their tile
+    points within radius + r_T of c, and are joined in generator steps
+    (``_disc_candidates``); the identity tile holds c."""
+    return radius + _tube(group, system) + 1e-9
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_radius(group: TriangleGroup, system: CurveSystem) -> float:
+    """r_cell: the largest distance from a vertex v of T that no lift passes
+    through to a vertex of its cell, which bounds every cell of its family.
+    Each v's cell is clipped from the lifts within ``_lift_reach`` of a disc
+    of radius r about v, from r = r_T, until ``polygon_reach`` certifies it
+    within r; each of at most four rounds doubles r, or sets it to the
+    polygon's reach if that is less (a larger disc keeps the smaller one's
+    tiles, so the next round then certifies).  The first search holds the
+    lifts through v, if any (``on_curve``)."""
+    r_T = _tile_point(group)[1]
+    out = 0.0
+    for v in (group.P, group.Q, group.R):
+        r = r_T
+        for _ in range(4):
+            within = _in_disc(v, _lift_reach(group, system, r))
+            lifts = _orbit_lifts((tile.matrix for tile in _tiles(group, within)),
+                                 system.base_geodesics)
+            if on_curve(v, lifts):
+                break
+            verts, labels = cell_polygon(v, lifts)
+            far = math.inf if None in labels else polygon_reach(v, verts)
+            if far <= r:
+                out = max(out, far)
+                break
+            r = min(far, 2.0 * r)
+        else:
+            raise EnumerationError(f"no cell about a vertex certified within "
+                                   f"distance {r:.6f} of it")
+    return out
+
+
+def drawing_disc(group: TriangleGroup, system: CurveSystem,
+                 radius: float) -> tuple[float, float]:
+    """(X, reach) for drawing the cells whose cone points lie within `radius`
+    of i (the vertex P of T): the disc of X = radius + r_cell
+    (``_cell_radius``, with a 1e-9 rounding margin) holds them, and the
+    lifts of the tiles within reach = ``_lift_reach`` of i hold every lift
+    meeting it, so a drawn cell within X of i is the true cell
+    (``polygon_reach``)."""
+    far = radius + _cell_radius(group, system) + 1e-9
+    return far, _lift_reach(group, system, far)
 
 
 # --- Adjacency ------------------------------------------------------------
@@ -614,16 +729,9 @@ def _disc_candidates(group: TriangleGroup, system: CurveSystem
     rounding margin.
     """
     c0 = system.cell_center
-    z0 = c0.as_complex()
     reach = min(d for d in (distance(apply(group.generator(letter), c0), c0)
                             for letter in ALPHABET) if d >= config.EPS_PT)
-    # d(c0, z) <= R iff |z - c0|^2 <= 2 Im(c0) Im(z) (cosh R - 1)
-    scale = 2.0 * z0.imag * (math.cosh(reach + _tile_point(group)[1] + 1e-9) - 1.0)
-
-    def in_disc(z: complex) -> bool:
-        dz = z - z0
-        return dz.real * dz.real + dz.imag * dz.imag <= scale * z.imag
-
+    in_disc = _in_disc(c0, reach + _tile_point(group)[1] + 1e-9)
     ranked = []
     for p, tile in _orbit(_tiles(group, in_disc), c0):
         d = distance(p, c0)

@@ -12,7 +12,9 @@ from orbiflow.config import DEFAULT_DEPTH
 
 GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case C --depth D`, per case for D = 1..6,
-# pinned like the report.
+# pinned like the report.  From 245 and 246 at depth 6, and 334 and 344 at
+# depth 4, the word ball holds tiles beyond the drawing's disc, whose lifts
+# meet no drawn cell and are not drawn; every drawn cell is unchanged.
 TILING_SHA256 = {
     237: (
         "2eca6b7f54d30de11ac11a19690ee328e128ac8c2e5d757a41a2019eb634e733",
@@ -28,7 +30,7 @@ TILING_SHA256 = {
         "35e688cca95de05b790354830796c209f36436ae95f887bbfe2bb5aab38d5e4b",
         "3b0aeecbcaca607a10fc9db7a4abe556f81d94f33f65e23abab5699e306f438d",
         "b7e7ff4da6e3cc7c068ef7c6c48630ac3e5d9f70f8e7f1ab45ea4be25369be4f",
-        "1365a9a498d731143c1f157c2ea625bd37ae56d6571ebefe3d625581627a638e",
+        "2bc0bc759ec06816d74994847287a47d8a015c57317968c080126abb4213e872",
     ),
     246: (
         "3f26b500213b31f52dcb9c7807f33b873c72d5ee8236a8eb415c5ea0ec1a7628",
@@ -36,23 +38,23 @@ TILING_SHA256 = {
         "4490ca7e10e9ee272576788ecf76e8c2a910f105932afdb9bff502555927aa58",
         "017088cf4c11c0d26423f15d2d2d53519c4fa052a9180daa952e123cdb6ee091",
         "67cba5afe2fdd3489ac7bd9d6084ad9c3c76f83d93475826746fef7d270e121f",
-        "86cce40e6cc28687d0b7eb44a67927d9d387f863df6ea3ebda783a4dce65844a",
+        "1ee433be4a9904ed80921336910279e880cd523f09bf033be4555900b1cc10cc",
     ),
     334: (
         "99fbab6bf34abdf05b4e404e960a7c880ef77fa6e38a071e9b18c7325fb9581c",
         "c312b7af892ff3f36dd6340d9fcd7ef2ac519fe60a6bfb60a6b2af7e64c31428",
         "e2d013541060015f23972ff047181f4a68897c77784f8f9bb80ff2d7e16bac15",
-        "afb01c5f970f6db578a84950198561b9ee4214e6df386caf4e544eaf7d728823",
-        "b856b82084064ec95615ab162a07e4efd39eec6ee88175484d0cabaa5ada802a",
-        "a1ae25c0cdf500742df93e910aaa10c531397108e0737c66160d07a3495d69ec",
+        "d9644b15b641fcd7ae687e0923c7ed3900e4e5cc63cefe4d2d2bbad49356bcfa",
+        "4acc63a467fe97b94163cac77e3425c53518e22101690824a7c2b81af43dfd23",
+        "9fe5b93b47435fd60afd34b4270c0239517db318e7d5b774a3dff8625ea043ae",
     ),
     344: (
         "e64518fae4d85a33d840085bbf0e770a44190f19f690c6ed3083d79efa04ccc4",
         "fba51260e044c4dd10414489f23ddbb9de987f737f8b312ab9f0475e950b99a0",
         "f000fa712a9e00d89aa7f60c9d95fc3a744961d766f3c19a517a412815f0d594",
-        "0ff129f38951fedd86c98aa475b8bc43a7f4f606c55d18d8bd45839206127b4d",
-        "367ced3b1c8db40d8a2c14678415f58a452b5bc907b211341167948946a2a14a",
-        "ced877df5529448f7df4795b2fdcba7b238364656655ead234f5aad7dc174499",
+        "c6857e70748f0b77f2e205122edf78a4cdde418ca8b4c3f77316965551bc9595",
+        "4e670716bc50d5219c765f2679907850580b012162949fda494e06f240c0beed",
+        "4e670716bc50d5219c765f2679907850580b012162949fda494e06f240c0beed",
     ),
 }
 # sha256 of the `orbiflow verify --case all` text output without its per-case
@@ -383,6 +385,22 @@ PLANTED_FAULTS = {
         "def fail(*args):\n"
         "    raise torusmap.OutOfFamilyError('planted family failure')\n"
         "torusmap.xy_normal_form = fail", "planted family failure"),
+    # The certification's normal form planted with the wrong word, whose
+    # matrix has trace 4, not the trace 3 of the torus map.
+    "normal form (torusmap)": (
+        "torusmap._peel_positive = lambda reduced: [1, 2]",
+        "normal form lost the trace"),
+    # The surgery layer's torus action planted to send every point to
+    # (1/2, 0): no orbit is a forward cycle any more.
+    "orbit (surgery)": (
+        "surgery.act = lambda A, p: torusmap.RationalPoint.of(0.5, 0)",
+        "orbit is not a forward cycle"),
+    # Half the certified cell radius: a drawn cell reaches beyond the disc
+    # whose lifts the drawing holds, so its certificate fails.
+    "enumeration (trigroup)": (
+        "cell = trigroup._cell_radius\n"
+        "trigroup._cell_radius = lambda *args: cell(*args) / 2.0",
+        "a drawn cell reaches beyond distance"),
     # One crossing too many with every cut arc: the arc crossings of a closed
     # cycle no longer sum to zero.
     "winding (surgery)": (
@@ -396,6 +414,8 @@ PLANTED_FAULTS = {
 PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
                   "complex (sections)": "sections",
                   "family (torusmap)": "certification",
+                  "normal form (torusmap)": "certification",
+                  "orbit (surgery)": "homology",
                   "degeneracy (surgery)": "homology",
                   "winding (surgery)": "homology"}
 
@@ -424,6 +444,11 @@ def test_non_hyperbolic_row_exits_2_with_one_error_line():
     ("geometry", ["tiling", "--case", "237", "--depth", "3",
                   "--out", "{tmp}/t.svg"]),
     ("family (torusmap)", ["verify", "--case", "237"]),
+    ("normal form (torusmap)", ["verify", "--case", "237"]),
+    ("orbit (surgery)", ["verify", "--case", "237"]),
+    # 237's disc search ends at word length 10, so depth 11 certifies.
+    ("enumeration (trigroup)", ["tiling", "--case", "237", "--depth", "11",
+                                "--out", "{tmp}/t.svg"]),
 ])
 def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     # Exit 1 means a verification check failed; a typed failure is exit 2

@@ -74,6 +74,19 @@ def test_distance_basics():
     assert abs(distance(p, q) - distance(q, p)) < 1e-15
 
 
+@pytest.mark.parametrize("offset", (1e-12, 1e-11, 1e-10, 1e-9, 1e-8))
+def test_distance_resolves_small_offsets(offset):
+    # acosh(1 + |p - q|^2/(2 y1 y2)) reads 0.0 for offsets up to about
+    # 1.4e-8, where the square falls below the rounding of 1; the thresholds
+    # of 1e-9 and 1e-8 that distances are compared with need them resolved.
+    # At y = 2 a horizontal offset h is 2 asinh(h/4) ~ h/2 away, a vertical
+    # one log(1 + h/2) ~ h/2.
+    p = HPoint(0.3, 2.0)
+    for q in (HPoint(0.3 + offset, 2.0), HPoint(0.3, 2.0 + offset)):
+        assert distance(p, q) == pytest.approx(offset / 2.0, rel=1e-6)
+        assert distance(q, p) == pytest.approx(offset / 2.0, rel=1e-6)
+
+
 @pytest.mark.parametrize("triple", [(2, 3, 7), (2, 4, 5), (2, 4, 6),
                                     (3, 3, 4), (3, 4, 4)])
 def test_triangle_sides_match_law_of_cosines(triple):

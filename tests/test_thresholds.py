@@ -22,6 +22,7 @@ SURVIVORS = {
         ("<module>", 1e-3): 1,  # _CELL, the dedup grid's cell width
         ("_clusters", 1e-5): 2,
         ("_disc_candidates", 1e-9): 2,
+        ("_lift_reach", 1e-9): 1,
         ("_meetings", 1e-7): 1,
         ("_meetings", 1e-6): 1,
         ("_orbit", 1e-9): 1,
@@ -34,10 +35,11 @@ SURVIVORS = {
         ("cell_polygon", 1e-9): 1,
         ("cell_tiling", 1e-6): 1,
         ("curve_system", 1e-6): 1,
+        ("drawing_disc", 1e-9): 1,
+        ("on_curve", 1e-7): 1,
+        ("on_curve", 1e-6): 1,
     },
     "render": {
-        ("_on_curve", 1e-7): 1,
-        ("_on_curve", 1e-6): 1,
         ("geodesic_path", 1e-9): 1,
     },
 }

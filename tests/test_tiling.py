@@ -144,15 +144,15 @@ def _disc_norm(p):
 @pytest.fixture
 def ball_log(monkeypatch):
     """Start cold, as a fresh process does, and log each word ball asked
-    for, as its group's triple and radius."""
+    for, as its group's triple and word-length radius."""
     log: list = []
     enumerate_elements.cache_clear()
     curve_system.cache_clear()
     curve_lifts.cache_clear()
 
-    def logged(group, max_len):
+    def logged(group, max_len, reach=math.inf):
         log.append(((group.p, group.q, group.r), max_len))
-        return enumerate_elements(group, max_len)
+        return enumerate_elements(group, max_len, reach)
 
     monkeypatch.setattr(trigroup, "enumerate_elements", logged)
     yield log
@@ -224,3 +224,122 @@ def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
     el, expected = _first_branch_in_ball(group, axis, crossing)
     assert len(el.word) == 1
     assert _bits((second.u, second.v)) == _bits((expected.u, expected.v))
+
+
+def _drawing(case, depth):
+    """(X, the drawn lifts, each drawn cell as (centre, vertices, labels)):
+    what `tiling_svg(case, depth)` clips against its lifts and draws."""
+    group = build_group(*CASE_TRIPLES[case])
+    far, reach = trigroup.drawing_disc(group, curve_system(case),
+                                       render._DRAWN_RADIUS)
+    lifts = curve_lifts(case, depth, reach)
+    cells = []
+    real = trigroup.cell_polygon
+
+    def logged(center, walls):
+        out = real(center, walls)
+        if walls is lifts and None not in out[1]:
+            cells.append((center,) + out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trigroup, "cell_polygon", logged)
+        render.tiling_svg(case, depth)
+    return far, lifts, cells
+
+
+def _meets_polygon(lift, verts):
+    nx, ny, c, _ = lift.klein_line
+    fs = [nx * x + ny * y - c for x, y in verts]
+    return min(fs) < 0.0 < max(fs)
+
+
+def _same_vertices(a, b):
+    return len(a) == len(b) and all(
+        min(math.hypot(x - u, y - v) for u, v in b) < 1e-9 for x, y in a)
+
+
+def _completeness_faults(case):
+    """What a drawing at a depth its disc search is not cut by misses
+    against the word ball of its deepest word plus 2: the reference lifts
+    that meet the X-disc or a drawn cell and are not drawn, and the drawn
+    cells that differ from the reference cells."""
+    group = build_group(*CASE_TRIPLES[case])
+    reach = trigroup.drawing_disc(group, curve_system(case),
+                                  render._DRAWN_RADIUS)[1]
+    deepest = len(enumerate_elements(group, 64, reach)[-1].word)
+    far, lifts, cells = _drawing(case, deepest + 1)
+    reference = curve_lifts(case, deepest + 2)
+    assert len(reference) > len(lifts) and len(cells) > 2
+    faults = []
+    origin = trigroup.DISC_ORIGIN
+    for ref in reference:
+        if any(hyp2.same_geodesic_angles(ref.angles, lift.angles, 1e-9)
+               for lift in lifts):
+            continue
+        if hyp2.distance(origin, trigroup.foot_of_perpendicular(
+                ref, origin)) <= far:
+            faults.append(f"lift {ref.angles} meets the X-disc")
+        faults.extend(f"lift {ref.angles} meets the cell at {center}"
+                      for center, verts, _ in cells
+                      if _meets_polygon(ref, verts))
+    for center, verts, labels in cells:
+        ref_verts, ref_labels = trigroup.cell_polygon(center, reference)
+        walls = {reference[i].angles for i in ref_labels}
+        if not (_same_vertices(verts, ref_verts)
+                and all(any(hyp2.same_geodesic_angles(lifts[i].angles, w, 1e-9)
+                            for w in walls) for i in labels)):
+            faults.append(f"cell at {center} differs from the reference")
+    return faults
+
+
+@pytest.fixture
+def cold_disc():
+    """Clear the caches a drawing's disc reads, before and after."""
+    caches = (trigroup._cell_radius, curve_lifts, enumerate_elements)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_drawing_holds_every_lift_and_cell_of_a_deeper_ball(case, cold_disc):
+    # Drawn at a depth the disc search ends within, each case draws every
+    # lift of the reference ball that meets a drawn cell or the X-disc, and
+    # every drawn cell is the reference ball's cell.
+    assert _completeness_faults(case) == []
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_halved_cell_radius_fails_the_containment_check(case, cold_disc,
+                                                         monkeypatch):
+    # With half of r_cell in X, some drawn cell reaches beyond X, and the
+    # drawing refuses to draw it.
+    real = trigroup._cell_radius
+    monkeypatch.setattr(trigroup, "_cell_radius",
+                        lambda group, system: real(group, system) / 2.0)
+    with pytest.raises(trigroup.EnumerationError, match="reaches beyond"):
+        _completeness_faults(case)
+
+
+def test_a_search_radius_without_rho_misses_a_lift(cold_disc, monkeypatch):
+    # Without the tube radius rho in the search radius, 246 misses lifts
+    # of the reference ball that meet the X-disc.
+    monkeypatch.setattr(trigroup, "_lift_reach",
+                        lambda group, system, radius: radius + 1e-9)
+    faults = _completeness_faults(246)
+    assert faults and all("meets the X-disc" in f for f in faults)
+
+
+def test_drawing_344_depth_6_builds_the_disc_not_the_ball(cold_disc):
+    # The timed drawing: 132 tiles and 96 lifts within the disc, against a
+    # depth-6 word ball of 1203 elements and 792 lifts.
+    group = build_group(*CASE_TRIPLES[344])
+    reach = trigroup.drawing_disc(group, curve_system(344),
+                                  render._DRAWN_RADIUS)[1]
+    assert len(enumerate_elements(group, 6, reach)) == 132
+    assert len(curve_lifts(344, 6, reach)) == 96
+    assert (len(enumerate_elements(group, 6)), len(curve_lifts(344, 6))) \
+        == (1203, 792)
