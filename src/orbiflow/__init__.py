@@ -5,6 +5,14 @@ from operator import attrgetter
 __version__ = "0.1.0"
 
 
+class ChainError(Exception):
+    """Base of the package's typed failures.  A subclass names the label of
+    its ``error:`` line as ``kind``, "enumeration (trigroup)"; ``report``
+    sets ``stage``, "case 344, adjacency", on the failure of a stage."""
+    kind = None
+    stage = None
+
+
 class Record:
     """Base of the package's record classes, built without generated code.
     A subclass names its fields in ``__slots__``, in constructor order (a slot

@@ -3,9 +3,12 @@
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
 or a typed failure of the chain (enumeration, tangency, geometry, section
 complex, torus-map family or normal form, surgery degeneracy, winding or
-orbit cycle, a non-hyperbolic Seifert triple), printed as one ``error:``
-line that names the kind and module, the case, and for ``verify`` the
-stage.  The flags are the only configuration, and nothing is read from the
+orbit cycle, a non-hyperbolic Seifert triple, a boundary direction with no
+filling slope), printed as one ``error:`` line that names the kind and
+module, the case, and for ``verify`` the stage.  Every typed failure is an
+``orbiflow.ChainError`` whose class carries that label as ``kind``, so each
+subcommand catches the one base; any other exception ends in a traceback.
+The flags are the only configuration, and nothing is read from the
 environment: ``verify --depth`` only sets the report's ``adjacency_depth``,
 and ``tiling --depth`` is the word-length budget of the drawing's search
 for the tiles within its disc (``trigroup.drawing_disc``).  The drawn
@@ -15,12 +18,13 @@ a word ball did.  The geometric thresholds are fixed constants in
 ``config``, not options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
-subcommand imports the layers it runs when it runs: ``verify`` the report
-stack (``report``, ``sections``, ``surgery``, ``torusmap``, ``intlinalg``),
-``tiling`` only ``render``, and ``catmap`` only ``torusmap`` and
-``intlinalg``.  The record classes are plain ``__slots__`` classes on
-``orbiflow.Record``, built without generated code, so no path loads
-``inspect``, ``ast``, ``dis`` or ``tokenize``.
+subcommand imports the layers it runs when it runs, and no exception class
+of theirs: ``verify`` imports ``report``, which loads the report stack
+(``sections``, ``surgery``, ``torusmap``, ``intlinalg``), ``tiling`` only
+``render``, and ``catmap`` only ``torusmap`` and ``intlinalg``.  The
+record classes are plain ``__slots__`` classes on ``orbiflow.Record``,
+built without generated code, so no path loads ``inspect``, ``ast``,
+``dis`` or ``tokenize``.
 """
 from __future__ import annotations
 
@@ -28,10 +32,9 @@ import argparse
 import json
 import sys
 
+from . import ChainError
 from . import config as cfg
 from . import trigroup
-from .hyp2 import GeometryError
-from .trigroup import EnumerationError, TangencyError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,12 +99,14 @@ def _print_text_report(rep) -> None:
     print("VERIFICATION " + ("PASSED" if rep.passed else "FAILED"))
 
 
-def _typed_error(kind: str, err: Exception, where: str | None = None) -> int:
-    """Print the one line of a typed failure; its exit code is 2.  `where`
-    names the case, which the messages of the chain do not: by default the
-    case and stage that ``report`` marks a failure of ``verify`` with."""
-    where = where or getattr(err, "stage", None)
-    print(f"error: {kind}: {where + ': ' if where else ''}{err}", file=sys.stderr)
+def _typed_error(err: ChainError, where: str | None = None) -> int:
+    """Print the one line of a typed failure, labelled with its class's
+    ``kind``; its exit code is 2.  `where` names the case, which the messages
+    of the chain do not: by default the case and stage that ``report`` marks
+    a failure of ``verify`` with."""
+    where = where or err.stage
+    print(f"error: {err.kind}: {where + ': ' if where else ''}{err}",
+          file=sys.stderr)
     return 2
 
 
@@ -114,33 +119,11 @@ def cmd_verify(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     from . import report
-    from .sections import ComplexError
-    from .surgery import (DegenerateChoiceError, NotHyperbolicError,
-                          OrbitCycleError, WindingError)
-    from .torusmap import NormalFormError, OutOfFamilyError
     try:
         rep = report.run_verification(case, args.depth,
                                       include_timings=args.timings)
-    except EnumerationError as err:
-        return _typed_error("enumeration (trigroup)", err)
-    except TangencyError as err:
-        return _typed_error("tangency (trigroup)", err)
-    except GeometryError as err:
-        return _typed_error("geometry (trigroup)", err)
-    except ComplexError as err:
-        return _typed_error("complex (sections)", err)
-    except OutOfFamilyError as err:
-        return _typed_error("family (torusmap)", err)
-    except NormalFormError as err:
-        return _typed_error("normal form (torusmap)", err)
-    except DegenerateChoiceError as err:
-        return _typed_error("degeneracy (surgery)", err)
-    except WindingError as err:
-        return _typed_error("winding (surgery)", err)
-    except OrbitCycleError as err:
-        return _typed_error("orbit (surgery)", err)
-    except NotHyperbolicError as err:
-        return _typed_error("hyperbolicity (surgery)", err)
+    except ChainError as err:
+        return _typed_error(err)
     _print_text_report(rep)
     if args.json_path:
         payload = json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -165,17 +148,10 @@ def cmd_tiling(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     from . import render
-    where = f"case {case}"
     try:
         svg = render.tiling_svg(case, args.depth)
-    except GeometryError as err:  # a ValueError, so caught first
-        return _typed_error("geometry (trigroup)", err, where)
-    except ValueError as err:
-        return _typed_error("rendering", err, where)
-    except EnumerationError as err:
-        return _typed_error("enumeration (trigroup)", err, where)
-    except TangencyError as err:
-        return _typed_error("tangency (trigroup)", err, where)
+    except ChainError as err:
+        return _typed_error(err, f"case {case}")
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)

@@ -21,13 +21,14 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from . import Value, config
+from . import ChainError, Value, config
 
 INF = math.inf
 
 
-class GeometryError(ValueError):
+class GeometryError(ChainError, ValueError):
     """Raised on degenerate or out-of-domain geometric input."""
+    kind = "geometry (trigroup)"
 
 
 class HPoint(Value):

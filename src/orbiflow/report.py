@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import Record, config, sections, surgery, torusmap, trigroup
+from . import ChainError, Record, config, sections, surgery, torusmap, trigroup
 
 SCHEMA_VERSION = 2
 
@@ -88,15 +88,15 @@ def _factors(group: surgery.AbelianGroup) -> list[int]:
 
 @contextmanager
 def _stage(rep: CaseReport, name: str):
-    """Time one stage of `rep` into its timings.  An exception raised in it
-    gets a ``stage`` attribute naming the case and the stage, "case 344,
-    adjacency" (for the global checks, "global, <stage>"), which the error
-    line of ``cli`` prints."""
+    """Time one stage of `rep` into its timings.  A typed failure raised in
+    it (``orbiflow.ChainError``) with no stage yet gets its ``stage`` set to
+    the case and the stage, "case 344, adjacency" (for the global checks,
+    "global, <stage>"), which the error line of ``cli`` prints."""
     t0 = time.monotonic()
     try:
         yield
-    except Exception as err:
-        if not hasattr(err, "stage"):
+    except ChainError as err:
+        if err.stage is None:
             err.stage = (f"case {rep.case}" if rep.case else "global") + f", {name}"
         raise
     rep.timings[name] = time.monotonic() - t0

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import Value
+from . import ChainError, Value
 from .trigroup import AdjacencyReport, CASES
 from .hyp2 import IsometryKind
 
 Half = Fraction(1, 2)
 
 
-class ComplexError(ValueError):
+class ComplexError(ChainError, ValueError):
     """Inconsistent polygon complex."""
+    kind = "complex (sections)"
 
 
 class BoundaryLabel(Value):

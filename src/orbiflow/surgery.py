@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import Value, config, intlinalg
+from . import ChainError, Value, config, intlinalg
 from .torusmap import CAT, CatOrbit, RationalPoint, TorusMatrix, act, orbit_of
 
 Vec = tuple[Fraction, Fraction]
@@ -38,21 +38,30 @@ IVec = tuple[int, int]  # a Vec scaled by a common denominator
 Complement = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-class DegenerateChoiceError(RuntimeError):
+class DegenerateChoiceError(ChainError, RuntimeError):
     """A generic-position parameter hit a degeneracy; retry with the next.
     ``_complement`` raises it when every choice has hit one."""
+    kind = "degeneracy (surgery)"
 
 
-class WindingError(ValueError):
+class WindingError(ChainError, ValueError):
     """A cycle that does not close, or whose arc crossings do not sum to 0."""
+    kind = "winding (surgery)"
 
 
-class OrbitCycleError(ValueError):
+class OrbitCycleError(ChainError, ValueError):
     """An orbit whose points the matrix does not carry each to the next."""
+    kind = "orbit (surgery)"
 
 
-class NotHyperbolicError(ValueError):
+class NotHyperbolicError(ChainError, ValueError):
     """A Seifert side's orbifold triple (p, q, r) with 1/p + 1/q + 1/r >= 1."""
+    kind = "hyperbolicity (surgery)"
+
+
+class SlopeError(ChainError, ValueError):
+    """A section boundary direction (a, b) with b <= 0 or not primitive."""
+    kind = "slope (surgery)"
 
 
 class SlopeCoefficient(Value):
@@ -385,8 +394,8 @@ def section_to_slope(direction: tuple[int, int]) -> SlopeCoefficient:
     b/a realizing its mapping torus."""
     a, b = direction
     if b <= 0:
-        raise ValueError(f"boundary direction must have b > 0, got {direction}")
+        raise SlopeError(f"boundary direction must have b > 0, got {direction}")
     if math.gcd(abs(a), b) != 1:
-        raise ValueError(f"direction {direction} is not primitive")
+        raise SlopeError(f"direction {direction} is not primitive")
     return SlopeCoefficient(b=b, a=a)
 

@@ -11,16 +11,18 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from . import Value, intlinalg
+from . import ChainError, Value, intlinalg
 
 
-class OutOfFamilyError(ValueError):
+class OutOfFamilyError(ChainError, ValueError):
     """Matrix outside the classified family (trace <= 2)."""
+    kind = "family (torusmap)"
 
 
-class NormalFormError(RuntimeError):
+class NormalFormError(ChainError, RuntimeError):
     """A normal form whose matrix lost a conjugacy invariant of its input:
     a reduction bug, caught by the exact self-check."""
+    kind = "normal form (torusmap)"
 
 
 class TorusMatrix(Value):

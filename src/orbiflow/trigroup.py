@@ -55,7 +55,7 @@ import math
 import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import Value, config, hyp2
+from . import ChainError, Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    IsometryClass, IsometryKind, apply, apply_geodesic, axis_of,
                    axis_parameter, boundary_point, cayley, classify,
@@ -71,8 +71,9 @@ ALPHABET = ("P", "p", "Q", "q", "R", "r")  # lowercase marks the inverse
 _CELL = 1e-3  # dedup grid cell width, far above every dedup radius
 
 
-class EnumerationError(RuntimeError):
+class EnumerationError(ChainError, RuntimeError):
     """A group element that a search does not find or a check rejects."""
+    kind = "enumeration (trigroup)"
 
 
 class DedupAmbiguityError(EnumerationError):
@@ -80,8 +81,9 @@ class DedupAmbiguityError(EnumerationError):
     guard band: near each other, yet not within the dedup radius."""
 
 
-class TangencyError(RuntimeError):
+class TangencyError(ChainError, RuntimeError):
     """An axis met a curve lift non-transversally."""
+    kind = "tangency (trigroup)"
 
 
 class TriangleGroup(Value):

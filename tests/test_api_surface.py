@@ -3,9 +3,12 @@ function and class of ``orbiflow``, and every public method of such a class,
 is named somewhere in the package besides its own definition.  A function
 whose only caller is a test belongs in the test.  Dunders are exempt.  Every
 field of a record class (``orbiflow.Record``) is read as an attribute in the
-package or in perfbench."""
+package or in perfbench, and every function and parameter the perfbench
+tracer reads by name exists."""
 import ast
 import importlib
+import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +133,35 @@ def test_field_guard_reports_a_planted_unread_field():
         sources, list(sources.values()) + _perfbench_sources())
     assert unread == ["planted.Planted.never_read"]
     assert "Planted" in examined
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py, loaded by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The parameters each observer of perfbench/tracer.py reads by name.
+OBSERVED_PARAMETERS = {"trigroup.enumerate_elements": {"group", "max_len"},
+                       "trigroup.adjacency_isometries": {"system"}}
+
+
+def test_perfbench_reads_what_the_package_defines():
+    # The traced benchmark binds its observers to spans by name and reads
+    # their arguments by name; a renamed function or parameter would break
+    # it outside the test paths.  perfbench/child.py reads the ball cache.
+    tracer = _perfbench_tracer()
+    spans = tracer.Observers().by_span_name()
+    assert set(OBSERVED_PARAMETERS) <= set(spans)
+    for span in spans:
+        modname, name = span.split(".")
+        module = importlib.import_module(f"orbiflow.{modname}")
+        functions = dict(tracer.public_functions(module))
+        assert name in functions, f"{span} is no traced function"
+        params = inspect.signature(functions[name]).parameters
+        assert OBSERVED_PARAMETERS.get(span, set()) <= set(params), span
+    trigroup = importlib.import_module("orbiflow.trigroup")
+    assert callable(trigroup.enumerate_elements.cache_info)

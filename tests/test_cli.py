@@ -1,13 +1,16 @@
 import hashlib
+import importlib
 import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from orbiflow import cli, render, report
+import orbiflow
+from orbiflow import ChainError, cli, render, report
 from orbiflow.config import DEFAULT_DEPTH
 
 GOLDEN = Path(__file__).parent / "data"
@@ -407,6 +410,19 @@ PLANTED_FAULTS = {
         "cross = surgery._torus_cross\n"
         "surgery._torus_cross = lambda *args: cross(*args) + 1",
         "inconsistent winding system"),
+    # Every boundary component of the section given the direction (2, 4),
+    # which is not primitive and so names no filling slope.
+    "slope (surgery)": (
+        "bound = sections.boundary_components\n"
+        "sections.boundary_components = lambda S: [\n"
+        "    sections.BoundaryComponent(c.edges, c.a, c.b, (2, 4))"
+        " for c in bound(S)]",
+        "direction (2, 4) is not primitive"),
+    # The Seifert side of the case's row read with the Euclidean triple.
+    "hyperbolicity (surgery)": (
+        "seifert = surgery.seifert_h1\n"
+        "surgery.seifert_h1 = lambda *triple: seifert(2, 3, 6)",
+        "(2,3,6) is not hyperbolic"),
 }
 
 
@@ -417,7 +433,9 @@ PLANTED_STAGES = {"tangency": "adjacency", "geometry": "adjacency",
                   "normal form (torusmap)": "certification",
                   "orbit (surgery)": "homology",
                   "degeneracy (surgery)": "homology",
-                  "winding (surgery)": "homology"}
+                  "winding (surgery)": "homology",
+                  "slope (surgery)": "homology",
+                  "hyperbolicity (surgery)": "homology"}
 
 
 def test_non_hyperbolic_row_exits_2_with_one_error_line():
@@ -449,6 +467,8 @@ def test_non_hyperbolic_row_exits_2_with_one_error_line():
     # 237's disc search ends at word length 10, so depth 11 certifies.
     ("enumeration (trigroup)", ["tiling", "--case", "237", "--depth", "11",
                                 "--out", "{tmp}/t.svg"]),
+    ("slope (surgery)", ["verify", "--case", "237"]),
+    ("hyperbolicity (surgery)", ["verify", "--case", "237"]),
 ])
 def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     # Exit 1 means a verification check failed; a typed failure is exit 2
@@ -467,3 +487,57 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
     assert line.count("case 237") == 1
     if argv[0] == "verify":
         assert f": case 237, {PLANTED_STAGES[kind]}: " in line
+
+
+def _error_classes(modules):
+    """(qualified name, class) of each exception class `modules` define."""
+    for module in modules:
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__):
+                yield f"{module.__name__}.{name}", cls
+
+
+def _untyped_errors(modules) -> list[str]:
+    """The exception classes `modules` define that no ``error:`` line can
+    label: not an ``orbiflow.ChainError``, or with no ``kind``."""
+    return [name for name, cls in _error_classes(modules)
+            if cls is not ChainError
+            and not (issubclass(cls, ChainError) and cls.kind)]
+
+
+def _package_modules() -> list[types.ModuleType]:
+    package = Path(orbiflow.__file__).parent
+    return [orbiflow] + [importlib.import_module(f"orbiflow.{path.stem}")
+                         for path in sorted(package.glob("*.py"))
+                         if path.stem != "__init__"]
+
+
+def _chain_errors() -> set[type]:
+    out, todo = set(), [ChainError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            out.add(sub)
+    return out
+
+
+def test_every_error_class_is_typed_and_planted():
+    # A typed failure ends in one ``error:`` line labelled with its class's
+    # kind; any other exception ends in a traceback.  The scan must see every
+    # ChainError subclass (12 at this writing), or it passes without looking.
+    modules = _package_modules()
+    assert _untyped_errors(modules) == []
+    errors = _chain_errors()
+    assert {cls for _, cls in _error_classes(modules)} == errors | {ChainError}
+    # Each kind has a planted fault above, whose name starts its error line.
+    unplanted = {cls.kind for cls in errors
+                 if not any(cls.kind.startswith(row) for row in PLANTED_FAULTS)}
+    assert not unplanted, f"kinds with no planted fault: {unplanted}"
+
+
+def test_error_guard_reports_a_planted_untyped_class():
+    planted = types.ModuleType("orbiflow.planted")
+    exec("class FooError(RuntimeError):\n    pass\n", vars(planted))
+    assert (_untyped_errors(_package_modules() + [planted])
+            == ["orbiflow.planted.FooError"])
