@@ -12,10 +12,11 @@ The flags are the only configuration, and nothing is read from the
 environment: ``verify --depth`` only sets the report's ``adjacency_depth``,
 and ``tiling --depth`` is the word-length budget of the drawing's search
 for the tiles within its disc (``trigroup.drawing_disc``).  The drawn
-cells are certified only when the search's deepest word is shorter than
-the budget; a budget it reaches draws the cells the tiles found bound, as
-a word ball did.  The geometric thresholds are fixed constants in
-``config``, not options.
+cells are certified only when the search is complete within the budget:
+its deepest word is shorter, or one more word length adds no tile.  A
+budget that cuts the search draws the cells the tiles found bound, as a
+word ball did, and leaves out a cell they leave open.  The geometric
+thresholds are fixed constants in ``config``, not options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
 subcommand imports the layers it runs when it runs, and no exception class

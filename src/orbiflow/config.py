@@ -12,21 +12,23 @@ gaps (>1e-3 in every case handled here).
 ``EPS_PT`` is the coincidence scale, read by:
   * ``hyp2.geodesic_through``: coincident points and vertical geodesics;
   * ``hyp2.geodesic_crossing``: equal geodesics (endpoint angles);
-  * ``hyp2.compose_entries``/``inverse_entries``, the kernels of
-    ``Isometry.compose``/``inverse``: the first significant entry, made
-    positive; ``axis_of``: a vertical axis (|c| below it);
+  * ``hyp2.axis_of``: a vertical axis (|c| below it);
   * ``hyp2.is_identity``: at 100x;
   * ``trigroup._disc_candidates``: the cell centre itself, skipped among
     the neighbour candidates, and the generators that fix it, skipped for
-    the candidates' reach; ``adjacency_isometries``: a coset element off
-    the neighbour centre, at 10x.
+    the candidates' reach;
+  * ``trigroup.adjacency_isometries``: a coset element off the neighbour
+    centre, at 10x;
+  * ``report.VerificationReport.as_dict``: printed as ``eps_pt``.
 ``EPS_BAND`` is the band around degenerate values, read by:
   * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
-  * the repeat check of ``trigroup.adjacency_isometries``: the matrix dedup
-    radius of the coset, with a guard band at 10x.
-The word ball is not deduped by it: ``trigroup._tiles`` dedups tile points
-at a fixed 1e-9.  The report's ``config`` block prints both thresholds,
-``EPS_BAND`` under the keys ``eps_dedup`` and ``eps_cls``.
+  * ``trigroup._coset_repeat``: the adjacency coset's repeat check, each
+    matrix against the earlier ones, with a guard band at 10x;
+  * ``report.VerificationReport.as_dict``: printed twice, as
+    ``eps_dedup`` and ``eps_cls``.
+No matrix product reads either, since ``hyp2``'s kernels choose no sign,
+and no word ball is deduped by them: ``trigroup._tiles`` dedups tile points
+at a fixed 1e-9.  ``tests/test_thresholds.py`` pins this list of readers.
 """
 
 EPS_PT = 1e-9

@@ -4,10 +4,11 @@ Model conventions
 -----------------
 Points live in the upper half-plane {x + iy : y > 0}.  Orientation-preserving
 isometries are real 2x2 matrices of determinant 1 acting by Mobius
-transformations z -> (az + b)/(cz + d); matrices are kept up to sign by
-normalizing the first significant entry to be positive.  Ideal boundary
-points are reals plus the dedicated marker ``INF`` (math.inf), never a large
-finite stand-in.
+transformations z -> (az + b)/(cz + d).  Products choose no sign: every
+formula of the action reads M and -M alike (IEEE negation is exact), and
+equality is decided up to sign (``projective_dist``).  Ideal boundary
+points are reals plus the dedicated marker ``INF`` (math.inf), never a
+large finite stand-in.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
 ``rotation_about(p, theta)`` rotates tangent vectors at p by theta, so its
@@ -49,26 +50,18 @@ class HPoint(Value):
 Entries = tuple[float, float, float, float]
 
 
-def _normalize_entries(a: float, b: float, c: float, d: float, eps: float) -> Entries:
-    # Projective representative: first entry exceeding eps is positive.
-    lead = a if abs(a) > eps else b if abs(b) > eps else c if abs(c) > eps else d
-    if lead < -eps:
-        return (-a, -b, -c, -d)
-    return (a, b, c, d)
-
-
-def compose_entries(e1: Entries, e2: Entries, eps: float) -> Entries:
-    """Sign-normalized product of two matrices given by their entry tuples
+def compose_entries(e1: Entries, e2: Entries) -> Entries:
+    """Product of two matrices given by their entry tuples
     (``Isometry.entries()``); the one product kernel, ``Isometry.compose``
     included, so loops over many products need build no Isometry."""
     a1, b1, c1, d1 = e1
     a2, b2, c2, d2 = e2
-    return _normalize_entries(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                              c1 * a2 + d1 * c2, c1 * b2 + d1 * d2, eps)
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
 class Isometry(Value):
-    """Sign-normalized SL(2,R) matrix [[a, b], [c, d]], ad - bc = 1."""
+    """SL(2,R) matrix [[a, b], [c, d]], ad - bc = 1, or its negative."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -86,11 +79,10 @@ class Isometry(Value):
         return self.a + self.d
 
     def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(*compose_entries(self.entries(), other.entries(),
-                                         config.EPS_PT))
+        return Isometry(*compose_entries(self.entries(), other.entries()))
 
     def inverse(self) -> "Isometry":
-        return Isometry(*inverse_entries(self.entries(), config.EPS_PT))
+        return Isometry(*inverse_entries(self.entries()))
 
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
@@ -105,15 +97,15 @@ class Isometry(Value):
         return (self.a * t + self.b) / den
 
 
-def inverse_entries(e: Entries, eps: float) -> Entries:
-    """Sign-normalized inverse of a matrix given by its entry tuple."""
+def inverse_entries(e: Entries) -> Entries:
+    """Inverse of a matrix of determinant 1 given by its entry tuple."""
     a, b, c, d = e
-    return _normalize_entries(d, -b, -c, a, eps)
+    return (d, -b, -c, a)
 
 
 def projective_dist(e1: Entries, e2: Entries) -> float:
     """Chebyshev distance between projective matrices, given by their entry
-    tuples (``Isometry.entries()``); sign-agnostic."""
+    tuples (``Isometry.entries()``); M and -M are at distance 0."""
     a1, b1, c1, d1 = e1
     a2, b2, c2, d2 = e2
     d_plus = max(abs(a1 - a2), abs(b1 - b2), abs(c1 - c2), abs(d1 - d2))
@@ -209,9 +201,7 @@ def rotation_about(p: HPoint, theta: float) -> Isometry:
 
 def is_identity(g: Isometry) -> bool:
     """Projective identity test (matrix ~ +-Id), at 100 * EPS_PT."""
-    e = 100.0 * config.EPS_PT
-    return (abs(abs(g.a) - 1.0) < e and abs(abs(g.d) - 1.0) < e
-            and abs(g.b) < e and abs(g.c) < e and g.a * g.d > 0)
+    return projective_dist(g.entries(), (1, 0, 0, 1)) < 100 * config.EPS_PT
 
 
 def classify(g: Isometry) -> IsometryClass:

@@ -87,22 +87,36 @@ def tiling_svg(case: int, depth: int) -> str:
     # The only lift set a run builds: the lifts of the tiles of the word
     # ball whose tile points lie within reach of i.  They hold every lift
     # that meets the disc of radius far about i (``trigroup.drawing_disc``)
-    # unless the depth cuts the search, so only a search whose deepest word
-    # is shorter than the depth certifies its cells.
+    # unless the depth cuts the search, so only a complete search certifies
+    # its cells: its deepest word is shorter than the depth, or one more
+    # word length adds no tile.
     far, reach = trigroup.drawing_disc(group, system, _DRAWN_RADIUS)
-    deepest = len(trigroup.enumerate_elements(group, depth, reach)[-1].word)
+    ball = trigroup.enumerate_elements(group, depth, reach)
+    complete = (len(ball[-1].word) < depth or len(
+        trigroup.enumerate_elements(group, depth + 1, reach)) == len(ball))
     lifts = trigroup.curve_lifts(case, depth, reach)
     adjacency = trigroup.adjacency_isometries(group, system)
 
     def certified(verts):
-        """verts, checked to lie within far of i when the search ended
-        within the depth: then a cell drawn is the true one."""
-        if (deepest < depth and trigroup.polygon_reach(
-                trigroup.DISC_ORIGIN, verts) > far):
+        """verts, checked to lie within far of i when the search is
+        complete: then a cell drawn is the true one."""
+        if complete and trigroup.polygon_reach(
+                trigroup.DISC_ORIGIN, verts) > far:
             raise trigroup.EnumerationError(
                 f"a drawn cell reaches beyond distance {far:.6f} of the "
                 "disc centre")
         return verts
+
+    def draw_cell(point, style):
+        """Draw the cell about point, certified.  An open cell is an error in
+        a certified drawing; one that is not certified leaves it out."""
+        verts, labels = trigroup.cell_polygon(point, lifts)
+        if None not in labels:
+            parts.append(f'<path d="{cell_path(certified(verts))}" {style}/>')
+        elif complete:
+            raise trigroup.EnumerationError(
+                f"the drawn cell about ({point.x:.6f}, {point.y:.6f}) has "
+                "an open side")
 
     parts: list[str] = []
     parts.append(
@@ -128,24 +142,14 @@ def tiling_svg(case: int, depth: int) -> str:
             dx, dy = hyp2.to_disc(point)
             if dx * dx + dy * dy > _DRAWN:
                 continue
-            try:
-                verts, labels = trigroup.cell_polygon(point, lifts)
-            except hyp2.GeometryError:
-                continue
-            if any(lab is None for lab in labels):
-                continue
-            parts.append(f'<path d="{cell_path(certified(verts))}" '
-                         f'fill="{fill}" fill-opacity="0.45" stroke="{stroke}" '
-                         'stroke-width="0.003"/>')
+            draw_cell(point, f'fill="{fill}" fill-opacity="0.45" '
+                             f'stroke="{stroke}" stroke-width="0.003"')
 
     # Base and neighbor tiles of the distinguished family, highlighted.
     for point, color in ((adjacency.base_center, "#ffd92f"),
                          (adjacency.neighbor_center, "#fc8d62")):
-        verts, labels = trigroup.cell_polygon(point, lifts)
-        if not any(lab is None for lab in labels):
-            parts.append(f'<path d="{cell_path(certified(verts))}" '
-                         f'fill="{color}" fill-opacity="0.8" stroke="#555555" '
-                         'stroke-width="0.004"/>')
+        draw_cell(point, f'fill="{color}" fill-opacity="0.8" '
+                         'stroke="#555555" stroke-width="0.004"')
 
     for lift in lifts:
         parts.append(f'<path d="{geodesic_path(lift)}" fill="none" '

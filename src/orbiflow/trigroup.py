@@ -18,17 +18,16 @@ about the cell centre whose orbit points are the neighbour candidates and
 whose tiles are their witnesses (``_disc_candidates``), and the tube of
 tiles about a path (``lifts_along``).
 
-Every dedup goes through one uniform-grid index, ``_GridIndex``: tile
-points (1e-9 in disc coordinates, guard band to 10x), orbit points and
-curve lifts (1e-9), and the adjacency coset's repeat check (matrix entries,
-``projective_dist`` within ``config.EPS_BAND`` = 1e-7, guard band to 10x).
-Its cells are 1e-3 wide, a thousand times the largest probe radius, so a
-lookup reads a neighbouring cell only on an axis where the query lies
-within the probe radius of a wall: one cell nearly always, not 3^4 (the
-fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6), 1977).
+Tile points (1e-9 in disc coordinates, guard band to 10x), orbit points
+and curve lifts (1e-9) are deduped by one uniform-grid index,
+``_GridIndex``.  Its cells are 1e-3 wide, 10^5 times the largest probe
+radius, so a lookup reads a neighbouring cell only on an axis where the
+query lies within the probe radius of a wall: one cell nearly always, not
+3^4 (the fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6), 1977).
 Margins on the radius-8 balls of the five groups: distinct tile points are
 >= 2.3e-4 apart and equal ones land within 1.3e-15, so the 1e-9 radius and
-the 1e-8 guard band sit far from both.
+the 1e-8 guard band sit far from both.  The adjacency coset's at most 7
+matrices are compared pairwise, M and -M as equal (``_coset_repeat``).
 
 Each neighbour candidate, and each hyperbolic axis over one period, is
 tested against the lifts of the tiles in a tube about its own path
@@ -141,27 +140,23 @@ def _chebyshev(a: Sequence[float], b: Sequence[float]) -> float:
 class _GridIndex:
     """Fixed-radius near-neighbour index over float vectors on a uniform grid.
 
-    The probe radius is ``max(radius, guard*radius)``; cells are ``_CELL``
-    wide, or ``probe * 1.000001`` if that is larger.  On each axis a lookup
-    also reads the neighbouring cell on the side whose wall lies within
+    The probe radius is ``max(radius, guard*radius)``, far below the
+    ``_CELL`` width of the cells.  On each axis a lookup also reads the
+    neighbouring cell on the side whose wall lies within
     ``probe * 1.000001`` of the query (the margin covers rounding in the
     offset from the wall), so it sees every stored vector within ``probe``
-    in Chebyshev distance.  ``dist`` is never larger than that distance;
-    matrices are keyed by their sign-normalised entries, so near-duplicates
-    agree in sign even though ``projective_dist`` ignores it.
+    in Chebyshev distance.
 
     ``insert`` returns the index of the nearest stored vector within
     ``radius``, or stores the vector and returns None; a nearest neighbour
     in (radius, guard*radius) raises DedupAmbiguityError.
     """
 
-    def __init__(self, radius: float, guard: float = 0.0, dist=_chebyshev):
+    def __init__(self, radius: float, guard: float = 0.0):
         self.radius = radius
         self.guard = guard
-        reach = max(radius, guard * radius) * 1.000001  # the probe, and margin
-        self.cell = max(_CELL, reach)
-        self.wall = reach / self.cell  # reach, in cell widths
-        self.dist = dist
+        # The probe and its margin, in cell widths.
+        self.wall = max(radius, guard * radius) * 1.000001 / _CELL
         self.buckets: dict[tuple[int, ...], list[int]] = {}
         self.vectors: list[Sequence[float]] = []
 
@@ -170,7 +165,7 @@ class _GridIndex:
         within probe of vec).  One floor per axis: x/cell - floor(x/cell) is
         the offset from the lower wall in cell widths, and only an axis
         whose offset lies within reach of a wall adds the cell across it."""
-        cell, wall, far, floor = self.cell, self.wall, 1.0 - self.wall, math.floor
+        cell, wall, far, floor = _CELL, self.wall, 1.0 - self.wall, math.floor
         key = []
         near_wall = False
         for x in vec:
@@ -190,8 +185,8 @@ class _GridIndex:
 
     def insert(self, vec: Sequence[float]) -> Optional[int]:
         key, cells = self._locate(vec)
-        buckets, vectors, dist = self.buckets, self.vectors, self.dist
-        nearest = min(((dist(vec, vectors[idx]), idx)
+        buckets, vectors = self.buckets, self.vectors
+        nearest = min(((_chebyshev(vec, vectors[idx]), idx)
                        for cell in cells for idx in buckets.get(cell, ())),
                       default=None)
         if nearest is not None:
@@ -205,10 +200,6 @@ class _GridIndex:
         buckets.setdefault(key, []).append(len(vectors))
         vectors.append(vec)
         return None
-
-
-def _matrix_index() -> _GridIndex:
-    return _GridIndex(config.EPS_BAND, guard=10.0, dist=projective_dist)
 
 
 def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
@@ -405,7 +396,7 @@ def _tiles(group: TriangleGroup, keep=None,
             if (letter != back and (keep is None or keep(mobius(entries, step)))
                     and index.insert(_disc_image(entries, step)) is None):
                 tiles.append(GroupElement(word + (letter,), Isometry(
-                    *compose_entries(entries, gen, config.EPS_PT))))
+                    *compose_entries(entries, gen))))
                 yield tiles[-1]
 
 
@@ -785,6 +776,17 @@ def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
     return (d.real, d.imag)
 
 
+def _coset_repeat(m: Entries, earlier: Sequence[Entries]) -> bool:
+    """Whether m lies within ``config.EPS_BAND`` of an earlier coset matrix
+    (``projective_dist``); a nearest in (EPS_BAND, 10·EPS_BAND) raises."""
+    band = config.EPS_BAND
+    nearest = min((projective_dist(m, e) for e in earlier), default=math.inf)
+    if band < nearest < 10.0 * band:
+        raise DedupAmbiguityError(f"candidates at ambiguous distance "
+                                  f"{nearest:.3e} (dedup radius {band:.1e})")
+    return nearest <= band
+
+
 def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
                          neighbor: Optional[tuple[HPoint, GroupElement]] = None
                          ) -> AdjacencyReport:
@@ -797,9 +799,8 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
     (Beardon, *The Geometry of Discrete Groups*, §10.6), so the elements are
     w, w·rho^-1, ..., w·rho^-(k-1).  Each one is checked to carry c0 to c1
     (a rho about another point misses) and to differ from the ones before
-    (a rho of order below k repeats).
+    (``_coset_repeat``: a rho of order below k repeats).
     """
-    eps = config.EPS_PT
     c0 = system.cell_center
     if neighbor is None:
         neighbor = canonical_neighbors(group, system, count=1)[0]
@@ -807,7 +808,6 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
     letter = system.center_vertex.lower()
     step = group.generator(letter).entries()
     z0 = c0.as_complex()
-    index = _matrix_index()
     m, word = witness.matrix.entries(), witness.word
     entries = []
     counts = {IsometryKind.ELLIPTIC: 0, IsometryKind.HYPERBOLIC: 0,
@@ -816,10 +816,10 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
         name = "".join(word) or "1"
         w = mobius(m, z0)
         miss = distance(HPoint(w.real, w.imag), c1)
-        if miss > 10.0 * eps:
+        if miss > 10.0 * config.EPS_PT:
             raise EnumerationError(f"coset element {name} misses the "
                                    f"neighbor center by {miss:.2e}")
-        if index.insert(m) is not None:
+        if _coset_repeat(m, [e.element.matrix.entries() for e in entries]):
             raise EnumerationError(f"coset element {name} repeats an "
                                    "earlier one")
         el = GroupElement(word, Isometry(*m))
@@ -831,7 +831,7 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
         if cls.kind is IsometryKind.HYPERBOLIC:
             on_curve, crossings = _axis_meetings(group, system, el.matrix)
         entries.append(AdjacencyEntry(el, cls, on_curve, crossings))
-        m, word = compose_entries(m, step, eps), word + (letter,)
+        m, word = compose_entries(m, step), word + (letter,)
     return AdjacencyReport(system.case, c0, c1, tuple(entries),
                            counts[IsometryKind.ELLIPTIC],
                            counts[IsometryKind.HYPERBOLIC],

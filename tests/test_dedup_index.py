@@ -6,54 +6,57 @@ import pytest
 from orbiflow import config, trigroup
 from orbiflow.hyp2 import Isometry, compose_entries, projective_dist
 from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
-                               DedupAmbiguityError, GroupElement, _GridIndex,
-                               _matrix_index, build_group, enumerate_elements)
+                               _CELL, DedupAmbiguityError, GroupElement,
+                               _GridIndex, _coset_repeat, build_group,
+                               enumerate_elements)
 
-RADIUS = config.EPS_BAND
+BAND = config.EPS_BAND  # the coset's repeat radius
+RADIUS = 1e-9  # the tile points' dedup radius, with a guard band to 10x
 
 
-def _mid_cell(index):
+def _mid_cell():
     """A 4-vector in the middle of a grid cell, away from every wall."""
-    return [(k + 0.5) * index.cell for k in (3, -7, 11, 0)]
+    return [(k + 0.5) * _CELL for k in (3, -7, 11, 0)]
 
 
 def test_planted_near_duplicate_raises():
-    index = _matrix_index()
-    assert index.insert(Isometry.identity().entries()) is None
-    planted = (1.0 + 3 * RADIUS, 0.0, 0.0, 1.0)
-    with pytest.raises(DedupAmbiguityError):
-        index.insert(planted)
+    identity = Isometry.identity().entries()
+    for planted in ((1.0 + 3 * BAND, 0.0, 0.0, 1.0),
+                    (-1.0, 0.0, -3 * BAND, -1.0)):
+        with pytest.raises(DedupAmbiguityError):
+            _coset_repeat(planted, [identity])
 
 
 def test_duplicate_and_distinct_vectors():
-    index = _matrix_index()
-    base = Isometry.identity().entries()
-    assert index.insert(base) is None
-    assert index.insert((1.0, RADIUS / 2, 0.0, 1.0)) == 0
-    assert index.insert((1.0, 20 * RADIUS, 0.0, 1.0)) is None
-    assert len(index.vectors) == 2
+    earlier = [Isometry.identity().entries(), (2.0, 1.0, 1.0, 1.0)]
+    assert not _coset_repeat(earlier[0], [])
+    assert _coset_repeat((1.0, BAND / 2, 0.0, 1.0), earlier)
+    assert _coset_repeat((-1.0, 0.0, 0.0, -1.0), earlier)
+    assert _coset_repeat((-2.0, -1.0, -1.0 - BAND / 2, -1.0), earlier)
+    assert not _coset_repeat((1.0, 20 * BAND, 0.0, 1.0), earlier)
+    assert not _coset_repeat((0.0, 1.0, -1.0, 0.0), earlier)
 
 
 @pytest.mark.parametrize("side", (-1, 1))
 @pytest.mark.parametrize("axis", range(4))
 def test_neighbour_across_a_cell_wall_is_found(axis, side):
-    index = _matrix_index()
-    query = _mid_cell(index)
+    index = _GridIndex(RADIUS, guard=10.0)
+    query = _mid_cell()
     stored = list(query)
     # Put the query just inside its cell's wall on `side`, and the stored
     # vector just across that wall, within the dedup radius.
-    k = math.floor(query[axis] / index.cell)
-    wall = (k + (side > 0)) * index.cell
+    k = math.floor(query[axis] / _CELL)
+    wall = (k + (side > 0)) * _CELL
     query[axis] = wall - side * RADIUS / 4
     stored[axis] = wall + side * RADIUS / 4
-    assert math.floor(stored[axis] / index.cell) == k + side
-    assert math.floor(query[axis] / index.cell) == k
+    assert math.floor(stored[axis] / _CELL) == k + side
+    assert math.floor(query[axis] / _CELL) == k
     assert index.insert(tuple(stored)) is None
     assert index.insert(tuple(query)) == 0
     # The guard band reaches across the wall too.
     beyond = list(query)
     beyond[axis] = wall + side * 2 * RADIUS
-    index2 = _matrix_index()
+    index2 = _GridIndex(RADIUS, guard=10.0)
     index2.insert(tuple(beyond))
     with pytest.raises(DedupAmbiguityError):
         index2.insert(tuple(query))
@@ -61,7 +64,7 @@ def test_neighbour_across_a_cell_wall_is_found(axis, side):
 
 def test_neighbour_across_every_wall_at_a_corner():
     index = _GridIndex(1e-9)
-    corner = [k * index.cell for k in (2, -5, 9, 1)]
+    corner = [k * _CELL for k in (2, -5, 9, 1)]
     query = tuple(c - 2e-10 for c in corner)
     stored = tuple(c + 2e-10 for c in corner)
     assert index.insert(stored) is None
@@ -80,7 +83,7 @@ def _reference_ball(group, max_len):
                 m = el.matrix.compose(gens[letter])
                 entries = m.entries()
                 if all(projective_dist(entries, other.matrix.entries())
-                       > RADIUS for other in elements + fresh):
+                       > BAND for other in elements + fresh):
                     fresh.append(GroupElement(el.word + (letter,), m))
         elements = elements + fresh
         frontier = fresh
@@ -116,8 +119,7 @@ def test_every_skipped_ball_product_is_a_duplicate(case):
         fresh = []
         for el in frontier:
             for letter in ALPHABET:
-                m = compose_entries(el.matrix.entries(), gens[letter],
-                                    config.EPS_PT)
+                m = compose_entries(el.matrix.entries(), gens[letter])
                 found = index.insert(trigroup._disc_image(m, o))
                 if el.word and letter == el.word[-1].swapcase():
                     skipped += 1

@@ -191,25 +191,68 @@ def test_action_is_homomorphism(g, h, p):
     assert distance(lhs, rhs) < 1e-7 + 4.0 * spacing
 
 
-def _reference_compose(g, h, eps):
-    # The matrix product written out, with the sign rule of the module
-    # docstring: the first entry above eps in absolute value is positive.
-    e = (g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
-         g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
-    lead = next((x for x in e if abs(x) > eps), 0.0)
-    return tuple(-x for x in e) if lead < 0 else e
+def _reference_compose(g, h):
+    # The plain matrix product written out: no sign is chosen.
+    return (g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+            g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
 
 
 @given(isometries, isometries)
 @settings(max_examples=150, deadline=None)
 def test_compose_kernel_matches_compose_bitwise(g, h):
-    eps = config.EPS_PT
-    kernel = hyp2.compose_entries(g.entries(), h.entries(), eps)
-    expect = _reference_compose(g, h, eps)
-    assert [x.hex() for x in kernel] == [x.hex() for x in expect]
-    assert [x.hex() for x in g.compose(h).entries()] == [x.hex() for x in expect]
-    inv = hyp2.inverse_entries(g.entries(), eps)
-    assert [x.hex() for x in inv] == [x.hex() for x in g.inverse().entries()]
+    kernel = hyp2.compose_entries(g.entries(), h.entries())
+    expect = _reference_compose(g, h)
+    assert _bits(kernel) == _bits(expect)
+    assert _bits(g.compose(h).entries()) == _bits(expect)
+    inv = hyp2.inverse_entries(g.entries())
+    assert _bits(inv) == _bits(g.inverse().entries())
+    assert _bits(inv) == _bits((g.d, -g.b, -g.c, g.a))
+
+
+def _same_bits(xs, ys):
+    # Bit-identical floats, -0.0 read as 0.0 (adding 0.0 clears the sign of
+    # a zero): a zero entry of M may come out as -0.0 in a formula on -M.
+    return [(x + 0.0).hex() for x in xs] == [(y + 0.0).hex() for y in ys]
+
+
+@given(isometries, points, st.floats(-5, 5, allow_nan=False), points)
+@example(Isometry.identity(), HPoint(0.0, 1.0), 0.0, HPoint(0.5, 2.0))
+@example(Isometry(2.0, 0.3, 0.0, 0.5), HPoint(0.0, 1.0), 0.0,
+         HPoint(0.5, 2.0))  # hyperbolic with a vertical axis
+@settings(max_examples=150, deadline=None)
+def test_every_action_reads_m_and_minus_m_alike_bitwise(g, p, t, q):
+    # Products choose no sign, so M and -M both reach these formulas; each
+    # gives bit-identical results on them, but for the sign of a zero (IEEE
+    # negation is exact).
+    h = Isometry(-g.a, -g.b, -g.c, -g.d)
+    w, v = (hyp2.mobius(m.entries(), p.as_complex()) for m in (h, g))
+    assert _same_bits([w.real, w.imag], [v.real, v.imag])
+    for s in (t, 0.0, math.inf, -g.d / g.c if g.c else t):
+        assert _same_bits([h.boundary_image(s)], [g.boundary_image(s)])
+    geo = (hyp2.geodesic_through(p, q) if distance(p, q) > 1e-6
+           else hyp2.Geodesic(-1.0, 1.0))
+    a, b = (hyp2.apply_geodesic(m, geo) for m in (h, g))
+    assert _same_bits([a.u, a.v], [b.u, b.v])
+    assert hyp2.is_identity(h) == hyp2.is_identity(g)
+    ch, cg = classify(h), classify(g)
+    assert ch.kind is cg.kind
+    if cg.kind is IsometryKind.HYPERBOLIC:
+        assert _same_bits([ch.translation_length], [cg.translation_length])
+        a, b = axis_of(h), axis_of(g)
+        assert _same_bits([a.u, a.v], [b.u, b.v])
+
+
+def test_identity_test_is_projective():
+    # Id and -Id both pass, within 100 * EPS_PT = 1e-7; the half-turn about
+    # i and a shear 2e-7 off do not.
+    for sign in (1.0, -1.0):
+        assert hyp2.is_identity(Isometry(sign, 5e-8, -5e-8, sign))
+    assert not hyp2.is_identity(Isometry(0.0, 1.0, -1.0, 0.0))
+    assert not hyp2.is_identity(Isometry(1.0, 2e-7, 0.0, 1.0))
 
 
 @given(isometries, points, points)

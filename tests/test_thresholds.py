@@ -3,13 +3,15 @@ float in (0, 1e-3] written in ``hyp2``, ``trigroup`` and ``render``, counted
 by the top-level function, method or module-level statement that holds it.
 Each one is a threshold, margin or scale that a float decision reads, so a
 new one fails this test until it is added here on purpose.  The named
-thresholds ``config.EPS_PT`` and ``config.EPS_BAND`` are not literals and
-are not listed."""
+thresholds ``config.EPS_PT`` and ``config.EPS_BAND`` are not literals; their
+readers are pinned in a second inventory, ``READERS``, which the ``config``
+docstring must name."""
 import ast
 from collections import Counter
 from pathlib import Path
 
 import orbiflow
+from orbiflow import config
 
 PACKAGE = Path(orbiflow.__file__).parent
 
@@ -87,3 +89,65 @@ def test_a_planted_threshold_fails_the_inventory():
     assert small_floats(planted) - small_floats(source) == \
         Counter({("_near", 1e-8): 1})
     assert small_floats(planted) != Counter(SURVIVORS["trigroup"])
+
+
+# Every function of the package that reads a named threshold, by module and
+# holder as above.
+READERS = {
+    "EPS_PT": {
+        "hyp2.geodesic_through", "hyp2.geodesic_crossing", "hyp2.axis_of",
+        "hyp2.is_identity", "trigroup._disc_candidates",
+        "trigroup.adjacency_isometries", "report.VerificationReport.as_dict",
+    },
+    "EPS_BAND": {
+        "hyp2.classify", "trigroup._coset_repeat",
+        "report.VerificationReport.as_dict",
+    },
+}
+
+
+def threshold_readers(sources: dict[str, str]) -> dict[str, set[str]]:
+    """{threshold: the "module.holder" of each holder that names it}, over
+    `sources` ({module: source}): as an attribute (``config.EPS_PT``) or as
+    a name imported from ``config``."""
+    out: dict[str, set[str]] = {name: set() for name in READERS}
+    for module, source in sources.items():
+        for holder, node in _holders(ast.parse(source)):
+            for sub in ast.walk(node):
+                name = (sub.attr if isinstance(sub, ast.Attribute)
+                        else sub.name if isinstance(sub, ast.alias) else None)
+                if name in out:
+                    out[name].add(f"{module}.{holder}")
+    return out
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text()
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "config"}
+
+
+def _undocumented(readers: dict[str, set[str]]) -> list[str]:
+    """The readers that the config docstring does not list under their
+    threshold: the EPS_PT list precedes the EPS_BAND one."""
+    doc = config.__doc__
+    cut = doc.index("``EPS_BAND`` is")
+    lists = {"EPS_PT": doc[doc.index("``EPS_PT`` is"):cut],
+             "EPS_BAND": doc[cut:]}
+    return sorted(f"{name}: {reader}" for name, found in readers.items()
+                  for reader in found if f"``{reader}``" not in lists[name])
+
+
+def test_threshold_readers_are_pinned_and_documented():
+    readers = threshold_readers(_package_sources())
+    assert readers == READERS
+    assert _undocumented(readers) == []
+
+
+def test_a_planted_threshold_reader_fails_the_inventory():
+    sources = _package_sources()
+    sources["trigroup"] += ("\n\ndef _near(a, b):\n"
+                            "    return abs(a - b) < config.EPS_BAND\n")
+    readers = threshold_readers(sources)
+    assert readers["EPS_BAND"] - READERS["EPS_BAND"] == {"trigroup._near"}
+    assert _undocumented(readers) == ["EPS_BAND: trigroup._near"]

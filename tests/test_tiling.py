@@ -343,3 +343,76 @@ def test_drawing_344_depth_6_builds_the_disc_not_the_ball(cold_disc):
     assert len(curve_lifts(344, 6, reach)) == 96
     assert (len(enumerate_elements(group, 6)), len(curve_lifts(344, 6))) \
         == (1203, 792)
+
+
+# The deepest word of each case's disc search (``drawing_disc``).
+DEEPEST = {237: 10, 245: 7, 246: 7, 334: 6, 344: 5}
+
+
+@pytest.mark.parametrize("case,depth,code", [
+    *((case, depth, 2) for case, depth in DEEPEST.items()), (344, 4, 0)])
+def test_a_halved_disc_fails_every_complete_drawing(case, depth, code,
+                                                    cold_disc, monkeypatch,
+                                                    tmp_path, capsys):
+    # With X halved and the search's reach kept, a drawn cell reaches beyond
+    # X.  A drawing at its search's deepest word is complete, though that
+    # word is as long as the depth, so it checks its cells and refuses; 344
+    # at depth 4 cuts the search and draws its cells uncertified.
+    group = build_group(*CASE_TRIPLES[case])
+    reach = trigroup.drawing_disc(group, curve_system(case),
+                                  render._DRAWN_RADIUS)[1]
+    assert len(enumerate_elements(group, 64, reach)[-1].word) == DEEPEST[case]
+    real = trigroup.drawing_disc
+
+    def halved(*args):
+        far, reach = real(*args)
+        return far / 2.0, reach
+
+    monkeypatch.setattr(trigroup, "drawing_disc", halved)
+    assert cli.main(["tiling", "--case", str(case), "--depth", str(depth),
+                     "--out", str(tmp_path / "t.svg")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (code == 2)
+    assert all(line.startswith(f"error: enumeration (trigroup): case {case}: "
+                               "a drawn cell reaches beyond distance")
+               for line in lines)
+
+
+@pytest.mark.parametrize("fault,depth,code", [
+    ("open side", 6, 2), ("open side", 4, 0),
+    ("geometry", 6, 2), ("geometry", 4, 2)])
+def test_a_drawing_drops_no_cell_it_can_certify(fault, depth, code, cold_disc,
+                                                monkeypatch, tmp_path, capsys):
+    # The first drawn cell of 344 planted with an open side, or failing to
+    # clip.  The certified drawing (depth 6) stops with one error line for
+    # either; one whose depth cuts its search (4) leaves the open cell out,
+    # uncertified, but a clipping failure, which no depth mends, stops it.
+    group = build_group(*CASE_TRIPLES[344])
+    # r_cell first: its search clips cells of its own, before the plant.
+    trigroup.drawing_disc(group, curve_system(344), render._DRAWN_RADIUS)
+    real = trigroup.cell_polygon
+    calls = []
+
+    def planted(center, lifts):
+        verts, labels = real(center, lifts)
+        calls.append(center)
+        if len(calls) == 1:
+            if fault == "geometry":
+                raise GeometryError("planted clipping failure")
+            labels = [None] + labels[1:]
+        return verts, labels
+
+    monkeypatch.setattr(trigroup, "cell_polygon", planted)
+    assert cli.main(["tiling", "--case", "344", "--depth", str(depth),
+                     "--out", str(tmp_path / "t.svg")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert lines == [] and len(calls) > 1
+    elif fault == "geometry":
+        assert lines == ["error: geometry (trigroup): case 344: planted "
+                         "clipping failure"]
+    else:
+        [line] = lines
+        assert line.startswith("error: enumeration (trigroup): case 344: "
+                               "the drawn cell about (")
+        assert line.endswith(") has an open side")

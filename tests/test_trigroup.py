@@ -201,10 +201,25 @@ PLANTED_MESSAGES = {"order": "repeats an earlier one",
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_MESSAGES))
-def test_planted_stabilizer_fault_raises(case_data, fault):
-    _, group, system, _ = case_data
+def test_planted_stabilizer_fault_raises(case_data, fault, monkeypatch):
+    _, group, system, report = case_data
+    seen = []
+
+    def logged(m, e):
+        seen.append((m, e, projective_dist(m, e)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(trigroup, "projective_dist", logged)
     with pytest.raises(EnumerationError, match=PLANTED_MESSAGES[fault]):
         adjacency_isometries(group, _planted(system, fault))
+    if fault == "order":
+        # Products choose no sign, and the rotation's k-th power is -I: the
+        # repeat is the negative of the witness, which only a comparison
+        # that takes M and -M as equal finds.
+        [(m, e)] = [(m, e) for m, e, d in seen if d <= config.EPS_BAND]
+        assert e == report.entries[0].element.matrix.entries()
+        assert max(abs(x + y) for x, y in zip(m, e)) <= config.EPS_BAND
+        assert max(abs(x - y) for x, y in zip(m, e)) > 1.0
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_MESSAGES))
