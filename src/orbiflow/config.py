@@ -24,8 +24,7 @@ gaps (>1e-3 in every case handled here).
   * ``hyp2.classify``: the trace trichotomy around |tr| = 2;
   * ``trigroup._coset_repeat``: the adjacency coset's repeat check, each
     matrix against the earlier ones, with a guard band at 10x;
-  * ``report.VerificationReport.as_dict``: printed twice, as
-    ``eps_dedup`` and ``eps_cls``.
+  * ``report.VerificationReport.as_dict``: printed as ``eps_band``.
 No matrix product reads either, since ``hyp2``'s kernels choose no sign,
 and no word ball is deduped by them: ``trigroup._tiles`` dedups tile points
 at a fixed 1e-9.  ``tests/test_thresholds.py`` pins this list of readers.

@@ -263,7 +263,7 @@ def triangle_from_angles(p: int, q: int, r: int) -> tuple[HPoint, HPoint, HPoint
     counterclockwise from the PQ direction, so (P, Q, R) is positively
     oriented.  Rejects non-hyperbolic parameter triples.
     """
-    if 1.0 / p + 1.0 / q + 1.0 / r >= 1.0 - 1e-12:
+    if p * q + q * r + r * p >= p * q * r:  # 1/p + 1/q + 1/r >= 1
         raise GeometryError(f"({p},{q},{r}) is not a hyperbolic triple")
     ap, aq, ar = math.pi / p, math.pi / q, math.pi / r
     d_pq = side_length_from_angles(ap, aq, ar)

@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 from . import ChainError, Record, config, sections, surgery, torusmap, trigroup
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Per-case expected values: adjacency split, section invariants, fixed-point
 # counts and homology orders.  A case's triple, orbit and slope are its row
@@ -140,7 +140,8 @@ def run_case(case: int, trace3_unique: bool) -> CaseReport:
         rep.check("total_fixed_points", exp["total_fixed"], summary.total_fixed)
 
     # Conjugacy certification: one fixed point for a hyperbolic torus map
-    # forces trace 3, and the exhaustive word search pins the class to XY.
+    # forces trace 3, and the trace bound pins the class to XY at every word
+    # length (``torusmap``'s docstring).
     with _stage(rep, "certification"):
         certified = trace3_unique and summary.total_fixed == 1
         word = str(torusmap.xy_normal_form(torusmap.CAT)) if certified else None
@@ -164,9 +165,7 @@ def run_case(case: int, trace3_unique: bool) -> CaseReport:
 def run_global_checks(rep: CaseReport, trace3_unique: bool) -> None:
     """The checks of no one case, added to `rep` (case 0)."""
     with _stage(rep, "cat_dynamics"):
-        rep.check("trace3_uniqueness_len8", True, trace3_unique)
-        rep.check("trace_monotone_len8", True,
-                  torusmap.trace_monotone_under_extension(8))
+        rep.check("trace3_uniqueness", True, trace3_unique)
         cat = torusmap.CAT
         fixed = torusmap.fixed_points(cat)
         rep.check("cat_fixed_points", [[0, 0, 1]],
@@ -223,8 +222,7 @@ class VerificationReport(Record):
             "pass": self.passed,
             "config": {
                 "adjacency_depth": self.depth,
-                "eps_dedup": config.EPS_BAND,
-                "eps_cls": config.EPS_BAND,
+                "eps_band": config.EPS_BAND,
                 "eps_pt": config.EPS_PT,
             },
             "cases": [c.as_dict(self.include_timings) for c in self.cases],
@@ -235,13 +233,13 @@ class VerificationReport(Record):
 def run_verification(case_filter: Optional[int], depth: int,
                      include_timings: bool = False) -> VerificationReport:
     """Run the full chain for the selected cases, one after another in the
-    fixed ``trigroup.CASES`` order.  The exhaustive trace-3 word search
-    (length 8) runs once, timed as the global ``trace3``, and feeds every
-    case and the global checks.  `depth` is only recorded, as the report's
-    ``adjacency_depth``."""
+    fixed ``trigroup.CASES`` order.  The trace-3 certificate for every word
+    length (``torusmap.trace3_uniqueness``) runs once, timed as the global
+    ``trace3``, and feeds every case and the global checks.  `depth` is only
+    recorded, as the report's ``adjacency_depth``."""
     global_rep = CaseReport(0)
     with _stage(global_rep, "trace3"):
-        unique = torusmap.trace3_uniqueness(8)
+        unique = torusmap.trace3_uniqueness()
     case_ids = trigroup.CASES if case_filter is None else (case_filter,)
     case_reports = [run_case(cid, unique) for cid in case_ids]
     run_global_checks(global_rep, unique)

@@ -338,7 +338,7 @@ def seifert_h1(p: int, q: int, r: int) -> AbelianGroup:
     x1 + x2 + x3 - b0 h = 0, with (alpha_i, beta_i) = (p, 1), (q, 1), (r, 1)
     and b0 = -1, the convention with Euler number -(b0 + 1/p + 1/q + 1/r).
     """
-    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
+    if p * q + q * r + r * p >= p * q * r:  # 1/p + 1/q + 1/r >= 1
         raise NotHyperbolicError(f"({p},{q},{r}) is not hyperbolic")
     rows = [[p, 0, 0, 1], [0, q, 0, 1], [0, 0, r, 1], [1, 1, 1, 1]]
     return AbelianGroup.from_relation_rows(rows, 4)

@@ -4,6 +4,16 @@ Everything here is integer or rational arithmetic: periodic points of the
 standard area-preserving torus map with matrix (2 1; 1 1), conjugacy
 classification by cyclic positive words in X = (1 1; 0 1) and Y = (1 0; 1 1),
 and the uniqueness of the trace-3 class.
+
+A hyperbolic A with one fixed point is conjugate to XY, in three exact steps.
+A has |det(A - I)| = tr A - 2 fixed points (the Lefschetz count of
+``periodic_point_count``), so trace 3.  A is conjugate to a cyclic positive
+word W that uses both letters (``xy_normal_form``; Series, "The modular
+surface and continued fractions", J. London Math. Soc. 31, 1985).  And
+tr W >= |W| + 1, |W| the total exponent: for W = (a b; c d) >= 0,
+tr(WX) = tr W + c and tr(WY) = tr W + b, an X in W gives b >= 1 and a Y
+gives c >= 1, and tr(X^k Y) = tr(Y^k X) = k + 2.  So a trace-3 W has
+|W| <= 3 - 1, and ``trace3_uniqueness`` searches only there.
 """
 from __future__ import annotations
 
@@ -278,21 +288,8 @@ def positive_words(max_total: int) -> Iterator[CyclicXYWord]:
                     yield canon
 
 
-def trace3_uniqueness(max_word_len: int) -> bool:
-    """Every positive word with total exponent <= max_word_len and trace 3 is
-    cyclically XY."""
-    if max_word_len < 2:
-        raise ValueError("max_word_len must be >= 2")
-    for word in positive_words(max_word_len):
-        if word.matrix().trace() == 3 and word.exponents != (1, 1):
-            return False
-    return True
-
-
-def trace_monotone_under_extension(max_word_len: int) -> bool:
-    """Appending a letter strictly increases the trace of a positive word."""
-    for word in positive_words(max_word_len):
-        m = word.matrix()
-        if (m * X).trace() <= m.trace() or (m * Y).trace() <= m.trace():
-            return False
-    return True
+def trace3_uniqueness() -> bool:
+    """The trace-3 class is XY: the trace-3 words within the bound of the
+    module docstring, total exponent 3 - 1, are exactly [XY]."""
+    found = [w for w in positive_words(3 - 1) if w.matrix().trace() == 3]
+    return found == [CyclicXYWord((1, 1))]

@@ -1,10 +1,12 @@
 import hashlib
 import importlib
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,7 +65,7 @@ TILING_SHA256 = {
 # sha256 of the `orbiflow verify --case all` text output without its per-case
 # timing lines.
 TEXT_ALL_SHA256 = \
-    "a8c56b14f2337cac1eda5006b640fc7c5524439adf67398bf76657b5d236632c"
+    "ff58a51972a358bd1da701b25023c325db12078d6007ca288e0dcf64824c6aa9"
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
@@ -80,7 +82,7 @@ def test_verify_single_case_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "VERIFICATION PASSED" in text
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["pass"] is True
     assert payload["cases"][0]["case"] == 237
 
@@ -139,6 +141,64 @@ def test_deep_report_matches_golden_bytes(tmp_path):
     assert cli.main(["verify", "--case", "344", "--depth", "16",
                      "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "verify_344_d16.json").read_bytes()
+
+
+def _perfbench_key():
+    """perfbench/key.py, loaded by path (perfbench is no package) and only
+    read: the answer key the benchmark checks each verify sample against."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_key", Path(__file__).parent.parent / "perfbench" / "key.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("golden,cases", [
+    ("verify_all.json", (237, 245, 246, 334, 344)),
+    ("verify_344_d16.json", (344,)),
+])
+def test_golden_reports_meet_the_benchmark_key(golden, cases):
+    # A schema change that drops a check the key reads would otherwise show
+    # only as failed benchmark samples.
+    payload = json.loads((GOLDEN / golden).read_text())
+    assert _perfbench_key().check_verify_report(payload, cases) == []
+
+
+def test_benchmark_key_reports_a_dropped_check():
+    payload = json.loads((GOLDEN / "verify_all.json").read_text())
+    checks = payload["cases"][0]["checks"]
+    checks[:] = [c for c in checks if c["check_id"] != "orientable"]
+    assert _perfbench_key().check_verify_report(
+        payload, (237, 245, 246, 334, 344)) == ["237: orientable missing"]
+
+
+# Planted faults that turn a check to FAIL, exit 1 (the mutation table): by
+# check id, the patch and how often each check id fails with it over the
+# five cases and the global block.
+PLANTED_FAILURES = {
+    # The trace-3 word search stopped one length short of its bound, at
+    # tr - 2: it finds no trace-3 word, so no case's return map is certified.
+    "trace3_uniqueness": (
+        "words = torusmap.positive_words\n"
+        "torusmap.positive_words = lambda n: words(n - 1)",
+        {"trace3_uniqueness": 1, "return_map_class": 5}),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PLANTED_FAILURES))
+def test_planted_fault_fails_its_check(tmp_path, check_id):
+    patch, failing = PLANTED_FAILURES[check_id]
+    out = tmp_path / "r.json"
+    run = _run_fresh("import sys\nfrom orbiflow import cli, torusmap\n"
+                     f"{patch}\nsys.exit(cli.main(['verify', '--case', 'all', "
+                     f"'--json', {str(out)!r}]))")
+    assert run.returncode == 1, run.stderr
+    assert "VERIFICATION FAILED" in run.stdout
+    payload = json.loads(out.read_text())
+    blocks = payload["cases"] + [payload["global"]]
+    failed = Counter(c["check_id"] for block in blocks
+                     for c in block["checks"] if not c["pass"])
+    assert failed == Counter(failing)
 
 
 @pytest.mark.parametrize("eps", ["1e-6", "1e-5", "1e-4", "1e-3"])

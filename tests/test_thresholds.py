@@ -18,7 +18,6 @@ PACKAGE = Path(orbiflow.__file__).parent
 SURVIVORS = {
     "hyp2": {
         ("Isometry.boundary_image", 1e-300): 1,
-        ("triangle_from_angles", 1e-12): 1,
     },
     "trigroup": {
         ("<module>", 1e-3): 1,  # _CELL, the dedup grid's cell width

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbiflow import torusmap as tm
 from orbiflow.torusmap import (CAT, IDENTITY, X, Y, CyclicXYWord,
                                OutOfFamilyError, RationalPoint, TorusMatrix,
                                act, fixed_points, orbit_of,
@@ -165,12 +164,26 @@ def test_conjugacy_invariance_random_words():
 
 
 def test_trace3_uniqueness_small():
-    assert trace3_uniqueness(2)
-    assert trace3_uniqueness(8)
+    assert trace3_uniqueness()
+    # Every trace-3 word beyond the bound's length 2, up to 8, is XY too.
+    assert [w for w in positive_words(8) if w.matrix().trace() == 3] == \
+        [CyclicXYWord((1, 1))]
 
 
-def test_trace_monotone():
-    assert tm.trace_monotone_under_extension(8)
+@given(st.lists(st.sampled_from("XY"), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_trace_grows_by_corner_entries(letters):
+    # The bound of trace3_uniqueness: appending X adds c, appending Y adds
+    # b, and a word that uses both letters has trace >= its length + 1.
+    W = IDENTITY
+    for letter in letters:
+        W = W * (X if letter == "X" else Y)
+    _, b, c, _ = W.entries()
+    assert (W * X).trace() == W.trace() + c
+    assert (W * Y).trace() == W.trace() + b
+    if set(letters) == {"X", "Y"}:
+        assert min(b, c) >= 1
+        assert W.trace() >= len(letters) + 1
 
 
 def test_cyclic_word_canonical_rotation():
