@@ -11,7 +11,7 @@ gaps (>1e-3 in every case handled here).
 
 ``EPS_PT`` is the coincidence scale, read by:
   * ``hyp2.geodesic_through``: coincident points and vertical geodesics;
-  * ``hyp2.geodesic_crossing``: equal geodesics (endpoint angles);
+  * ``hyp2.geodesic_crossing``: equal geodesics (ends on the circle);
   * ``hyp2.axis_of``: a vertical axis (|c| below it);
   * ``hyp2.is_identity``: at 100x;
   * ``trigroup._disc_candidates``: the cell centre itself, skipped among

@@ -8,7 +8,9 @@ transformations z -> (az + b)/(cz + d).  Products choose no sign: every
 formula of the action reads M and -M alike (IEEE negation is exact), and
 equality is decided up to sign (``projective_dist``).  Ideal boundary
 points are reals plus the dedicated marker ``INF`` (math.inf), never a
-large finite stand-in.
+large finite stand-in.  A geodesic carries its two ends as points (x, y) of
+the unit circle (``Geodesic.klein_ends``, the Cayley images, INF mapping to
+1), and every predicate on geodesics reads those points.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
 ``rotation_about(p, theta)`` rotates tangent vectors at p by theta, so its
@@ -140,17 +142,12 @@ class Geodesic(Value):
         object.__setattr__(self, "v", v)
 
     @cached_property
-    def angles(self) -> tuple[float, float]:
-        """``geodesic_angles`` of this geodesic, computed on first use and
-        kept on the instance."""
-        return geodesic_angles(self)
-
-    @cached_property
     def klein_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Klein-model endpoints (cos, sin) of ``angles``: the chord that is
-        this geodesic in the Klein disc, computed on first use and kept."""
-        a, b = self.angles
-        return ((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b)))
+        """The ends (x, y) on the unit circle (``boundary_point`` of u and
+        v): the chord that is this geodesic in the Klein disc, computed on
+        first use and kept."""
+        a, b = boundary_point(self.u), boundary_point(self.v)
+        return ((a.real, a.imag), (b.real, b.imag))
 
     @cached_property
     def klein_line(self) -> tuple[float, float, float, float]:
@@ -295,12 +292,6 @@ def boundary_point(t: float) -> complex:
     return cayley(complex(t, 0.0))
 
 
-def boundary_angle(t: float) -> float:
-    """Disc boundary angle of the ideal point t (INF maps to angle 0)."""
-    w = boundary_point(t)
-    return math.atan2(w.imag, w.real) % (2.0 * math.pi)
-
-
 def to_klein(p: HPoint) -> tuple[float, float]:
     wx, wy = to_disc(p)
     s = 2.0 / (1.0 + wx * wx + wy * wy)
@@ -335,32 +326,18 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     return Geodesic(c + rad, c - rad)
 
 
-def _angle_close(a: float, b: float, eps: float) -> bool:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d) < eps
+def _near(p: tuple[float, float], q: tuple[float, float], eps: float) -> bool:
+    return abs(p[0] - q[0]) < eps and abs(p[1] - q[1]) < eps
 
 
-def same_geodesic_angles(pair1: tuple[float, float], pair2: tuple[float, float],
-                         eps: float) -> bool:
-    """Unordered coincidence of two geodesics given by boundary angles."""
-    a1, b1 = pair1
-    a2, b2 = pair2
-    return ((_angle_close(a1, a2, eps) and _angle_close(b1, b2, eps))
-            or (_angle_close(a1, b2, eps) and _angle_close(b1, a2, eps)))
-
-
-def geodesic_angles(g: Geodesic) -> tuple[float, float]:
-    return (boundary_angle(g.u), boundary_angle(g.v))
-
-
-def angles_interleave(pair1: tuple[float, float],
-                      pair2: tuple[float, float]) -> bool:
-    """Whether exactly one endpoint of pair2 lies on the counterclockwise
-    boundary arc from pair1[0] to pair1[1]: the test for crossing."""
-    a1, b1 = pair1
-    a2, b2 = pair2
-    arc = (b1 - a1) % (2.0 * math.pi)
-    return ((a2 - a1) % (2.0 * math.pi) < arc) != ((b2 - a1) % (2.0 * math.pi) < arc)
+def same_geodesic(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
+    """Unordered coincidence of two geodesics: their ends on the unit
+    circle (``klein_ends``) lie within eps in Chebyshev distance, in either
+    order."""
+    a1, b1 = g1.klein_ends
+    a2, b2 = g2.klein_ends
+    return ((_near(a1, a2, eps) and _near(b1, b2, eps))
+            or (_near(a1, b2, eps) and _near(b1, a2, eps)))
 
 
 def geodesic_crossing(g1: Geodesic, g2: Geodesic
@@ -368,24 +345,23 @@ def geodesic_crossing(g1: Geodesic, g2: Geodesic
     """Transverse crossing point of two geodesics and their unoriented angle
     in [0, pi/2], or None if they are disjoint or equal.
 
-    Decided by endpoint interleaving on the boundary circle, then computed
-    on the Klein chords n·k = c (``klein_line``): the point solves both line
-    equations, and the angle is that of the spacelike normals m = (n, c) in
-    the hyperboloid model, cos = |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)) with
+    Decided and computed on the Klein chords n·k = c (``klein_line``), by
+    their spacelike normals m = (n, c) in the hyperboloid model, with
     B(m1, m2) = n1·n2 - c1·c2 (Ratcliffe, *Foundations of Hyperbolic
-    Manifolds*, ch. 3).
+    Manifolds*, ch. 3): the chords cross inside the disc iff
+    B(m1, m2)² < B(m1, m1)·B(m2, m2), and then the point solves both line
+    equations and cos of the angle is |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)).
     """
-    if (not angles_interleave(g1.angles, g2.angles)
-            or same_geodesic_angles(g1.angles, g2.angles, config.EPS_PT)):
-        return None
     n1x, n1y, c1, _ = g1.klein_line
     n2x, n2y, c2, _ = g2.klein_line
+    b12 = n1x * n2x + n1y * n2y - c1 * c2
+    b11b22 = (n1x * n1x + n1y * n1y - c1 * c1) * (n2x * n2x + n2y * n2y - c2 * c2)
+    if not b12 * b12 < b11b22 or same_geodesic(g1, g2, config.EPS_PT):
+        return None
     det = n1x * n2y - n1y * n2x
     point = klein_to_hpoint((c1 * n2y - c2 * n1y) / det,
                             (n1x * c2 - n2x * c1) / det)
-    cos = abs(n1x * n2x + n1y * n2y - c1 * c2) / math.sqrt(
-        (n1x * n1x + n1y * n1y - c1 * c1) * (n2x * n2x + n2y * n2y - c2 * c2))
-    return point, math.acos(min(1.0, cos))
+    return point, math.acos(min(1.0, abs(b12) / math.sqrt(b11b22)))
 
 
 def axis_parameter(g: Geodesic, p: HPoint) -> float:

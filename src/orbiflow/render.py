@@ -32,15 +32,10 @@ def _disc_xy(p: HPoint) -> tuple[float, float]:
     return wx, -wy  # SVG y axis points down
 
 
-def _boundary_xy(angle: float) -> tuple[float, float]:
-    return math.cos(angle), -math.sin(angle)
-
-
 def geodesic_path(geo: Geodesic) -> str:
     """SVG path of the disc-model arc of a complete geodesic."""
-    a, b = geo.angles
-    ux, uy = _boundary_xy(a)
-    vx, vy = _boundary_xy(b)
+    (ux, uy), (vx, vy) = geo.klein_ends
+    uy, vy = -uy, -vy  # SVG y axis points down
     dot = ux * vx + uy * vy
     if dot < -1.0 + 1e-9:  # diameter
         return f"M {_fmt(ux)} {_fmt(uy)} L {_fmt(vx)} {_fmt(vy)}"

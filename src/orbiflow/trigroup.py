@@ -33,7 +33,7 @@ Each neighbour candidate, and each hyperbolic axis over one period, is
 tested against the lifts of the tiles in a tube about its own path
 (``lifts_along``); only a drawing builds the lifts of a ball, and only of
 its tiles within the drawing's disc (``curve_lifts``).  A lift keeps its
-boundary angles and Klein chord (``Geodesic.angles``, ``.klein_ends``,
+ends on the unit circle and its Klein chord (``Geodesic.klein_ends``,
 ``.klein_line``), computed on first use.  Both path tests, the neighbour
 segment and the axis period, meet the lifts through one primitive,
 ``_meetings``: it takes each crossing's point and angle from the two Klein
@@ -60,7 +60,7 @@ from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    axis_parameter, boundary_point, cayley, classify,
                    compose_entries, distance, foot_on_axis, geodesic_crossing,
                    geodesic_through, mobius, projective_dist, rotation_about,
-                   same_geodesic_angles, to_disc, to_klein)
+                   same_geodesic, to_disc, to_klein)
 
 CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
 CASES = tuple(CASE_TRIPLES)
@@ -305,7 +305,7 @@ def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic
     first in ball order within word length 4."""
     def through_pt(el: GroupElement) -> bool:
         img = apply_geodesic(el.matrix, axis)
-        return (not same_geodesic_angles(img.angles, axis.angles, 1e-9)
+        return (not same_geodesic(img, axis, 1e-9)
                 and distance(pt, foot_of_perpendicular(img, pt)) < 1e-9)
     el = _first_in_ball(group, through_pt)
     if el is None:
@@ -417,15 +417,15 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> float:
     (within r_T of it), join g·h^n to the identity in generator steps.
     """
     o, r_T = _tile_point(group)
-    reach = 0.0
-    for geo in system.base_geodesics:
+    reach, bases = 0.0, system.base_geodesics
+    for i, geo in enumerate(bases, 1):
         def on_geo(el: GroupElement) -> bool:
             return (classify(el.matrix).kind is IsometryKind.HYPERBOLIC
-                    and same_geodesic_angles(axis_of(el.matrix).angles,
-                                             geo.angles, 1e-7))
+                    and same_geodesic(axis_of(el.matrix), geo, 1e-7))
         el = _first_in_ball(group, on_geo)
         if el is None:
-            raise EnumerationError("no axis on a base geodesic")
+            raise EnumerationError(f"no element of word length <= 4 has base "
+                                   f"geodesic {i} of {len(bases)} as its axis")
         height = distance(o, foot_of_perpendicular(geo, o))
         reach = max(reach, math.acosh(math.cosh(height) * math.cosh(
             classify(el.matrix).translation_length / 2.0)))
@@ -670,14 +670,12 @@ class AdjacencyReport(Value):
 def _meetings(geo: Geodesic, lifts: Iterable[Geodesic]) -> tuple[bool, list[float]]:
     """Whether geo is one of the lifts (within 1e-7), and the axis parameter
     on geo of each point where another lift crosses it (``geodesic_crossing``,
-    which skips a lift whose endpoints do not interleave with geo's before
-    any arithmetic); a crossing at an angle below 1e-6 raises
-    TangencyError."""
-    pair = geo.angles
+    which skips a lift whose chord does not cross geo's inside the disc on
+    one sign test); a crossing at an angle below 1e-6 raises TangencyError."""
     on_lift = False
     params: list[float] = []
     for lift in lifts:
-        if same_geodesic_angles(pair, lift.angles, 1e-7):
+        if same_geodesic(geo, lift, 1e-7):
             on_lift = True
             continue
         crossing = geodesic_crossing(lift, geo)

@@ -549,6 +549,19 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
         assert f": case 237, {PLANTED_STAGES[kind]}: " in line
 
 
+def test_tube_without_an_axis_names_the_base_it_searched():
+    # No element of the radius-4 ball accepted: 245's tube finds no axis on
+    # its one base geodesic, and the error line says which base and how far
+    # the search went.
+    run = _run_fresh("import sys\nfrom orbiflow import cli, trigroup\n"
+                     "trigroup._first_in_ball = lambda group, accept: None\n"
+                     "sys.exit(cli.main(['verify', '--case', '245']))")
+    assert run.returncode == 2
+    assert run.stderr == ("error: enumeration (trigroup): case 245, "
+                          "adjacency: no element of word length <= 4 has "
+                          "base geodesic 1 of 1 as its axis\n")
+
+
 def _error_classes(modules):
     """(qualified name, class) of each exception class `modules` define."""
     for module in modules:

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbiflow import config, hyp2, trigroup
@@ -357,3 +358,49 @@ def test_thresholds_are_read_at_call_time(monkeypatch):
     assert classify(turn).kind is IsometryKind.ELLIPTIC
     monkeypatch.setattr(config, "EPS_BAND", 1e-5)
     assert classify(turn).kind is IsometryKind.PARABOLIC
+
+
+def _angles_interleave(g1, g2):
+    """The boundary-angle reference for crossing: exactly one end of g2 lies
+    on the counterclockwise arc from g1's first end to its second, the ends
+    read as atan2 angles of their disc boundary points."""
+    tau = 2.0 * math.pi
+    a1, b1, a2, b2 = (math.atan2(w.imag, w.real) % tau
+                      for w in map(hyp2.boundary_point, (g1.u, g1.v, g2.u, g2.v)))
+    arc = (b1 - a1) % tau
+    return ((a2 - a1) % tau < arc) != ((b2 - a1) % tau < arc)
+
+
+# Four distinct ideal points, INF in the place the index names (none at 4).
+ideal_ends = st.builds(
+    lambda xs, k: [hyp2.INF if i == k else x for i, x in enumerate(xs)],
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=4,
+             unique=True),
+    st.integers(0, 4))
+
+
+@given(ideal_ends)
+@settings(max_examples=200, deadline=None)
+def test_geodesic_crossing_iff_the_ends_interleave(ends):
+    # Distinct ideal ends, INF among them: a crossing is found exactly when
+    # the boundary-angle reference says the ends interleave, never for a
+    # geodesic against itself or its reversal, and it lies on both.  The
+    # normals read the ends as circle points: a chord whose ends are D apart
+    # has B(m, m) = (D²/2)², held to about eps/D² relative, so the ends are
+    # kept 1e-6 apart.  The point is the Klein solve's, whose rounding grows
+    # as e^(2d)/sin(angle) at distance d from i (1 - |k|² = sech² d), so the
+    # bound is 1e-9 only near i.
+    circle = [hyp2.boundary_point(t) for t in ends]
+    assume(all(abs(p - q) > 1e-6 for p, q in itertools.combinations(circle, 2)))
+    g1, g2 = hyp2.Geodesic(*ends[:2]), hyp2.Geodesic(*ends[2:])
+    for g in (g1, g2):
+        assert hyp2.geodesic_crossing(g, g) is None
+        assert hyp2.geodesic_crossing(g, hyp2.Geodesic(g.v, g.u)) is None
+    crossing = hyp2.geodesic_crossing(g1, g2)
+    assert (crossing is not None) == _angles_interleave(g1, g2)
+    if crossing is not None:
+        z, angle = crossing
+        d = distance(z, HPoint(0.0, 1.0))
+        tol = max(1e-9, 1e-14 * math.exp(2.0 * d) / math.sin(angle))
+        for g in (g1, g2):
+            assert distance(z, trigroup.foot_of_perpendicular(g, z)) < tol

@@ -13,8 +13,8 @@ from orbiflow.trigroup import (CASE_TRIPLES, CASES, build_group, cell_tiling,
 
 def _klein_boundary_point(t):
     # Klein endpoint of one ideal point, computed from scratch.
-    a = hyp2.boundary_angle(t)
-    return (math.cos(a), math.sin(a))
+    w = hyp2.boundary_point(t)
+    return (w.real, w.imag)
 
 
 def _reference_cell_polygon(center, lifts):
@@ -205,7 +205,7 @@ def _first_branch_in_ball(group, axis, pt):
     # the element that carries the axis to it.
     for el in enumerate_elements(group, 4):
         img = hyp2.apply_geodesic(el.matrix, axis)
-        if hyp2.same_geodesic_angles(img.angles, axis.angles, 1e-9):
+        if hyp2.same_geodesic(img, axis, 1e-9):
             continue
         if hyp2.distance(pt, trigroup.foot_of_perpendicular(img, pt)) < 1e-9:
             return el, img
@@ -274,20 +274,19 @@ def _completeness_faults(case):
     faults = []
     origin = trigroup.DISC_ORIGIN
     for ref in reference:
-        if any(hyp2.same_geodesic_angles(ref.angles, lift.angles, 1e-9)
-               for lift in lifts):
+        if any(hyp2.same_geodesic(ref, lift, 1e-9) for lift in lifts):
             continue
         if hyp2.distance(origin, trigroup.foot_of_perpendicular(
                 ref, origin)) <= far:
-            faults.append(f"lift {ref.angles} meets the X-disc")
-        faults.extend(f"lift {ref.angles} meets the cell at {center}"
+            faults.append(f"lift {ref.klein_ends} meets the X-disc")
+        faults.extend(f"lift {ref.klein_ends} meets the cell at {center}"
                       for center, verts, _ in cells
                       if _meets_polygon(ref, verts))
     for center, verts, labels in cells:
         ref_verts, ref_labels = trigroup.cell_polygon(center, reference)
-        walls = {reference[i].angles for i in ref_labels}
+        walls = [reference[i] for i in ref_labels]
         if not (_same_vertices(verts, ref_verts)
-                and all(any(hyp2.same_geodesic_angles(lifts[i].angles, w, 1e-9)
+                and all(any(hyp2.same_geodesic(lifts[i], w, 1e-9)
                             for w in walls) for i in labels)):
             faults.append(f"cell at {center} differs from the reference")
     return faults

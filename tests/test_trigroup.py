@@ -237,9 +237,9 @@ def test_planted_stabilizer_fault_exits_2(case_data, fault, monkeypatch,
 
 
 def test_stored_lift_angles_match(case_data):
-    # The neighbour search reads the angles of every lift along the neighbour
-    # segment; the values it stored with each lift equal those of a freshly
-    # built geodesic.
+    # The neighbour search reads the circle ends of every lift along the
+    # neighbour segment; the values it stored with each lift are the
+    # boundary points of u and v, bit for bit.
     case, group, system, report = case_data
     c0, c1 = system.cell_center, report.neighbor_center
     lifts = lifts_along(group, system, (c0, c1))
@@ -249,10 +249,11 @@ def test_stored_lift_angles_match(case_data):
     assert not on_lift
     assert trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1
     for lift in lifts:
-        stored = lift.angles
-        assert lift.angles is stored
-        fresh = hyp2.geodesic_angles(hyp2.Geodesic(lift.u, lift.v))
-        assert [a.hex() for a in stored] == [a.hex() for a in fresh]
+        stored = lift.klein_ends
+        assert lift.klein_ends is stored
+        fresh = [hyp2.boundary_point(t) for t in (lift.u, lift.v)]
+        assert [x.hex() for end in stored for x in end] == \
+            [x.hex() for w in fresh for x in (w.real, w.imag)]
 
 
 def test_figure_eight_axis_through_midpoints():
@@ -304,10 +305,10 @@ def _plant_near_tangent(monkeypatch):
 
     def planted(group, system, path):
         geo = hyp2.geodesic_through(path[-2], path[-1])
-        a, b = geo.angles
+        a, b = (math.atan2(y, x) for x, y in geo.klein_ends)
         lift = hyp2.Geodesic(_ideal_point(a + 1e-5), _ideal_point(b + 1e-9))
         crossing = hyp2.geodesic_crossing(lift, geo)
-        assert not hyp2.same_geodesic_angles(lift.angles, geo.angles, 1e-7)
+        assert not hyp2.same_geodesic(lift, geo, 1e-7)
         assert crossing is not None and 0 < crossing[1] < 1e-6
         return real(group, system, path) + (lift,)
 
@@ -328,6 +329,43 @@ def test_axis_test_rejects_a_near_tangent_lift(case_data, monkeypatch):
     _plant_near_tangent(monkeypatch)
     with pytest.raises(trigroup.TangencyError):
         trigroup._axis_meetings(group, system, entry.element.matrix)
+
+
+def _end_gap(g1, g2):
+    """Chebyshev distance between the circle ends of two geodesics, in the
+    nearer of the two orders: what ``hyp2.same_geodesic`` compares."""
+    def gap(p, q):
+        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+    (a1, b1), (a2, b2) = g1.klein_ends, g2.klein_ends
+    return min(max(gap(a1, a2), gap(b1, b2)), max(gap(a1, b2), gap(b1, a2)))
+
+
+def test_same_geodesic_decisions_have_a_wide_margin(monkeypatch):
+    # Every same-geodesic call behind the five adjacency counts (the second
+    # branch, the tube axes, the path meetings and the crossing exits): the
+    # pairs it accepts lie within 1e-12 of each other and the ones it
+    # rejects at least 1e-4 apart, 10^3 times its largest eps (1e-7).
+    real, calls = hyp2.same_geodesic, []
+
+    def recorded(g1, g2, eps):
+        same = real(g1, g2, eps)
+        calls.append((same, _end_gap(g1, g2)))
+        return same
+
+    monkeypatch.setattr(hyp2, "same_geodesic", recorded)
+    monkeypatch.setattr(trigroup, "same_geodesic", recorded)
+    for cache in (curve_system, trigroup._tube):
+        cache.cache_clear()
+    for case in CASES:
+        adjacency_isometries(build_group(*CASE_TRIPLES[case]),
+                             curve_system(case))
+    for cache in (curve_system, trigroup._tube):
+        cache.cache_clear()
+    accepted = [g for same, g in calls if same]
+    rejected = [g for same, g in calls if not same]
+    assert accepted and rejected
+    assert max(accepted) <= 1e-12
+    assert min(rejected) >= 1e-4
 
 
 def wall_count(center, lifts):
@@ -560,7 +598,7 @@ def _meeting(lifts, path):
             if distance(a, b) < 1e-9:
                 continue
             seg = hyp2.geodesic_through(a, b)
-            if hyp2.same_geodesic_angles(lift.angles, seg.angles, 1e-7):
+            if hyp2.same_geodesic(lift, seg, 1e-7):
                 break
             crossing = hyp2.geodesic_crossing(lift, seg)
             if crossing is None:
