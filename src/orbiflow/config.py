@@ -10,9 +10,8 @@ numerical noise floor (~1e-12 at the depths used) and the true geometric
 gaps (>1e-3 in every case handled here).
 
 ``EPS_PT`` is the coincidence scale, read by:
-  * ``hyp2.geodesic_through``: coincident points and vertical geodesics;
+  * ``hyp2.geodesic_through``: coincident points;
   * ``hyp2.geodesic_crossing``: equal geodesics (ends on the circle);
-  * ``hyp2.axis_of``: a vertical axis (|c| below it);
   * ``hyp2.is_identity``: at 100x;
   * ``trigroup._disc_candidates``: the cell centre itself, skipped among
     the neighbour candidates, and the generators that fix it, skipped for

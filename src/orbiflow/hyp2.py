@@ -1,4 +1,4 @@
-"""Upper half-plane geometry: points, geodesics, isometries, classification.
+"""Hyperbolic plane geometry: points, geodesics, isometries, classification.
 
 Model conventions
 -----------------
@@ -6,11 +6,19 @@ Points live in the upper half-plane {x + iy : y > 0}.  Orientation-preserving
 isometries are real 2x2 matrices of determinant 1 acting by Mobius
 transformations z -> (az + b)/(cz + d).  Products choose no sign: every
 formula of the action reads M and -M alike (IEEE negation is exact), and
-equality is decided up to sign (``projective_dist``).  Ideal boundary
-points are reals plus the dedicated marker ``INF`` (math.inf), never a
-large finite stand-in.  A geodesic carries its two ends as points (x, y) of
-the unit circle (``Geodesic.klein_ends``, the Cayley images, INF mapping to
-1), and every predicate on geodesics reads those points.
+equality is decided up to sign (``projective_dist``).
+
+A geodesic is its two ends u -> v, complex points of the unit circle, the
+boundary of the disc onto which the Cayley map z -> (z - i)/(z + i) carries
+the half-plane; there is no point at infinity.  A matrix moves the ends by
+its disc action (``disc_entries``, ``circle_image``), and every other
+geodesic operation reads the chord from u to v in the Klein disc
+(``Geodesic.klein_line``): the axis of an isometry, the geodesic through two
+points, crossings, and the arclength coordinate along a geodesic, atanh of
+the affine coordinate along its chord (``axis_parameter``).  That
+coordinate's absolute error grows like 1e-16·e^(2d) at distance d from i;
+the points that verify and the depth-6 tilings of the five cases pass in
+lie within d = 2.64, where it is about 1e-14.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
 ``rotation_about(p, theta)`` rotates tangent vectors at p by theta, so its
@@ -25,8 +33,6 @@ from functools import cached_property
 from typing import Optional
 
 from . import ChainError, Value, config
-
-INF = math.inf
 
 
 class GeometryError(ChainError, ValueError):
@@ -89,15 +95,6 @@ class Isometry(Value):
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
-    def boundary_image(self, t: float) -> float:
-        """Action on the ideal boundary R u {INF}."""
-        if t is INF or math.isinf(t):
-            return INF if abs(self.c) < 1e-300 else self.a / self.c
-        den = self.c * t + self.d
-        if den == 0.0:
-            return INF
-        return (self.a * t + self.b) / den
-
 
 def inverse_entries(e: Entries) -> Entries:
     """Inverse of a matrix of determinant 1 given by its entry tuple."""
@@ -131,31 +128,24 @@ class IsometryClass(Value):
 
 
 class Geodesic(Value):
-    """Oriented complete geodesic with ideal endpoints u -> v (real or INF)."""
+    """Oriented complete geodesic from the end u to the end v, complex points
+    of the unit circle."""
 
-    __slots__ = ("u", "v", "__dict__")  # the dict holds the cached properties
+    __slots__ = ("u", "v", "__dict__")  # the dict holds the cached property
 
-    def __init__(self, u: float, v: float):
+    def __init__(self, u: complex, v: complex):
         if u == v:
             raise GeometryError("geodesic needs distinct ideal endpoints")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     @cached_property
-    def klein_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The ends (x, y) on the unit circle (``boundary_point`` of u and
-        v): the chord that is this geodesic in the Klein disc, computed on
-        first use and kept."""
-        a, b = boundary_point(self.u), boundary_point(self.v)
-        return ((a.real, a.imag), (b.real, b.imag))
-
-    @cached_property
     def klein_line(self) -> tuple[float, float, float, float]:
-        """(nx, ny, c, |n|): the line n·k = c through ``klein_ends``, computed
-        on first use and kept."""
-        a, b = self.klein_ends
-        nx, ny = b[1] - a[1], a[0] - b[0]
-        return nx, ny, nx * a[0] + ny * a[1], math.hypot(nx, ny)
+        """(nx, ny, c, |n|): the line n·k = c of the chord from u to v, which
+        is this geodesic in the Klein disc, computed on first use and kept."""
+        u, v = self.u, self.v
+        nx, ny = v.imag - u.imag, u.real - v.real
+        return nx, ny, nx * u.real + ny * u.imag, math.hypot(nx, ny)
 
 
 def mobius(e: Entries, z: complex) -> complex:
@@ -169,8 +159,25 @@ def apply(g: Isometry, p: HPoint) -> HPoint:
     return HPoint(w.real, w.imag)
 
 
+def disc_entries(e: Entries) -> tuple[complex, complex]:
+    """(alpha, beta) of the matrix with entry tuple e conjugated into the
+    disc by the Cayley map: alpha = ((a + d) + i(b - c))/2 and
+    beta = ((a - d) - i(b + c))/2 (``circle_image``)."""
+    a, b, c, d = e
+    return (complex(0.5 * (a + d), 0.5 * (b - c)),
+            complex(0.5 * (a - d), -0.5 * (b + c)))
+
+
+def circle_image(ab: tuple[complex, complex], w: complex) -> complex:
+    """Image of the disc point w under the disc entries ab
+    (``disc_entries``): (alpha·w + beta)/(conj(beta)·w + conj(alpha))."""
+    alpha, beta = ab
+    return (alpha * w + beta) / (beta.conjugate() * w + alpha.conjugate())
+
+
 def apply_geodesic(g: Isometry, geo: Geodesic) -> Geodesic:
-    return Geodesic(g.boundary_image(geo.u), g.boundary_image(geo.v))
+    ab = disc_entries(g.entries())
+    return Geodesic(circle_image(ab, geo.u), circle_image(ab, geo.v))
 
 
 def distance(p: HPoint, q: HPoint) -> float:
@@ -214,24 +221,21 @@ def classify(g: Isometry) -> IsometryClass:
 
 
 def axis_of(g: Isometry) -> Geodesic:
-    """Oriented axis of a hyperbolic isometry, repelling -> attracting."""
+    """Oriented axis of a hyperbolic isometry, repelling -> attracting.
+
+    With the disc entries (alpha, beta) (``disc_entries``), the fixed points
+    of the disc action are w = (±r + i·Im alpha)/conj(beta), where
+    r = sqrt((Re alpha)² - 1), and the derivative there is
+    1/(Re alpha ± r)²: the end whose ±r has the sign of Re alpha attracts.
+    beta is not 0, since |beta|² = |alpha|² - 1 >= (Re alpha)² - 1 > 0."""
     cls = classify(g)
     if cls.kind is not IsometryKind.HYPERBOLIC:
         raise GeometryError(f"axis requested for {cls.kind.value} isometry")
-    if abs(g.c) < config.EPS_PT:
-        # Fixed points: INF and b/(d - a).
-        other = g.b / (g.d - g.a)
-        # At INF the derivative is (a/d) = a^2; attracting iff |a| > 1.
-        if abs(g.a) > 1.0:
-            return Geodesic(other, INF)
-        return Geodesic(INF, other)
-    disc = math.sqrt((g.a - g.d) ** 2 + 4.0 * g.b * g.c)
-    z1 = ((g.a - g.d) - disc) / (2.0 * g.c)
-    z2 = ((g.a - g.d) + disc) / (2.0 * g.c)
-    # Attracting fixed point has |g'(z)| = 1/(cz + d)^2 < 1.
-    if abs(g.c * z1 + g.d) > 1.0:
-        return Geodesic(z1, z2)
-    return Geodesic(z2, z1)
+    alpha, beta = disc_entries(g.entries())
+    s = math.copysign(math.sqrt(alpha.real * alpha.real - 1.0), alpha.real)
+    den = beta.conjugate()
+    return Geodesic(complex(-s, alpha.imag) / den,
+                    complex(s, alpha.imag) / den)
 
 
 def side_length_from_angles(alpha: float, beta: float, gamma: float) -> float:
@@ -271,7 +275,7 @@ def triangle_from_angles(p: int, q: int, r: int) -> tuple[HPoint, HPoint, HPoint
     return P, Q, R
 
 
-# --- Disc-model coordinates (used for dedup keys, cells, and rendering) ---
+# --- Disc and Klein coordinates, and the geodesic operations on chords ---
 
 def cayley(z: complex) -> complex:
     """Cayley map z -> (z - i)/(z + i) of the closed half-plane onto the
@@ -283,13 +287,6 @@ def to_disc(p: HPoint) -> tuple[float, float]:
     """Poincare-disc coordinates of p (``cayley``)."""
     w = cayley(p.as_complex())
     return (w.real, w.imag)
-
-
-def boundary_point(t: float) -> complex:
-    """Disc boundary point of the ideal point t (INF maps to 1)."""
-    if math.isinf(t):
-        return complex(1.0, 0.0)
-    return cayley(complex(t, 0.0))
 
 
 def to_klein(p: HPoint) -> tuple[float, float]:
@@ -310,32 +307,29 @@ def klein_to_hpoint(kx: float, ky: float) -> HPoint:
 
 
 def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
-    """Oriented geodesic through p then q."""
-    eps = config.EPS_PT
-    if distance(p, q) < eps:
+    """Oriented geodesic through p then q: its ends are the points
+    kp + s·(kq - kp) of the Klein line through their Klein points with
+    |kp + s·(kq - kp)| = 1, u at the root s < 0 and v at the root s > 1."""
+    if distance(p, q) < config.EPS_PT:
         raise GeometryError("geodesic through coincident points")
-    if abs(q.x - p.x) <= eps * (1.0 + abs(p.x) + abs(q.x)):
-        return Geodesic(p.x, INF) if q.y > p.y else Geodesic(INF, p.x)
-    c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
-    rad = math.hypot(p.x - c, p.y)
-    # Traveling p -> q decreases the polar angle about c iff q is clockwise.
-    tp = math.atan2(p.y, p.x - c)
-    tq = math.atan2(q.y, q.x - c)
-    if tq < tp:
-        return Geodesic(c - rad, c + rad)
-    return Geodesic(c + rad, c - rad)
+    (px, py), (qx, qy) = to_klein(p), to_klein(q)
+    dx, dy = qx - px, qy - py
+    # a·s² + 2b·s + c = 0, with c < 0 since p lies inside the circle.
+    a, b, c = dx * dx + dy * dy, px * dx + py * dy, px * px + py * py - 1.0
+    root = math.sqrt(b * b - a * c)
+    lo, hi = (-b - root) / a, (-b + root) / a
+    return Geodesic(complex(px + lo * dx, py + lo * dy),
+                    complex(px + hi * dx, py + hi * dy))
 
 
-def _near(p: tuple[float, float], q: tuple[float, float], eps: float) -> bool:
-    return abs(p[0] - q[0]) < eps and abs(p[1] - q[1]) < eps
+def _near(p: complex, q: complex, eps: float) -> bool:
+    return abs(p.real - q.real) < eps and abs(p.imag - q.imag) < eps
 
 
 def same_geodesic(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
     """Unordered coincidence of two geodesics: their ends on the unit
-    circle (``klein_ends``) lie within eps in Chebyshev distance, in either
-    order."""
-    a1, b1 = g1.klein_ends
-    a2, b2 = g2.klein_ends
+    circle lie within eps in Chebyshev distance, in either order."""
+    a1, b1, a2, b2 = g1.u, g1.v, g2.u, g2.v
     return ((_near(a1, a2, eps) and _near(b1, b2, eps))
             or (_near(a1, b2, eps) and _near(b1, a2, eps)))
 
@@ -365,32 +359,28 @@ def geodesic_crossing(g1: Geodesic, g2: Geodesic
 
 
 def axis_parameter(g: Geodesic, p: HPoint) -> float:
-    """Signed arclength coordinate of p along g (increasing toward g.v).
+    """Signed arclength coordinate along g of the foot of p, increasing
+    toward g.v, 0 at the midpoint of g's chord.
 
-    The zero point is fixed by the endpoint normalization (t = log|w| where
-    w = (z - u)/(z - v) maps the axis to the imaginary half-line), giving a
-    deterministic base point per oriented geodesic.
+    The foot f is where the Klein line through p's Klein point k and the
+    pole of the chord n·k = c (``klein_line``) meets the chord:
+    f = k + mu·(n - c·k), mu = (c - n·k)/(|n|² - c·n·k).  Its affine
+    coordinate s along the chord, 0 at the midpoint m = (u + v)/2 and ±1 at
+    the ends m ± h, h = (v - u)/2, gives the coordinate atanh(s): the Klein
+    distance is half the log of a cross-ratio, which affine maps keep.
     """
-    z = p.as_complex()
-    if math.isinf(g.v):
-        w = z - g.u
-        return math.log(abs(w))
-    if math.isinf(g.u):
-        w = 1.0 / (z - g.v)
-        return math.log(abs(w))
-    w = (z - g.u) / (z - g.v)
-    return math.log(abs(w))
+    kx, ky = to_klein(p)
+    nx, ny, c, _ = g.klein_line
+    nk = nx * kx + ny * ky
+    mu = (c - nk) / (nx * nx + ny * ny - c * nk)
+    m, h = 0.5 * (g.u + g.v), 0.5 * (g.v - g.u)
+    fx, fy = kx + mu * (nx - c * kx) - m.real, ky + mu * (ny - c * ky) - m.imag
+    return math.atanh((fx * h.real + fy * h.imag)
+                      / (h.real * h.real + h.imag * h.imag))
 
 
 def foot_on_axis(g: Geodesic, t: float) -> HPoint:
-    """Point of g at axis parameter t (inverse of axis_parameter)."""
-    if math.isinf(g.v):
-        return HPoint(g.u, math.exp(t))
-    if math.isinf(g.u):
-        return HPoint(g.v, math.exp(-t))
-    # z -> (z - u)/(z - v) sends the axis to the ray s*i*e^t, where the side
-    # s = sign(u - v) records whether the map preserves the half-plane.
-    s = 1.0 if g.u > g.v else -1.0
-    w = complex(0.0, s * math.exp(t))
-    z = (g.u - g.v * w) / (1.0 - w)
-    return HPoint(z.real, z.imag)
+    """Point of g at axis parameter t (inverse of axis_parameter): the
+    Klein point m + tanh(t)·h."""
+    k = 0.5 * (g.u + g.v) + math.tanh(t) * 0.5 * (g.v - g.u)
+    return klein_to_hpoint(k.real, k.imag)

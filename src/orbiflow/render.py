@@ -1,8 +1,8 @@
 """Static SVG drawings of the curve-lift tilings in the Poincare disc.
 
-The computational modules work in the half-plane; conversion to the disc
-happens only here.  Output is deterministic: fixed float formatting, fixed
-iteration order.
+A geodesic's ends are already points of the unit circle (``hyp2``); points
+and Klein-polygon cells are carried into the disc here.  Output is
+deterministic: fixed float formatting, fixed iteration order.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ def _disc_xy(p: HPoint) -> tuple[float, float]:
 
 def geodesic_path(geo: Geodesic) -> str:
     """SVG path of the disc-model arc of a complete geodesic."""
-    (ux, uy), (vx, vy) = geo.klein_ends
-    uy, vy = -uy, -vy  # SVG y axis points down
+    # SVG y axis points down
+    ux, uy, vx, vy = geo.u.real, -geo.u.imag, geo.v.real, -geo.v.imag
     dot = ux * vx + uy * vy
     if dot < -1.0 + 1e-9:  # diameter
         return f"M {_fmt(ux)} {_fmt(uy)} L {_fmt(vx)} {_fmt(vy)}"

@@ -32,19 +32,20 @@ matrices are compared pairwise, M and -M as equal (``_coset_repeat``).
 Each neighbour candidate, and each hyperbolic axis over one period, is
 tested against the lifts of the tiles in a tube about its own path
 (``lifts_along``); only a drawing builds the lifts of a ball, and only of
-its tiles within the drawing's disc (``curve_lifts``).  A lift keeps its
-ends on the unit circle and its Klein chord (``Geodesic.klein_ends``,
-``.klein_line``), computed on first use.  Both path tests, the neighbour
-segment and the axis period, meet the lifts through one primitive,
-``_meetings``: it takes each crossing's point and angle from the two Klein
-chords (``hyp2.geodesic_crossing``), and rejects a near-tangential
-crossing.  A drawing dedups only the orbit points within its disc
-(``cell_tiling``'s bound) and clips each of their tiles against the
-chords, skipping a chord farther from the tile's centre than its polygon
-so far reaches (``cell_polygon``); a cell within the radius X of
-``drawing_disc`` is certified to be the true cell.  The per-element loops
-(tile steps, orbit points) run on entry tuples with ``hyp2``'s kernels and
-build an ``Isometry`` or ``HPoint`` only for a new element.
+its tiles within the drawing's disc (``curve_lifts``).  A lift is its two
+ends on the unit circle, moved there by the disc action of its tile
+(``hyp2.circle_image``), with its Klein chord (``Geodesic.klein_line``)
+computed on first use.  Both path tests, the neighbour segment and the axis
+period, meet the lifts through one primitive, ``_meetings``: it takes each
+crossing's point and angle from the two Klein chords
+(``hyp2.geodesic_crossing``), and rejects a near-tangential crossing.  A
+drawing dedups only the orbit points within its disc (``cell_tiling``'s
+bound) and clips each of their tiles against the chords, skipping a chord
+farther from the tile's centre than its polygon so far reaches
+(``cell_polygon``); a cell within the radius X of ``drawing_disc`` is
+certified to be the true cell.  The per-element loops (tile steps, orbit
+points) run on entry tuples with ``hyp2``'s kernels and build an
+``Isometry`` or ``HPoint`` only for a new element.
 """
 from __future__ import annotations
 
@@ -57,10 +58,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import ChainError, Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
                    IsometryClass, IsometryKind, apply, apply_geodesic, axis_of,
-                   axis_parameter, boundary_point, cayley, classify,
-                   compose_entries, distance, foot_on_axis, geodesic_crossing,
-                   geodesic_through, mobius, projective_dist, rotation_about,
-                   same_geodesic, to_disc, to_klein)
+                   axis_parameter, cayley, circle_image, classify,
+                   compose_entries, disc_entries, distance, foot_on_axis,
+                   geodesic_crossing, geodesic_through, mobius,
+                   projective_dist, rotation_about, same_geodesic, to_disc,
+                   to_klein)
 
 CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
 CASES = tuple(CASE_TRIPLES)
@@ -202,11 +204,10 @@ class _GridIndex:
         return None
 
 
-def _geodesic_vec(u: float, v: float) -> tuple[float, float, float, float]:
-    # Unordered ideal pair embedded via the symmetric functions of its two
-    # disc boundary points (t - i)/(t + i).
-    wu, wv = boundary_point(u), boundary_point(v)
-    s, pr = wu + wv, wu * wv
+def _geodesic_vec(u: complex, v: complex) -> tuple[float, float, float, float]:
+    # The unordered pair of ends on the circle, embedded by its symmetric
+    # functions u + v and u·v.
+    s, pr = u + v, u * v
     return (s.real, s.imag, pr.real, pr.imag)
 
 
@@ -319,8 +320,9 @@ def _orbit_lifts(mats: Iterable[Isometry],
     index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
     for m in mats:
+        ab = disc_entries(m.entries())
         for base in bases:
-            u, v = m.boundary_image(base.u), m.boundary_image(base.v)
+            u, v = circle_image(ab, base.u), circle_image(ab, base.v)
             if index.insert(_geodesic_vec(u, v)) is None:
                 lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
     return tuple(lifts)

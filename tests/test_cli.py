@@ -19,47 +19,49 @@ GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case C --depth D`, per case for D = 1..6,
 # pinned like the report.  From 245 and 246 at depth 6, and 334 and 344 at
 # depth 4, the word ball holds tiles beyond the drawing's disc, whose lifts
-# meet no drawn cell and are not drawn; every drawn cell is unchanged.
+# meet no drawn cell and are not drawn; every drawn cell is unchanged.  An
+# adjacency axis, and a lift whose base geodesic is one (334, 344), is drawn
+# from the repelling end of the axis to the attracting one.
 TILING_SHA256 = {
     237: (
-        "2eca6b7f54d30de11ac11a19690ee328e128ac8c2e5d757a41a2019eb634e733",
-        "5ec97290804e0ead64f30b0f6be67dd69607bdaecfeb07d16242b3d9e4b8ef59",
-        "eccc2d0d24615b9f21f9c77509a173e112364be49127ddebad93c7c2dd994745",
-        "8bd07dbfc56d548a52422710791a1f8e61e5454b0a0cd1fb81c4858bc1fb5730",
-        "f908b88d927c3edf473a6977982b66dc487ea3f789452d24bb662ae5eab6e9a2",
-        "11e98c23a794d2a4e325fab5229e2c4a1850f6aef36ec715e4654af665f0ec08",
+        "7335547427eaf21f3ba241d4734865c0bab47a592eede4afce539bcc739eaa6d",
+        "c7731db73df40cf7232bf6a517a21663ec1a762708f5996f36c8c88e51ce1cc6",
+        "a4b87306c7d866cc560b788aefe42dcd0ea6a8605803d08dfae178a7f52e133f",
+        "e87ed9d6e272074ae98faf73fea72b3a8e690ce292a85f876162233c908bca73",
+        "93d0293d99e517bb685f066b6a1309964f15487fd1e119aecc2fd9ae21423ba0",
+        "0fc447e375b694d841b1196f22b3ecddecf55e73b82f62042ffa00046e119f70",
     ),
     245: (
-        "3eee22568d9fbd6f42a6947bab60edd159249b517276076c856f7c0f47c48d1c",
-        "3a4c61de3538a218937d6b3198738483a6f4216c1adf460f1f62237f9639174a",
-        "35e688cca95de05b790354830796c209f36436ae95f887bbfe2bb5aab38d5e4b",
-        "3b0aeecbcaca607a10fc9db7a4abe556f81d94f33f65e23abab5699e306f438d",
-        "b7e7ff4da6e3cc7c068ef7c6c48630ac3e5d9f70f8e7f1ab45ea4be25369be4f",
-        "2bc0bc759ec06816d74994847287a47d8a015c57317968c080126abb4213e872",
+        "cd75e3b1f63e9fad823e11ee173d8f2a84aa3ad386e7b33f8c59c344de437d75",
+        "4ede30e78af8a0835030eb2391a6ef32c5577a2628623f91c4fde70840506ffb",
+        "24895ba8c8aef43381165a374d1238325cbc7b7c1c7f8734a2c7619e9eb11e44",
+        "b2ed94704d596cca08b440fa55f10e389614cc6044943b0adb97d8aab21b497d",
+        "55bb267606b18d6dd96a2dae52b0bfebad9b97cffc39fe1e9a17b78cabbccd3d",
+        "c21708654e83b9372cb171138c14709b1224c2acb3e6a3f9afa7285f5e260663",
     ),
     246: (
-        "3f26b500213b31f52dcb9c7807f33b873c72d5ee8236a8eb415c5ea0ec1a7628",
-        "6e839d9a7f0bf09acf59cb9f69314c9d24b9e217a2bac511f5974ca575e9caad",
-        "4490ca7e10e9ee272576788ecf76e8c2a910f105932afdb9bff502555927aa58",
-        "017088cf4c11c0d26423f15d2d2d53519c4fa052a9180daa952e123cdb6ee091",
-        "67cba5afe2fdd3489ac7bd9d6084ad9c3c76f83d93475826746fef7d270e121f",
-        "1ee433be4a9904ed80921336910279e880cd523f09bf033be4555900b1cc10cc",
+        "5bda75e0d70869b5eec7f667aaf51b48bfd9e6d952109c1bc27baaf5322f93de",
+        "c56420f25b64ae8181fd37210b9d6f6d2560c1de35184d101d7ace1cfe948801",
+        "3cb071703a359e26330e872cad847a6196f2154a7b5f81a8da2010fcb91f7603",
+        "5a2b76a5ab66ee9d7326ace2be67278e3e0ac6e24d4924a21484861fecedd8b4",
+        "8ac7448359eeeba3038fc814090f837fe081434108db4ee78ab94862b8c9d40f",
+        "581e0d253b824d4177e46ef2d540c6771c7f7324e70abbcf3e4591ec9fcc355d",
     ),
     334: (
-        "99fbab6bf34abdf05b4e404e960a7c880ef77fa6e38a071e9b18c7325fb9581c",
-        "c312b7af892ff3f36dd6340d9fcd7ef2ac519fe60a6bfb60a6b2af7e64c31428",
-        "e2d013541060015f23972ff047181f4a68897c77784f8f9bb80ff2d7e16bac15",
-        "d9644b15b641fcd7ae687e0923c7ed3900e4e5cc63cefe4d2d2bbad49356bcfa",
-        "4acc63a467fe97b94163cac77e3425c53518e22101690824a7c2b81af43dfd23",
-        "9fe5b93b47435fd60afd34b4270c0239517db318e7d5b774a3dff8625ea043ae",
+        "96b9d4a41c71681784b18ef84d1de1db7ac97eddaaac5b436dd8c29ce851d2b6",
+        "b2475f0229329b37085a701f95a550aed7bba31872560e0a856587fdde2df73e",
+        "bac77e89a99d6c45c29becae40fbea73b89619a2056dc26e097f35a9261c26cc",
+        "a0527a9d5592e319af116ea14c80b7ea52e71226d4d4acce886cc1a86d899a2e",
+        "b9e68ebd7be2b85e75c40ca65646006022aa40cdf91050b26c431271eb54210a",
+        "40fa1f27fd3b083aef07bfe12e8be33c4a9d1c330e59fdf115e3c87f0796494b",
     ),
     344: (
-        "e64518fae4d85a33d840085bbf0e770a44190f19f690c6ed3083d79efa04ccc4",
-        "fba51260e044c4dd10414489f23ddbb9de987f737f8b312ab9f0475e950b99a0",
-        "f000fa712a9e00d89aa7f60c9d95fc3a744961d766f3c19a517a412815f0d594",
-        "c6857e70748f0b77f2e205122edf78a4cdde418ca8b4c3f77316965551bc9595",
-        "4e670716bc50d5219c765f2679907850580b012162949fda494e06f240c0beed",
-        "4e670716bc50d5219c765f2679907850580b012162949fda494e06f240c0beed",
+        "3a48e0caf2ed233a1e041b47cebf4b7117632c019c6fdaea371296711e7c17ce",
+        "18b3b012ae401e4106263cfaa5dd9629bc53cd8f708324f8fb656f42e85f0025",
+        "567f030626fed6e08e66f321aa0e18ebeb7f94de1736d6d41cf6a5a7b75d0083",
+        "11058302d134ef0529f2c31f29def911d83e9211afb0fdcfd0e4fe86e1693359",
+        "b374da70dfa2596219e4befb49f4b401ab7356d374ac558f2158ac0f8554924d",
+        "b374da70dfa2596219e4befb49f4b401ab7356d374ac558f2158ac0f8554924d",
     ),
 }
 # sha256 of the `orbiflow verify --case all` text output without its per-case
@@ -392,12 +394,13 @@ def test_exit_code_matches_pass_flag(tmp_path):
 
 
 def test_geodesic_path_formats():
-    from orbiflow.hyp2 import Geodesic
-    path = render.geodesic_path(Geodesic(0.5, 2.0))
+    from orbiflow.hyp2 import Geodesic, cayley
+    path = render.geodesic_path(Geodesic(cayley(0.5), cayley(2.0)))
     assert path.startswith("M ")
     assert "A" in path
-    # (-1, 1) passes through the disc center: rendered as a diameter.
-    diameter = render.geodesic_path(Geodesic(-1.0, 1.0))
+    # From 1 to -1 on the circle passes through the disc center: rendered as
+    # a diameter.
+    diameter = render.geodesic_path(Geodesic(1.0 + 0.0j, -1.0 + 0.0j))
     assert "L" in diameter and "A" not in diameter
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -139,12 +140,14 @@ def test_classify_identity_and_elliptic():
 
 
 def test_axis_of_diagonal():
+    # z -> lam²·z repels from 0 and attracts to infinity: in the disc, from
+    # -1 to 1.
     lam = 1.7
     g = Isometry(lam, 0.0, 0.0, 1 / lam)
     ax = axis_of(g)
-    assert ax.u == 0.0 and math.isinf(ax.v)
+    assert abs(ax.u + 1.0) < 1e-12 and abs(ax.v - 1.0) < 1e-12
     rev = axis_of(g.inverse())
-    assert math.isinf(rev.u) and rev.v == 0.0
+    assert abs(rev.u - 1.0) < 1e-12 and abs(rev.v + 1.0) < 1e-12
 
 
 def test_axis_endpoints_fixed():
@@ -153,8 +156,42 @@ def test_axis_endpoints_fixed():
     cls = classify(g)
     assert cls.kind is IsometryKind.HYPERBOLIC
     ax = axis_of(g)
-    for t in (ax.u, ax.v):
-        assert abs(g.boundary_image(t) - t) < 1e-7
+    ab = hyp2.disc_entries(g.entries())
+    for w in (ax.u, ax.v):
+        assert abs(abs(w) - 1.0) < 1e-12
+        assert abs(hyp2.circle_image(ab, w) - w) < 1e-7
+
+
+# Hyperbolic elements: products of rotations, and diagonal matrices (whose
+# axis is the vertical line through 0) moved by a rotation about i or not.
+hyperbolics = st.one_of(
+    st.builds(iso_from_params,
+              st.lists(st.tuples(st.floats(-1, 1, allow_nan=False),
+                                 st.floats(0.5, 2, allow_nan=False),
+                                 st.floats(-math.pi, math.pi,
+                                           allow_nan=False)),
+                       min_size=2, max_size=3)),
+    st.builds(lambda lam, sign, theta: rotation_about(
+                  HPoint(0.0, 1.0), theta).compose(
+                  Isometry(sign * lam, 0.0, 0.0, sign / lam)),
+              st.floats(1.05, 5.0), st.sampled_from((1.0, -1.0)),
+              st.sampled_from((0.0, 0.0, 0.7, -2.0))),
+).filter(lambda g: classify(g).kind is IsometryKind.HYPERBOLIC
+         and classify(g).translation_length < 4.0)
+
+
+@given(hyperbolics)
+@settings(max_examples=200, deadline=None)
+@example(Isometry(1.7, 0.0, 0.0, 1 / 1.7))
+@example(Isometry(2.0, 1.0, 1.0, 1.0))
+def test_axis_runs_from_repelling_to_attracting(g):
+    # g moves the points of its axis forward along it by its translation
+    # length: the axis runs from the repelling end to the attracting one,
+    # whatever the matrix.
+    ax = axis_of(g)
+    assume(distance(HPoint(0.0, 1.0), hyp2.foot_on_axis(ax, 0.0)) < 3.0)
+    t = hyp2.axis_parameter(ax, apply(g, hyp2.foot_on_axis(ax, 0.0)))
+    assert abs(t - classify(g).translation_length) < 1e-9
 
 
 def test_axis_rejects_elliptic():
@@ -220,6 +257,10 @@ def _same_bits(xs, ys):
     return [(x + 0.0).hex() for x in xs] == [(y + 0.0).hex() for y in ys]
 
 
+def _end_parts(geo):
+    return [geo.u.real, geo.u.imag, geo.v.real, geo.v.imag]
+
+
 @given(isometries, points, st.floats(-5, 5, allow_nan=False), points)
 @example(Isometry.identity(), HPoint(0.0, 1.0), 0.0, HPoint(0.5, 2.0))
 @example(Isometry(2.0, 0.3, 0.0, 0.5), HPoint(0.0, 1.0), 0.0,
@@ -232,19 +273,22 @@ def test_every_action_reads_m_and_minus_m_alike_bitwise(g, p, t, q):
     h = Isometry(-g.a, -g.b, -g.c, -g.d)
     w, v = (hyp2.mobius(m.entries(), p.as_complex()) for m in (h, g))
     assert _same_bits([w.real, w.imag], [v.real, v.imag])
-    for s in (t, 0.0, math.inf, -g.d / g.c if g.c else t):
-        assert _same_bits([h.boundary_image(s)], [g.boundary_image(s)])
+    for s in (cmath.rect(1.0, t), 1.0 + 0.0j, -1.0 + 0.0j, 1j,
+              hyp2.cayley(p.as_complex())):
+        w, v = (hyp2.circle_image(hyp2.disc_entries(m.entries()), s)
+                for m in (h, g))
+        assert _same_bits([w.real, w.imag], [v.real, v.imag])
     geo = (hyp2.geodesic_through(p, q) if distance(p, q) > 1e-6
-           else hyp2.Geodesic(-1.0, 1.0))
+           else hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j))
     a, b = (hyp2.apply_geodesic(m, geo) for m in (h, g))
-    assert _same_bits([a.u, a.v], [b.u, b.v])
+    assert _same_bits(_end_parts(a), _end_parts(b))
     assert hyp2.is_identity(h) == hyp2.is_identity(g)
     ch, cg = classify(h), classify(g)
     assert ch.kind is cg.kind
     if cg.kind is IsometryKind.HYPERBOLIC:
         assert _same_bits([ch.translation_length], [cg.translation_length])
         a, b = axis_of(h), axis_of(g)
-        assert _same_bits([a.u, a.v], [b.u, b.v])
+        assert _same_bits(_end_parts(a), _end_parts(b))
 
 
 def test_identity_test_is_projective():
@@ -272,16 +316,56 @@ def test_rotation_orders_sharp(n):
     assert hyp2.is_identity(acc.compose(g))
 
 
-def test_parameter_roundtrip_on_geodesics():
-    geo = hyp2.Geodesic(-1.3, 2.8)
-    for t in (-2.0, -0.3, 0.0, 1.1, 2.7):
-        p = hyp2.foot_on_axis(geo, t)
-        assert abs(hyp2.axis_parameter(geo, p) - t) < 1e-9
+def _point_near_i(d, theta):
+    """The point at distance d from i in the direction theta."""
+    return apply(rotation_about(HPoint(0.0, 1.0), theta),
+                 HPoint(0.0, math.exp(d)))
+
+
+near_i = st.builds(_point_near_i, st.floats(0, 6),
+                   st.floats(-math.pi, math.pi))
+
+
+def _above(p, s):
+    return HPoint(p.x, p.y * math.exp(s))
+
+
+# Pairs p, q within distance 6 of i, some of them with q straight above or
+# below p (a vertical geodesic in the half-plane).
+point_pairs = st.one_of(
+    st.tuples(near_i, near_i),
+    st.builds(lambda p, s: (p, _above(p, s)), near_i, st.floats(-3, 3)),
+).filter(lambda pq: distance(*pq) > 1e-6
+         and distance(HPoint(0.0, 1.0), pq[1]) <= 6.0)
+
+
+@given(point_pairs, near_i)
+@settings(max_examples=300, deadline=None)
+@example((HPoint(0.0, 1.0), HPoint(0.0, 2.0)), HPoint(1.0, 1.0))
+@example((HPoint(0.3, 2.0), HPoint(0.3, 0.5)), HPoint(-1.0, 0.2))
+def test_chord_parameter_is_arclength(pq, x):
+    # Along the geodesic through p then q the parameter grows by the
+    # distance from p to q, foot_on_axis inverts it, and the foot of a point
+    # x is no farther from x than the points of the geodesic beside it.
+    p, q = pq
+    geo = hyp2.geodesic_through(p, q)
+    tp, tq = hyp2.axis_parameter(geo, p), hyp2.axis_parameter(geo, q)
+    assert abs(tq - tp - distance(p, q)) < 1e-9
+    for point, t in ((p, tp), (q, tq)):
+        assert distance(hyp2.foot_on_axis(geo, t), point) < 1e-9
+    for t in (tp, tq, 0.5 * (tp + tq), 0.0):
+        assert abs(hyp2.axis_parameter(geo, hyp2.foot_on_axis(geo, t)) - t) \
+            < 1e-9
+    tx = hyp2.axis_parameter(geo, x)
+    gap = distance(x, trigroup.foot_of_perpendicular(geo, x))
+    for t in (tx - 1e-3, tx + 1e-3):
+        assert gap <= distance(x, hyp2.foot_on_axis(geo, t))
 
 
 def test_geodesic_crossing_perpendicular():
-    g1 = hyp2.Geodesic(-1.0, 1.0)
-    g2 = hyp2.Geodesic(0.0, math.inf)
+    # The half-plane geodesics from 1 to -1 and from 0 to infinity.
+    g1 = hyp2.Geodesic(-1j, 1j)
+    g2 = hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)
     crossing = hyp2.geodesic_crossing(g1, g2)
     assert crossing is not None
     z, angle = crossing
@@ -289,19 +373,23 @@ def test_geodesic_crossing_perpendicular():
     assert abs(angle - math.pi / 2) < 1e-9
 
 
+def _circle(*angles):
+    return [cmath.rect(1.0, theta) for theta in angles]
+
+
 def test_geodesic_crossing_disjoint_or_equal():
-    g = hyp2.Geodesic(0.0, 1.0)
-    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(2.0, 3.0)) is None
+    g = hyp2.Geodesic(*_circle(0.1, 1.0))
+    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(*_circle(2.0, 3.0))) is None
     assert hyp2.geodesic_crossing(g, g) is None
-    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(1.0, 0.0)) is None
+    assert hyp2.geodesic_crossing(g, hyp2.Geodesic(g.v, g.u)) is None
 
 
-def _crossing_pair(ends, vertical, flips):
-    """Two geodesics on four ideal points a < b < c < d, a to c and b to d,
-    so their ends interleave; d is INF when `vertical`, and each is reversed
-    as `flips` says."""
-    a, b, c, d = sorted(ends)
-    pairs = [(a, c), (b, math.inf if vertical else d)]
+def _crossing_pair(ends, one, flips):
+    """Two geodesics on four circle angles a < b < c < d, a to c and b to d,
+    so their ends interleave; the end at d is exactly 1 when `one`, and each
+    is reversed as `flips` says."""
+    a, b, c, d = _circle(*sorted(ends))
+    pairs = [(a, c), (b, 1.0 + 0.0j if one else d)]
     return [hyp2.Geodesic(*(pair[::-1] if flip else pair))
             for pair, flip in zip(pairs, flips)]
 
@@ -310,10 +398,12 @@ def _on_geodesic(p, geo):
     return distance(p, trigroup.foot_of_perpendicular(geo, p)) < 1e-9
 
 
-# Four ideal points at least 0.1 apart, and an isometry that moves i by at
-# most a few units, so that every crossing stays well inside the disc.
-crossing_ends = st.lists(st.floats(-4, 4, allow_nan=False), min_size=4,
-                         max_size=4).filter(
+# Four circle angles in (-2pi, 0) at least 0.1 apart (the largest one then
+# sits at 1 on the circle, or at least 0.1 below it), and an isometry that
+# moves i by at most a few units, so that every crossing stays well inside
+# the disc.
+crossing_ends = st.lists(st.floats(-2 * math.pi + 0.1, -0.1, allow_nan=False),
+                         min_size=4, max_size=4).filter(
     lambda xs: min(b - a for a, b in zip(sorted(xs), sorted(xs)[1:])) > 0.1)
 moves = st.builds(
     iso_from_params,
@@ -326,9 +416,9 @@ moves = st.builds(
 @given(crossing_ends, st.booleans(), st.tuples(st.booleans(), st.booleans()),
        moves)
 @settings(max_examples=200, deadline=None)
-def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, vertical,
-                                                         flips, g):
-    A, B = _crossing_pair(ends, vertical, flips)
+def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, one, flips,
+                                                         g):
+    A, B = _crossing_pair(ends, one, flips)
     crossing = hyp2.geodesic_crossing(A, B)
     assert crossing is not None
     z, angle = crossing
@@ -341,8 +431,8 @@ def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, vertical,
     assert abs(moved[1] - angle) < 1e-9
     # The perpendicular pair through i stays perpendicular, crossing at g·i.
     z, angle = hyp2.geodesic_crossing(
-        hyp2.apply_geodesic(g, hyp2.Geodesic(-1.0, 1.0)),
-        hyp2.apply_geodesic(g, hyp2.Geodesic(0.0, math.inf)))
+        hyp2.apply_geodesic(g, hyp2.Geodesic(-1j, 1j)),
+        hyp2.apply_geodesic(g, hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)))
     assert distance(z, apply(g, HPoint(0.0, 1.0))) < 1e-9
     assert abs(angle - math.pi / 2) < 1e-9
 
@@ -363,26 +453,28 @@ def test_thresholds_are_read_at_call_time(monkeypatch):
 def _angles_interleave(g1, g2):
     """The boundary-angle reference for crossing: exactly one end of g2 lies
     on the counterclockwise arc from g1's first end to its second, the ends
-    read as atan2 angles of their disc boundary points."""
+    read as atan2 angles of their circle points."""
     tau = 2.0 * math.pi
     a1, b1, a2, b2 = (math.atan2(w.imag, w.real) % tau
-                      for w in map(hyp2.boundary_point, (g1.u, g1.v, g2.u, g2.v)))
+                      for w in (g1.u, g1.v, g2.u, g2.v))
     arc = (b1 - a1) % tau
     return ((a2 - a1) % tau < arc) != ((b2 - a1) % tau < arc)
 
 
-# Four distinct ideal points, INF in the place the index names (none at 4).
-ideal_ends = st.builds(
-    lambda xs, k: [hyp2.INF if i == k else x for i, x in enumerate(xs)],
-    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=4,
-             unique=True),
+# Four circle points at distinct angles, exactly 1 in the place the index
+# names (none at 4).
+circle_ends = st.builds(
+    lambda xs, k: [1.0 + 0.0j if i == k else w
+                   for i, w in enumerate(_circle(*xs))],
+    st.lists(st.floats(-math.pi, math.pi, allow_nan=False), min_size=4,
+             max_size=4, unique=True),
     st.integers(0, 4))
 
 
-@given(ideal_ends)
+@given(circle_ends)
 @settings(max_examples=200, deadline=None)
 def test_geodesic_crossing_iff_the_ends_interleave(ends):
-    # Distinct ideal ends, INF among them: a crossing is found exactly when
+    # Distinct circle ends, 1 among them: a crossing is found exactly when
     # the boundary-angle reference says the ends interleave, never for a
     # geodesic against itself or its reversal, and it lies on both.  The
     # normals read the ends as circle points: a chord whose ends are D apart
@@ -390,8 +482,7 @@ def test_geodesic_crossing_iff_the_ends_interleave(ends):
     # kept 1e-6 apart.  The point is the Klein solve's, whose rounding grows
     # as e^(2d)/sin(angle) at distance d from i (1 - |k|² = sech² d), so the
     # bound is 1e-9 only near i.
-    circle = [hyp2.boundary_point(t) for t in ends]
-    assume(all(abs(p - q) > 1e-6 for p, q in itertools.combinations(circle, 2)))
+    assume(all(abs(p - q) > 1e-6 for p, q in itertools.combinations(ends, 2)))
     g1, g2 = hyp2.Geodesic(*ends[:2]), hyp2.Geodesic(*ends[2:])
     for g in (g1, g2):
         assert hyp2.geodesic_crossing(g, g) is None

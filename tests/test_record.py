@@ -40,7 +40,7 @@ def test_constructors_keep_order_defaults_and_checks():
     with pytest.raises(GeometryError):
         HPoint(0.0, 0.0)
     with pytest.raises(GeometryError):
-        Geodesic(1.0, 1.0)
+        Geodesic(1.0 + 0.0j, 1.0 + 0.0j)
     with pytest.raises(ValueError):
         TorusMatrix(1, 1, 1, 1)
 

@@ -16,9 +16,7 @@ from orbiflow import config
 PACKAGE = Path(orbiflow.__file__).parent
 
 SURVIVORS = {
-    "hyp2": {
-        ("Isometry.boundary_image", 1e-300): 1,
-    },
+    "hyp2": {},
     "trigroup": {
         ("<module>", 1e-3): 1,  # _CELL, the dedup grid's cell width
         ("_clusters", 1e-5): 2,
@@ -94,9 +92,9 @@ def test_a_planted_threshold_fails_the_inventory():
 # holder as above.
 READERS = {
     "EPS_PT": {
-        "hyp2.geodesic_through", "hyp2.geodesic_crossing", "hyp2.axis_of",
-        "hyp2.is_identity", "trigroup._disc_candidates",
-        "trigroup.adjacency_isometries", "report.VerificationReport.as_dict",
+        "hyp2.geodesic_through", "hyp2.geodesic_crossing", "hyp2.is_identity",
+        "trigroup._disc_candidates", "trigroup.adjacency_isometries",
+        "report.VerificationReport.as_dict",
     },
     "EPS_BAND": {
         "hyp2.classify", "trigroup._coset_repeat",

@@ -6,15 +6,9 @@ from typing import Optional
 import pytest
 
 from orbiflow import cli, hyp2, render, trigroup
-from orbiflow.hyp2 import INF, Geodesic, GeometryError, apply, to_disc
+from orbiflow.hyp2 import GeometryError, HPoint, apply, to_disc
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, build_group, cell_tiling,
                                curve_lifts, curve_system, enumerate_elements)
-
-
-def _klein_boundary_point(t):
-    # Klein endpoint of one ideal point, computed from scratch.
-    w = hyp2.boundary_point(t)
-    return (w.real, w.imag)
 
 
 def _reference_cell_polygon(center, lifts):
@@ -25,8 +19,8 @@ def _reference_cell_polygon(center, lifts):
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
     for idx, lift in enumerate(lifts):
-        a = _klein_boundary_point(lift.u)
-        b = _klein_boundary_point(lift.v)
+        a = (lift.u.real, lift.u.imag)
+        b = (lift.v.real, lift.v.imag)
         mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
         if math.hypot(mx - kc[0], my - kc[1]) > 1.9:
             continue
@@ -81,6 +75,10 @@ def _bits(xs):
     return [x.hex() for x in xs]
 
 
+def _end_parts(geo):
+    return (geo.u.real, geo.u.imag, geo.v.real, geo.v.imag)
+
+
 @pytest.mark.parametrize("depth", (4, 5, 6))
 @pytest.mark.parametrize("case", CASES)
 def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
@@ -104,12 +102,19 @@ def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
 
 @pytest.mark.parametrize("case", CASES)
 def test_klein_ends_match_the_boundary_points(case):
-    lifts = curve_lifts(case, 6)
-    extra = (Geodesic(INF, 0.5), Geodesic(-2.0, INF), Geodesic(INF, 0.0))
-    for geo in lifts + extra:
-        a, b = geo.klein_ends
-        assert _bits(a) == _bits(_klein_boundary_point(geo.u))
-        assert _bits(b) == _bits(_klein_boundary_point(geo.v))
+    # The ends of the chords are points of the unit circle: the lifts' ends,
+    # and the ends of the geodesics through two points one above the other,
+    # the Cayley images (t - i)/(t + i) of t = x and of infinity, 1.
+    for geo in curve_lifts(case, 6):
+        for w in (geo.u, geo.v):
+            assert abs(abs(w) - 1.0) < 1e-12
+    for x in (0.5, -2.0, 0.0):
+        low, high = HPoint(x, 1.0), HPoint(x, 2.0)
+        foot = hyp2.cayley(complex(x, 0.0))
+        for geo, ends in ((hyp2.geodesic_through(low, high), (foot, 1.0)),
+                          (hyp2.geodesic_through(high, low), (1.0, foot))):
+            assert abs(geo.u - ends[0]) < 1e-12
+            assert abs(geo.v - ends[1]) < 1e-12
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -223,7 +228,7 @@ def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
         else trigroup.midpoint(group.Q, group.R)
     el, expected = _first_branch_in_ball(group, axis, crossing)
     assert len(el.word) == 1
-    assert _bits((second.u, second.v)) == _bits((expected.u, expected.v))
+    assert _bits(_end_parts(second)) == _bits(_end_parts(expected))
 
 
 def _drawing(case, depth):
@@ -278,8 +283,8 @@ def _completeness_faults(case):
             continue
         if hyp2.distance(origin, trigroup.foot_of_perpendicular(
                 ref, origin)) <= far:
-            faults.append(f"lift {ref.klein_ends} meets the X-disc")
-        faults.extend(f"lift {ref.klein_ends} meets the cell at {center}"
+            faults.append(f"lift ({ref.u}, {ref.v}) meets the X-disc")
+        faults.extend(f"lift ({ref.u}, {ref.v}) meets the cell at {center}"
                       for center, verts, _ in cells
                       if _meets_polygon(ref, verts))
     for center, verts, labels in cells:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -108,7 +109,8 @@ def _ball_bits(ball):
 
 
 def _lift_bits(lifts):
-    return [(g.u.hex(), g.v.hex()) for g in lifts]
+    return [(g.u.real.hex(), g.u.imag.hex(), g.v.real.hex(), g.v.imag.hex())
+            for g in lifts]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -237,9 +239,9 @@ def test_planted_stabilizer_fault_exits_2(case_data, fault, monkeypatch,
 
 
 def test_stored_lift_angles_match(case_data):
-    # The neighbour search reads the circle ends of every lift along the
-    # neighbour segment; the values it stored with each lift are the
-    # boundary points of u and v, bit for bit.
+    # The neighbour search reads the Klein chord of every lift along the
+    # neighbour segment; the line it stored with each lift is the line
+    # through its circle ends u and v, bit for bit.
     case, group, system, report = case_data
     c0, c1 = system.cell_center, report.neighbor_center
     lifts = lifts_along(group, system, (c0, c1))
@@ -249,11 +251,12 @@ def test_stored_lift_angles_match(case_data):
     assert not on_lift
     assert trigroup._clusters([t for t in ts if lo + 1e-9 < t < hi - 1e-9]) == 1
     for lift in lifts:
-        stored = lift.klein_ends
-        assert lift.klein_ends is stored
-        fresh = [hyp2.boundary_point(t) for t in (lift.u, lift.v)]
-        assert [x.hex() for end in stored for x in end] == \
-            [x.hex() for w in fresh for x in (w.real, w.imag)]
+        stored = lift.klein_line
+        assert lift.klein_line is stored
+        u, v = lift.u, lift.v
+        nx, ny = v.imag - u.imag, u.real - v.real
+        fresh = (nx, ny, nx * u.real + ny * u.imag, math.hypot(nx, ny))
+        assert [x.hex() for x in stored] == [x.hex() for x in fresh]
 
 
 def test_figure_eight_axis_through_midpoints():
@@ -271,9 +274,9 @@ def _chord_meets_triangle(geo, corners):
     """Whether the Klein chord of geo meets the closed triangle with the given
     Klein corners: the corners are not all strictly on one side of its line
     (the chord is the line's whole part inside the disc)."""
-    a, b = geo.klein_ends
-    sides = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-             for c in corners]
+    a, b = geo.u, geo.v
+    sides = [(b.real - a.real) * (c[1] - a.imag)
+             - (b.imag - a.imag) * (c[0] - a.real) for c in corners]
     return min(sides) <= 1e-12 and max(sides) >= -1e-12
 
 
@@ -292,11 +295,6 @@ def test_base_segments_inside_triangle(case_data):
     assert not _chord_meets_triangle(far, corners)
 
 
-def _ideal_point(theta):
-    """The ideal point of the upper half-plane at disc boundary angle theta."""
-    return -math.cos(theta / 2) / math.sin(theta / 2)
-
-
 def _plant_near_tangent(monkeypatch):
     """Make every tube also hold a lift crossing the geodesic through the
     last two points of its path at an angle below 1e-6: its ends are those
@@ -305,8 +303,9 @@ def _plant_near_tangent(monkeypatch):
 
     def planted(group, system, path):
         geo = hyp2.geodesic_through(path[-2], path[-1])
-        a, b = (math.atan2(y, x) for x, y in geo.klein_ends)
-        lift = hyp2.Geodesic(_ideal_point(a + 1e-5), _ideal_point(b + 1e-9))
+        a, b = (cmath.phase(w) for w in (geo.u, geo.v))
+        lift = hyp2.Geodesic(cmath.rect(1.0, a + 1e-5),
+                             cmath.rect(1.0, b + 1e-9))
         crossing = hyp2.geodesic_crossing(lift, geo)
         assert not hyp2.same_geodesic(lift, geo, 1e-7)
         assert crossing is not None and 0 < crossing[1] < 1e-6
@@ -335,8 +334,8 @@ def _end_gap(g1, g2):
     """Chebyshev distance between the circle ends of two geodesics, in the
     nearer of the two orders: what ``hyp2.same_geodesic`` compares."""
     def gap(p, q):
-        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-    (a1, b1), (a2, b2) = g1.klein_ends, g2.klein_ends
+        return max(abs(p.real - q.real), abs(p.imag - q.imag))
+    a1, b1, a2, b2 = g1.u, g1.v, g2.u, g2.v
     return min(max(gap(a1, a2), gap(b1, b2)), max(gap(a1, b2), gap(b1, a2)))
 
 
