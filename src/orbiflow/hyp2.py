@@ -2,28 +2,35 @@
 
 Model conventions
 -----------------
-Points live in the upper half-plane {x + iy : y > 0}.  Orientation-preserving
-isometries are real 2x2 matrices of determinant 1 acting by Mobius
-transformations z -> (az + b)/(cz + d).  Products choose no sign: every
-formula of the action reads M and -M alike (IEEE negation is exact), and
-equality is decided up to sign (``projective_dist``).
+The model is the Poincare disc.  A point is a complex number w of the open
+unit disc, and a geodesic is its two ends u -> v, complex numbers of the
+unit circle; there is no point at infinity.  Orientation-preserving
+isometries are the matrices (alpha beta; conj(beta) conj(alpha)) of SU(1,1),
+|alpha|² - |beta|² = 1 (Beardon, *The Geometry of Discrete Groups*), kept
+as their entries (alpha, beta).  One kernel, ``mobius``, moves points
+and ends alike: w -> (alpha·w + beta)/(conj(beta)·w + conj(alpha)).
+Products choose no sign: every formula of the action reads M and -M alike
+(IEEE negation is exact), and equality is decided up to sign
+(``projective_dist``).
 
-A geodesic is its two ends u -> v, complex points of the unit circle, the
-boundary of the disc onto which the Cayley map z -> (z - i)/(z + i) carries
-the half-plane; there is no point at infinity.  A matrix moves the ends by
-its disc action (``disc_entries``, ``circle_image``), and every other
-geodesic operation reads the chord from u to v in the Klein disc
-(``Geodesic.klein_line``): the axis of an isometry, the geodesic through two
-points, crossings, and the arclength coordinate along a geodesic, atanh of
-the affine coordinate along its chord (``axis_parameter``).  That
-coordinate's absolute error grows like 1e-16·e^(2d) at distance d from i;
-the points that verify and the depth-6 tilings of the five cases pass in
-lie within d = 2.64, where it is about 1e-14.
+Every other geodesic operation reads the chord from u to v in the Klein disc
+(``Geodesic.klein_line``), where a point w sits at 2w/(1 + |w|²)
+(``to_klein``): the axis of an isometry, the geodesic through two points,
+crossings, and the arclength coordinate along a geodesic, atanh of the
+affine coordinate along its chord (``axis_parameter``).
+
+Where precision runs out: at distance d from 0, 1 - |w| is about 2e^-d and
+1 - |k| of the Klein point about 2e^(-2d).  So one unit in the last place of
+w is a hyperbolic step of about 5e-17·e^d, and the arclength coordinate's
+absolute error grows like 1e-16·e^(2d); the points that verify and the
+depth-6 tilings of the five cases pass in lie within d = 2.64, where it is
+about 1e-14.  Beyond d of about 19 a Klein point rounds onto the circle,
+where ``axis_parameter`` raises GeometryError, and beyond about 38 so does
+the disc point itself.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
-``rotation_about(p, theta)`` rotates tangent vectors at p by theta, so its
-matrix is conjugate to [[cos(theta/2), sin(theta/2)], [-sin(theta/2),
-cos(theta/2)]] with trace 2*cos(theta/2).
+``rotation_about(p, theta)`` rotates tangent vectors at p by theta; about 0
+its entries are (e^(i·theta/2), 0), with trace 2·cos(theta/2).
 """
 from __future__ import annotations
 
@@ -40,51 +47,34 @@ class GeometryError(ChainError, ValueError):
     kind = "geometry (trigroup)"
 
 
-class HPoint(Value):
-    """Point x + iy of the upper half-plane (y > 0)."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: float, y: float):
-        if not y > 0:
-            raise GeometryError(f"point ({x}, {y}) not in upper half-plane")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-
-Entries = tuple[float, float, float, float]
+Entries = tuple[complex, complex]
 
 
 def compose_entries(e1: Entries, e2: Entries) -> Entries:
-    """Product of two matrices given by their entry tuples
+    """Product of two matrices given by their entries (alpha, beta)
     (``Isometry.entries()``); the one product kernel, ``Isometry.compose``
     included, so loops over many products need build no Isometry."""
-    a1, b1, c1, d1 = e1
-    a2, b2, c2, d2 = e2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    a1, b1 = e1
+    a2, b2 = e2
+    return (a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
 
 class Isometry(Value):
-    """SL(2,R) matrix [[a, b], [c, d]], ad - bc = 1, or its negative."""
+    """SU(1,1) matrix (alpha beta; conj(beta) conj(alpha)),
+    |alpha|² - |beta|² = 1, or its negative."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("alpha", "beta")
 
-    def __init__(self, a: float, b: float, c: float, d: float):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+    def __init__(self, alpha: complex, beta: complex):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @staticmethod
     def identity() -> "Isometry":
-        return Isometry(1.0, 0.0, 0.0, 1.0)
+        return Isometry(1.0 + 0.0j, 0.0j)
 
     def trace(self) -> float:
-        return self.a + self.d
+        return 2.0 * self.alpha.real
 
     def compose(self, other: "Isometry") -> "Isometry":
         return Isometry(*compose_entries(self.entries(), other.entries()))
@@ -93,22 +83,23 @@ class Isometry(Value):
         return Isometry(*inverse_entries(self.entries()))
 
     def entries(self) -> Entries:
-        return (self.a, self.b, self.c, self.d)
+        return (self.alpha, self.beta)
 
 
 def inverse_entries(e: Entries) -> Entries:
-    """Inverse of a matrix of determinant 1 given by its entry tuple."""
-    a, b, c, d = e
-    return (d, -b, -c, a)
+    """Inverse of an SU(1,1) matrix given by its entries: (conj(alpha), -beta)."""
+    alpha, beta = e
+    return (alpha.conjugate(), -beta)
 
 
 def projective_dist(e1: Entries, e2: Entries) -> float:
-    """Chebyshev distance between projective matrices, given by their entry
-    tuples (``Isometry.entries()``); M and -M are at distance 0."""
-    a1, b1, c1, d1 = e1
-    a2, b2, c2, d2 = e2
-    d_plus = max(abs(a1 - a2), abs(b1 - b2), abs(c1 - c2), abs(d1 - d2))
-    d_minus = max(abs(a1 + a2), abs(b1 + b2), abs(c1 + c2), abs(d1 + d2))
+    """Largest entry modulus of the difference of two projective matrices,
+    given by their entries (``Isometry.entries()``); M and -M are at
+    distance 0."""
+    a1, b1 = e1
+    a2, b2 = e2
+    d_plus = max(abs(a1 - a2), abs(b1 - b2))
+    d_minus = max(abs(a1 + a2), abs(b1 + b2))
     return min(d_plus, d_minus)
 
 
@@ -148,64 +139,47 @@ class Geodesic(Value):
         return nx, ny, nx * u.real + ny * u.imag, math.hypot(nx, ny)
 
 
-def mobius(e: Entries, z: complex) -> complex:
-    """Image of z under the matrix with entry tuple e; the kernel of apply."""
-    a, b, c, d = e
-    return (a * z + b) / (c * z + d)
-
-
-def apply(g: Isometry, p: HPoint) -> HPoint:
-    w = mobius(g.entries(), p.as_complex())
-    return HPoint(w.real, w.imag)
-
-
-def disc_entries(e: Entries) -> tuple[complex, complex]:
-    """(alpha, beta) of the matrix with entry tuple e conjugated into the
-    disc by the Cayley map: alpha = ((a + d) + i(b - c))/2 and
-    beta = ((a - d) - i(b + c))/2 (``circle_image``)."""
-    a, b, c, d = e
-    return (complex(0.5 * (a + d), 0.5 * (b - c)),
-            complex(0.5 * (a - d), -0.5 * (b + c)))
-
-
-def circle_image(ab: tuple[complex, complex], w: complex) -> complex:
-    """Image of the disc point w under the disc entries ab
-    (``disc_entries``): (alpha·w + beta)/(conj(beta)·w + conj(alpha))."""
-    alpha, beta = ab
+def mobius(e: Entries, w: complex) -> complex:
+    """Image of the point or end w under the matrix with entries e:
+    (alpha·w + beta)/(conj(beta)·w + conj(alpha))."""
+    alpha, beta = e
     return (alpha * w + beta) / (beta.conjugate() * w + alpha.conjugate())
 
 
+def apply(g: Isometry, w: complex) -> complex:
+    return mobius(g.entries(), w)
+
+
 def apply_geodesic(g: Isometry, geo: Geodesic) -> Geodesic:
-    ab = disc_entries(g.entries())
-    return Geodesic(circle_image(ab, geo.u), circle_image(ab, geo.v))
+    e = g.entries()
+    return Geodesic(mobius(e, geo.u), mobius(e, geo.v))
 
 
-def distance(p: HPoint, q: HPoint) -> float:
-    """2·asinh(|p - q| / (2·sqrt(Im p · Im q))): sinh(d/2) is that ratio
-    (cosh d = 1 + |p - q|²/(2·Im p·Im q) = 1 + 2·sinh²(d/2)).  Unlike
-    acosh(1 + ...), which reads 0 for offsets up to about 1.4e-8, it keeps
-    the relative precision of the offset."""
-    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y)
-                            / (2.0 * math.sqrt(p.y * q.y)))
+def distance(p: complex, q: complex) -> float:
+    """2·asinh(|p - q| / sqrt((1 - |p|²)(1 - |q|²))): sinh(d/2) is that
+    ratio.  Unlike acosh of 1 + 2·ratio², which reads 0 for offsets up to
+    about 1e-8, it keeps the relative precision of the offset."""
+    return 2.0 * math.asinh(abs(p - q) / math.sqrt(
+        (1.0 - (p.real * p.real + p.imag * p.imag))
+        * (1.0 - (q.real * q.real + q.imag * q.imag))))
 
 
-def _transport_from_i(p: HPoint) -> Isometry:
-    # Maps i to p: [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]].
-    s = math.sqrt(p.y)
-    return Isometry(s, p.x / s, 0.0, 1.0 / s)
-
-
-def rotation_about(p: HPoint, theta: float) -> Isometry:
-    """Elliptic isometry fixing p, rotating tangent vectors by theta (ccw)."""
-    h = theta / 2.0
-    rot = Isometry(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
-    t = _transport_from_i(p)
-    return t.compose(rot).compose(t.inverse())
+def rotation_about(p: complex, theta: float) -> Isometry:
+    """Elliptic isometry fixing p, rotating tangent vectors by theta (ccw):
+    the rotation (e, 0), e = e^(i·theta/2), about 0 conjugated by the
+    transport (1, p)/sqrt(1 - |p|²), w -> (w + p)/(conj(p)·w + 1), that
+    takes 0 to p.  Multiplied out, alpha = (e - |p|²·conj(e))/(1 - |p|²)
+    and beta = p·(conj(e) - e)/(1 - |p|²)."""
+    e = complex(math.cos(theta / 2.0), math.sin(theta / 2.0))
+    n = p.real * p.real + p.imag * p.imag
+    s = 1.0 - n
+    return Isometry((e - n * e.conjugate()) / s,
+                    p * (e.conjugate() - e) / s)
 
 
 def is_identity(g: Isometry) -> bool:
     """Projective identity test (matrix ~ +-Id), at 100 * EPS_PT."""
-    return projective_dist(g.entries(), (1, 0, 0, 1)) < 100 * config.EPS_PT
+    return projective_dist(g.entries(), (1.0, 0.0)) < 100 * config.EPS_PT
 
 
 def classify(g: Isometry) -> IsometryClass:
@@ -223,15 +197,15 @@ def classify(g: Isometry) -> IsometryClass:
 def axis_of(g: Isometry) -> Geodesic:
     """Oriented axis of a hyperbolic isometry, repelling -> attracting.
 
-    With the disc entries (alpha, beta) (``disc_entries``), the fixed points
-    of the disc action are w = (±r + i·Im alpha)/conj(beta), where
-    r = sqrt((Re alpha)² - 1), and the derivative there is
-    1/(Re alpha ± r)²: the end whose ±r has the sign of Re alpha attracts.
-    beta is not 0, since |beta|² = |alpha|² - 1 >= (Re alpha)² - 1 > 0."""
+    With the entries (alpha, beta), the fixed points of the action are
+    w = (±r + i·Im alpha)/conj(beta), where r = sqrt((Re alpha)² - 1), and
+    the derivative there is 1/(Re alpha ± r)²: the end whose ±r has the
+    sign of Re alpha attracts.  beta is not 0, since
+    |beta|² = |alpha|² - 1 >= (Re alpha)² - 1 > 0."""
     cls = classify(g)
     if cls.kind is not IsometryKind.HYPERBOLIC:
         raise GeometryError(f"axis requested for {cls.kind.value} isometry")
-    alpha, beta = disc_entries(g.entries())
+    alpha, beta = g.entries()
     s = math.copysign(math.sqrt(alpha.real * alpha.real - 1.0), alpha.real)
     den = beta.conjugate()
     return Geodesic(complex(-s, alpha.imag) / den,
@@ -249,71 +223,47 @@ def side_length_from_angles(alpha: float, beta: float, gamma: float) -> float:
     return math.acosh(num / den)
 
 
-def _point_at(direction_angle: float, dist: float) -> HPoint:
-    # From i, travel `dist` in the tangent direction making angle
-    # `direction_angle` with +x (so +y is pi/2).
-    up = HPoint(0.0, math.exp(dist))
-    rot = rotation_about(HPoint(0.0, 1.0), direction_angle - math.pi / 2.0)
-    return apply(rot, up)
-
-
-def triangle_from_angles(p: int, q: int, r: int) -> tuple[HPoint, HPoint, HPoint]:
+def triangle_from_angles(p: int, q: int, r: int) -> tuple[complex, complex, complex]:
     """Canonical triangle with angles pi/p, pi/q, pi/r.
 
-    Pose: P = i, Q east of P along the unit half-circle, R at angle +pi/p
-    counterclockwise from the PQ direction, so (P, Q, R) is positively
-    oriented.  Rejects non-hyperbolic parameter triples.
+    Pose: P = 0, Q straight down from P, at -i·tanh(d(P, Q)/2), and R at
+    angle +pi/p counterclockwise from the PQ direction, at
+    -i·e^(i·pi/p)·tanh(d(P, R)/2), so (P, Q, R) is positively oriented.
+    Rejects non-hyperbolic parameter triples.
     """
     if p * q + q * r + r * p >= p * q * r:  # 1/p + 1/q + 1/r >= 1
         raise GeometryError(f"({p},{q},{r}) is not a hyperbolic triple")
     ap, aq, ar = math.pi / p, math.pi / q, math.pi / r
-    d_pq = side_length_from_angles(ap, aq, ar)
-    d_pr = side_length_from_angles(ap, ar, aq)
-    P = HPoint(0.0, 1.0)
-    Q = _point_at(0.0, d_pq)
-    R = _point_at(ap, d_pr)
-    return P, Q, R
+    t_pq = math.tanh(side_length_from_angles(ap, aq, ar) / 2.0)
+    t_pr = math.tanh(side_length_from_angles(ap, ar, aq) / 2.0)
+    return (0.0j, complex(0.0, -t_pq),
+            complex(t_pr * math.sin(ap), -t_pr * math.cos(ap)))
 
 
-# --- Disc and Klein coordinates, and the geodesic operations on chords ---
+# --- Klein coordinates, and the geodesic operations on chords ---
 
-def cayley(z: complex) -> complex:
-    """Cayley map z -> (z - i)/(z + i) of the closed half-plane onto the
-    closed disc."""
-    return (z - 1j) / (z + 1j)
-
-
-def to_disc(p: HPoint) -> tuple[float, float]:
-    """Poincare-disc coordinates of p (``cayley``)."""
-    w = cayley(p.as_complex())
-    return (w.real, w.imag)
+def to_klein(w: complex) -> complex:
+    """Klein point 2w/(1 + |w|²) of the disc point w."""
+    return 2.0 / (1.0 + w.real * w.real + w.imag * w.imag) * w
 
 
-def to_klein(p: HPoint) -> tuple[float, float]:
-    wx, wy = to_disc(p)
-    s = 2.0 / (1.0 + wx * wx + wy * wy)
-    return (s * wx, s * wy)
-
-
-def klein_to_hpoint(kx: float, ky: float) -> HPoint:
-    n = kx * kx + ky * ky
+def from_klein(k: complex) -> complex:
+    """Disc point k/(1 + sqrt(1 - |k|²)) of the Klein point k, the inverse
+    of ``to_klein``."""
+    n = k.real * k.real + k.imag * k.imag
     if n >= 1.0:
         raise GeometryError("Klein point outside the disc")
-    s = 1.0 / (1.0 + math.sqrt(1.0 - n))
-    wx, wy = s * kx, s * ky
-    w = complex(wx, wy)
-    z = 1j * (1 + w) / (1 - w)
-    return HPoint(z.real, z.imag)
+    return 1.0 / (1.0 + math.sqrt(1.0 - n)) * k
 
 
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
+def geodesic_through(p: complex, q: complex) -> Geodesic:
     """Oriented geodesic through p then q: its ends are the points
     kp + s·(kq - kp) of the Klein line through their Klein points with
     |kp + s·(kq - kp)| = 1, u at the root s < 0 and v at the root s > 1."""
     if distance(p, q) < config.EPS_PT:
         raise GeometryError("geodesic through coincident points")
-    (px, py), (qx, qy) = to_klein(p), to_klein(q)
-    dx, dy = qx - px, qy - py
+    kp, kq = to_klein(p), to_klein(q)
+    px, py, dx, dy = kp.real, kp.imag, kq.real - kp.real, kq.imag - kp.imag
     # a·s² + 2b·s + c = 0, with c < 0 since p lies inside the circle.
     a, b, c = dx * dx + dy * dy, px * dx + py * dy, px * px + py * py - 1.0
     root = math.sqrt(b * b - a * c)
@@ -335,7 +285,7 @@ def same_geodesic(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
 
 
 def geodesic_crossing(g1: Geodesic, g2: Geodesic
-                      ) -> Optional[tuple[HPoint, float]]:
+                      ) -> Optional[tuple[complex, float]]:
     """Transverse crossing point of two geodesics and their unoriented angle
     in [0, pi/2], or None if they are disjoint or equal.
 
@@ -353,12 +303,12 @@ def geodesic_crossing(g1: Geodesic, g2: Geodesic
     if not b12 * b12 < b11b22 or same_geodesic(g1, g2, config.EPS_PT):
         return None
     det = n1x * n2y - n1y * n2x
-    point = klein_to_hpoint((c1 * n2y - c2 * n1y) / det,
-                            (n1x * c2 - n2x * c1) / det)
+    point = from_klein(complex((c1 * n2y - c2 * n1y) / det,
+                                  (n1x * c2 - n2x * c1) / det))
     return point, math.acos(min(1.0, abs(b12) / math.sqrt(b11b22)))
 
 
-def axis_parameter(g: Geodesic, p: HPoint) -> float:
+def axis_parameter(g: Geodesic, p: complex) -> float:
     """Signed arclength coordinate along g of the foot of p, increasing
     toward g.v, 0 at the midpoint of g's chord.
 
@@ -367,20 +317,25 @@ def axis_parameter(g: Geodesic, p: HPoint) -> float:
     f = k + mu·(n - c·k), mu = (c - n·k)/(|n|² - c·n·k).  Its affine
     coordinate s along the chord, 0 at the midpoint m = (u + v)/2 and ±1 at
     the ends m ± h, h = (v - u)/2, gives the coordinate atanh(s): the Klein
-    distance is half the log of a cross-ratio, which affine maps keep.
+    distance is half the log of a cross-ratio, which affine maps keep.  A
+    foot so far out that s rounds to ±1 raises GeometryError.
     """
-    kx, ky = to_klein(p)
+    k = to_klein(p)
+    kx, ky = k.real, k.imag
     nx, ny, c, _ = g.klein_line
     nk = nx * kx + ny * ky
     mu = (c - nk) / (nx * nx + ny * ny - c * nk)
     m, h = 0.5 * (g.u + g.v), 0.5 * (g.v - g.u)
     fx, fy = kx + mu * (nx - c * kx) - m.real, ky + mu * (ny - c * ky) - m.imag
-    return math.atanh((fx * h.real + fy * h.imag)
-                      / (h.real * h.real + h.imag * h.imag))
+    s = (fx * h.real + fy * h.imag) / (h.real * h.real + h.imag * h.imag)
+    if not -1.0 < s < 1.0:
+        raise GeometryError(f"the foot on a geodesic of a point at distance "
+                            f"{distance(0.0j, p):.2f} from 0 rounds onto "
+                            "the circle")
+    return math.atanh(s)
 
 
-def foot_on_axis(g: Geodesic, t: float) -> HPoint:
+def foot_on_axis(g: Geodesic, t: float) -> complex:
     """Point of g at axis parameter t (inverse of axis_parameter): the
     Klein point m + tanh(t)·h."""
-    k = 0.5 * (g.u + g.v) + math.tanh(t) * 0.5 * (g.v - g.u)
-    return klein_to_hpoint(k.real, k.imag)
+    return from_klein(0.5 * (g.u + g.v) + math.tanh(t) * 0.5 * (g.v - g.u))

@@ -1,7 +1,8 @@
 """Static SVG drawings of the curve-lift tilings in the Poincare disc.
 
-A geodesic's ends are already points of the unit circle (``hyp2``); points
-and Klein-polygon cells are carried into the disc here.  Output is
+Points and geodesic ends are already points of the disc and of its circle
+(``hyp2``), and a point w is drawn at (Re w, -Im w), since the SVG y axis
+points down; Klein-polygon cells are carried into the disc here.  Output is
 deterministic: fixed float formatting, fixed iteration order.
 """
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 
 from . import hyp2, trigroup
-from .hyp2 import Geodesic, HPoint, IsometryKind
+from .hyp2 import Geodesic, IsometryKind
 
 _FAMILY_STYLES = {
     "P": ("#1f77b4", "#c6dbef"),
@@ -17,19 +18,14 @@ _FAMILY_STYLES = {
     "R": ("#d62728", "#fcbba1"),
 }
 
-_DRAWN = 0.55  # the cone-point tiles drawn: disc coordinates w, |w|^2 <= this
-# ... that is, within this distance of i: |w| = tanh(d/2).
+_DRAWN = 0.55  # the cone-point tiles drawn: points w with |w|^2 <= this
+# ... that is, within this distance of 0: |w| = tanh(d/2).
 _DRAWN_RADIUS = 2.0 * math.atanh(math.sqrt(_DRAWN))
 
 
 def _fmt(x: float) -> str:
     v = f"{x:.6f}"
     return "0.000000" if v == "-0.000000" else v
-
-
-def _disc_xy(p: HPoint) -> tuple[float, float]:
-    wx, wy = hyp2.to_disc(p)
-    return wx, -wy  # SVG y axis points down
 
 
 def geodesic_path(geo: Geodesic) -> str:
@@ -48,7 +44,7 @@ def geodesic_path(geo: Geodesic) -> str:
             f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(vx)} {_fmt(vy)}")
 
 
-def _klein_to_disc_xy(kx: float, ky: float) -> tuple[float, float]:
+def _klein_xy(kx: float, ky: float) -> tuple[float, float]:
     n = kx * kx + ky * ky
     s = 1.0 / (1.0 + math.sqrt(max(1.0 - n, 0.0)))
     return s * kx, -s * ky
@@ -64,7 +60,7 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
         x1, y1 = vertices[(i + 1) % n]
         for s in range(12):
             t = s / 12
-            pts.append(_klein_to_disc_xy(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            pts.append(_klein_xy(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
     head = f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
     body = " ".join(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
     return head + body + " Z"
@@ -80,20 +76,21 @@ def tiling_svg(case: int, depth: int) -> str:
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
     # The only lift set a run builds: the lifts of the tiles of the word
-    # ball whose tile points lie within reach of i.  They hold every lift
-    # that meets the disc of radius far about i (``trigroup.drawing_disc``)
+    # ball whose tile points lie within reach of 0.  They hold every lift
+    # that meets the disc of radius far about 0 (``trigroup.drawing_disc``)
     # unless the depth cuts the search, so only a complete search certifies
-    # its cells: its deepest word is shorter than the depth, or one more
-    # word length adds no tile.
+    # its cells: one more word length adds no tile.  Then the ball of
+    # depth + 1 holds the same tiles, and the drawing reads it; only a search
+    # that the depth cuts also builds the ball of the depth.
     far, reach = trigroup.drawing_disc(group, system, _DRAWN_RADIUS)
-    ball = trigroup.enumerate_elements(group, depth, reach)
-    complete = (len(ball[-1].word) < depth or len(
-        trigroup.enumerate_elements(group, depth + 1, reach)) == len(ball))
-    lifts = trigroup.curve_lifts(case, depth, reach)
+    complete = len(trigroup.enumerate_elements(
+        group, depth + 1, reach)[-1].word) <= depth
+    drawn = depth + 1 if complete else depth
+    lifts = trigroup.curve_lifts(case, drawn, reach)
     adjacency = trigroup.adjacency_isometries(group, system)
 
     def certified(verts):
-        """verts, checked to lie within far of i when the search is
+        """verts, checked to lie within far of 0 when the search is
         complete: then a cell drawn is the true one."""
         if complete and trigroup.polygon_reach(
                 trigroup.DISC_ORIGIN, verts) > far:
@@ -110,8 +107,8 @@ def tiling_svg(case: int, depth: int) -> str:
             parts.append(f'<path d="{cell_path(certified(verts))}" {style}/>')
         elif complete:
             raise trigroup.EnumerationError(
-                f"the drawn cell about ({point.x:.6f}, {point.y:.6f}) has "
-                "an open side")
+                f"the drawn cell about ({point.real:.6f}, {point.imag:.6f}) "
+                "has an open side")
 
     parts: list[str] = []
     parts.append(
@@ -124,18 +121,18 @@ def tiling_svg(case: int, depth: int) -> str:
     # Tiles around every cone-point family not lying on the curve itself.
     for name in ("P", "Q", "R"):
         vertex = group.vertex(name)
-        # Within far of i, so that the lifts through it are drawn.
-        certified([hyp2.to_klein(vertex)])
+        # Within far of 0, so that the lifts through it are drawn.
+        k = hyp2.to_klein(vertex)
+        certified([(k.real, k.imag)])
         if trigroup.on_curve(vertex, lifts):
             continue
         stroke, fill = _FAMILY_STYLES[name]
         # Only the orbit points within the drawn disc, |w|^2 <= _DRAWN: the
         # orbit skips those beyond it (with a margin) before its dedup, and
         # the exact test here picks out the drawn ones.
-        orbit = trigroup.cell_tiling(group, vertex, depth, _DRAWN, reach)
+        orbit = trigroup.cell_tiling(group, vertex, drawn, _DRAWN, reach)
         for point, _ in orbit:
-            dx, dy = hyp2.to_disc(point)
-            if dx * dx + dy * dy > _DRAWN:
+            if point.real * point.real + point.imag * point.imag > _DRAWN:
                 continue
             draw_cell(point, f'fill="{fill}" fill-opacity="0.45" '
                              f'stroke="{stroke}" stroke-width="0.003"')
@@ -159,8 +156,8 @@ def tiling_svg(case: int, depth: int) -> str:
 
     for point, color in ((adjacency.base_center, "#b8860b"),
                          (adjacency.neighbor_center, "#a0522d")):
-        x, y = _disc_xy(point)
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.012" '
+        parts.append(f'<circle cx="{_fmt(point.real)}" '
+                     f'cy="{_fmt(-point.imag)}" r="0.012" '
                      f'fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,14 +18,16 @@ about the cell centre whose orbit points are the neighbour candidates and
 whose tiles are their witnesses (``_disc_candidates``), and the tube of
 tiles about a path (``lifts_along``).
 
-Tile points (1e-9 in disc coordinates, guard band to 10x), orbit points
-and curve lifts (1e-9) are deduped by one uniform-grid index,
-``_GridIndex``.  Its cells are 1e-3 wide, 10^5 times the largest probe
-radius, so a lookup reads a neighbouring cell only on an axis where the
-query lies within the probe radius of a wall: one cell nearly always, not
-3^4 (the fixed-radius grid of Bentley, Stanat and Williams, IPL 6(6), 1977).
+Points are points of the disc (``hyp2``); the drawn centre, the vertex P
+of T, is ``DISC_ORIGIN`` = 0.  Tile points (1e-9, guard band to 10x) and
+orbit points (1e-9), each by its own coordinates, and curve lifts (1e-9)
+are deduped by one uniform-grid index, ``_GridIndex``.  Its cells are 1e-3
+wide, 10^5 times the largest probe radius, so a lookup reads a neighbouring
+cell only on an axis where the query lies within the probe radius of a
+wall: one cell nearly always, not 3^4 (the fixed-radius grid of Bentley,
+Stanat and Williams, IPL 6(6), 1977).
 Margins on the radius-8 balls of the five groups: distinct tile points are
->= 2.3e-4 apart and equal ones land within 1.3e-15, so the 1e-9 radius and
+>= 2.3e-4 apart and equal ones land within 2.0e-15, so the 1e-9 radius and
 the 1e-8 guard band sit far from both.  The adjacency coset's at most 7
 matrices are compared pairwise, M and -M as equal (``_coset_repeat``).
 
@@ -33,19 +35,20 @@ Each neighbour candidate, and each hyperbolic axis over one period, is
 tested against the lifts of the tiles in a tube about its own path
 (``lifts_along``); only a drawing builds the lifts of a ball, and only of
 its tiles within the drawing's disc (``curve_lifts``).  A lift is its two
-ends on the unit circle, moved there by the disc action of its tile
-(``hyp2.circle_image``), with its Klein chord (``Geodesic.klein_line``)
-computed on first use.  Both path tests, the neighbour segment and the axis
-period, meet the lifts through one primitive, ``_meetings``: it takes each
-crossing's point and angle from the two Klein chords
-(``hyp2.geodesic_crossing``), and rejects a near-tangential crossing.  A
+ends on the unit circle, moved there by its tile through the Mobius kernel
+that moves points too (``hyp2.mobius``), with its Klein chord
+(``Geodesic.klein_line``) computed on first use.  Both path tests, the
+neighbour segment and the axis period, meet the lifts through one
+primitive, ``_meetings``: it takes each crossing's point and angle from the
+two Klein chords (``hyp2.geodesic_crossing``), and rejects a
+near-tangential crossing.  A
 drawing dedups only the orbit points within its disc (``cell_tiling``'s
 bound) and clips each of their tiles against the chords, skipping a chord
 farther from the tile's centre than its polygon so far reaches
 (``cell_polygon``); a cell within the radius X of ``drawing_disc`` is
 certified to be the true cell.  The per-element loops (tile steps, orbit
 points) run on entry tuples with ``hyp2``'s kernels and build an
-``Isometry`` or ``HPoint`` only for a new element.
+``Isometry`` only for a new element.
 """
 from __future__ import annotations
 
@@ -56,13 +59,11 @@ import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ChainError, Value, config, hyp2
-from .hyp2 import (Entries, Geodesic, GeometryError, HPoint, Isometry,
-                   IsometryClass, IsometryKind, apply, apply_geodesic, axis_of,
-                   axis_parameter, cayley, circle_image, classify,
-                   compose_entries, disc_entries, distance, foot_on_axis,
-                   geodesic_crossing, geodesic_through, mobius,
-                   projective_dist, rotation_about, same_geodesic, to_disc,
-                   to_klein)
+from .hyp2 import (Entries, Geodesic, GeometryError, Isometry, IsometryClass,
+                   IsometryKind, apply, apply_geodesic, axis_of, axis_parameter,
+                   classify, compose_entries, distance, foot_on_axis,
+                   from_klein, geodesic_crossing, geodesic_through, mobius,
+                   projective_dist, rotation_about, same_geodesic, to_klein)
 
 CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
 CASES = tuple(CASE_TRIPLES)
@@ -92,9 +93,9 @@ class TriangleGroup(Value):
     p: int
     q: int
     r: int
-    P: HPoint
-    Q: HPoint
-    R: HPoint
+    P: complex
+    Q: complex
+    R: complex
     gP: Isometry
     gQ: Isometry
     gR: Isometry
@@ -105,7 +106,7 @@ class TriangleGroup(Value):
             return base[letter]
         return base[letter.upper()].inverse()
 
-    def vertex(self, name: str) -> HPoint:
+    def vertex(self, name: str) -> complex:
         return {"P": self.P, "Q": self.Q, "R": self.R}[name]
 
 
@@ -211,7 +212,7 @@ def _geodesic_vec(u: complex, v: complex) -> tuple[float, float, float, float]:
     return (s.real, s.imag, pr.real, pr.imag)
 
 
-DISC_ORIGIN = HPoint(0.0, 1.0)  # i: the vertex P of T, the drawn centre
+DISC_ORIGIN = 0.0j  # the vertex P of T, the drawn centre
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,7 +220,7 @@ def enumerate_elements(group: TriangleGroup, max_len: int,
                        reach: float = math.inf) -> tuple[GroupElement, ...]:
     """All distinct elements of word length <= max_len, in shortlex order:
     the tiles of ``_tiles`` up to that word length; with a finite `reach`,
-    only the tiles whose tile point lies within `reach` of i, found through
+    only the tiles whose tile point lies within `reach` of 0, found through
     such tiles (``drawing_disc``)."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -246,15 +247,15 @@ class CurveSystem(Value):
     case: int
     base_geodesics: tuple[Geodesic, ...]
     center_vertex: str
-    cell_center: HPoint
+    cell_center: complex
     stabilizer_order: int
 
 
-def foot_of_perpendicular(geo: Geodesic, p: HPoint) -> HPoint:
+def foot_of_perpendicular(geo: Geodesic, p: complex) -> complex:
     return foot_on_axis(geo, axis_parameter(geo, p))
 
 
-def midpoint(a: HPoint, b: HPoint) -> HPoint:
+def midpoint(a: complex, b: complex) -> complex:
     """Midpoint of the geodesic segment from a to b."""
     geo = geodesic_through(a, b)
     ta, tb = axis_parameter(geo, a), axis_parameter(geo, b)
@@ -301,7 +302,7 @@ def curve_system(case: int) -> CurveSystem:
     return CurveSystem(case, bases, center, group.vertex(center), order)
 
 
-def _second_branch(group: TriangleGroup, axis: Geodesic, pt: HPoint) -> Geodesic:
+def _second_branch(group: TriangleGroup, axis: Geodesic, pt: complex) -> Geodesic:
     """Second lift of the figure-eight curve through its crossing point: the
     first in ball order within word length 4."""
     def through_pt(el: GroupElement) -> bool:
@@ -320,9 +321,9 @@ def _orbit_lifts(mats: Iterable[Isometry],
     index = _GridIndex(1e-9)
     lifts: list[Geodesic] = []
     for m in mats:
-        ab = disc_entries(m.entries())
+        e = m.entries()
         for base in bases:
-            u, v = circle_image(ab, base.u), circle_image(ab, base.v)
+            u, v = mobius(e, base.u), mobius(e, base.v)
             if index.insert(_geodesic_vec(u, v)) is None:
                 lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
     return tuple(lifts)
@@ -332,7 +333,7 @@ def _orbit_lifts(mats: Iterable[Isometry],
 def curve_lifts(case: int, depth: int,
                 reach: float = math.inf) -> tuple[Geodesic, ...]:
     """The deduped orbit of the base geodesics in the word ball, cut to
-    `reach` about i (``enumerate_elements``), in order."""
+    `reach` about 0 (``enumerate_elements``), in order."""
     group = build_group(*CASE_TRIPLES[case])
     return _orbit_lifts(
         (el.matrix for el in enumerate_elements(group, depth, reach)),
@@ -340,25 +341,25 @@ def curve_lifts(case: int, depth: int,
 
 
 @functools.lru_cache(maxsize=16)
-def _tile_point(group: TriangleGroup) -> tuple[HPoint, float]:
+def _tile_point(group: TriangleGroup) -> tuple[complex, float]:
     """The tile point o, the Klein centroid of the base triangle T (no
     rotation fixes it), and r_T, o's largest distance to a vertex of T: each
     point of a tile g·T lies within r_T of its tile point g·o."""
     corners = (group.P, group.Q, group.R)
-    ks = [to_klein(v) for v in corners]
-    o = hyp2.klein_to_hpoint(sum(k[0] for k in ks) / 3, sum(k[1] for k in ks) / 3)
+    o = from_klein(sum(to_klein(v) for v in corners) / 3)
     return o, max(distance(o, v) for v in corners)
 
 
-def _in_disc(center: HPoint, radius: float):
-    """The test of a point z of the half-plane (a complex number) for
-    d(center, z) <= radius: |z - c|^2 <= 2 Im(c) Im(z) (cosh radius - 1)."""
-    c = center.as_complex()
-    scale = 2.0 * c.imag * (math.cosh(radius) - 1.0)
+def _in_disc(c: complex, radius: float):
+    """The test of a point z for d(c, z) <= radius:
+    |z - c|^2 <= sinh^2(radius/2) (1 - |z|^2) (1 - |c|^2)."""
+    scale = (math.sinh(radius / 2.0) ** 2
+             * (1.0 - (c.real * c.real + c.imag * c.imag)))
 
     def within(z: complex) -> bool:
         dz = z - c
-        return dz.real * dz.real + dz.imag * dz.imag <= scale * z.imag
+        return (dz.real * dz.real + dz.imag * dz.imag
+                <= scale * (1.0 - (z.real * z.real + z.imag * z.imag)))
     return within
 
 
@@ -366,26 +367,26 @@ def _tiles(group: TriangleGroup, keep=None,
            max_len: float = math.inf) -> Iterator[GroupElement]:
     """The tiles g·T, as elements g with their words, breadth-first from the
     identity in shortlex order, up to word length max_len; with `keep`, only
-    those whose tile point g·o (a complex number in the half-plane) `keep`
-    accepts, the identity always.  The search is the one enumeration of the
-    group: the word ball is its whole run to a radius.
+    those whose tile point g·o `keep` accepts, the identity always.  The
+    search is the one enumeration of the group: the word ball is its whole
+    run to a radius.
 
-    A tile is deduped by its tile point: no rotation fixes o, so g·o
-    identifies g.  The dedup radius is 1e-9 in disc coordinates, and a
-    nearest tile point in (1e-9, 1e-8) raises DedupAmbiguityError.  On the
-    radius-8 balls of the five groups, equal tile points land within 1.3e-15
-    and distinct ones lie >= 2.3e-4 apart.  The tile point of g·s is g(s·o),
-    so g·s is composed only once it is kept, and the step back, by the
-    inverse of the last letter of g's word, is not taken: it leads to g's
-    parent, a tile already found."""
-    o = _tile_point(group)[0].as_complex()
+    A tile is deduped by its tile point itself: no rotation fixes o, so g·o
+    identifies g.  The dedup radius is 1e-9, and a nearest tile point in
+    (1e-9, 1e-8) raises DedupAmbiguityError.  On the radius-8 balls of the
+    five groups, equal tile points land within 2.0e-15 and distinct ones lie
+    >= 2.3e-4 apart.  The tile point of g·s is g(s·o), one Mobius
+    evaluation, so g·s is composed only once it is kept, and the step back,
+    by the inverse of the last letter of g's word, is not taken: it leads to
+    g's parent, a tile already found."""
+    o = _tile_point(group)[0]
     steps = []
     for letter in ALPHABET:
         gen = group.generator(letter).entries()
         steps.append((letter, gen, mobius(gen, o)))
     tiles = [GroupElement((), Isometry.identity())]
     index = _GridIndex(1e-9, guard=10.0)
-    index.insert(_disc_image(tiles[0].matrix.entries(), o))
+    index.insert((o.real, o.imag))
     yield tiles[0]
     # A queue: the loop reaches the tiles it appends.
     for tile in tiles:
@@ -395,8 +396,11 @@ def _tiles(group: TriangleGroup, keep=None,
         entries = tile.matrix.entries()
         back = word[-1].swapcase() if word else None
         for letter, gen, step in steps:
-            if (letter != back and (keep is None or keep(mobius(entries, step)))
-                    and index.insert(_disc_image(entries, step)) is None):
+            if letter == back:
+                continue
+            w = mobius(entries, step)
+            if ((keep is None or keep(w))
+                    and index.insert((w.real, w.imag)) is None):
                 tiles.append(GroupElement(word + (letter,), Isometry(
                     *compose_entries(entries, gen))))
                 yield tiles[-1]
@@ -435,27 +439,34 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> float:
 
 
 def lifts_along(group: TriangleGroup, system: CurveSystem,
-                path: Sequence[HPoint]) -> tuple[Geodesic, ...]:
+                path: Sequence[complex]) -> tuple[Geodesic, ...]:
     """Every curve lift meeting the polyline `path` from the cell centre, and a
     few near it: the deduped g·b over the bases b and the tiles g of
-    ``_tiles`` whose tile point, framed with a segment of length L up from i,
-    is a w with |Re w| <= sinh(rho) Im w, log|w| in [-rho, L + rho]."""
+    ``_tiles`` whose tile point, framed with a segment of length L from 0
+    along the positive real axis, is a w within rho of that axis,
+    2|Im w| <= sinh(rho) (1 - |w|^2), with the Klein abscissa of its foot,
+    2 Re w/(1 + |w|^2), in [tanh(-rho), tanh(L + rho)]."""
     rho = _tube(group, system)
-    spread, low = math.sinh(rho), math.exp(-2.0 * rho)
-    frames = []  # per segment a-b: the isometry taking a to i, b up from i
+    spread, low = math.sinh(rho), math.tanh(-rho)
+    # Per segment a-b: the transport w -> (w - a)/(1 - conj(a)·w), which
+    # takes a to 0, then the turn by e^(-i·phi), phi the argument of b's
+    # image, which takes b onto the positive real axis: the entries
+    # (t, -t·a), t = e^(-i·phi/2), of an SU(1,1) matrix up to a real scale,
+    # which mobius ignores.
+    frames = []
     for a, b in zip(path, path[1:]):
-        r = math.sqrt(a.y)
-        shift = Isometry(1.0 / r, -a.x / r, 0.0, r)
-        w = cayley(mobius(shift.entries(), b.as_complex()))
-        turn = rotation_about(HPoint(0.0, 1.0), -math.atan2(w.imag, w.real))
-        frames.append((turn.compose(shift).entries(),
-                       math.exp(2.0 * (distance(a, b) + rho))))
+        w = mobius((1.0 + 0.0j, -a), b)
+        half = -0.5 * math.atan2(w.imag, w.real)
+        t = complex(math.cos(half), math.sin(half))
+        frames.append(((t, -t * a), math.tanh(distance(a, b) + rho)))
 
     def in_tube(z: complex) -> bool:
         for frame, high in frames:
             w = mobius(frame, z)
-            if (abs(w.real) <= spread * w.imag
-                    and low <= w.real * w.real + w.imag * w.imag <= high):
+            x, y = w.real, w.imag
+            n = x * x + y * y
+            if (2.0 * abs(y) <= spread * (1.0 - n)
+                    and low * (1.0 + n) <= 2.0 * x <= high * (1.0 + n)):
                 return True
         return False
 
@@ -465,23 +476,23 @@ def lifts_along(group: TriangleGroup, system: CurveSystem,
 
 # --- Tiling cells ---------------------------------------------------------
 
-def _orbit(elements: Iterable[GroupElement], center: HPoint,
-           limit: float = math.inf) -> Iterator[tuple[HPoint, GroupElement]]:
-    """The orbit points g·center of the elements, each with the first
-    element that reaches it, deduped at 1e-9 in disc coordinates w.  An
-    element with |w|^2 > limit is skipped before the dedup."""
+def _orbit(elements: Iterable[GroupElement], center: complex,
+           limit: float = math.inf) -> Iterator[tuple[complex, GroupElement]]:
+    """The orbit points w = g·center of the elements, each with the first
+    element that reaches it, deduped at 1e-9.  An element with
+    |w|^2 > limit is skipped before the dedup."""
     index = _GridIndex(1e-9)
-    z = center.as_complex()
     for el in elements:
-        w = _disc_image(el.matrix.entries(), z)
-        if w[0] * w[0] + w[1] * w[1] <= limit and index.insert(w) is None:
-            yield apply(el.matrix, center), el
+        w = mobius(el.matrix.entries(), center)
+        if (w.real * w.real + w.imag * w.imag <= limit
+                and index.insert((w.real, w.imag)) is None):
+            yield w, el
 
 
-def cell_tiling(group: TriangleGroup, center: HPoint, depth: int,
+def cell_tiling(group: TriangleGroup, center: complex, depth: int,
                 bound: float = 1.0, reach: float = math.inf
-                ) -> list[tuple[HPoint, GroupElement]]:
-    """Orbit of the cell center `center` in the ball, cut to `reach` about i
+                ) -> list[tuple[complex, GroupElement]]:
+    """Orbit of the cell center `center` in the ball, cut to `reach` about 0
     (``enumerate_elements``), with witnesses: each orbit point with its
     first element in ball order (``_orbit``).  An element with
     |w|^2 > bound + 1e-6 is skipped before the dedup, so with the default
@@ -494,7 +505,7 @@ def cell_tiling(group: TriangleGroup, center: HPoint, depth: int,
                        bound + 1e-6))
 
 
-def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
+def cell_polygon(center: complex, lifts: Sequence[Geodesic]):
     """Convex tile around `center` cut out by the lifts, in Klein coordinates.
 
     Returns (vertices, side_sources): vertices of the clipped polygon and,
@@ -508,14 +519,15 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     clips nothing: it is skipped before the vertices are tested.  reach is
     recomputed only after a wall clips.
     """
-    kc = to_klein(center)
+    k = to_klein(center)
+    kx, ky = k.real, k.imag
     big = 8.0
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
-    reach = max(math.hypot(x - kc[0], y - kc[1]) for x, y in verts)
+    reach = max(math.hypot(x - kx, y - ky) for x, y in verts)
     for idx, lift in enumerate(lifts):
         nx, ny, c, norm = lift.klein_line
-        sign = nx * kc[0] + ny * kc[1] - c
+        sign = nx * kx + ny * ky - c
         if sign == 0.0:
             raise GeometryError("cell center lies on a wall")
         if abs(sign) > reach * norm * (1.0 + 1e-9) + 1e-12:
@@ -544,7 +556,7 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
         verts, labels = new_v, new_l
         if not verts:
             raise GeometryError("cell clipped to nothing")
-        reach = max(math.hypot(x - kc[0], y - kc[1]) for x, y in verts)
+        reach = max(math.hypot(x - kx, y - ky) for x, y in verts)
     # Drop degenerate slivers.
     cleaned_v, cleaned_l = [], []
     n = len(verts)
@@ -556,11 +568,12 @@ def cell_polygon(center: HPoint, lifts: Sequence[Geodesic]):
     return cleaned_v, cleaned_l
 
 
-def on_curve(vertex: HPoint, lifts: Iterable[Geodesic]) -> bool:
+def on_curve(vertex: complex, lifts: Iterable[Geodesic]) -> bool:
     """Whether a lift passes within 1e-7 of `vertex`.  The Klein distance to
     a chord is at most the hyperbolic distance to its lift, so the chord
     test (within 1e-6), made first, passes every lift the exact one accepts."""
-    kx, ky = to_klein(vertex)
+    k = to_klein(vertex)
+    kx, ky = k.real, k.imag
     for lift in lifts:
         nx, ny, c, norm = lift.klein_line
         if (abs(nx * kx + ny * ky - c) <= 1e-6 * norm
@@ -569,7 +582,7 @@ def on_curve(vertex: HPoint, lifts: Iterable[Geodesic]) -> bool:
     return False
 
 
-def polygon_reach(center: HPoint, verts: Sequence[tuple[float, float]]) -> float:
+def polygon_reach(center: complex, verts: Sequence[tuple[float, float]]) -> float:
     """The largest distance from `center` to a vertex of the convex Klein
     polygon `verts`, so that the polygon lies within it of `center`; inf if
     a vertex is not inside the unit disc.
@@ -581,7 +594,7 @@ def polygon_reach(center: HPoint, verts: Sequence[tuple[float, float]]) -> float
     for kx, ky in verts:
         if not kx * kx + ky * ky < 1.0:
             return math.inf
-        far = max(far, distance(center, hyp2.klein_to_hpoint(kx, ky)))
+        far = max(far, distance(center, from_klein(complex(kx, ky))))
     return far
 
 
@@ -634,10 +647,10 @@ def _cell_radius(group: TriangleGroup, system: CurveSystem) -> float:
 def drawing_disc(group: TriangleGroup, system: CurveSystem,
                  radius: float) -> tuple[float, float]:
     """(X, reach) for drawing the cells whose cone points lie within `radius`
-    of i (the vertex P of T): the disc of X = radius + r_cell
+    of 0 (the vertex P of T): the disc of X = radius + r_cell
     (``_cell_radius``, with a 1e-9 rounding margin) holds them, and the
-    lifts of the tiles within reach = ``_lift_reach`` of i hold every lift
-    meeting it, so a drawn cell within X of i is the true cell
+    lifts of the tiles within reach = ``_lift_reach`` of 0 hold every lift
+    meeting it, so a drawn cell within X of 0 is the true cell
     (``polygon_reach``)."""
     far = radius + _cell_radius(group, system) + 1e-9
     return far, _lift_reach(group, system, far)
@@ -657,8 +670,8 @@ class AdjacencyReport(Value):
     __slots__ = ("case", "base_center", "neighbor_center", "entries",
                  "elliptic", "hyperbolic", "parabolic")
     case: int
-    base_center: HPoint
-    neighbor_center: HPoint
+    base_center: complex
+    neighbor_center: complex
     entries: tuple[AdjacencyEntry, ...]
     elliptic: int
     hyperbolic: int
@@ -700,10 +713,10 @@ def _clusters(ts: list[float], period: float = math.inf) -> int:
 
 
 def _disc_candidates(group: TriangleGroup, system: CurveSystem
-                     ) -> tuple[float, list[tuple[HPoint, GroupElement]]]:
+                     ) -> tuple[float, list[tuple[complex, GroupElement]]]:
     """(D, the orbit points p = g·c0 of the cell centre c0 with
     0 < d(c0, p) <= D, each with the first tile g that reaches it, ranked by
-    distance, then by disc coordinates).  D is the smallest nonzero
+    distance, then by coordinates).  D is the smallest nonzero
     d(c0, x·c0) over the generators x, so the nearest orbit points are among
     them.
 
@@ -729,14 +742,14 @@ def _disc_candidates(group: TriangleGroup, system: CurveSystem
     for p, tile in _orbit(_tiles(group, in_disc), c0):
         d = distance(p, c0)
         if config.EPS_PT <= d <= reach + 1e-9:
-            dx, dy = to_disc(p)
-            ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, tile))
+            ranked.append(((round(d, 9), round(p.real, 9), round(p.imag, 9)),
+                           p, tile))
     ranked.sort(key=operator.itemgetter(0))
     return reach, [(p, tile) for _, p, tile in ranked]
 
 
 def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
-                        count: int = 2) -> list[tuple[HPoint, GroupElement]]:
+                        count: int = 2) -> list[tuple[complex, GroupElement]]:
     """The first `count` adjacent same-type tile centres among the orbit
     points of ``_disc_candidates``, each with its witness: the first tile of
     the disc search that carries the base centre c0 to it.  Any witness
@@ -751,7 +764,7 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
     """
     c0 = system.cell_center
     reach, candidates = _disc_candidates(group, system)
-    chosen: list[tuple[HPoint, GroupElement]] = []
+    chosen: list[tuple[complex, GroupElement]] = []
     for p, witness in candidates:
         # The segment meets the lifts at the crossings strictly inside it.
         geo = geodesic_through(c0, p)
@@ -766,16 +779,6 @@ def canonical_neighbors(group: TriangleGroup, system: CurveSystem,
                            f"distance {reach:.6f} of the cell centre")
 
 
-def _disc_image(e: Entries, z: complex) -> tuple[float, float]:
-    """``to_disc(apply(g, p))`` for g given by its entries, p by p.as_complex(),
-    with the same arithmetic and the same check that the image is a point."""
-    w = mobius(e, z)
-    if not w.imag > 0:
-        raise GeometryError(f"point ({w.real}, {w.imag}) not in upper half-plane")
-    d = cayley(w)
-    return (d.real, d.imag)
-
-
 def _coset_repeat(m: Entries, earlier: Sequence[Entries]) -> bool:
     """Whether m lies within ``config.EPS_BAND`` of an earlier coset matrix
     (``projective_dist``); a nearest in (EPS_BAND, 10·EPS_BAND) raises."""
@@ -788,7 +791,7 @@ def _coset_repeat(m: Entries, earlier: Sequence[Entries]) -> bool:
 
 
 def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
-                         neighbor: Optional[tuple[HPoint, GroupElement]] = None
+                         neighbor: Optional[tuple[complex, GroupElement]] = None
                          ) -> AdjacencyReport:
     """All group elements carrying the base tile center c0 to the neighbor
     tile center c1, classified; `neighbor` is c1 with a witness w, w·c0 = c1,
@@ -807,15 +810,13 @@ def adjacency_isometries(group: TriangleGroup, system: CurveSystem,
     c1, witness = neighbor
     letter = system.center_vertex.lower()
     step = group.generator(letter).entries()
-    z0 = c0.as_complex()
     m, word = witness.matrix.entries(), witness.word
     entries = []
     counts = {IsometryKind.ELLIPTIC: 0, IsometryKind.HYPERBOLIC: 0,
               IsometryKind.PARABOLIC: 0}
     for _ in range(system.stabilizer_order):
         name = "".join(word) or "1"
-        w = mobius(m, z0)
-        miss = distance(HPoint(w.real, w.imag), c1)
+        miss = distance(mobius(m, c0), c1)
         if miss > 10.0 * config.EPS_PT:
             raise EnumerationError(f"coset element {name} misses the "
                                    f"neighbor center by {miss:.2e}")

@@ -192,7 +192,10 @@ def test_criterion_8_property_suites():
     rng = random.Random(2024)
 
     def random_point():
-        return hyp2.HPoint(rng.uniform(-3, 3), rng.uniform(0.1, 4))
+        # The disc image (z - i)/(z + i) of a point z = x + iy of the upper
+        # half-plane, |x| <= 3, 0.1 <= y <= 4.
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 4))
+        return (z - 1j) / (z + 1j)
 
     def random_isometry():
         g = hyp2.Isometry.identity()

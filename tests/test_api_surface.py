@@ -151,8 +151,10 @@ OBSERVED_PARAMETERS = {"trigroup.enumerate_elements": {"group", "max_len"},
 
 def test_perfbench_reads_what_the_package_defines():
     # The traced benchmark binds its observers to spans by name and reads
-    # their arguments by name; a renamed function or parameter would break
-    # it outside the test paths.  perfbench/child.py reads the ball cache.
+    # their arguments by name, and counts the calls of
+    # ``hyp2.Isometry.compose``; a renamed function, method or parameter
+    # would break it outside the test paths.  perfbench/child.py reads the
+    # ball cache.
     tracer = _perfbench_tracer()
     spans = tracer.Observers().by_span_name()
     assert set(OBSERVED_PARAMETERS) <= set(spans)
@@ -165,3 +167,5 @@ def test_perfbench_reads_what_the_package_defines():
         assert OBSERVED_PARAMETERS.get(span, set()) <= set(params), span
     trigroup = importlib.import_module("orbiflow.trigroup")
     assert callable(trigroup.enumerate_elements.cache_info)
+    hyp2 = importlib.import_module("orbiflow.hyp2")
+    assert inspect.isfunction(vars(hyp2.Isometry).get("compose"))

@@ -394,8 +394,9 @@ def test_exit_code_matches_pass_flag(tmp_path):
 
 
 def test_geodesic_path_formats():
-    from orbiflow.hyp2 import Geodesic, cayley
-    path = render.geodesic_path(Geodesic(cayley(0.5), cayley(2.0)))
+    from orbiflow.hyp2 import Geodesic
+    path = render.geodesic_path(Geodesic(complex(-0.6, -0.8),
+                                         complex(0.6, -0.8)))
     assert path.startswith("M ")
     assert "A" in path
     # From 1 to -1 on the circle passes through the disc center: rendered as

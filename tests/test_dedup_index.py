@@ -1,10 +1,9 @@
-import itertools
 import math
 
 import pytest
 
 from orbiflow import config, trigroup
-from orbiflow.hyp2 import Isometry, compose_entries, projective_dist
+from orbiflow.hyp2 import Isometry, compose_entries, mobius, projective_dist
 from orbiflow.trigroup import (ALPHABET, CASE_TRIPLES, CASES,
                                _CELL, DedupAmbiguityError, GroupElement,
                                _GridIndex, _coset_repeat, build_group,
@@ -21,20 +20,19 @@ def _mid_cell():
 
 def test_planted_near_duplicate_raises():
     identity = Isometry.identity().entries()
-    for planted in ((1.0 + 3 * BAND, 0.0, 0.0, 1.0),
-                    (-1.0, 0.0, -3 * BAND, -1.0)):
+    for planted in ((1.0 + 3 * BAND, 0.0j), (-1.0 + 0.0j, -3j * BAND)):
         with pytest.raises(DedupAmbiguityError):
             _coset_repeat(planted, [identity])
 
 
 def test_duplicate_and_distinct_vectors():
-    earlier = [Isometry.identity().entries(), (2.0, 1.0, 1.0, 1.0)]
+    earlier = [Isometry.identity().entries(), (1.5 + 0.0j, 0.5 - 1.0j)]
     assert not _coset_repeat(earlier[0], [])
-    assert _coset_repeat((1.0, BAND / 2, 0.0, 1.0), earlier)
-    assert _coset_repeat((-1.0, 0.0, 0.0, -1.0), earlier)
-    assert _coset_repeat((-2.0, -1.0, -1.0 - BAND / 2, -1.0), earlier)
-    assert not _coset_repeat((1.0, 20 * BAND, 0.0, 1.0), earlier)
-    assert not _coset_repeat((0.0, 1.0, -1.0, 0.0), earlier)
+    assert _coset_repeat((1.0 + 0.0j, BAND / 2 * 1j), earlier)
+    assert _coset_repeat((-1.0 + 0.0j, 0.0j), earlier)
+    assert _coset_repeat((-1.5 + 0.0j, -0.5 + (1.0 + BAND / 2) * 1j), earlier)
+    assert not _coset_repeat((1.0 + 0.0j, 20j * BAND), earlier)
+    assert not _coset_repeat((1j, 0.0j), earlier)
 
 
 @pytest.mark.parametrize("side", (-1, 1))
@@ -91,7 +89,8 @@ def _reference_ball(group, max_len):
 
 
 def _ball_bits(ball):
-    return [(el.word, [x.hex() for x in el.matrix.entries()]) for el in ball]
+    return [(el.word, [part.hex() for x in el.matrix.entries()
+                       for part in (x.real, x.imag)]) for el in ball]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -108,11 +107,11 @@ def test_every_skipped_ball_product_is_a_duplicate(case):
     # the dedup radius of the tile point of the word's parent, and the ball
     # is the one the search builds.
     group = build_group(*CASE_TRIPLES[case])
-    o = trigroup._tile_point(group)[0].as_complex()
+    o = trigroup._tile_point(group)[0]
     gens = {letter: group.generator(letter).entries() for letter in ALPHABET}
     index = _GridIndex(1e-9, guard=10.0)
     stored = [GroupElement((), Isometry.identity())]
-    index.insert(trigroup._disc_image(stored[0].matrix.entries(), o))
+    index.insert((o.real, o.imag))
     frontier = stored[:]
     skipped = 0
     for _ in range(6):
@@ -120,7 +119,8 @@ def test_every_skipped_ball_product_is_a_duplicate(case):
         for el in frontier:
             for letter in ALPHABET:
                 m = compose_entries(el.matrix.entries(), gens[letter])
-                found = index.insert(trigroup._disc_image(m, o))
+                w = mobius(m, o)
+                found = index.insert((w.real, w.imag))
                 if el.word and letter == el.word[-1].swapcase():
                     skipped += 1
                     assert found is not None
@@ -133,20 +133,65 @@ def test_every_skipped_ball_product_is_a_duplicate(case):
     assert _ball_bits(stored) == _ball_bits(enumerate_elements(group, 6))
 
 
+def _tile_point_margins(group, radius):
+    """Replay the tile search of the radius with every step taken: (the
+    number of tiles, the largest distance of a dedup hit from the tile point
+    it hits, the least distance between two distinct tile points)."""
+    o = trigroup._tile_point(group)[0]
+    gens = [group.generator(letter).entries() for letter in ALPHABET]
+    index = _GridIndex(1e-9, guard=10.0)
+    index.insert((o.real, o.imag))
+    frontier = [Isometry.identity().entries()]
+    hit = 0.0
+    for _ in range(radius):
+        fresh = []
+        for m in frontier:
+            for gen in gens:
+                step = compose_entries(m, gen)
+                w = mobius(step, o)
+                found = index.insert((w.real, w.imag))
+                if found is None:
+                    fresh.append(step)
+                else:
+                    u = index.vectors[found]
+                    hit = max(hit, abs(w.real - u[0]), abs(w.imag - u[1]))
+        frontier = fresh
+    points = sorted(index.vectors)
+    apart = math.inf
+    for i, (x, y) in enumerate(points):
+        for u, v in points[i + 1:]:
+            if u - x >= apart:
+                break
+            apart = min(apart, max(u - x, abs(v - y)))
+    return len(points), hit, apart
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tile_point_dedup_margins_on_the_radius_8_balls(case):
+    # Equal tile points land within 1e-12 of each other and distinct ones
+    # lie at least 1e-5 apart: far on either side of the 1e-9 dedup radius
+    # and its 1e-8 guard band.
+    group = build_group(*CASE_TRIPLES[case])
+    tiles, hit, apart = _tile_point_margins(group, 8)
+    assert tiles == len(enumerate_elements(group, 8))
+    assert hit <= 1e-12
+    assert apart >= 1e-5
+
+
 def test_planted_near_duplicate_tile_point_raises(monkeypatch):
     # Every tile point after the identity's is moved 3e-9 off, so the first
     # product equal to the identity (PQR, at radius 3) lands between the 1e-9
     # dedup radius and the 1e-8 guard band of the identity's tile point.
     group = build_group(2, 3, 7)
-    real = trigroup._disc_image
-    calls = itertools.count()
 
-    def planted(e, z):
-        w = real(e, z)
-        return w if next(calls) == 0 else (w[0] + 3e-9, w[1])
+    class Planted(_GridIndex):
+        def insert(self, vec):
+            if self.vectors:
+                vec = (vec[0] + 3e-9, vec[1])
+            return super().insert(vec)
 
     enumerate_elements.cache_clear()
-    monkeypatch.setattr(trigroup, "_disc_image", planted)
+    monkeypatch.setattr(trigroup, "_GridIndex", Planted)
     try:
         with pytest.raises(DedupAmbiguityError):
             enumerate_elements(group, 3)

@@ -2,7 +2,7 @@
 fields, without dataclasses."""
 import pytest
 
-from orbiflow.hyp2 import Geodesic, GeometryError, HPoint, IsometryClass, IsometryKind
+from orbiflow.hyp2 import Geodesic, GeometryError, IsometryClass, IsometryKind
 from orbiflow.report import CaseReport, VerificationReport
 from orbiflow.surgery import SlopeCoefficient
 from orbiflow.torusmap import RationalPoint, TorusMatrix
@@ -14,7 +14,7 @@ def test_value_equality_hash_and_repr():
     assert p != RationalPoint(2, 1, 3)
     assert p != (1, 2, 3)
     assert repr(p) == "RationalPoint(num_x=1, num_y=2, den=3)"
-    assert repr(HPoint(0.5, 2.0)) == "HPoint(x=0.5, y=2.0)"
+    assert repr(Geodesic(1j, -1.0 + 0.0j)) == "Geodesic(u=1j, v=(-1+0j))"
 
 
 def test_value_fields_are_frozen():
@@ -37,8 +37,6 @@ def test_constructors_keep_order_defaults_and_checks():
     assert VerificationReport([rep], rep, 12).include_timings is False
     with pytest.raises(TypeError):
         RationalPoint(1, 2)
-    with pytest.raises(GeometryError):
-        HPoint(0.0, 0.0)
     with pytest.raises(GeometryError):
         Geodesic(1.0 + 0.0j, 1.0 + 0.0j)
     with pytest.raises(ValueError):

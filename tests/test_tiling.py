@@ -6,7 +6,7 @@ from typing import Optional
 import pytest
 
 from orbiflow import cli, hyp2, render, trigroup
-from orbiflow.hyp2 import GeometryError, HPoint, apply, to_disc
+from orbiflow.hyp2 import GeometryError, apply
 from orbiflow.trigroup import (CASE_TRIPLES, CASES, build_group, cell_tiling,
                                curve_lifts, curve_system, enumerate_elements)
 
@@ -14,7 +14,8 @@ from orbiflow.trigroup import (CASE_TRIPLES, CASES, build_group, cell_tiling,
 def _reference_cell_polygon(center, lifts):
     """cell_polygon as it was before the Klein chords were cached: every
     lift's endpoints recomputed, and every lift within reach clipped."""
-    kc = hyp2.to_klein(center)
+    k = hyp2.to_klein(center)
+    kc = (k.real, k.imag)
     big = 8.0
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
@@ -103,24 +104,26 @@ def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
 @pytest.mark.parametrize("case", CASES)
 def test_klein_ends_match_the_boundary_points(case):
     # The ends of the chords are points of the unit circle: the lifts' ends,
-    # and the ends of the geodesics through two points one above the other,
-    # the Cayley images (t - i)/(t + i) of t = x and of infinity, 1.
+    # and the ends of the geodesics through two points of the diameter from
+    # -1 to 1 moved by the transport w -> (w + a)/(conj(a)·w + 1), the
+    # images of -1 and 1.
     for geo in curve_lifts(case, 6):
         for w in (geo.u, geo.v):
             assert abs(abs(w) - 1.0) < 1e-12
-    for x in (0.5, -2.0, 0.0):
-        low, high = HPoint(x, 1.0), HPoint(x, 2.0)
-        foot = hyp2.cayley(complex(x, 0.0))
-        for geo, ends in ((hyp2.geodesic_through(low, high), (foot, 1.0)),
-                          (hyp2.geodesic_through(high, low), (1.0, foot))):
-            assert abs(geo.u - ends[0]) < 1e-12
-            assert abs(geo.v - ends[1]) < 1e-12
+    for a in (0.5 + 0.2j, -0.3j, 0.0j):
+        def move(w):
+            return (w + a) / (a.conjugate() * w + 1.0)
+        low, high, ends = move(-0.4), move(0.3), (move(-1.0), move(1.0))
+        for geo, (u, v) in ((hyp2.geodesic_through(low, high), ends),
+                            (hyp2.geodesic_through(high, low), ends[::-1])):
+            assert abs(geo.u - u) < 1e-12
+            assert abs(geo.v - v) < 1e-12
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_cell_tiling_matches_apply_reference(case):
     # Orbit of each cone point in the radius-5 ball: same points bit for
-    # bit, same witnesses, in the same order, as apply and to_disc give.
+    # bit, same witnesses, in the same order, as apply gives.
     # With the whole disc as bound that is the full orbit; with a drawing's
     # bound, the points within it are the same first elements.
     group = build_group(*CASE_TRIPLES[case])
@@ -130,20 +133,19 @@ def test_cell_tiling_matches_apply_reference(case):
         expected = []
         for el in enumerate_elements(group, 5):
             img = apply(el.matrix, center)
-            if index.insert(to_disc(img)) is None:
+            if index.insert((img.real, img.imag)) is None:
                 expected.append((img, el))
         for bound in (1.0, 0.55):
             got = [(p, el) for p, el in cell_tiling(group, center, 5, bound)
                    if _disc_norm(p) <= bound]
-            assert [(_bits((p.x, p.y)), el) for p, el in got] == \
-                [(_bits((p.x, p.y)), el) for p, el in expected
+            assert [(_bits((p.real, p.imag)), el) for p, el in got] == \
+                [(_bits((p.real, p.imag)), el) for p, el in expected
                  if _disc_norm(p) <= bound]
         assert len(got) < len(expected)
 
 
 def _disc_norm(p):
-    dx, dy = to_disc(p)
-    return dx * dx + dy * dy
+    return p.real * p.real + p.imag * p.imag
 
 
 @pytest.fixture
@@ -168,15 +170,19 @@ def ball_log(monkeypatch):
 
 @pytest.mark.parametrize("argv,balls", [
     (["verify", "--case", "344", "--depth", "16"], set()),
-    (["tiling", "--case", "344", "--depth", "6"], {((3, 4, 4), 6)}),
+    (["tiling", "--case", "344", "--depth", "6"], {((3, 4, 4), 7)}),
+    (["tiling", "--case", "344", "--depth", "5"], {((3, 4, 4), 6)}),
     (["verify", "--case", "344", "--depth", "6"], set()),
-], ids=["verify-344-d16", "tiling-344-d6", "verify-344-d6"])
+], ids=["verify-344-d16", "tiling-344-d6", "tiling-344-d5",
+        "verify-344-d6"])
 def test_run_builds_no_word_ball_or_only_the_drawn_one(argv, balls, ball_log,
                                                        tmp_path):
     # The searches of a verify run (the second branch, the tube axes, the
     # disc of neighbour candidates and their witnesses, the tubes) walk the
-    # tiles and stop where they end; a drawing builds one word ball, of its
-    # depth, once.
+    # tiles and stop where they end.  A drawing builds the word ball of its
+    # depth + 1, once: at depths 5 and 6 of 344 that ball's deepest word is
+    # within the depth, so the search is complete and the drawing reads
+    # that ball.
     out = ["--json", str(tmp_path / "r.json")] if argv[0] == "verify" \
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
@@ -233,11 +239,15 @@ def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
 
 def _drawing(case, depth):
     """(X, the drawn lifts, each drawn cell as (centre, vertices, labels)):
-    what `tiling_svg(case, depth)` clips against its lifts and draws."""
+    what `tiling_svg(case, depth)` clips against its lifts and draws.  A
+    complete search draws the lifts of the ball of depth + 1, which holds
+    the same tiles as that of the depth."""
     group = build_group(*CASE_TRIPLES[case])
     far, reach = trigroup.drawing_disc(group, curve_system(case),
                                        render._DRAWN_RADIUS)
-    lifts = curve_lifts(case, depth, reach)
+    deeper = enumerate_elements(group, depth + 1, reach)
+    assert len(deeper[-1].word) <= depth
+    lifts = curve_lifts(case, depth + 1, reach)
     cells = []
     real = trigroup.cell_polygon
 

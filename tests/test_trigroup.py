@@ -105,7 +105,8 @@ def cold():
 
 
 def _ball_bits(ball):
-    return [(el.word, tuple(x.hex() for x in el.matrix.entries())) for el in ball]
+    return [(el.word, tuple(part.hex() for x in el.matrix.entries()
+                            for part in (x.real, x.imag))) for el in ball]
 
 
 def _lift_bits(lifts):
@@ -146,12 +147,12 @@ def _all_pairs_words(group, system, depth, neighbor):
     eps = config.EPS_PT
     ball = enumerate_elements(group, (depth + 1) // 2)
     c0, c1 = system.cell_center, neighbor
-    sources = [hyp2.to_disc(apply(el.matrix, c0)) for el in ball]
+    sources = [apply(el.matrix, c0) for el in ball]
     pairs = []
     for u in ball:
-        t = hyp2.to_disc(apply(u.matrix.inverse(), c1))
+        t = apply(u.matrix.inverse(), c1)
         pairs += [(u, v) for v, w in zip(ball, sources)
-                  if max(abs(t[0] - w[0]), abs(t[1] - w[1])) <= 1e-7]
+                  if max(abs(t.real - w.real), abs(t.imag - w.imag)) <= 1e-7]
     pairs.sort(key=lambda uv: (len(uv[0].word) + len(uv[1].word),
                                uv[0].word, uv[1].word))
     found = []
@@ -275,8 +276,8 @@ def _chord_meets_triangle(geo, corners):
     Klein corners: the corners are not all strictly on one side of its line
     (the chord is the line's whole part inside the disc)."""
     a, b = geo.u, geo.v
-    sides = [(b.real - a.real) * (c[1] - a.imag)
-             - (b.imag - a.imag) * (c[0] - a.real) for c in corners]
+    sides = [(b.real - a.real) * (c.imag - a.imag)
+             - (b.imag - a.imag) * (c.real - a.real) for c in corners]
     return min(sides) <= 1e-12 and max(sides) >= -1e-12
 
 
@@ -457,8 +458,8 @@ def _reference_neighbors(group, system, count):
         d = distance(p, c0)
         if d < config.EPS_PT:
             continue
-        dx, dy = hyp2.to_disc(p)
-        ranked.append(((round(d, 9), round(dx, 9), round(dy, 9)), p, el))
+        ranked.append(((round(d, 9), round(p.real, 9), round(p.imag, 9)),
+                       p, el))
     ranked.sort(key=lambda item: item[0])
     chosen = []
     for _, p, el in ranked:
@@ -476,8 +477,8 @@ def test_neighbors_match_the_ball_reference(case_data):
     _, group, system, _ = case_data
     got = canonical_neighbors(group, system, count=2)
     expected = _reference_neighbors(group, system, 2)
-    assert [(p.x.hex(), p.y.hex(), el.word) for p, el in got] == \
-        [(p.x.hex(), p.y.hex(), el.word) for p, el in expected]
+    assert [(p.real.hex(), p.imag.hex(), el.word) for p, el in got] == \
+        [(p.real.hex(), p.imag.hex(), el.word) for p, el in expected]
 
 
 def test_disc_candidates_are_the_ball_orbit_points_within_reach(case_data):
@@ -487,13 +488,13 @@ def test_disc_candidates_are_the_ball_orbit_points_within_reach(case_data):
     _, group, system, _ = case_data
     c0 = system.cell_center
     reach, candidates = trigroup._disc_candidates(group, system)
-    ball = [hyp2.to_disc(p) for p, _ in cell_tiling(group, c0, 8)
+    ball = [(p.real, p.imag) for p, _ in cell_tiling(group, c0, 8)
             if config.EPS_PT <= distance(p, c0) <= reach + 1e-9]
-    disc = [hyp2.to_disc(p) for p, _ in candidates]
+    disc = [(p.real, p.imag) for p, _ in candidates]
     assert len(disc) == len(ball) >= 2
     for p, tile in candidates:
         q = apply(tile.matrix, c0)
-        assert (q.x.hex(), q.y.hex()) == (p.x.hex(), p.y.hex())
+        assert (q.real.hex(), q.imag.hex()) == (p.real.hex(), p.imag.hex())
 
     def matched(a, b):
         return all(any(max(abs(x - u), abs(y - v)) < 1e-9 for u, v in b)
