@@ -38,13 +38,17 @@ DEFAULT_DEPTH = 12
 
 # One record per row of the paper's theorem: the case, its triangle triple
 # (p, q, r), the periodic orbit of the torus map that the section's boundary
-# runs along, and the a of the filling slope 1/a.  ``trigroup.CASES`` and
-# ``CASE_TRIPLES``, ``surgery.THEOREM_ROWS`` and the report's per-case
-# triple, orbit and slope are read from it.
+# runs along, the a of the filling slope 1/a, then the section curve as its
+# words and the cone vertex at the centre of its distinguished tile.  A word
+# is a hyperbolic product of the rotations P, Q, R about the vertices of
+# ``trigroup``'s triangle (lowercase the inverse), and its axis, run from
+# the repelling end, is one branch of the curve.  ``trigroup.CASES``,
+# ``CASE_TRIPLES`` and ``curve_system``, ``surgery.THEOREM_ROWS`` and the
+# report's per-case triple, orbit and slope are read from it.
 PAPER_ROWS = (
-    (237, (2, 3, 7), "gamma1", 1),
-    (245, (2, 4, 5), "gamma1", 2),
-    (246, (2, 4, 6), "gamma2", 1),
-    (334, (3, 3, 4), "gamma1", 3),
-    (344, (3, 4, 4), "gamma2", 2),
+    (237, (2, 3, 7), "gamma1", 1, ("RQp",), "R"),
+    (245, (2, 4, 5), "gamma1", 2, ("qR",), "R"),
+    (246, (2, 4, 6), "gamma2", 1, ("RRq",), "Q"),
+    (334, (3, 3, 4), "gamma1", 3, ("Pq", "Rp"), "R"),
+    (344, (3, 4, 4), "gamma2", 2, ("Qr", "rQ"), "P"),
 )

@@ -26,7 +26,7 @@ absolute error grows like 1e-16·e^(2d); the points that verify and the
 depth-6 tilings of the five cases pass in lie within d = 2.64, where it is
 about 1e-14.  Beyond d of about 19 a Klein point rounds onto the circle,
 where ``axis_parameter`` raises GeometryError, and beyond about 38 so does
-the disc point itself.
+the disc point itself, where ``distance`` raises it.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
 ``rotation_about(p, theta)`` rotates tangent vectors at p by theta; about 0
@@ -150,18 +150,18 @@ def apply(g: Isometry, w: complex) -> complex:
     return mobius(g.entries(), w)
 
 
-def apply_geodesic(g: Isometry, geo: Geodesic) -> Geodesic:
-    e = g.entries()
-    return Geodesic(mobius(e, geo.u), mobius(e, geo.v))
-
-
 def distance(p: complex, q: complex) -> float:
     """2·asinh(|p - q| / sqrt((1 - |p|²)(1 - |q|²))): sinh(d/2) is that
     ratio.  Unlike acosh of 1 + 2·ratio², which reads 0 for offsets up to
-    about 1e-8, it keeps the relative precision of the offset."""
-    return 2.0 * math.asinh(abs(p - q) / math.sqrt(
-        (1.0 - (p.real * p.real + p.imag * p.imag))
-        * (1.0 - (q.real * q.real + q.imag * q.imag))))
+    about 1e-8, it keeps the relative precision of the offset.  A point so
+    far out (d of about 39 from 0) that 1 - |w|² rounds to 0 raises
+    GeometryError."""
+    sp = 1.0 - (p.real * p.real + p.imag * p.imag)
+    sq = 1.0 - (q.real * q.real + q.imag * q.imag)
+    if not (sp > 0.0 and sq > 0.0):
+        raise GeometryError(f"the point {p if not sp > 0.0 else q} rounds "
+                            "onto the unit circle")
+    return 2.0 * math.asinh(abs(p - q) / math.sqrt(sp * sq))
 
 
 def rotation_about(p: complex, theta: float) -> Isometry:

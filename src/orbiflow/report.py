@@ -19,7 +19,8 @@ SCHEMA_VERSION = 3
 # Per-case expected values: adjacency split, section invariants, fixed-point
 # counts and homology orders.  A case's triple, orbit and slope are its row
 # of ``config.PAPER_ROWS``.
-_ROWS = {case: (triple, orbit, a) for case, triple, orbit, a in config.PAPER_ROWS}
+_ROWS = {case: (triple, orbit, a)
+         for case, triple, orbit, a, _, _ in config.PAPER_ROWS}
 EXPECTED = {
     237: {"adjacency": (7, 5, 2), "chi": -1, "n_components": 1,
           "directions": [[1, 1]], "total_direction": [1, 1], "turning": None,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -320,13 +321,33 @@ def _complement(orbit: CatOrbit) -> Complement:
     raise DegenerateChoiceError(f"no generic parameter choice worked: {last_err}")
 
 
+@functools.lru_cache(maxsize=64)
+def _reduced_complement(orbit: CatOrbit):
+    """The complement's relation rows R in Smith form, once per orbit:
+    with U·R·V = D, the diagonal d_j of D and the columns of V over the
+    generators y_j = (V^-1·x)_j with d_j != 1 (a column beyond D's diagonal
+    has d_j = 0), and the longitude class.  In the y the rows of R span the
+    rows d_j·e_j, and a unit d_j kills y_j."""
+    rows, longitude = _complement(orbit)
+    D, _, V = intlinalg.smith_normal_form([list(r) for r in rows])
+    diag = [D[j][j] if j < len(D) else 0 for j in range(len(longitude))]
+    keep = [j for j, d in enumerate(diag) if d != 1]
+    return (tuple(diag[j] for j in keep),
+            tuple(tuple(row[j] for j in keep) for row in V), longitude)
+
+
 def surgered_h1(spec: SurgerySpec) -> AbelianGroup:
     """First homology of the b/a filling of the orbit complement: the
-    complement's relations plus the fill row a*longitude + b*meridian."""
-    rows, longitude = _complement(spec.orbit)
+    complement's relations plus the fill row f = a*longitude + b*meridian,
+    reduced as the rows d_j·e_j and f·V over the generators that the
+    complement's Smith form leaves (``_reduced_complement``)."""
+    diag, V, longitude = _reduced_complement(spec.orbit)
     fill = [spec.slope.a * f for f in longitude]
     fill[2 + 0] += spec.slope.b  # meridian = loop around the base puncture
-    return AbelianGroup.from_relation_rows(rows + (fill,), len(longitude))
+    rows = [[d if i == j else 0 for j in range(len(diag))]
+            for i, d in enumerate(diag) if d]
+    rows.append([sum(map(operator.mul, fill, col)) for col in zip(*V)])
+    return AbelianGroup.from_relation_rows(rows, len(diag))
 
 
 # --- Seifert side -----------------------------------------------------------
@@ -361,8 +382,8 @@ def gamma2() -> CatOrbit:
 # The rows of ``config.PAPER_ROWS`` in the paper's order: by orbit, then by
 # the a of the slope 1/a.
 THEOREM_ROWS = tuple((orbit, SlopeCoefficient(1, a), triple)
-                     for _, triple, orbit, a in sorted(
-                         config.PAPER_ROWS, key=lambda row: row[2:]))
+                     for _, triple, orbit, a, _, _ in sorted(
+                         config.PAPER_ROWS, key=lambda row: row[2:4]))
 
 
 class TheoremRowCheck(Value):

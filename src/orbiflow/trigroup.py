@@ -2,20 +2,20 @@
 
 The groups are generated by counterclockwise rotations by 2*pi/p, 2*pi/q,
 2*pi/r about the vertices of the canonical triangle (see ``hyp2``).  The
-five section curves are realized by explicit base geodesics whose group
-orbit tiles the plane, and fixed-point bookkeeping reduces to counting the
-isometries carrying the distinguished tile to a chosen adjacent tile: the
-coset of a witness by the rotations about the tile's centre vertex.
+five section curves are given as words (``config.PAPER_ROWS``): each base
+geodesic is the axis of one word, and the group orbit of the bases is the
+curve's lift set (``curve_system``).  Fixed-point bookkeeping reduces to
+counting the isometries carrying the distinguished tile to a chosen
+adjacent tile: the coset of a witness by the rotations about the tile's
+centre vertex.
 
 One breadth-first search walks the group, ``_tiles``: from the identity, in
 shortlex order, it finds the tiles g·T of the base triangle T, deduped by
 their tile points g·o.  Every enumeration is a use of it: the word ball of
 a radius, which only a drawing builds, cut to the disc of tiles that can
-reach a drawn cell (``enumerate_elements``, ``drawing_disc``), the first
-element of the radius-4 ball that a test accepts (``_first_in_ball``: a
-tube's axis element, the figure-eight's second branch), the disc of tiles
-about the cell centre whose orbit points are the neighbour candidates and
-whose tiles are their witnesses (``_disc_candidates``), and the tube of
+reach a drawn cell (``enumerate_elements``, ``drawing_disc``), the disc of
+tiles about the cell centre whose orbit points are the neighbour candidates
+and whose tiles are their witnesses (``_disc_candidates``), and the tube of
 tiles about a path (``lifts_along``).
 
 Points are points of the disc (``hyp2``); the drawn centre, the vertex P
@@ -60,12 +60,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ChainError, Value, config, hyp2
 from .hyp2 import (Entries, Geodesic, GeometryError, Isometry, IsometryClass,
-                   IsometryKind, apply, apply_geodesic, axis_of, axis_parameter,
+                   IsometryKind, apply, axis_of, axis_parameter,
                    classify, compose_entries, distance, foot_on_axis,
                    from_klein, geodesic_crossing, geodesic_through, mobius,
                    projective_dist, rotation_about, same_geodesic, to_klein)
 
-CASE_TRIPLES = {case: triple for case, triple, _, _ in config.PAPER_ROWS}
+CASE_TRIPLES = {case: triple for case, triple, *_ in config.PAPER_ROWS}
+_CURVES = {case: (words, center)
+           for case, _, _, _, words, center in config.PAPER_ROWS}
 CASES = tuple(CASE_TRIPLES)
 
 ALPHABET = ("P", "p", "Q", "q", "R", "r")  # lowercase marks the inverse
@@ -228,23 +230,19 @@ def enumerate_elements(group: TriangleGroup, max_len: int,
     return tuple(_tiles(group, keep, max_len))
 
 
-def _first_in_ball(group: TriangleGroup, accept) -> Optional[GroupElement]:
-    """The first element of word length <= 4, in ball order, that `accept`
-    takes, or None.  The search is lazy: it stops at the element."""
-    return next(filter(accept, _tiles(group, max_len=4)), None)
-
-
 # --- Section curves -------------------------------------------------------
 
 class CurveSystem(Value):
-    """Base data of one section curve: defining geodesics inside the triangle
-    whose group orbit is the full lift set, plus the distinguished tile.  Its
-    centre is the cone vertex named `center_vertex`, whose generator rotation
-    generates the tile's stabilizer, of order `stabilizer_order`."""
+    """Base data of one section curve: its words, the hyperbolic elements
+    whose axes are its base geodesics (one per branch; their group orbit is
+    the full lift set), plus the distinguished tile.  Its centre is the cone
+    vertex named `center_vertex`, whose generator rotation generates the
+    tile's stabilizer, of order `stabilizer_order`."""
 
-    __slots__ = ("case", "base_geodesics", "center_vertex", "cell_center",
-                 "stabilizer_order")
+    __slots__ = ("case", "words", "base_geodesics", "center_vertex",
+                 "cell_center", "stabilizer_order")
     case: int
+    words: tuple[GroupElement, ...]
     base_geodesics: tuple[Geodesic, ...]
     center_vertex: str
     cell_center: complex
@@ -255,64 +253,32 @@ def foot_of_perpendicular(geo: Geodesic, p: complex) -> complex:
     return foot_on_axis(geo, axis_parameter(geo, p))
 
 
-def midpoint(a: complex, b: complex) -> complex:
-    """Midpoint of the geodesic segment from a to b."""
-    geo = geodesic_through(a, b)
-    ta, tb = axis_parameter(geo, a), axis_parameter(geo, b)
-    return foot_on_axis(geo, ta + 0.5 * (tb - ta))
-
-
 @functools.lru_cache(maxsize=16)
 def curve_system(case: int) -> CurveSystem:
-    """The section curve of one of the five cases, on the canonical triangle.
+    """The section curve of one of the five cases, on the canonical triangle:
+    the axes of its words (``config.PAPER_ROWS``), each run from its
+    repelling end to its attracting one (``axis_of``, which raises
+    GeometryError on a word that is not hyperbolic).
 
-    237: full geodesic through P perpendicular to QR (the doubled altitude).
-    245: full geodesic through P and Q (the doubled edge b).
-    246: full geodesic through P and R (the doubled edge c).
-    334: figure-eight geodesic crossing itself at the midpoint J of PQ,
-         realized as the axis of gP * gQ^-1 together with the second branch
-         through J from the group orbit.
-    344: same with Q, R and the midpoint K of QR, axis of gQ * gR^-1.
+    237: RQp, the full geodesic from P perpendicular to QR (the doubled
+         altitude).
+    245: qR, the full geodesic through P then Q (the doubled edge b).
+    246: RRq, the full geodesic through P then R (the doubled edge c).
+    334: Pq and Rp = p·Pq·P, the two branches of a figure-eight geodesic
+         crossing itself at the midpoint of PQ; the second is the first
+         moved by gP^-1.
+    344: Qr and rQ = q·Qr·Q, the same about the midpoint of QR, moved by
+         gQ^-1.
     """
     group = build_group(*CASE_TRIPLES[case])
-    P, Q, R = group.P, group.Q, group.R
-    if case == 237:
-        qr = geodesic_through(Q, R)
-        bases, center = (geodesic_through(P, foot_of_perpendicular(qr, P)),), "R"
-    elif case == 245:
-        bases, center = (geodesic_through(P, Q),), "R"
-    elif case == 246:
-        bases, center = (geodesic_through(P, R),), "Q"
-    elif case in (334, 344):
-        if case == 334:
-            g8 = group.gP.compose(group.gQ.inverse())
-            crossing_pt, center = midpoint(P, Q), "R"
-        else:
-            g8 = group.gQ.compose(group.gR.inverse())
-            crossing_pt, center = midpoint(Q, R), "P"
-        axis = axis_of(g8)
-        gap = distance(crossing_pt, foot_of_perpendicular(axis, crossing_pt))
-        if gap > 1e-6:
-            raise GeometryError(f"figure-eight axis misses its crossing point "
-                                f"by {gap:.2e}")
-        bases = (axis, _second_branch(group, axis, crossing_pt))
-    else:
-        raise ValueError(f"unknown case {case}")
+    words, center = _CURVES[case]
+    elements = tuple(GroupElement(tuple(word), functools.reduce(
+        Isometry.compose, map(group.generator, word), Isometry.identity()))
+        for word in words)
     order = (group.p, group.q, group.r)["PQR".index(center)]
-    return CurveSystem(case, bases, center, group.vertex(center), order)
-
-
-def _second_branch(group: TriangleGroup, axis: Geodesic, pt: complex) -> Geodesic:
-    """Second lift of the figure-eight curve through its crossing point: the
-    first in ball order within word length 4."""
-    def through_pt(el: GroupElement) -> bool:
-        img = apply_geodesic(el.matrix, axis)
-        return (not same_geodesic(img, axis, 1e-9)
-                and distance(pt, foot_of_perpendicular(img, pt)) < 1e-9)
-    el = _first_in_ball(group, through_pt)
-    if el is None:
-        raise EnumerationError("no second branch found through the crossing point")
-    return apply_geodesic(el.matrix, axis)
+    return CurveSystem(case, elements,
+                       tuple(axis_of(el.matrix) for el in elements),
+                       center, group.vertex(center), order)
 
 
 def _orbit_lifts(mats: Iterable[Isometry],
@@ -325,7 +291,7 @@ def _orbit_lifts(mats: Iterable[Isometry],
         for base in bases:
             u, v = mobius(e, base.u), mobius(e, base.v)
             if index.insert(_geodesic_vec(u, v)) is None:
-                lifts.append(Geodesic(u, v))  # apply_geodesic(m, base)
+                lifts.append(Geodesic(u, v))
     return tuple(lifts)
 
 
@@ -410,8 +376,8 @@ def _tiles(group: TriangleGroup, keep=None,
 def _tube(group: TriangleGroup, system: CurveSystem) -> float:
     """The radius rho = max(r_T, max_b rho_b) of the tubes of
     ``lifts_along`` (o and r_T of ``_tile_point``).  Each base geodesic b is
-    the axis of an element h translating by l_b (the first within word
-    length 4), so a lift g·b meeting the path at z is (g·h^n)·b with
+    the axis of its word h (``CurveSystem.words``), which translates along it
+    by l_b, so a lift g·b meeting the path at z is (g·h^n)·b with
     (g·h^n)^-1·z within l_b/2 of the foot of o on b: g·h^n·o lies within
     rho_b = acosh(cosh d(o, b) * cosh(l_b/2)) of z.  The tiles and the black
     triangles between them are the chambers of T's reflection group, so
@@ -423,19 +389,12 @@ def _tube(group: TriangleGroup, system: CurveSystem) -> float:
     (within r_T of it), join g·h^n to the identity in generator steps.
     """
     o, r_T = _tile_point(group)
-    reach, bases = 0.0, system.base_geodesics
-    for i, geo in enumerate(bases, 1):
-        def on_geo(el: GroupElement) -> bool:
-            return (classify(el.matrix).kind is IsometryKind.HYPERBOLIC
-                    and same_geodesic(axis_of(el.matrix), geo, 1e-7))
-        el = _first_in_ball(group, on_geo)
-        if el is None:
-            raise EnumerationError(f"no element of word length <= 4 has base "
-                                   f"geodesic {i} of {len(bases)} as its axis")
+    reach = r_T
+    for el, geo in zip(system.words, system.base_geodesics):
         height = distance(o, foot_of_perpendicular(geo, o))
         reach = max(reach, math.acosh(math.cosh(height) * math.cosh(
             classify(el.matrix).translation_length / 2.0)))
-    return max(reach, r_T)
+    return reach
 
 
 def lifts_along(group: TriangleGroup, system: CurveSystem,

@@ -506,7 +506,8 @@ def test_non_hyperbolic_row_exits_2_with_one_error_line():
     # A Euclidean triple planted for 237 before import: any verify run stops
     # in the global homology stage, where ``surgery.seifert_h1`` reads it.
     run = _run_fresh("import sys\nfrom orbiflow import config\n"
-                     "config.PAPER_ROWS = ((237, (2, 3, 6), 'gamma1', 1),)"
+                     "config.PAPER_ROWS = ((237, (2, 3, 6), 'gamma1', 1, "
+                     "('RQp',), 'R'),)"
                      " + config.PAPER_ROWS[1:]\n"
                      "from orbiflow import cli\n"
                      "sys.exit(cli.main(['verify', '--case', '344']))")
@@ -553,17 +554,18 @@ def test_numerics_failure_exits_2_with_one_error_line(tmp_path, kind, argv):
         assert f": case 237, {PLANTED_STAGES[kind]}: " in line
 
 
-def test_tube_without_an_axis_names_the_base_it_searched():
-    # No element of the radius-4 ball accepted: 245's tube finds no axis on
-    # its one base geodesic, and the error line says which base and how far
-    # the search went.
-    run = _run_fresh("import sys\nfrom orbiflow import cli, trigroup\n"
-                     "trigroup._first_in_ball = lambda group, accept: None\n"
+def test_elliptic_curve_word_exits_2_with_one_error_line():
+    # A curve word planted before import that is no hyperbolic element: the
+    # half-turn P for 245 has no axis, and the adjacency stage that builds
+    # the curve says so.
+    run = _run_fresh("import sys\nfrom orbiflow import config\n"
+                     "config.PAPER_ROWS = tuple(row[:4] + (('P',), row[5])\n"
+                     "    if row[0] == 245 else row for row in config.PAPER_ROWS)\n"
+                     "from orbiflow import cli\n"
                      "sys.exit(cli.main(['verify', '--case', '245']))")
     assert run.returncode == 2
-    assert run.stderr == ("error: enumeration (trigroup): case 245, "
-                          "adjacency: no element of word length <= 4 has "
-                          "base geodesic 1 of 1 as its axis\n")
+    assert run.stderr == ("error: geometry (trigroup): case 245, adjacency: "
+                          "axis requested for elliptic isometry\n")
 
 
 def _error_classes(modules):

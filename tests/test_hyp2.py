@@ -108,6 +108,12 @@ rotation_params = st.lists(st.tuples(st.floats(-2, 2, allow_nan=False),
 isometries = st.builds(iso_from_params, rotation_params)
 
 
+def apply_geodesic(g, geo):
+    """The image g·geo, its ends moved by the one kernel."""
+    e = g.entries()
+    return hyp2.Geodesic(hyp2.mobius(e, geo.u), hyp2.mobius(e, geo.v))
+
+
 def test_apply_identity():
     p = 0.3 - 0.4j
     assert distance(apply(Isometry.identity(), p), p) == 0.0
@@ -135,6 +141,20 @@ def test_distance_basics():
     assert abs(distance(0.0j, complex(0.0, math.tanh(0.5))) - 1.0) < 1e-12
     q = -0.5 + 0.1j
     assert abs(distance(p, q) - distance(q, p)) < 1e-15
+
+
+def test_distance_far_out_raises_a_typed_error():
+    # On the diameter toward 1, tanh(d/2) rounds to 1 from d = 39 on, and
+    # 1 - |w|^2 with it to 0: the distance raises GeometryError naming the
+    # point, either way round, not ZeroDivisionError.  At d = 36 it reads.
+    assert distance(0.0j, complex(math.tanh(18.0))) == \
+        pytest.approx(36.0, abs=0.1)
+    for d in (39, 40):
+        w = complex(math.tanh(d / 2.0))
+        assert w == 1.0
+        for p, q in ((0.0j, w), (w, 0.0j), (w, w)):
+            with pytest.raises(GeometryError, match=r"\(1\+0j\) rounds onto"):
+                distance(p, q)
 
 
 @pytest.mark.parametrize("offset", (1e-12, 1e-11, 1e-10, 1e-9, 1e-8))
@@ -348,7 +368,7 @@ def test_every_action_reads_m_and_minus_m_alike_bitwise(g, p, t, q):
         assert _same_bits([w.real, w.imag], [v.real, v.imag])
     geo = (hyp2.geodesic_through(p, q) if distance(p, q) > 1e-6
            else hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j))
-    a, b = (hyp2.apply_geodesic(m, geo) for m in (h, g))
+    a, b = (apply_geodesic(m, geo) for m in (h, g))
     assert _same_bits(_end_parts(a), _end_parts(b))
     assert hyp2.is_identity(h) == hyp2.is_identity(g)
     ch, cg = classify(h), classify(g)
@@ -489,15 +509,15 @@ def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, one, flips,
     z, angle = crossing
     assert _on_geodesic(z, A) and _on_geodesic(z, B)
     assert 0 < angle <= math.pi / 2
-    moved = hyp2.geodesic_crossing(hyp2.apply_geodesic(g, A),
-                                   hyp2.apply_geodesic(g, B))
+    moved = hyp2.geodesic_crossing(apply_geodesic(g, A),
+                                   apply_geodesic(g, B))
     assert moved is not None
     assert distance(moved[0], apply(g, z)) < 1e-9
     assert abs(moved[1] - angle) < 1e-9
     # The perpendicular pair through 0 stays perpendicular, crossing at g·0.
     z, angle = hyp2.geodesic_crossing(
-        hyp2.apply_geodesic(g, hyp2.Geodesic(-1j, 1j)),
-        hyp2.apply_geodesic(g, hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)))
+        apply_geodesic(g, hyp2.Geodesic(-1j, 1j)),
+        apply_geodesic(g, hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)))
     assert distance(z, apply(g, 0.0j)) < 1e-9
     assert abs(angle - math.pi / 2) < 1e-9
 

@@ -26,14 +26,11 @@ SURVIVORS = {
         ("_meetings", 1e-6): 1,
         ("_orbit", 1e-9): 1,
         ("_orbit_lifts", 1e-9): 1,
-        ("_second_branch", 1e-9): 2,
         ("_tiles", 1e-9): 1,
-        ("_tube", 1e-7): 1,
         ("canonical_neighbors", 1e-9): 2,
         ("cell_polygon", 1e-12): 2,
         ("cell_polygon", 1e-9): 1,
         ("cell_tiling", 1e-6): 1,
-        ("curve_system", 1e-6): 1,
         ("drawing_disc", 1e-9): 1,
         ("on_curve", 1e-7): 1,
         ("on_curve", 1e-6): 1,

@@ -76,10 +76,6 @@ def _bits(xs):
     return [x.hex() for x in xs]
 
 
-def _end_parts(geo):
-    return (geo.u.real, geo.u.imag, geo.v.real, geo.v.imag)
-
-
 @pytest.mark.parametrize("depth", (4, 5, 6))
 @pytest.mark.parametrize("case", CASES)
 def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
@@ -177,9 +173,8 @@ def ball_log(monkeypatch):
         "verify-344-d6"])
 def test_run_builds_no_word_ball_or_only_the_drawn_one(argv, balls, ball_log,
                                                        tmp_path):
-    # The searches of a verify run (the second branch, the tube axes, the
-    # disc of neighbour candidates and their witnesses, the tubes) walk the
-    # tiles and stop where they end.  A drawing builds the word ball of its
+    # The searches of a verify run (the disc of neighbour candidates and
+    # their witnesses, the tubes) walk the tiles and stop where they end.  A drawing builds the word ball of its
     # depth + 1, once: at depths 5 and 6 of 344 that ball's deepest word is
     # within the depth, so the search is complete and the drawing reads
     # that ball.
@@ -209,32 +204,6 @@ def test_run_builds_word_ball_lift_set_only_to_draw(argv, builds, ball_log,
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
     assert curve_lifts.cache_info().misses == builds
-
-
-def _first_branch_in_ball(group, axis, pt):
-    # The second branch as the first match in the whole radius-4 ball, with
-    # the element that carries the axis to it.
-    for el in enumerate_elements(group, 4):
-        img = hyp2.apply_geodesic(el.matrix, axis)
-        if hyp2.same_geodesic(img, axis, 1e-9):
-            continue
-        if hyp2.distance(pt, trigroup.foot_of_perpendicular(img, pt)) < 1e-9:
-            return el, img
-    raise AssertionError("no second branch in the radius-4 ball")
-
-
-@pytest.mark.parametrize("case", (334, 344))
-def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
-                                                                  ball_log):
-    system = curve_system(case)
-    assert ball_log == []
-    group = build_group(*CASE_TRIPLES[case])
-    axis, second = system.base_geodesics
-    crossing = trigroup.midpoint(group.P, group.Q) if case == 334 \
-        else trigroup.midpoint(group.Q, group.R)
-    el, expected = _first_branch_in_ball(group, axis, crossing)
-    assert len(el.word) == 1
-    assert _bits(_end_parts(second)) == _bits(_end_parts(expected))
 
 
 def _drawing(case, depth):
