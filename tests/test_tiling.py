@@ -206,6 +206,42 @@ def test_run_builds_word_ball_lift_set_only_to_draw(argv, builds, ball_log,
     assert curve_lifts.cache_info().misses == builds
 
 
+def _midpoint(a, b):
+    geo = hyp2.geodesic_through(a, b)
+    ta, tb = hyp2.axis_parameter(geo, a), hyp2.axis_parameter(geo, b)
+    return hyp2.foot_on_axis(geo, ta + 0.5 * (tb - ta))
+
+
+def _first_branch_in_ball(group, axis, pt):
+    # The second branch as the first match in the whole radius-4 ball, with
+    # the element that carries the axis to it.
+    for el in enumerate_elements(group, 4):
+        e = el.matrix.entries()
+        img = hyp2.Geodesic(hyp2.mobius(e, axis.u), hyp2.mobius(e, axis.v))
+        if hyp2.same_geodesic(img, axis, 1e-9):
+            continue
+        if hyp2.distance(pt, trigroup.foot_of_perpendicular(img, pt)) < 1e-9:
+            return el, img
+    raise AssertionError("no second branch in the radius-4 ball")
+
+
+@pytest.mark.parametrize("case", (334, 344))
+def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
+                                                                  ball_log):
+    # The stored second branch (the axis of its word) is the first image of
+    # the first branch through the crossing that a ball search finds, at
+    # word length one, with its ends in the same order.
+    system = curve_system(case)
+    assert ball_log == []
+    group = build_group(*CASE_TRIPLES[case])
+    axis, second = system.base_geodesics
+    crossing = _midpoint(group.P, group.Q) if case == 334 \
+        else _midpoint(group.Q, group.R)
+    el, expected = _first_branch_in_ball(group, axis, crossing)
+    assert len(el.word) == 1
+    assert max(abs(second.u - expected.u), abs(second.v - expected.v)) < 1e-12
+
+
 def _drawing(case, depth):
     """(X, the drawn lifts, each drawn cell as (centre, vertices, labels)):
     what `tiling_svg(case, depth)` clips against its lifts and draws.  A

@@ -268,6 +268,17 @@ def midpoint(a, b):
     return hyp2.foot_on_axis(geo, ta + 0.5 * (tb - ta))
 
 
+def test_figure_eight_axis_through_midpoints():
+    for case, seg in ((334, ("P", "Q")), (344, ("Q", "R"))):
+        group = build_group(*CASE_TRIPLES[case])
+        system = curve_system(case)
+        a, b = group.vertex(seg[0]), group.vertex(seg[1])
+        mid = midpoint(a, b)
+        for geo in system.base_geodesics:
+            foot = trigroup.foot_of_perpendicular(geo, mid)
+            assert distance(mid, foot) < 1e-8
+
+
 def _runs_through(geo, a, b):
     """Whether geo passes within 1e-9 of a and of b, and runs from a
     toward b."""
