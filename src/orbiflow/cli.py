@@ -11,12 +11,12 @@ subcommand catches the one base; any other exception ends in a traceback.
 The flags are the only configuration, and nothing is read from the
 environment: ``verify --depth`` only sets the report's ``adjacency_depth``,
 and ``tiling --depth`` is the word-length budget of the drawing's search
-for the tiles within its disc (``trigroup.drawing_disc``).  The drawn
-cells are certified only when the search is complete within the budget:
-its deepest word is shorter, or one more word length adds no tile.  A
-budget that cuts the search draws the cells the tiles found bound, as a
-word ball did, and leaves out a cell they leave open.  The geometric
-thresholds are fixed constants in ``config``, not options.
+for the tiles within its disc (``trigroup.drawing_disc``), by default none,
+so that the search stops where the disc ends.  Each drawn cell is the image
+of the certified cell about a vertex of the base triangle, so it is the
+true cell at every budget; a budget that cuts the search draws fewer cells
+and lifts.  The geometric thresholds are fixed constants in ``config``, not
+options.
 
 Importing this module loads ``config``, ``hyp2`` and ``trigroup``.  Each
 subcommand imports the layers it runs when it runs, and no exception class
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import ChainError
@@ -59,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tiling", help="render a tiling to SVG")
     t.add_argument("--case", required=True)
-    t.add_argument("--depth", type=int, default=4,
+    t.add_argument("--depth", type=int, default=math.inf,
                    help="word-length budget of the search for the tiles "
-                        "within the drawn disc")
+                        "within the drawn disc (default: none)")
     t.add_argument("--out", required=True, metavar="PATH.svg")
 
     c = sub.add_parser("catmap", help="periodic-orbit table of the torus map")

@@ -295,11 +295,14 @@ def geodesic_crossing(g1: Geodesic, g2: Geodesic
     Manifolds*, ch. 3): the chords cross inside the disc iff
     B(m1, m2)² < B(m1, m1)·B(m2, m2), and then the point solves both line
     equations and cos of the angle is |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)).
+    For the chord from u to v, |n| = |u - v| and c = Im(conj(u)·v), so
+    B(m, m) = |u - v|⁴/4, read from |n| without the cancellation of
+    |n|² - c² for close ends.
     """
-    n1x, n1y, c1, _ = g1.klein_line
-    n2x, n2y, c2, _ = g2.klein_line
+    n1x, n1y, c1, norm1 = g1.klein_line
+    n2x, n2y, c2, norm2 = g2.klein_line
     b12 = n1x * n2x + n1y * n2y - c1 * c2
-    b11b22 = (n1x * n1x + n1y * n1y - c1 * c1) * (n2x * n2x + n2y * n2y - c2 * c2)
+    b11b22 = (norm1 * norm2) ** 4 / 16.0
     if not b12 * b12 < b11b22 or same_geodesic(g1, g2, config.EPS_PT):
         return None
     det = n1x * n2y - n1y * n2x

@@ -2,8 +2,12 @@
 
 Points and geodesic ends are already points of the disc and of its circle
 (``hyp2``), and a point w is drawn at (Re w, -Im w), since the SVG y axis
-points down; Klein-polygon cells are carried into the disc here.  Output is
-deterministic: fixed float formatting, fixed iteration order.
+points down; Klein-polygon cells are carried into the disc here.  Each cell
+about a cone point g·v, v a vertex of the base triangle, is drawn as the
+image g·cell(v) of v's certified cell (``trigroup.drawing_disc``), so it is
+the true cell by group invariance, whatever budget cuts the search for the
+tiles.  Output is deterministic: fixed float formatting, fixed iteration
+order.
 """
 from __future__ import annotations
 
@@ -66,49 +70,30 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
     return head + body + " Z"
 
 
-def tiling_svg(case: int, depth: int) -> str:
+def tiling_svg(case: int, depth: float) -> str:
     """Disc-model drawing: curve lifts, cone-point tiles by family, the base
-    and neighbor tiles highlighted, and the hyperbolic adjacency axes."""
+    and neighbor tiles highlighted, and the hyperbolic adjacency axes.
+    `depth` is the word-length budget of the search for the tiles within the
+    drawn disc, math.inf for none."""
     if case not in trigroup.CASES:
         raise ValueError(f"unknown case {case}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     group = trigroup.build_group(*trigroup.CASE_TRIPLES[case])
     system = trigroup.curve_system(case)
-    # The only lift set a run builds: the lifts of the tiles of the word
-    # ball whose tile points lie within reach of 0.  They hold every lift
-    # that meets the disc of radius far about 0 (``trigroup.drawing_disc``)
-    # unless the depth cuts the search, so only a complete search certifies
-    # its cells: one more word length adds no tile.  Then the ball of
-    # depth + 1 holds the same tiles, and the drawing reads it; only a search
-    # that the depth cuts also builds the ball of the depth.
-    far, reach = trigroup.drawing_disc(group, system, _DRAWN_RADIUS)
-    complete = len(trigroup.enumerate_elements(
-        group, depth + 1, reach)[-1].word) <= depth
-    drawn = depth + 1 if complete else depth
-    lifts = trigroup.curve_lifts(case, drawn, reach)
+    # Every lift that meets a drawn cell, unless the depth cuts the search.
+    reach, cells = trigroup.drawing_disc(group, system, _DRAWN_RADIUS)
+    lifts = trigroup.curve_lifts(case, depth, reach)
     adjacency = trigroup.adjacency_isometries(group, system)
 
-    def certified(verts):
-        """verts, checked to lie within far of 0 when the search is
-        complete: then a cell drawn is the true one."""
-        if complete and trigroup.polygon_reach(
-                trigroup.DISC_ORIGIN, verts) > far:
-            raise trigroup.EnumerationError(
-                f"a drawn cell reaches beyond distance {far:.6f} of the "
-                "disc centre")
-        return verts
-
-    def draw_cell(point, style):
-        """Draw the cell about point, certified.  An open cell is an error in
-        a certified drawing; one that is not certified leaves it out."""
-        verts, labels = trigroup.cell_polygon(point, lifts)
-        if None not in labels:
-            parts.append(f'<path d="{cell_path(certified(verts))}" {style}/>')
-        elif complete:
-            raise trigroup.EnumerationError(
-                f"the drawn cell about ({point.real:.6f}, {point.imag:.6f}) "
-                "has an open side")
+    def draw_cell(g, cell, style):
+        """Draw g·cell: an isometry moves Klein lines to Klein lines, so it
+        moves the polygon by its vertices."""
+        e = g.entries()
+        moved = [hyp2.to_klein(hyp2.mobius(e, hyp2.from_klein(complex(x, y))))
+                 for x, y in cell]
+        path = cell_path([(k.real, k.imag) for k in moved])
+        parts.append(f'<path d="{path}" {style}/>')
 
     parts: list[str] = []
     parts.append(
@@ -119,29 +104,28 @@ def tiling_svg(case: int, depth: int) -> str:
                  'stroke-width="0.006"/>')
 
     # Tiles around every cone-point family not lying on the curve itself.
-    for name in ("P", "Q", "R"):
-        vertex = group.vertex(name)
-        # Within far of 0, so that the lifts through it are drawn.
-        k = hyp2.to_klein(vertex)
-        certified([(k.real, k.imag)])
-        if trigroup.on_curve(vertex, lifts):
+    for name, cell in zip("PQR", cells):
+        if cell is None:
             continue
         stroke, fill = _FAMILY_STYLES[name]
         # Only the orbit points within the drawn disc, |w|^2 <= _DRAWN: the
         # orbit skips those beyond it (with a margin) before its dedup, and
         # the exact test here picks out the drawn ones.
-        orbit = trigroup.cell_tiling(group, vertex, drawn, _DRAWN, reach)
-        for point, _ in orbit:
+        orbit = trigroup.cell_tiling(group, group.vertex(name), depth,
+                                     _DRAWN, reach)
+        for point, el in orbit:
             if point.real * point.real + point.imag * point.imag > _DRAWN:
                 continue
-            draw_cell(point, f'fill="{fill}" fill-opacity="0.45" '
-                             f'stroke="{stroke}" stroke-width="0.003"')
+            draw_cell(el.matrix, cell, f'fill="{fill}" fill-opacity="0.45" '
+                                       f'stroke="{stroke}" stroke-width="0.003"')
 
-    # Base and neighbor tiles of the distinguished family, highlighted.
-    for point, color in ((adjacency.base_center, "#ffd92f"),
-                         (adjacency.neighbor_center, "#fc8d62")):
-        draw_cell(point, f'fill="{color}" fill-opacity="0.8" '
-                         'stroke="#555555" stroke-width="0.004"')
+    # Base and neighbor tiles of the distinguished family, highlighted: the
+    # cell of the centre vertex and its image under the coset's witness.
+    base = cells["PQR".index(system.center_vertex)]
+    for g, color in ((hyp2.Isometry.identity(), "#ffd92f"),
+                     (adjacency.entries[0].element.matrix, "#fc8d62")):
+        draw_cell(g, base, f'fill="{color}" fill-opacity="0.8" '
+                           'stroke="#555555" stroke-width="0.004"')
 
     for lift in lifts:
         parts.append(f'<path d="{geodesic_path(lift)}" fill="none" '

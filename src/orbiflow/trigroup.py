@@ -41,14 +41,12 @@ that moves points too (``hyp2.mobius``), with its Klein chord
 neighbour segment and the axis period, meet the lifts through one
 primitive, ``_meetings``: it takes each crossing's point and angle from the
 two Klein chords (``hyp2.geodesic_crossing``), and rejects a
-near-tangential crossing.  A
-drawing dedups only the orbit points within its disc (``cell_tiling``'s
-bound) and clips each of their tiles against the chords, skipping a chord
-farther from the tile's centre than its polygon so far reaches
-(``cell_polygon``); a cell within the radius X of ``drawing_disc`` is
-certified to be the true cell.  The per-element loops (tile steps, orbit
-points) run on entry tuples with ``hyp2``'s kernels and build an
-``Isometry`` only for a new element.
+near-tangential crossing.  A drawing dedups only the orbit points within
+its disc (``cell_tiling``'s bound), and draws the tile of each as the image
+of the cell about its vertex of T, which ``_cell_radius`` clips from the
+chords (``cell_polygon``) and certifies.  The per-element loops (tile
+steps, orbit points) run on entry tuples with ``hyp2``'s kernels and build
+an ``Isometry`` only for a new element.
 """
 from __future__ import annotations
 
@@ -216,9 +214,11 @@ def _geodesic_vec(u: complex, v: complex) -> tuple[float, float, float, float]:
 
 DISC_ORIGIN = 0.0j  # the vertex P of T, the drawn centre
 
+Cell = tuple[tuple[float, float], ...]  # a convex Klein polygon, its vertices
+
 
 @functools.lru_cache(maxsize=64)
-def enumerate_elements(group: TriangleGroup, max_len: int,
+def enumerate_elements(group: TriangleGroup, max_len: float,
                        reach: float = math.inf) -> tuple[GroupElement, ...]:
     """All distinct elements of word length <= max_len, in shortlex order:
     the tiles of ``_tiles`` up to that word length; with a finite `reach`,
@@ -296,7 +296,7 @@ def _orbit_lifts(mats: Iterable[Isometry],
 
 
 @functools.lru_cache(maxsize=32)
-def curve_lifts(case: int, depth: int,
+def curve_lifts(case: int, depth: float,
                 reach: float = math.inf) -> tuple[Geodesic, ...]:
     """The deduped orbit of the base geodesics in the word ball, cut to
     `reach` about 0 (``enumerate_elements``), in order."""
@@ -448,7 +448,7 @@ def _orbit(elements: Iterable[GroupElement], center: complex,
             yield w, el
 
 
-def cell_tiling(group: TriangleGroup, center: complex, depth: int,
+def cell_tiling(group: TriangleGroup, center: complex, depth: float,
                 bound: float = 1.0, reach: float = math.inf
                 ) -> list[tuple[complex, GroupElement]]:
     """Orbit of the cell center `center` in the ball, cut to `reach` about 0
@@ -468,29 +468,21 @@ def cell_polygon(center: complex, lifts: Sequence[Geodesic]):
     """Convex tile around `center` cut out by the lifts, in Klein coordinates.
 
     Returns (vertices, side_sources): vertices of the clipped polygon and,
-    per side, the index into `lifts` of the wall carrying it (None marks a
-    side of the initial bounding square, which signals insufficient depth).
-
-    A wall, the line n·k = c of a chord (``Geodesic.klein_line``), lying
-    farther from the Klein centre kc than every vertex of the polygon so far,
-    |n·kc - c| > reach·|n|·(1 + 1e-9) + 1e-12 with reach the largest
-    distance from kc to a vertex, has every vertex strictly on kc's side and
-    clips nothing: it is skipped before the vertices are tested.  reach is
-    recomputed only after a wall clips.
+    per side, the index into `lifts` of the wall carrying it, the line
+    n·k = c of its chord (``Geodesic.klein_line``).  None marks a side of the
+    initial bounding square: the lifts leave the cell open, and
+    ``_cell_radius``, the one caller, searches a larger disc for them.
     """
     k = to_klein(center)
     kx, ky = k.real, k.imag
     big = 8.0
     verts = [(-big, -big), (big, -big), (big, big), (-big, big)]
     labels: list[Optional[int]] = [None, None, None, None]
-    reach = max(math.hypot(x - kx, y - ky) for x, y in verts)
     for idx, lift in enumerate(lifts):
-        nx, ny, c, norm = lift.klein_line
+        nx, ny, c, _ = lift.klein_line
         sign = nx * kx + ny * ky - c
         if sign == 0.0:
             raise GeometryError("cell center lies on a wall")
-        if abs(sign) > reach * norm * (1.0 + 1e-9) + 1e-12:
-            continue  # the wall clips nothing
         if sign < 0:
             nx, ny, c = -nx, -ny, -c
         fs = [nx * x + ny * y - c for x, y in verts]
@@ -515,7 +507,6 @@ def cell_polygon(center: complex, lifts: Sequence[Geodesic]):
         verts, labels = new_v, new_l
         if not verts:
             raise GeometryError("cell clipped to nothing")
-        reach = max(math.hypot(x - kx, y - ky) for x, y in verts)
     # Drop degenerate slivers.
     cleaned_v, cleaned_l = [], []
     n = len(verts)
@@ -572,17 +563,21 @@ def _lift_reach(group: TriangleGroup, system: CurveSystem,
 
 
 @functools.lru_cache(maxsize=16)
-def _cell_radius(group: TriangleGroup, system: CurveSystem) -> float:
-    """r_cell: the largest distance from a vertex v of T that no lift passes
-    through to a vertex of its cell, which bounds every cell of its family.
-    Each v's cell is clipped from the lifts within ``_lift_reach`` of a disc
-    of radius r about v, from r = r_T, until ``polygon_reach`` certifies it
-    within r; each of at most four rounds doubles r, or sets it to the
-    polygon's reach if that is less (a larger disc keeps the smaller one's
-    tiles, so the next round then certifies).  The first search holds the
-    lifts through v, if any (``on_curve``)."""
+def _cell_radius(group: TriangleGroup, system: CurveSystem
+                 ) -> tuple[float, tuple[Optional[Cell], ...]]:
+    """(r_cell, the cells about P, Q and R of T): the certified Klein polygon
+    of each vertex v that no lift passes through, None for one that a lift
+    passes through, and r_cell, the largest distance from such a v to a
+    vertex of its cell, which bounds every cell of its family.  Each v's cell
+    is clipped from the lifts within ``_lift_reach`` of a disc of radius r
+    about v, from r = r_T, until ``polygon_reach`` certifies it within r;
+    each of at most four rounds doubles r, or sets it to the polygon's reach
+    if that is less (a larger disc keeps the smaller one's tiles, so the
+    next round then certifies).  The first search holds the lifts through
+    v, if any (``on_curve``)."""
     r_T = _tile_point(group)[1]
     out = 0.0
+    cells: list[Optional[Cell]] = []
     for v in (group.P, group.Q, group.R):
         r = r_T
         for _ in range(4):
@@ -590,29 +585,32 @@ def _cell_radius(group: TriangleGroup, system: CurveSystem) -> float:
             lifts = _orbit_lifts((tile.matrix for tile in _tiles(group, within)),
                                  system.base_geodesics)
             if on_curve(v, lifts):
+                cells.append(None)
                 break
             verts, labels = cell_polygon(v, lifts)
             far = math.inf if None in labels else polygon_reach(v, verts)
             if far <= r:
                 out = max(out, far)
+                cells.append(tuple(verts))
                 break
             r = min(far, 2.0 * r)
         else:
             raise EnumerationError(f"no cell about a vertex certified within "
                                    f"distance {r:.6f} of it")
-    return out
+    return out, tuple(cells)
 
 
-def drawing_disc(group: TriangleGroup, system: CurveSystem,
-                 radius: float) -> tuple[float, float]:
-    """(X, reach) for drawing the cells whose cone points lie within `radius`
-    of 0 (the vertex P of T): the disc of X = radius + r_cell
-    (``_cell_radius``, with a 1e-9 rounding margin) holds them, and the
-    lifts of the tiles within reach = ``_lift_reach`` of 0 hold every lift
-    meeting it, so a drawn cell within X of 0 is the true cell
-    (``polygon_reach``)."""
-    far = radius + _cell_radius(group, system) + 1e-9
-    return far, _lift_reach(group, system, far)
+def drawing_disc(group: TriangleGroup, system: CurveSystem, radius: float
+                 ) -> tuple[float, tuple[Optional[Cell], ...]]:
+    """(reach, cells) for drawing the cells whose cone points lie within
+    `radius` of 0 (the vertex P of T).  The cells are those of P, Q and R
+    (``_cell_radius``), and each drawn cell is the image g·cell(v) under the
+    element g that carries v to its cone point, the true cell by group
+    invariance.  So the drawn cells lie within X = radius + r_cell of 0
+    (with a 1e-9 rounding margin), and the lifts of the tiles within
+    reach = ``_lift_reach`` of 0 hold every lift meeting that disc."""
+    r_cell, cells = _cell_radius(group, system)
+    return _lift_reach(group, system, radius + r_cell + 1e-9), cells
 
 
 # --- Adjacency ------------------------------------------------------------

@@ -17,51 +17,51 @@ from orbiflow.config import DEFAULT_DEPTH
 
 GOLDEN = Path(__file__).parent / "data"
 # sha256 of `orbiflow tiling --case C --depth D`, per case for D = 1..6,
-# pinned like the report.  From 245 and 246 at depth 6, and 334 and 344 at
-# depth 4, the word ball holds tiles beyond the drawing's disc, whose lifts
-# meet no drawn cell and are not drawn; every drawn cell is unchanged.  An
-# adjacency axis, and a lift whose base geodesic is one (334, 344), is drawn
-# from the repelling end of the axis to the attracting one.
+# pinned like the report.  Each drawn cell is the image of its vertex's
+# certified cell, so a depth that cuts the disc search draws fewer cells
+# and lifts, never a wrong cell.  An adjacency axis, and a lift whose base
+# geodesic is one (334, 344), is drawn from the repelling end of the axis
+# to the attracting one.
 TILING_SHA256 = {
     237: (
-        "7335547427eaf21f3ba241d4734865c0bab47a592eede4afce539bcc739eaa6d",
-        "c7731db73df40cf7232bf6a517a21663ec1a762708f5996f36c8c88e51ce1cc6",
-        "a4b87306c7d866cc560b788aefe42dcd0ea6a8605803d08dfae178a7f52e133f",
-        "e87ed9d6e272074ae98faf73fea72b3a8e690ce292a85f876162233c908bca73",
-        "93d0293d99e517bb685f066b6a1309964f15487fd1e119aecc2fd9ae21423ba0",
-        "0fc447e375b694d841b1196f22b3ecddecf55e73b82f62042ffa00046e119f70",
+        "cd957e9fa9ae03b8c50054a922afc819c560f914a97c6b29f2c59adcb23e4b1c",
+        "53cdd413bef24e54d92a696839bf187fb96ddf6e1c67ec97e024820355c86f28",
+        "e20c12546664b0a46d10d576fb4f7cd8a5e303bf230b79f23507423fdb13328a",
+        "a612930801c789ec1487d67053edd05b27e8acc4b89d8e669c483dc32ac85986",
+        "b551a2638c8e7692d7532a8529b34dd8d1f2bdcd62d169e69db40d8686a8861a",
+        "e03a4e20cdf012553b681696642ca428013234bceb79415a37e5bb207ec18f6e",
     ),
     245: (
-        "cd75e3b1f63e9fad823e11ee173d8f2a84aa3ad386e7b33f8c59c344de437d75",
-        "4ede30e78af8a0835030eb2391a6ef32c5577a2628623f91c4fde70840506ffb",
-        "24895ba8c8aef43381165a374d1238325cbc7b7c1c7f8734a2c7619e9eb11e44",
-        "b2ed94704d596cca08b440fa55f10e389614cc6044943b0adb97d8aab21b497d",
-        "55bb267606b18d6dd96a2dae52b0bfebad9b97cffc39fe1e9a17b78cabbccd3d",
-        "c21708654e83b9372cb171138c14709b1224c2acb3e6a3f9afa7285f5e260663",
+        "ec0b57c44935ccb42ca77520a01d5e5914efb105bcbc072cd3c4f01e350c8b6f",
+        "83c932acf6bf1b8648a6b885ce2b1a5da001fb81fb8683465a270b50ef1aeed0",
+        "c77d007ed7cf9f0b70f665958609ab662e106b72203a3aa2b5261a7f0124a3f2",
+        "a93d5616202391fef093a5bbd05d754ec98ace66698e83dadfe6c3f6f34b209e",
+        "010ca720c2a9a5bbff5e96b77bbbad1d7bed1d88b29bd6722be555cb2d7f22b2",
+        "5d99df61260decd8d420b31a3c743e6b809f7bf7c61636abeef3890e646f9f16",
     ),
     246: (
-        "5bda75e0d70869b5eec7f667aaf51b48bfd9e6d952109c1bc27baaf5322f93de",
-        "c56420f25b64ae8181fd37210b9d6f6d2560c1de35184d101d7ace1cfe948801",
-        "3cb071703a359e26330e872cad847a6196f2154a7b5f81a8da2010fcb91f7603",
-        "5a2b76a5ab66ee9d7326ace2be67278e3e0ac6e24d4924a21484861fecedd8b4",
-        "8ac7448359eeeba3038fc814090f837fe081434108db4ee78ab94862b8c9d40f",
-        "581e0d253b824d4177e46ef2d540c6771c7f7324e70abbcf3e4591ec9fcc355d",
+        "59ab38045b0834eeec3504c18d5c1d9afdcead1b6520220b7e9ee2851d36d757",
+        "7db0409c32fcef6e176a8e77562e8ae4c3a14d67ab462e512fd309fc682b7301",
+        "6c1a6165d96a964a13392361671005a577a25af8142b901a76d2fb8eba275a7c",
+        "7e1c513b4e67c93db36c82a30f6f0fbe642a885a3280b10b656e67239363ccf3",
+        "7e315148a60d4109b1942b28ddd2024feb7278c98fd56ad4fc8c3d711da22670",
+        "295826f69110fbc3fab563e041f203fdea654d149730dee540ae245bd32e015c",
     ),
     334: (
-        "96b9d4a41c71681784b18ef84d1de1db7ac97eddaaac5b436dd8c29ce851d2b6",
-        "b2475f0229329b37085a701f95a550aed7bba31872560e0a856587fdde2df73e",
-        "bac77e89a99d6c45c29becae40fbea73b89619a2056dc26e097f35a9261c26cc",
-        "a0527a9d5592e319af116ea14c80b7ea52e71226d4d4acce886cc1a86d899a2e",
-        "b9e68ebd7be2b85e75c40ca65646006022aa40cdf91050b26c431271eb54210a",
-        "40fa1f27fd3b083aef07bfe12e8be33c4a9d1c330e59fdf115e3c87f0796494b",
+        "0666405f6a4013cde24b25999a5a4594bf3be9808cd03b016da64f0626d911e2",
+        "d035c05b23d69db6862268ff0c4b84e258383766f5d93987dc0d89dbbf7c6642",
+        "4f12463327b4950b68c5ecfa51600a4be935e8c326eada5c4b00d26742e12bbe",
+        "e53e9c07b80fa4f669aa4bfad5c64aa1dd7f68afc90ff594b4a477a1e732dd18",
+        "dbeafb15dda14bfc7d05f15e61e01877a54a087e1b40e2c560401b1bbc007a41",
+        "4c75c3431276bd4983b49f8fc9b63f4c238929a0a2db71fc308cebd0cf823e5b",
     ),
     344: (
-        "3a48e0caf2ed233a1e041b47cebf4b7117632c019c6fdaea371296711e7c17ce",
-        "18b3b012ae401e4106263cfaa5dd9629bc53cd8f708324f8fb656f42e85f0025",
-        "567f030626fed6e08e66f321aa0e18ebeb7f94de1736d6d41cf6a5a7b75d0083",
-        "11058302d134ef0529f2c31f29def911d83e9211afb0fdcfd0e4fe86e1693359",
-        "b374da70dfa2596219e4befb49f4b401ab7356d374ac558f2158ac0f8554924d",
-        "b374da70dfa2596219e4befb49f4b401ab7356d374ac558f2158ac0f8554924d",
+        "b1e8edc7b4221e12233222ec5e852577b660a42565af3fc9079fed2bc8fa0453",
+        "723bb7e4fcf359bb3c91f7877f642b4adedacef127c1f9de0814ded9df862aa5",
+        "f30ab298988175c2080dfea920410e8b19da7a3d4ad8a6301f45b0eedfb249ee",
+        "9443c93b498375cace13583addaba0593596ed078eafe316a676efe547c5effe",
+        "d31c6fc3ff676e8eb36b9f673ee19f93ac41e53bfe14cbee1b70a933e664656c",
+        "d31c6fc3ff676e8eb36b9f673ee19f93ac41e53bfe14cbee1b70a933e664656c",
     ),
 }
 # sha256 of the `orbiflow verify --case all` text output without its per-case
@@ -462,12 +462,11 @@ PLANTED_FAULTS = {
     "orbit (surgery)": (
         "surgery.act = lambda A, p: torusmap.RationalPoint.of(0.5, 0)",
         "orbit is not a forward cycle"),
-    # Half the certified cell radius: a drawn cell reaches beyond the disc
-    # whose lifts the drawing holds, so its certificate fails.
+    # Every cell about a vertex of T read as reaching to infinity: no disc
+    # certifies it, and the drawing's cells are images of those cells.
     "enumeration (trigroup)": (
-        "cell = trigroup._cell_radius\n"
-        "trigroup._cell_radius = lambda *args: cell(*args) / 2.0",
-        "a drawn cell reaches beyond distance"),
+        "trigroup.polygon_reach = lambda *args: float('inf')",
+        "no cell about a vertex certified"),
     # One crossing too many with every cut arc: the arc crossings of a closed
     # cycle no longer sum to zero.
     "winding (surgery)": (
@@ -529,8 +528,7 @@ def test_non_hyperbolic_row_exits_2_with_one_error_line():
     ("family (torusmap)", ["verify", "--case", "237"]),
     ("normal form (torusmap)", ["verify", "--case", "237"]),
     ("orbit (surgery)", ["verify", "--case", "237"]),
-    # 237's disc search ends at word length 10, so depth 11 certifies.
-    ("enumeration (trigroup)", ["tiling", "--case", "237", "--depth", "11",
+    ("enumeration (trigroup)", ["tiling", "--case", "237",
                                 "--out", "{tmp}/t.svg"]),
     ("slope (surgery)", ["verify", "--case", "237"]),
     ("hyperbolicity (surgery)", ["verify", "--case", "237"]),

@@ -562,11 +562,10 @@ def test_geodesic_crossing_iff_the_ends_interleave(ends):
     # Distinct circle ends, 1 among them: a crossing is found exactly when
     # the boundary-angle reference says the ends interleave, never for a
     # geodesic against itself or its reversal, and it lies on both.  The
-    # normals read the ends as circle points: a chord whose ends are D apart
-    # has B(m, m) = (D²/2)², held to about eps/D² relative, so the ends are
-    # kept 1e-6 apart.  The point is the Klein solve's, whose rounding grows
-    # as e^(2d)/sin(angle) at distance d from 0 (1 - |k|² = sech² d), so the
-    # bound is 1e-9 only near 0.
+    # ends are kept 1e-6 apart, so that a crossing's Klein point does not
+    # round onto the circle.  The point is the Klein solve's, whose rounding
+    # grows as e^(2d)/sin(angle) at distance d from 0 (1 - |k|² = sech² d),
+    # so the bound is 1e-9 only near 0.
     assume(all(abs(p - q) > 1e-6 for p, q in itertools.combinations(ends, 2)))
     g1, g2 = hyp2.Geodesic(*ends[:2]), hyp2.Geodesic(*ends[2:])
     for g in (g1, g2):
@@ -580,6 +579,23 @@ def test_geodesic_crossing_iff_the_ends_interleave(ends):
         tol = max(1e-9, 1e-14 * math.exp(2.0 * d) / math.sin(angle))
         for g in (g1, g2):
             assert distance(z, trigroup.foot_of_perpendicular(g, z)) < tol
+
+
+def test_geodesic_crossing_decides_interleaved_ends_closer_than_1e_7():
+    # The Cayley images of the half-plane ends oo, 0 and 5.6e-10, -5.3e-8
+    # interleave.  The second chord's ends lie about 1e-7 apart, where
+    # |n|² - c² cancels to 3.16e-29 against the exact |u - v|⁴/4 =
+    # 3.29e-29, enough to read the pair as disjoint.  With the chord form
+    # the crossing is decided; its point lies so far out that its Klein
+    # point rounds onto the circle, which is a typed failure.
+    g1 = hyp2.Geodesic(1.0 + 0.0j, cayley(0.0))
+    g2 = hyp2.Geodesic(cayley(5.6e-10), cayley(-5.3e-8))
+    assert _angles_interleave(g1, g2)
+    nx, ny, c, norm = g2.klein_line
+    assert nx * nx + ny * ny - c * c == pytest.approx(3.16e-29, rel=1e-3)
+    assert norm ** 4 / 4.0 == pytest.approx(3.29e-29, rel=1e-3)
+    with pytest.raises(GeometryError, match="Klein point outside the disc"):
+        hyp2.geodesic_crossing(g1, g2)
 
 
 @given(rotation_params, halfplane_points, halfplane_points)

@@ -28,8 +28,7 @@ SURVIVORS = {
         ("_orbit_lifts", 1e-9): 1,
         ("_tiles", 1e-9): 1,
         ("canonical_neighbors", 1e-9): 2,
-        ("cell_polygon", 1e-12): 2,
-        ("cell_polygon", 1e-9): 1,
+        ("cell_polygon", 1e-12): 1,
         ("cell_tiling", 1e-6): 1,
         ("drawing_disc", 1e-9): 1,
         ("on_curve", 1e-7): 1,

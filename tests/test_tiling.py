@@ -76,13 +76,12 @@ def _bits(xs):
     return [x.hex() for x in xs]
 
 
-@pytest.mark.parametrize("depth", (4, 5, 6))
 @pytest.mark.parametrize("case", CASES)
-def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
-                                                            monkeypatch):
-    # Every tile the drawing clips, the base and neighbour tiles included,
-    # gives the same vertices and wall labels (or the same error) as the
-    # reference, and so the same SVG.
+def test_cell_polygon_matches_reference_on_every_vertex_cell(case,
+                                                           monkeypatch):
+    # Every cell that ``_cell_radius`` clips about a vertex of T, the cells
+    # a drawing moves into place, gives the same vertices and wall labels
+    # (or the same error) as the reference.
     real = trigroup.cell_polygon
     centers = []
 
@@ -93,8 +92,59 @@ def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
         return real(center, lifts)
 
     monkeypatch.setattr(trigroup, "cell_polygon", checked)
-    render.tiling_svg(case, depth)
-    assert len(centers) > 2
+    trigroup._cell_radius.cache_clear()
+    try:
+        cells = trigroup._cell_radius(build_group(*CASE_TRIPLES[case]),
+                                      curve_system(case))[1]
+    finally:
+        trigroup._cell_radius.cache_clear()
+    assert len(centers) >= sum(cell is not None for cell in cells) >= 1
+
+
+def _drawn_cells(tmp_path, case, depth):
+    """The Klein vertices of each cell that ``orbiflow tiling --case case``
+    draws, with ``--depth depth`` unless depth is None."""
+    cells = []
+    real = render.cell_path
+
+    def logged(verts):
+        cells.append(list(verts))
+        return real(verts)
+
+    budget = [] if depth is None else ["--depth", str(depth)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "cell_path", logged)
+        assert cli.main(["tiling", "--case", str(case), *budget,
+                         "--out", str(tmp_path / "t.svg")]) == 0
+    return cells
+
+
+def _cell_about_centroid(verts, lifts):
+    """``cell_polygon`` clipped by the lifts about the Klein centroid of the
+    convex polygon verts, a point inside it: if verts is a cell of the
+    lifts, that is verts again."""
+    k = complex(sum(x for x, _ in verts), sum(y for _, y in verts)) / len(verts)
+    return trigroup.cell_polygon(hyp2.from_klein(k), lifts)[0]
+
+
+@pytest.mark.parametrize("depth", (1, 2, 3, 4, 5, 6, None))
+@pytest.mark.parametrize("case", CASES)
+def test_cell_polygon_matches_reference_on_every_drawn_tile(case, depth,
+                                                            tmp_path):
+    # Every drawn tile is the true cell, at every budget and by default (no
+    # budget): its Klein vertices lie within 1e-6 of those of the cell of
+    # the complete walk's lifts about a point inside it.  Those lifts hold
+    # every lift meeting the disc that holds the drawn cells.
+    group = build_group(*CASE_TRIPLES[case])
+    reach = trigroup.drawing_disc(group, curve_system(case),
+                                  render._DRAWN_RADIUS)[0]
+    lifts = curve_lifts(case, math.inf, reach)
+    cells = _drawn_cells(tmp_path, case, depth)
+    assert len(cells) > 2
+    wrong = [verts for verts in cells
+             if not _same_vertices(verts, _cell_about_centroid(verts, lifts),
+                                   1e-6)]
+    assert wrong == [], f"{len(wrong)} of {len(cells)} drawn cells are wrong"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -166,18 +216,18 @@ def ball_log(monkeypatch):
 
 @pytest.mark.parametrize("argv,balls", [
     (["verify", "--case", "344", "--depth", "16"], set()),
-    (["tiling", "--case", "344", "--depth", "6"], {((3, 4, 4), 7)}),
-    (["tiling", "--case", "344", "--depth", "5"], {((3, 4, 4), 6)}),
+    (["tiling", "--case", "344", "--depth", "6"], {((3, 4, 4), 6)}),
+    (["tiling", "--case", "344", "--depth", "5"], {((3, 4, 4), 5)}),
+    (["tiling", "--case", "344"], {((3, 4, 4), math.inf)}),
     (["verify", "--case", "344", "--depth", "6"], set()),
-], ids=["verify-344-d16", "tiling-344-d6", "tiling-344-d5",
+], ids=["verify-344-d16", "tiling-344-d6", "tiling-344-d5", "tiling-344",
         "verify-344-d6"])
 def test_run_builds_no_word_ball_or_only_the_drawn_one(argv, balls, ball_log,
                                                        tmp_path):
     # The searches of a verify run (the disc of neighbour candidates and
-    # their witnesses, the tubes) walk the tiles and stop where they end.  A drawing builds the word ball of its
-    # depth + 1, once: at depths 5 and 6 of 344 that ball's deepest word is
-    # within the depth, so the search is complete and the drawing reads
-    # that ball.
+    # their witnesses, the tubes) walk the tiles and stop where they end.
+    # A drawing builds the word ball of its depth, cut to its disc, once;
+    # with no budget, the walk of the whole disc.
     out = ["--json", str(tmp_path / "r.json")] if argv[0] == "verify" \
         else ["--out", str(tmp_path / "t.svg")]
     assert cli.main(argv + out) == 0
@@ -242,30 +292,15 @@ def test_second_branch_found_at_radius_one_is_the_ball_search_one(case,
     assert max(abs(second.u - expected.u), abs(second.v - expected.v)) < 1e-12
 
 
-def _drawing(case, depth):
-    """(X, the drawn lifts, each drawn cell as (centre, vertices, labels)):
-    what `tiling_svg(case, depth)` clips against its lifts and draws.  A
-    complete search draws the lifts of the ball of depth + 1, which holds
-    the same tiles as that of the depth."""
-    group = build_group(*CASE_TRIPLES[case])
-    far, reach = trigroup.drawing_disc(group, curve_system(case),
-                                       render._DRAWN_RADIUS)
-    deeper = enumerate_elements(group, depth + 1, reach)
-    assert len(deeper[-1].word) <= depth
-    lifts = curve_lifts(case, depth + 1, reach)
-    cells = []
-    real = trigroup.cell_polygon
-
-    def logged(center, walls):
-        out = real(center, walls)
-        if walls is lifts and None not in out[1]:
-            cells.append((center,) + out)
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trigroup, "cell_polygon", logged)
-        render.tiling_svg(case, depth)
-    return far, lifts, cells
+def _drawing(tmp_path, case):
+    """(X, the drawn lifts, the Klein vertices of each drawn cell): what
+    ``orbiflow tiling --case case`` draws with no budget, its drawn cells
+    within the disc of X about 0."""
+    group, system = build_group(*CASE_TRIPLES[case]), curve_system(case)
+    reach = trigroup.drawing_disc(group, system, render._DRAWN_RADIUS)[0]
+    far = render._DRAWN_RADIUS + trigroup._cell_radius(group, system)[0] + 1e-9
+    cells = _drawn_cells(tmp_path, case, None)
+    return far, curve_lifts(case, math.inf, reach), cells
 
 
 def _meets_polygon(lift, verts):
@@ -274,21 +309,22 @@ def _meets_polygon(lift, verts):
     return min(fs) < 0.0 < max(fs)
 
 
-def _same_vertices(a, b):
+def _same_vertices(a, b, tol=1e-9):
     return len(a) == len(b) and all(
-        min(math.hypot(x - u, y - v) for u, v in b) < 1e-9 for x, y in a)
+        min(math.hypot(x - u, y - v) for u, v in q) < tol
+        for p, q in ((a, b), (b, a)) for x, y in p)
 
 
-def _completeness_faults(case):
-    """What a drawing at a depth its disc search is not cut by misses
-    against the word ball of its deepest word plus 2: the reference lifts
-    that meet the X-disc or a drawn cell and are not drawn, and the drawn
-    cells that differ from the reference cells."""
+def _completeness_faults(tmp_path, case):
+    """What a drawing with no budget misses against the word ball of its
+    disc search's deepest word plus 2: the reference lifts that meet the
+    X-disc or a drawn cell and are not drawn, and the drawn cells that
+    differ from the reference cells."""
     group = build_group(*CASE_TRIPLES[case])
     reach = trigroup.drawing_disc(group, curve_system(case),
-                                  render._DRAWN_RADIUS)[1]
-    deepest = len(enumerate_elements(group, 64, reach)[-1].word)
-    far, lifts, cells = _drawing(case, deepest + 1)
+                                  render._DRAWN_RADIUS)[0]
+    deepest = len(enumerate_elements(group, math.inf, reach)[-1].word)
+    far, lifts, cells = _drawing(tmp_path, case)
     reference = curve_lifts(case, deepest + 2)
     assert len(reference) > len(lifts) and len(cells) > 2
     faults = []
@@ -299,16 +335,12 @@ def _completeness_faults(case):
         if hyp2.distance(origin, trigroup.foot_of_perpendicular(
                 ref, origin)) <= far:
             faults.append(f"lift ({ref.u}, {ref.v}) meets the X-disc")
-        faults.extend(f"lift ({ref.u}, {ref.v}) meets the cell at {center}"
-                      for center, verts, _ in cells
-                      if _meets_polygon(ref, verts))
-    for center, verts, labels in cells:
-        ref_verts, ref_labels = trigroup.cell_polygon(center, reference)
-        walls = [reference[i] for i in ref_labels]
-        if not (_same_vertices(verts, ref_verts)
-                and all(any(hyp2.same_geodesic(lifts[i], w, 1e-9)
-                            for w in walls) for i in labels)):
-            faults.append(f"cell at {center} differs from the reference")
+        faults.extend(f"lift ({ref.u}, {ref.v}) meets the cell {verts}"
+                      for verts in cells if _meets_polygon(ref, verts))
+    faults.extend(f"cell {verts} differs from the reference"
+                  for verts in cells
+                  if not _same_vertices(
+                      verts, _cell_about_centroid(verts, reference)))
     return faults
 
 
@@ -324,31 +356,21 @@ def cold_disc():
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_drawing_holds_every_lift_and_cell_of_a_deeper_ball(case, cold_disc):
-    # Drawn at a depth the disc search ends within, each case draws every
-    # lift of the reference ball that meets a drawn cell or the X-disc, and
-    # every drawn cell is the reference ball's cell.
-    assert _completeness_faults(case) == []
+def test_drawing_holds_every_lift_and_cell_of_a_deeper_ball(case, cold_disc,
+                                                            tmp_path):
+    # Drawn with no budget, each case draws every lift of the reference ball
+    # that meets a drawn cell or the X-disc, and every drawn cell is the
+    # reference ball's cell.
+    assert _completeness_faults(tmp_path, case) == []
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_a_halved_cell_radius_fails_the_containment_check(case, cold_disc,
-                                                         monkeypatch):
-    # With half of r_cell in X, some drawn cell reaches beyond X, and the
-    # drawing refuses to draw it.
-    real = trigroup._cell_radius
-    monkeypatch.setattr(trigroup, "_cell_radius",
-                        lambda group, system: real(group, system) / 2.0)
-    with pytest.raises(trigroup.EnumerationError, match="reaches beyond"):
-        _completeness_faults(case)
-
-
-def test_a_search_radius_without_rho_misses_a_lift(cold_disc, monkeypatch):
+def test_a_search_radius_without_rho_misses_a_lift(cold_disc, monkeypatch,
+                                                   tmp_path):
     # Without the tube radius rho in the search radius, 246 misses lifts
     # of the reference ball that meet the X-disc.
     monkeypatch.setattr(trigroup, "_lift_reach",
                         lambda group, system, radius: radius + 1e-9)
-    faults = _completeness_faults(246)
+    faults = _completeness_faults(tmp_path, 246)
     assert faults and all("meets the X-disc" in f for f in faults)
 
 
@@ -357,7 +379,7 @@ def test_drawing_344_depth_6_builds_the_disc_not_the_ball(cold_disc):
     # depth-6 word ball of 1203 elements and 792 lifts.
     group = build_group(*CASE_TRIPLES[344])
     reach = trigroup.drawing_disc(group, curve_system(344),
-                                  render._DRAWN_RADIUS)[1]
+                                  render._DRAWN_RADIUS)[0]
     assert len(enumerate_elements(group, 6, reach)) == 132
     assert len(curve_lifts(344, 6, reach)) == 96
     assert (len(enumerate_elements(group, 6)), len(curve_lifts(344, 6))) \
@@ -368,47 +390,38 @@ def test_drawing_344_depth_6_builds_the_disc_not_the_ball(cold_disc):
 DEEPEST = {237: 10, 245: 7, 246: 7, 334: 6, 344: 5}
 
 
-@pytest.mark.parametrize("case,depth,code", [
-    *((case, depth, 2) for case, depth in DEEPEST.items()), (344, 4, 0)])
-def test_a_halved_disc_fails_every_complete_drawing(case, depth, code,
-                                                    cold_disc, monkeypatch,
-                                                    tmp_path, capsys):
-    # With X halved and the search's reach kept, a drawn cell reaches beyond
-    # X.  A drawing at its search's deepest word is complete, though that
-    # word is as long as the depth, so it checks its cells and refuses; 344
-    # at depth 4 cuts the search and draws its cells uncertified.
+@pytest.mark.parametrize("case", CASES)
+def test_tiling_default_draws_the_whole_disc(case, tmp_path):
+    # With no budget the disc search stops where the disc ends, so the
+    # default drawing is the one whose budget is the search's deepest word.
     group = build_group(*CASE_TRIPLES[case])
     reach = trigroup.drawing_disc(group, curve_system(case),
-                                  render._DRAWN_RADIUS)[1]
-    assert len(enumerate_elements(group, 64, reach)[-1].word) == DEEPEST[case]
-    real = trigroup.drawing_disc
-
-    def halved(*args):
-        far, reach = real(*args)
-        return far / 2.0, reach
-
-    monkeypatch.setattr(trigroup, "drawing_disc", halved)
-    assert cli.main(["tiling", "--case", str(case), "--depth", str(depth),
-                     "--out", str(tmp_path / "t.svg")]) == code
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == (code == 2)
-    assert all(line.startswith(f"error: enumeration (trigroup): case {case}: "
-                               "a drawn cell reaches beyond distance")
-               for line in lines)
+                                  render._DRAWN_RADIUS)[0]
+    assert len(enumerate_elements(group, math.inf, reach)[-1].word) \
+        == DEEPEST[case]
+    out = {}
+    for name, budget in (("default", []),
+                         ("deepest", ["--depth", str(DEEPEST[case])])):
+        out[name] = tmp_path / f"{name}.svg"
+        assert cli.main(["tiling", "--case", str(case), *budget,
+                         "--out", str(out[name])]) == 0
+    assert out["default"].read_bytes() == out["deepest"].read_bytes()
 
 
 @pytest.mark.parametrize("fault,depth,code", [
-    ("open side", 6, 2), ("open side", 4, 0),
+    ("open side", 6, 0), ("open side", 4, 0),
     ("geometry", 6, 2), ("geometry", 4, 2)])
 def test_a_drawing_drops_no_cell_it_can_certify(fault, depth, code, cold_disc,
                                                 monkeypatch, tmp_path, capsys):
-    # The first drawn cell of 344 planted with an open side, or failing to
-    # clip.  The certified drawing (depth 6) stops with one error line for
-    # either; one whose depth cuts its search (4) leaves the open cell out,
-    # uncertified, but a clipping failure, which no depth mends, stops it.
-    group = build_group(*CASE_TRIPLES[344])
-    # r_cell first: its search clips cells of its own, before the plant.
-    trigroup.drawing_disc(group, curve_system(344), render._DRAWN_RADIUS)
+    # The first vertex cell of 344 planted with an open side, or failing to
+    # clip.  An open side sends ``_cell_radius`` to a larger disc, which
+    # certifies the cell, so the drawing at every depth is the unplanted
+    # one; a clipping failure, which no disc mends, stops it with one error
+    # line.
+    argv = ["tiling", "--case", "344", "--depth", str(depth), "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain.svg")]) == 0
+    trigroup._cell_radius.cache_clear()
+    capsys.readouterr()
     real = trigroup.cell_polygon
     calls = []
 
@@ -422,16 +435,12 @@ def test_a_drawing_drops_no_cell_it_can_certify(fault, depth, code, cold_disc,
         return verts, labels
 
     monkeypatch.setattr(trigroup, "cell_polygon", planted)
-    assert cli.main(["tiling", "--case", "344", "--depth", str(depth),
-                     "--out", str(tmp_path / "t.svg")]) == code
+    assert cli.main(argv + [str(tmp_path / "t.svg")]) == code
     lines = capsys.readouterr().err.splitlines()
     if code == 0:
-        assert lines == [] and len(calls) > 1
-    elif fault == "geometry":
+        assert lines == [] and len(calls) > 3
+        assert (tmp_path / "t.svg").read_bytes() == \
+            (tmp_path / "plain.svg").read_bytes()
+    else:
         assert lines == ["error: geometry (trigroup): case 344: planted "
                          "clipping failure"]
-    else:
-        [line] = lines
-        assert line.startswith("error: enumeration (trigroup): case 344: "
-                               "the drawn cell about (")
-        assert line.endswith(") has an open side")
