@@ -170,16 +170,13 @@ def cmd_catmap(args) -> int:
         print("error: period must be between 1 and 12 (exact-arithmetic guard)",
               file=sys.stderr)
         return 2
-    from . import intlinalg, torusmap
+    from . import torusmap
     cat = torusmap.CAT
     count = torusmap.periodic_point_count(cat, n)
     print(f"points of period dividing {n}: {count} = |det(A^{n} - I)|")
-    power = cat.power(n)
-    M = [[power.a - 1, power.b], [power.c, power.d - 1]]
     seen: set[torusmap.RationalPoint] = set()
     orbits = []
-    for x, y in intlinalg.solve_mod1(M):
-        p = torusmap.RationalPoint.of(x, y)
+    for p in torusmap.fixed_points(cat.power(n)):
         if p in seen:
             continue
         orb = torusmap.orbit_of(cat, p)

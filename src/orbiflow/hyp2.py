@@ -13,20 +13,25 @@ Products choose no sign: every formula of the action reads M and -M alike
 (IEEE negation is exact), and equality is decided up to sign
 (``projective_dist``).
 
-Every other geodesic operation reads the chord from u to v in the Klein disc
+A geodesic is read two ways.  The chord from u to v in the Klein disc
 (``Geodesic.klein_line``), where a point w sits at 2w/(1 + |w|²)
-(``to_klein``): the axis of an isometry, the geodesic through two points,
-crossings, and the arclength coordinate along a geodesic, atanh of the
-affine coordinate along its chord (``axis_parameter``).
+(``to_klein``), gives the geodesic through two points (``geodesic_through``)
+and decides a crossing and its angle (``geodesic_crossing``).  The ends
+themselves give equality (``same_geodesic``) and the arclength coordinate
+along a geodesic, log(|w - u|/|w - v|) (``axis_parameter``), with its
+inverse (``foot_on_axis``) and the coordinate of a crossing, the mean of
+the coordinates of the other geodesic's ends.
 
-Where precision runs out: at distance d from 0, 1 - |w| is about 2e^-d and
-1 - |k| of the Klein point about 2e^(-2d).  So one unit in the last place of
-w is a hyperbolic step of about 5e-17·e^d, and the arclength coordinate's
-absolute error grows like 1e-16·e^(2d); the points that verify and the
-depth-6 tilings of the five cases pass in lie within d = 2.64, where it is
-about 1e-14.  Beyond d of about 19 a Klein point rounds onto the circle,
-where ``axis_parameter`` raises GeometryError, and beyond about 38 so does
-the disc point itself, where ``distance`` raises it.
+Where precision runs out: at distance d from 0, 1 - |w| is about 2e^-d, so
+one unit in the last place of w is a hyperbolic step of about 5e-17·e^d,
+and the coordinate, which reads w and the ends with no other loss, is off
+by about 1e-16·e^d: against 60-digit references, within 3e-12, 2.5e-10 and
+1.1e-8 at |t| = 10, 14 and 18, and a crossing's within 1e-14 at 6, 10 and
+14 from 0.  The Klein points, and the crossing decision and angle, lose
+like 1e-16·e^(2d), since 1 - |k| is about 2e^(-2d).  The points and
+crossings that verify and the depth-6 tilings of the five cases read lie
+within d = 2.64.  Beyond about 38 the disc point rounds onto the circle,
+where ``distance`` raises GeometryError.
 
 Angle conventions: rotations are counterclockwise for positive angle, and
 ``rotation_about(p, theta)`` rotates tangent vectors at p by theta; about 0
@@ -284,61 +289,54 @@ def same_geodesic(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
             or (_near(a1, b2, eps) and _near(b1, a2, eps)))
 
 
-def geodesic_crossing(g1: Geodesic, g2: Geodesic
-                      ) -> Optional[tuple[complex, float]]:
-    """Transverse crossing point of two geodesics and their unoriented angle
-    in [0, pi/2], or None if they are disjoint or equal.
+def geodesic_crossing(g: Geodesic, h: Geodesic
+                      ) -> Optional[tuple[float, float]]:
+    """Axis parameter on g of the transverse crossing of g and h, and their
+    unoriented angle in [0, pi/2], or None if they are disjoint or equal.
 
-    Decided and computed on the Klein chords n·k = c (``klein_line``), by
-    their spacelike normals m = (n, c) in the hyperboloid model, with
+    Decided on the Klein chords n·k = c (``klein_line``), by their
+    spacelike normals m = (n, c) in the hyperboloid model, with
     B(m1, m2) = n1·n2 - c1·c2 (Ratcliffe, *Foundations of Hyperbolic
     Manifolds*, ch. 3): the chords cross inside the disc iff
-    B(m1, m2)² < B(m1, m1)·B(m2, m2), and then the point solves both line
-    equations and cos of the angle is |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)).
-    For the chord from u to v, |n| = |u - v| and c = Im(conj(u)·v), so
-    B(m, m) = |u - v|⁴/4, read from |n| without the cancellation of
-    |n|² - c² for close ends.
+    B(m1, m2)² < B(m1, m1)·B(m2, m2), and then cos of the angle is
+    |B(m1, m2)| / sqrt(B(m1, m1)·B(m2, m2)).  For the chord from u to v,
+    |n| = |u - v| and c = Im(conj(u)·v), so B(m, m) = |u - v|⁴/4, read from
+    |n| without the cancellation of |n|² - c² for close ends.  The half-turn
+    about the crossing keeps g, reflecting its parameter about the
+    crossing's, and swaps h's ends, so the crossing's parameter is the mean
+    of those of h's ends.
     """
-    n1x, n1y, c1, norm1 = g1.klein_line
-    n2x, n2y, c2, norm2 = g2.klein_line
+    n1x, n1y, c1, norm1 = g.klein_line
+    n2x, n2y, c2, norm2 = h.klein_line
     b12 = n1x * n2x + n1y * n2y - c1 * c2
     b11b22 = (norm1 * norm2) ** 4 / 16.0
-    if not b12 * b12 < b11b22 or same_geodesic(g1, g2, config.EPS_PT):
+    if not b12 * b12 < b11b22 or same_geodesic(g, h, config.EPS_PT):
         return None
-    det = n1x * n2y - n1y * n2x
-    point = from_klein(complex((c1 * n2y - c2 * n1y) / det,
-                                  (n1x * c2 - n2x * c1) / det))
-    return point, math.acos(min(1.0, abs(b12) / math.sqrt(b11b22)))
+    return (0.5 * (axis_parameter(g, h.u) + axis_parameter(g, h.v)),
+            math.acos(min(1.0, abs(b12) / math.sqrt(b11b22))))
 
 
-def axis_parameter(g: Geodesic, p: complex) -> float:
-    """Signed arclength coordinate along g of the foot of p, increasing
-    toward g.v, 0 at the midpoint of g's chord.
+def axis_parameter(g: Geodesic, w: complex) -> float:
+    """Signed arclength coordinate along g of the foot of the point or end
+    w, log(|w - u|/|w - v|): increasing toward v, 0 at g's point nearest 0.
 
-    The foot f is where the Klein line through p's Klein point k and the
-    pole of the chord n·k = c (``klein_line``) meets the chord:
-    f = k + mu·(n - c·k), mu = (c - n·k)/(|n|² - c·n·k).  Its affine
-    coordinate s along the chord, 0 at the midpoint m = (u + v)/2 and ±1 at
-    the ends m ± h, h = (v - u)/2, gives the coordinate atanh(s): the Klein
-    distance is half the log of a cross-ratio, which affine maps keep.  A
-    foot so far out that s rounds to ±1 raises GeometryError.
-    """
-    k = to_klein(p)
-    kx, ky = k.real, k.imag
-    nx, ny, c, _ = g.klein_line
-    nk = nx * kx + ny * ky
-    mu = (c - nk) / (nx * nx + ny * ny - c * nk)
-    m, h = 0.5 * (g.u + g.v), 0.5 * (g.v - g.u)
-    fx, fy = kx + mu * (nx - c * kx) - m.real, ky + mu * (ny - c * ky) - m.imag
-    s = (fx * h.real + fy * h.imag) / (h.real * h.real + h.imag * h.imag)
-    if not -1.0 < s < 1.0:
-        raise GeometryError(f"the foot on a geodesic of a point at distance "
-                            f"{distance(0.0j, p):.2f} from 0 rounds onto "
-                            "the circle")
-    return math.atanh(s)
+    Its level sets, the circles of Apollonius of u and v, are the geodesics
+    perpendicular to g (Beardon, *The Geometry of Discrete Groups*, §7);
+    on g, a Möbius map sending u to 0 and v to infinity makes the ratio
+    e^t times a constant, 1 where w is as far from u as from v.  A w that
+    rounds onto an end raises GeometryError."""
+    a, b = abs(w - g.u), abs(w - g.v)
+    if not (a > 0.0 and b > 0.0):
+        raise GeometryError(f"the point {w} rounds onto an end of a geodesic")
+    return math.log(a / b)
 
 
 def foot_on_axis(g: Geodesic, t: float) -> complex:
     """Point of g at axis parameter t (inverse of axis_parameter): the
-    Klein point m + tanh(t)·h."""
-    return from_klein(0.5 * (g.u + g.v) + math.tanh(t) * 0.5 * (g.v - g.u))
+    point d·tanh(t/2), d the end v moved by the transport of g's point m
+    nearest 0 to 0 (and put back on the circle, off which v's rounding
+    moves it), moved back.  m = (u + v)/(2 + |u - v|) is the disc point of
+    the chord's midpoint k, read without the cancellation of 1 - |k|²."""
+    m = (g.u + g.v) / (2.0 + abs(g.u - g.v))
+    d = mobius((1.0, -m), g.v)
+    return mobius((1.0, m), d / abs(d) * math.tanh(0.5 * t))

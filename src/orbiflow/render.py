@@ -48,12 +48,6 @@ def geodesic_path(geo: Geodesic) -> str:
             f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(vx)} {_fmt(vy)}")
 
 
-def _klein_xy(kx: float, ky: float) -> tuple[float, float]:
-    n = kx * kx + ky * ky
-    s = 1.0 / (1.0 + math.sqrt(max(1.0 - n, 0.0)))
-    return s * kx, -s * ky
-
-
 def cell_path(vertices: list[tuple[float, float]]) -> str:
     """Closed path of a Klein-polygon cell, 12 samples a side so sides curve
     correctly in the disc model."""
@@ -64,7 +58,9 @@ def cell_path(vertices: list[tuple[float, float]]) -> str:
         x1, y1 = vertices[(i + 1) % n]
         for s in range(12):
             t = s / 12
-            pts.append(_klein_xy(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            w = hyp2.from_klein(complex(x0 + t * (x1 - x0),
+                                        y0 + t * (y1 - y0)))
+            pts.append((w.real, -w.imag))
     head = f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
     body = " ".join(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
     return head + body + " Z"

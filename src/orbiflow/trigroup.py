@@ -39,14 +39,15 @@ ends on the unit circle, moved there by its tile through the Mobius kernel
 that moves points too (``hyp2.mobius``), with its Klein chord
 (``Geodesic.klein_line``) computed on first use.  Both path tests, the
 neighbour segment and the axis period, meet the lifts through one
-primitive, ``_meetings``: it takes each crossing's point and angle from the
-two Klein chords (``hyp2.geodesic_crossing``), and rejects a
-near-tangential crossing.  A drawing dedups only the orbit points within
-its disc (``cell_tiling``'s bound), and draws the tile of each as the image
-of the cell about its vertex of T, which ``_cell_radius`` clips from the
-chords (``cell_polygon``) and certifies.  The per-element loops (tile
-steps, orbit points) run on entry tuples with ``hyp2``'s kernels and build
-an ``Isometry`` only for a new element.
+primitive, ``_meetings``: it takes each crossing's coordinate along the
+path from the lift's ends and its angle from the two Klein chords
+(``hyp2.geodesic_crossing``), and rejects a near-tangential crossing.  A
+drawing dedups only the orbit points within its disc (``cell_tiling``'s
+bound), and draws the tile of each as the image of the cell about its
+vertex of T, which ``_cell_radius`` clips from the chords
+(``cell_polygon``) and certifies.  The per-element loops (tile steps, orbit
+points) run on entry tuples with ``hyp2``'s kernels and build an
+``Isometry`` only for a new element.
 """
 from __future__ import annotations
 
@@ -641,22 +642,23 @@ class AdjacencyReport(Value):
 
 def _meetings(geo: Geodesic, lifts: Iterable[Geodesic]) -> tuple[bool, list[float]]:
     """Whether geo is one of the lifts (within 1e-7), and the axis parameter
-    on geo of each point where another lift crosses it (``geodesic_crossing``,
-    which skips a lift whose chord does not cross geo's inside the disc on
-    one sign test); a crossing at an angle below 1e-6 raises TangencyError."""
+    on geo of each crossing of another lift, read from the lift's ends
+    (``geodesic_crossing``, which skips a lift whose chord does not cross
+    geo's inside the disc on one sign test); a crossing at an angle below
+    1e-6 raises TangencyError."""
     on_lift = False
     params: list[float] = []
     for lift in lifts:
         if same_geodesic(geo, lift, 1e-7):
             on_lift = True
             continue
-        crossing = geodesic_crossing(lift, geo)
+        crossing = geodesic_crossing(geo, lift)
         if crossing is None:
             continue
-        z, ang = crossing
+        t, ang = crossing
         if ang < 1e-6:
             raise TangencyError(f"a curve lift meets the path at angle {ang:.2e}")
-        params.append(axis_parameter(geo, z))
+        params.append(t)
     return on_lift, params
 
 

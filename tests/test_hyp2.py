@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -448,13 +449,13 @@ def test_chord_parameter_is_arclength(pq, x):
 
 
 def test_geodesic_crossing_perpendicular():
-    # The two diameters, crossing at 0.
+    # The two diameters, crossing at 0, the point of each nearest 0.
     g1 = hyp2.Geodesic(-1j, 1j)
     g2 = hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)
     crossing = hyp2.geodesic_crossing(g1, g2)
     assert crossing is not None
-    z, angle = crossing
-    assert abs(z) < 1e-12
+    t, angle = crossing
+    assert abs(t) < 1e-12
     assert abs(angle - math.pi / 2) < 1e-9
 
 
@@ -506,20 +507,90 @@ def test_geodesic_crossing_lies_on_both_and_is_invariant(ends, one, flips,
     A, B = _crossing_pair(ends, one, flips)
     crossing = hyp2.geodesic_crossing(A, B)
     assert crossing is not None
-    z, angle = crossing
+    t, angle = crossing
+    z = hyp2.foot_on_axis(A, t)
     assert _on_geodesic(z, A) and _on_geodesic(z, B)
     assert 0 < angle <= math.pi / 2
-    moved = hyp2.geodesic_crossing(apply_geodesic(g, A),
-                                   apply_geodesic(g, B))
+    gA = apply_geodesic(g, A)
+    moved = hyp2.geodesic_crossing(gA, apply_geodesic(g, B))
     assert moved is not None
-    assert distance(moved[0], apply(g, z)) < 1e-9
+    assert distance(hyp2.foot_on_axis(gA, moved[0]), apply(g, z)) < 1e-9
     assert abs(moved[1] - angle) < 1e-9
     # The perpendicular pair through 0 stays perpendicular, crossing at g·0.
-    z, angle = hyp2.geodesic_crossing(
-        apply_geodesic(g, hyp2.Geodesic(-1j, 1j)),
-        apply_geodesic(g, hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)))
-    assert distance(z, apply(g, 0.0j)) < 1e-9
+    vertical = apply_geodesic(g, hyp2.Geodesic(-1j, 1j))
+    t, angle = hyp2.geodesic_crossing(
+        vertical, apply_geodesic(g, hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)))
+    assert distance(hyp2.foot_on_axis(vertical, t), apply(g, 0.0j)) < 1e-9
     assert abs(angle - math.pi / 2) < 1e-9
+
+
+def _reference_crossing(g, h):
+    """The crossing of g and h by the Klein line solve, in 60-digit
+    decimals, on their ends carried radially onto the unit circle: the
+    chords n·k = c, n = (Im(v - u), Re(u - v)), c = n·u, meet at k.
+    Returns the disc point k/(1 + sqrt(1 - |k|²)), rounded to a complex,
+    and the coordinate on g, atanh of k's affine coordinate along g's
+    chord (0 at its midpoint, ±1 at its ends), rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        chords = []
+        for geo in (g, h):
+            ends = []
+            for w in (geo.u, geo.v):
+                x, y = Decimal(w.real), Decimal(w.imag)
+                r = (x * x + y * y).sqrt()
+                ends.append((x / r, y / r))
+            (ux, uy), (vx, vy) = ends
+            nx, ny = vy - uy, ux - vx
+            chords.append((nx, ny, nx * ux + ny * uy, ends))
+        (n1x, n1y, c1, ((ux, uy), (vx, vy))), (n2x, n2y, c2, _) = chords
+        det = n1x * n2y - n1y * n2x
+        kx, ky = (c1 * n2y - c2 * n1y) / det, (n1x * c2 - n2x * c1) / det
+        hx, hy = (vx - ux) / 2, (vy - uy) / 2
+        s = ((kx - (ux + vx) / 2) * hx + (ky - (uy + vy) / 2) * hy) \
+            / (hx * hx + hy * hy)
+        q = 1 + (1 - kx * kx - ky * ky).sqrt()
+        return (complex(float(kx / q), float(ky / q)),
+                float(((1 + s) / (1 - s)).ln() / 2))
+
+
+def _diameters_moved_to(x, *angles):
+    """The diameters through the circle points at `angles`, each from -e to
+    e, moved by the transport (1, x), w -> (w + x)/(conj(x)·w + 1), of 0 to
+    x: geodesics through x crossing at the angles' differences."""
+    return [hyp2.Geodesic(hyp2.mobius((1.0, x), -e), hyp2.mobius((1.0, x), e))
+            for e in _circle(*angles)]
+
+
+@given(near_0, st.floats(-math.pi, math.pi),
+       st.floats(0.01, math.pi - 0.01))
+@settings(max_examples=300, deadline=None)
+def test_geodesic_crossing_coordinate_is_the_klein_solve_points(x, a, turn):
+    # Two geodesics crossing at a point within 6 of 0: the crossing's
+    # coordinate on the first is the parameter of the exact Klein line
+    # solve's point, and the point at that coordinate lies on the second,
+    # each within 1e-12.
+    g, h = _diameters_moved_to(x, a, a + turn)
+    t, _ = hyp2.geodesic_crossing(g, h)
+    point, _ = _reference_crossing(g, h)
+    assert abs(t - hyp2.axis_parameter(g, point)) < 1e-12
+    z = hyp2.foot_on_axis(g, t)
+    assert distance(z, trigroup.foot_of_perpendicular(h, z)) < 1e-12
+
+
+@pytest.mark.parametrize("theta, turn",
+                         [(0.0, 1.0), (0.7, 0.1), (2.0, 0.01), (-2.5, 1.5)])
+def test_geodesic_crossing_10_from_0_reads_its_coordinate(theta, turn):
+    # The diameter through e = e^(i·theta), and the diameter at angle
+    # theta + turn moved by the transport of 0 to x = tanh(5)·e, 10 from 0
+    # on the first: they cross at x, whose coordinate on the first is
+    # 2·atanh(tanh(5)) = 10.  The rounding of tanh(5) and of the ends moves
+    # it by at most about 3e-11 (at turn 0.01).
+    e = cmath.rect(1.0, theta)
+    g = hyp2.Geodesic(-e, e)
+    h = _diameters_moved_to(math.tanh(5.0) * e, theta + turn)[0]
+    t, _ = hyp2.geodesic_crossing(g, h)
+    assert abs(t - 10.0) < 1e-9
 
 
 def test_thresholds_are_read_at_call_time(monkeypatch):
@@ -561,11 +632,10 @@ circle_ends = st.builds(
 def test_geodesic_crossing_iff_the_ends_interleave(ends):
     # Distinct circle ends, 1 among them: a crossing is found exactly when
     # the boundary-angle reference says the ends interleave, never for a
-    # geodesic against itself or its reversal, and it lies on both.  The
-    # ends are kept 1e-6 apart, so that a crossing's Klein point does not
-    # round onto the circle.  The point is the Klein solve's, whose rounding
-    # grows as e^(2d)/sin(angle) at distance d from 0 (1 - |k|² = sech² d),
-    # so the bound is 1e-9 only near 0.
+    # geodesic against itself or its reversal, and the point at its
+    # coordinate lies on both.  The ends are kept 1e-6 apart.  A disc point
+    # at distance d from 0 rounds by about 5e-17·e^d, so the bound is 1e-9
+    # only near 0.
     assume(all(abs(p - q) > 1e-6 for p, q in itertools.combinations(ends, 2)))
     g1, g2 = hyp2.Geodesic(*ends[:2]), hyp2.Geodesic(*ends[2:])
     for g in (g1, g2):
@@ -574,9 +644,10 @@ def test_geodesic_crossing_iff_the_ends_interleave(ends):
     crossing = hyp2.geodesic_crossing(g1, g2)
     assert (crossing is not None) == _angles_interleave(g1, g2)
     if crossing is not None:
-        z, angle = crossing
+        t, angle = crossing
+        z = hyp2.foot_on_axis(g1, t)
         d = distance(z, 0.0j)
-        tol = max(1e-9, 1e-14 * math.exp(2.0 * d) / math.sin(angle))
+        tol = max(1e-9, 1e-14 * math.exp(d) / math.sin(angle))
         for g in (g1, g2):
             assert distance(z, trigroup.foot_of_perpendicular(g, z)) < tol
 
@@ -586,16 +657,18 @@ def test_geodesic_crossing_decides_interleaved_ends_closer_than_1e_7():
     # interleave.  The second chord's ends lie about 1e-7 apart, where
     # |n|² - c² cancels to 3.16e-29 against the exact |u - v|⁴/4 =
     # 3.29e-29, enough to read the pair as disjoint.  With the chord form
-    # the crossing is decided; its point lies so far out that its Klein
-    # point rounds onto the circle, which is a typed failure.
+    # the crossing is decided, and its coordinate, read from the ends, is
+    # the exact Klein solve's within 1e-9: about 19 from 0, where the
+    # Klein point in floats rounds onto the circle.
     g1 = hyp2.Geodesic(1.0 + 0.0j, cayley(0.0))
     g2 = hyp2.Geodesic(cayley(5.6e-10), cayley(-5.3e-8))
     assert _angles_interleave(g1, g2)
     nx, ny, c, norm = g2.klein_line
     assert nx * nx + ny * ny - c * c == pytest.approx(3.16e-29, rel=1e-3)
     assert norm ** 4 / 4.0 == pytest.approx(3.29e-29, rel=1e-3)
-    with pytest.raises(GeometryError, match="Klein point outside the disc"):
-        hyp2.geodesic_crossing(g1, g2)
+    t, _ = hyp2.geodesic_crossing(g1, g2)
+    assert t == pytest.approx(_reference_crossing(g1, g2)[1], abs=1e-9)
+    assert t == pytest.approx(19.028, abs=1e-3)
 
 
 @given(rotation_params, halfplane_points, halfplane_points)
@@ -631,12 +704,30 @@ def test_triangle_and_generators_are_the_cayley_images_of_the_halfplane_pose(
                                     expect) < 1e-14
 
 
-def test_axis_parameter_raises_where_the_foot_rounds_onto_the_circle():
-    # A point 22 from 0 on the diameter from -1 to 1: its Klein point,
-    # tanh(22), rounds to 1, and with it the affine coordinate of its foot,
-    # whose atanh is no number.  One 10 from 0 has its coordinate.
-    geo = hyp2.Geodesic(-1.0 + 0.0j, 1.0 + 0.0j)
-    with pytest.raises(GeometryError, match="distance 22.00 from 0"):
-        hyp2.axis_parameter(geo, complex(math.tanh(11.0)))
-    assert hyp2.axis_parameter(geo, complex(math.tanh(5.0))) == \
-        pytest.approx(10.0, rel=1e-9)
+@pytest.mark.parametrize("theta", (0.0, 0.7, 2.0))
+def test_axis_parameter_reads_a_point_22_from_0(theta):
+    # The point tanh(11)·e on the diameter from -e to e, e = e^(i·theta),
+    # reads its coordinate log(|w + e|/|w - e|), taken in 60-digit decimals
+    # on the rounded w and e, within 1e-9, and that is 22 up to the rounding
+    # of tanh(11), whose gap 5.6e-10 to 1 it moves by up to 1e-7
+    # (tanh(11) reads 22 - 3.2e-9).
+    e = cmath.rect(1.0, theta)
+    w = math.tanh(11.0) * e
+    geo = hyp2.Geodesic(-e, e)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(w.real), Decimal(w.imag)
+        ex, ey = Decimal(e.real), Decimal(e.imag)
+        ratio = (((x + ex) ** 2 + (y + ey) ** 2)
+                 / ((x - ex) ** 2 + (y - ey) ** 2))
+        reference = float(ratio.ln() / 2)
+    assert abs(hyp2.axis_parameter(geo, w) - reference) < 1e-9
+    assert abs(hyp2.axis_parameter(geo, w) - 22.0) < 1e-7
+
+
+def test_axis_parameter_raises_only_on_an_end():
+    geo = hyp2.Geodesic(*_circle(0.3, 2.0))
+    for end in (geo.u, geo.v):
+        with pytest.raises(GeometryError, match="rounds onto an end"):
+            hyp2.axis_parameter(geo, end)
+    assert math.isfinite(hyp2.axis_parameter(geo, -geo.u))

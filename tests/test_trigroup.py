@@ -298,7 +298,8 @@ def _paper_geometry(case, group, bases):
         qr = hyp2.geodesic_through(Q, R)
         crossing = len(bases) == 1 and hyp2.geodesic_crossing(bases[0], qr)
         return bool(crossing and abs(crossing[1] - math.pi / 2) < 1e-9
-                    and _runs_through(bases[0], P, crossing[0]))
+                    and _runs_through(bases[0], P, hyp2.foot_on_axis(
+                        bases[0], crossing[0])))
     if case in (245, 246):
         return len(bases) == 1 and _runs_through(bases[0], P,
                                                  Q if case == 245 else R)
@@ -310,7 +311,8 @@ def _paper_geometry(case, group, bases):
     e = group.generator(mover).entries()
     moved = (hyp2.mobius(e, first.u), hyp2.mobius(e, first.v))
     return bool(crossing and crossing[1] > 1e-6
-                and distance(crossing[0], midpoint(a, b)) < 1e-9
+                and distance(hyp2.foot_on_axis(first, crossing[0]),
+                             midpoint(a, b)) < 1e-9
                 and max(abs(moved[0] - second.u),
                         abs(moved[1] - second.v)) < 1e-9)
 
@@ -711,10 +713,10 @@ def _meeting(lifts, path):
             seg = hyp2.geodesic_through(a, b)
             if hyp2.same_geodesic(lift, seg, 1e-7):
                 break
-            crossing = hyp2.geodesic_crossing(lift, seg)
+            crossing = hyp2.geodesic_crossing(seg, lift)
             if crossing is None:
                 continue
-            t = hyp2.axis_parameter(seg, crossing[0])
+            t = crossing[0]
             if (hyp2.axis_parameter(seg, a) - 1e-9 <= t
                     <= hyp2.axis_parameter(seg, b) + 1e-9):
                 break
